@@ -458,49 +458,179 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 # determinization, projection, saturation
 
 
+MAX_SUBSETS = 1_000_000
+"""Most subsets one subset construction may build before it gives up."""
+
+_BATCH_KEYS = 1 << 22  # (subset, symbol, target) keys sorted in one batch
+_INT32_MAX = np.iinfo(np.int32).max
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+class SubsetBudgetError(ValueError):
+    """A subset construction outgrew MAX_SUBSETS."""
+
+
+def _zobrist_keys(n: int) -> np.ndarray:
+    """A pseudo-random 64-bit key per NFA state (SplitMix64 of its index)."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class _Subsets:
+    """Subsets found so far: sorted member runs, back to back, and their
+    hashes in a sorted index.
+
+    A subset hashes to the XOR of its members' Zobrist keys, mixed with its
+    size.  Hashes only narrow the search: identity is always decided by
+    comparing members.
+    """
+
+    def __init__(self, zobrist: np.ndarray, nfa_accepting: np.ndarray):
+        self.zobrist = zobrist
+        self.nfa_accepting = nfa_accepting
+        self.members = np.empty(1 << 12, dtype=np.int32)
+        self.offsets = np.zeros(1 << 10, dtype=np.int64)
+        self.count = 0
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.accepting: list[np.ndarray] = []
+
+    def digest(self, members: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        mixed = np.bitwise_xor.reduceat(self.zobrist[members], starts)
+        return mixed ^ lengths.astype(np.uint64) * _GOLDEN
+
+    def add(self, members: np.ndarray, lengths: np.ndarray, hashes: np.ndarray) -> int:
+        """Store new subsets whose members come back to back; returns the
+        first new id."""
+        used = int(self.offsets[self.count])
+        need = used + len(members)
+        if need > len(self.members):
+            self.members = np.resize(self.members, max(need, 2 * len(self.members)))
+        self.members[used:need] = members
+        first, self.count = self.count, self.count + len(lengths)
+        if self.count >= len(self.offsets):
+            self.offsets = np.resize(self.offsets, max(self.count + 1, 2 * len(self.offsets)))
+        ends = np.cumsum(lengths)
+        self.offsets[first + 1 : self.count + 1] = used + ends
+        self.accepting.append(np.logical_or.reduceat(self.nfa_accepting[members], ends - lengths))
+        # merge the new hashes into the sorted index
+        order = np.argsort(hashes)
+        at = np.searchsorted(self.hashes, hashes[order]) + np.arange(len(order))
+        old = np.ones(self.count, dtype=bool)
+        old[at] = False
+        merged_hashes = np.empty(self.count, dtype=np.uint64)
+        merged_hashes[at], merged_hashes[old] = hashes[order], self.hashes
+        merged_ids = np.empty(self.count, dtype=np.int64)
+        merged_ids[at], merged_ids[old] = first + order, self.ids
+        self.hashes, self.ids = merged_hashes, merged_ids
+        return first
+
+    def find(self, hashes: np.ndarray) -> np.ndarray:
+        """Id of the first stored subset with each hash, or -1."""
+        pos = np.minimum(np.searchsorted(self.hashes, hashes), len(self.hashes) - 1)
+        return np.where(self.hashes[pos] == hashes, self.ids[pos], -1)
+
+    def intern(self, members: np.ndarray, h: np.uint64) -> int:
+        """Id of the subset with exactly these members, stored if new."""
+        lo, hi = np.searchsorted(self.hashes, h, "left"), np.searchsorted(self.hashes, h, "right")
+        for sid in self.ids[lo:hi]:
+            if np.array_equal(self.members[self.offsets[sid] : self.offsets[sid + 1]], members):
+                return int(sid)
+        return self.add(members, np.array([len(members)]), np.array([h]))
+
+
+def _expand(subsets: _Subsets, a: int, b: int, keyed: np.ndarray, bits: int, m: int) -> np.ndarray:
+    """Transition rows of subsets a..b-1; successors not seen yet are stored."""
+    off = subsets.offsets
+    keys = keyed[subsets.members[off[a] : off[b]]]
+    if (b - a) * m << bits > _INT32_MAX:
+        keys = keys.astype(np.int64)
+    # key = candidate << bits | target, where candidate = subset * m + symbol
+    subset_base = np.arange(b - a, dtype=keys.dtype) * m << bits
+    keys += np.repeat(subset_base, off[a + 1 : b + 1] - off[a:b])[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = np.compress(keep, keys)
+    cand = keys >> bits
+    tg = (keys & ((1 << bits) - 1)).astype(np.int32, copy=False)
+    # every subset is non-empty, so every candidate owns at least one key
+    lengths = np.bincount(cand, minlength=(b - a) * m)
+    starts = np.cumsum(lengths) - lengths
+    hashes = subsets.digest(tg, starts, lengths)
+
+    # one guess per distinct hash: the stored subset with that hash, else
+    # the first candidate with it, stored now
+    order = np.argsort(hashes)
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
+    reps = order[first]
+    guess = subsets.find(hashes[reps])
+    unseen = guess < 0
+    if unseen.any():
+        is_new = np.zeros(len(starts), dtype=bool)
+        is_new[reps[unseen]] = True
+        first_id = subsets.add(np.compress(is_new[cand], tg), lengths[is_new], hashes[is_new])
+        guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
+    ids = np.empty(len(starts), dtype=np.int64)
+    ids[order] = guess[np.cumsum(first) - 1]
+
+    # confirm every guess member by member; settle the rest one by one
+    off = subsets.offsets
+    same = lengths == off[ids + 1] - off[ids]
+    partner = subsets.members.take(np.arange(len(tg)) + (off[ids] - starts)[cand], mode="clip")
+    same &= ~np.logical_or.reduceat(tg != partner, starts)
+    for i in np.flatnonzero(~same):
+        ids[i] = subsets.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
+    return ids.reshape(b - a, m)
+
+
+def _batches(offsets: np.ndarray, lo: int, hi: int, keys_per_member: int) -> list[tuple[int, int]]:
+    """Split subsets lo..hi-1 into runs of about _BATCH_KEYS keys at most."""
+    if (offsets[hi] - offsets[lo]) * keys_per_member <= _BATCH_KEYS:
+        return [(lo, hi)]
+    batch = (offsets[lo + 1 : hi + 1] - offsets[lo]) * keys_per_member // _BATCH_KEYS
+    cuts = lo + np.flatnonzero(np.diff(batch, prepend=-1, append=batch[-1] + 1))
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
 def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndarray,
                  alphabet: TrackAlphabet) -> Dfa:
-    """Subset construction for an NFA given as (state, symbol, choice) targets."""
-    n, m, _width = delta3.shape
-    flat = delta3.reshape(n, -1)
+    """Minimized subset construction for an NFA given as (state, symbol,
+    choice) targets, started from a non-empty set of states.
 
-    subsets: dict[bytes, int] = {}
-    subset_list: list[np.ndarray] = []
-    trans: list[list[int]] = []
-    acc: list[bool] = []
+    Each breadth-first level is expanded in batches of at most about
+    ``_BATCH_KEYS`` (subset, symbol, target) keys.  One sort of a batch's
+    keys yields every successor as a sorted run of members; hashes find the
+    runs already stored, and a comparison of members confirms each match.
+    Raises SubsetBudgetError when a level starts past MAX_SUBSETS subsets.
+    """
+    n, m, w = delta3.shape
+    bits = max(n - 1, 1).bit_length()
+    keyed = delta3.reshape(n, m * w).astype(np.int32 if m << bits <= _INT32_MAX else np.int64)
+    keyed += np.repeat(np.arange(m) << bits, w)
 
-    def intern(states: np.ndarray) -> int:
-        key = states.tobytes()
-        sid = subsets.get(key)
-        if sid is None:
-            sid = len(subset_list)
-            subsets[key] = sid
-            subset_list.append(states)
-            trans.append([])
-            acc.append(bool(accepting[states].any()))
-        return sid
-
-    init = intern(np.unique(initial_set).astype(np.int32))
-    queue = [init]
-    while queue:
-        sid = queue.pop()
-        states = subset_list[sid]
-        rows = flat[states].reshape(len(states), m, -1)
-        rows = rows.transpose(1, 0, 2).reshape(m, -1)
-        rows = np.sort(rows, axis=1)
-        row_trans = trans[sid]
-        before = len(subset_list)
-        for s in range(m):
-            row = rows[s]
-            keep = np.empty(len(row), dtype=bool)
-            keep[0] = True
-            np.not_equal(row[1:], row[:-1], out=keep[1:])
-            tid = intern(row[keep].astype(np.int32))
-            row_trans.append(tid)
-        queue.extend(range(before, len(subset_list)))
-
-    delta = np.array(trans, dtype=np.int32)
-    return minimize(Dfa(alphabet, delta, np.array(acc, dtype=bool), init))
+    subsets = _Subsets(_zobrist_keys(n), accepting)
+    init = np.unique(initial_set).astype(np.int32)
+    size = np.array([len(init)])
+    subsets.add(init, size, subsets.digest(init, np.zeros(1, dtype=np.int64), size))
+    rows = []
+    done = 0
+    while done < subsets.count:
+        level_end = subsets.count
+        if level_end > MAX_SUBSETS:
+            raise SubsetBudgetError(
+                f"subset construction passed {MAX_SUBSETS} subsets; the formula is too large"
+            )
+        for a, b in _batches(subsets.offsets, done, level_end, m * w):
+            rows.append(_expand(subsets, a, b, keyed, bits, m))
+        done = level_end
+    delta = np.concatenate(rows)
+    return minimize(Dfa(alphabet, delta, np.concatenate(subsets.accepting), 0))
 
 
 def _zero_orbit(delta: np.ndarray, initial: int, zero_symbol: int = 0) -> np.ndarray:
@@ -523,7 +653,7 @@ def zero_saturate(a: Dfa) -> Dfa:
     """
     init = _zero_orbit(a.delta, a.initial)
     delta3 = a.delta[:, :, None]
-    return minimize(_determinize(delta3, init, a.accepting, a.alphabet))
+    return _determinize(delta3, init, a.accepting, a.alphabet)
 
 
 def zero_pad_closure(a: Dfa) -> Dfa:
@@ -544,7 +674,7 @@ def zero_pad_closure(a: Dfa) -> Dfa:
     delta3[n, 0, 0] = n
     accepting = np.concatenate([a.accepting, a.accepting[a.initial : a.initial + 1]])
     init = np.array([n], dtype=np.int64)
-    return minimize(_determinize(delta3, init, accepting, a.alphabet))
+    return _determinize(delta3, init, accepting, a.alphabet)
 
 
 def project(a: Dfa, track: int) -> Dfa:
@@ -575,7 +705,7 @@ def project(a: Dfa, track: int) -> Dfa:
                     nxt.add(int(t))
         frontier = nxt
     init = np.array(sorted(closure), dtype=np.int64)
-    return minimize(_determinize(delta3, init, a.accepting, TrackAlphabet(k - 1)))
+    return _determinize(delta3, init, a.accepting, TrackAlphabet(k - 1))
 
 
 def cylindrify(a: Dfa, position: int) -> Dfa:

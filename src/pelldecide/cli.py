@@ -11,7 +11,8 @@ A session directory (``--session``) persists definitions and sequence dumps
 between invocations; within one ``run``, later commands see everything
 earlier commands created.  Exit codes: 0 on success (an eval printing FALSE
 is still a success), 1 when a proof or expectation fails, 2 on usage or
-syntax errors.
+syntax errors, unreadable or malformed files, and subset constructions that
+outgrow ``automata.MAX_SUBSETS``; each error is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -37,6 +39,15 @@ _BUILTIN_SEQUENCES = {
 _SEQ_ATOM = re.compile(r"([A-Za-z_]\w*)\s*\[")
 
 
+@contextmanager
+def _session_file(path: Path):
+    """Report a malformed session file as a ValueError that names it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
 class Session:
     """Environment plus optional persistence directory."""
 
@@ -47,13 +58,11 @@ class Session:
             self._load()
 
     def _load(self) -> None:
-        seq_dir = self.directory / "sequences"
-        if seq_dir.is_dir():
-            for path in sorted(seq_dir.glob("*.txt")):
+        for path in sorted(self.directory.glob("sequences/*.txt")):
+            with _session_file(path):
                 self.env = self.env.with_sequence(path.stem, automata.load_text(path))
-        def_dir = self.directory / "definitions"
-        if def_dir.is_dir():
-            for path in sorted(def_dir.glob("*.json")):
+        for path in sorted(self.directory.glob("definitions/*.json")):
+            with _session_file(path):
                 data = json.loads(path.read_text())
                 self.env = self.env.with_callable(
                     path.stem,
@@ -408,10 +417,14 @@ _HANDLERS = {
 }
 
 
+# syntax and compile errors, the subset budget, bad files and unreadable paths
+_USER_ERRORS = (ValueError, OSError)
+
+
 def _dispatch(session: Session, ns) -> int:
     try:
         return _HANDLERS[ns.command](session, ns)
-    except (logic.PredicateSyntaxError, logic.CompileError, ValueError) as e:
+    except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -419,7 +432,11 @@ def _dispatch(session: Session, ns) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    session = Session(getattr(ns, "session", None))
+    try:
+        session = Session(getattr(ns, "session", None))
+    except _USER_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return _dispatch(session, ns)
 
 

@@ -971,39 +971,25 @@ def _regex_nfa(pattern: str):
 
 def _regex_dfa(pattern: str) -> Dfa:
     eps, sym, start, end = _regex_nfa(pattern)
-
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(states)
+    n = len(eps)
+    closures = []
+    for q in range(n):
+        seen, stack = {q}, [q]
         while stack:
-            q = stack.pop()
-            for t in eps[q]:
+            for t in eps[stack.pop()]:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-        return frozenset(seen)
-
-    init = closure(frozenset([start]))
-    ids = {init: 0}
-    order = [init]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        current = order[i]
-        row = []
-        for d in range(3):
-            target = closure(
-                frozenset(t for q in current for t in sym[q].get(d, ()))
-            )
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-            row.append(ids[target])
-        rows.append(row)
-        i += 1
-    delta = np.array(rows, dtype=np.int32)
-    accepting = np.array([end in s for s in order])
-    return automata.minimize(Dfa(TrackAlphabet(1), delta, accepting, 0))
+        closures.append(sorted(seen))
+    # epsilon-free NFA; a missing digit leads to the sink state n
+    targets = [
+        [sorted({t for u in sym[q].get(d, ()) for t in closures[u]}) or [n] for d in range(3)]
+        for q in range(n)
+    ] + [[[n]] * 3]
+    width = max(len(ts) for row in targets for ts in row)
+    delta3 = np.array([[ts + ts[:1] * (width - len(ts)) for ts in row] for row in targets])
+    accepting = np.arange(n + 1) == end
+    return automata._determinize(delta3, np.array(closures[start]), accepting, TrackAlphabet(1))
 
 
 def reg(env: Environment, name: str, pattern: str) -> Environment:

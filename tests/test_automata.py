@@ -330,6 +330,78 @@ def test_zero_pad_closure_adds_leading_zeros():
             assert automata.accepts(pad, w) == want
 
 
+# --- subset construction ------------------------------------------------------
+
+
+def frozenset_determinize(delta3, initial, accepting, alphabet):
+    """Textbook subset construction, one frozenset per DFA state."""
+    start = frozenset(int(q) for q in initial)
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for current in order:  # grows while it is walked
+        row = []
+        for s in range(delta3.shape[1]):
+            target = frozenset(int(t) for q in current for t in delta3[q, s])
+            if target not in ids:
+                ids[target] = len(order)
+                order.append(target)
+            row.append(ids[target])
+        rows.append(row)
+    acc = np.array([any(accepting[q] for q in subset) for subset in order])
+    return automata.minimize(Dfa(alphabet, np.array(rows), acc, 0))
+
+
+def random_nfa(rng, n_tracks, width):
+    n = int(rng.integers(1, 13))
+    delta3 = rng.integers(0, n, size=(n, 3**n_tracks, width))
+    accepting = rng.random(n) < 0.3
+    initial = rng.choice(n, size=int(rng.integers(1, 3)), replace=True)
+    return delta3, initial, accepting
+
+
+@pytest.mark.parametrize("batch_keys", [1 << 22, 40])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("n_tracks", [0, 1, 2, 3])
+def test_determinize_matches_frozenset_construction(monkeypatch, n_tracks, width, batch_keys):
+    # 1, 3, 9 and 27 symbols; small batches split every level into many
+    monkeypatch.setattr(automata, "_BATCH_KEYS", batch_keys)
+    rng = np.random.default_rng(1000 * n_tracks + 10 * width)
+    alphabet = TrackAlphabet(n_tracks)
+    for _ in range(12):
+        delta3, initial, accepting = random_nfa(rng, n_tracks, width)
+        got = automata._determinize(delta3, initial, accepting, alphabet)
+        assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
+
+
+def test_determinize_survives_hash_collisions(monkeypatch):
+    from pelldecide import learner
+
+    # equal keys give every subset of one size the same hash
+    rng = np.random.default_rng(59)
+    cases = [random_nfa(rng, 1, 2) for _ in range(20)]
+    adder = learner.direct_adder()
+    want = [automata._determinize(d, i, a, TrackAlphabet(1)) for d, i, a in cases]
+    want_proj = [automata.project(adder, t) for t in range(3)]
+    monkeypatch.setattr(automata, "_zobrist_keys", lambda n: np.full(n, 77, dtype=np.uint64))
+    for (delta3, initial, accepting), expected in zip(cases, want):
+        got = automata._determinize(delta3, initial, accepting, TrackAlphabet(1))
+        assert got == expected
+        assert got == frozenset_determinize(delta3, initial, accepting, TrackAlphabet(1))
+    assert [automata.project(adder, t) for t in range(3)] == want_proj
+
+
+def test_subset_budget(monkeypatch):
+    from pelldecide import learner
+
+    adder = learner.direct_adder()
+    assert automata.project(adder, 0).n_states == 7  # so at least 7 subsets
+    monkeypatch.setattr(automata, "MAX_SUBSETS", 6)
+    with pytest.raises(automata.SubsetBudgetError, match="6 subsets"):
+        automata.project(adder, 0)
+    assert issubclass(automata.SubsetBudgetError, ValueError)
+
+
 # --- running and enumeration --------------------------------------------------
 
 

@@ -240,6 +240,34 @@ def test_run_script_syntax_error_stops(capsys, tmp_path):
     assert "never" not in out
 
 
+def test_run_missing_script(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", str(tmp_path / "missing.ws"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "missing.ws" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_corrupt_session_definition(capsys, tmp_path):
+    run_cli(capsys, "def", "dbl", "y = 2*x", "--session", str(tmp_path))
+    bad = tmp_path / "definitions" / "bad.json"
+    bad.write_text('{"params": ["x"], "automaton": "state 0 accepting\\n"}')
+    code, out, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.json" in err and "msd_pell" in err
+    assert len(err.splitlines()) == 1
+    bad.write_text('{"params": ["x"]}')
+    code, _, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
+    assert code == 2 and err.startswith("error:") and "bad.json" in err
+
+
+def test_subset_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(automata, "MAX_SUBSETS", 2)
+    code, out, err = run_cli(capsys, "eval", "Ex Ez x + z = y")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2 subsets" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_run_bundled_walkthrough(capsys, tmp_path):
     script = resources.files("pelldecide") / "data" / "paper.walnutish"
     code, out, err = run_cli(capsys, "run", str(script), "--session", str(tmp_path))
