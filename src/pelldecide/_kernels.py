@@ -1,14 +1,12 @@
-"""Hot inner loops for word combinatorics, with two interchangeable backends.
+"""Hot inner loops for word combinatorics, vectorized with numpy.
 
-The numba path compiles per-word scans; the numpy path vectorizes the same
-scans across batch rows.  Set PELLDECIDE_NO_NUMBA=1 to force the numpy path
-(the public names below always point at the selected backend; benchmarks can
-reach both through the *_numba / *_numpy suffixes).
+``extend_mask`` tests a whole batch of candidate words at once (one row
+each); ``exponent_scan`` and ``balanced_scan`` scan a single word.  The
+module stays separate from ``search`` so that each kernel call can be timed
+on its own.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -19,9 +17,13 @@ __all__ = [
     "balanced_scan",
 ]
 
+# Always False: the kernels are numpy only.  perfbench/worker.py still reads
+# this name and records it with every run.
+NUMBA_ENABLED = False
 
-def extend_mask_numpy(words: np.ndarray, k: int, num: int, den: int,
-                      strict: bool) -> np.ndarray:
+
+def extend_mask(words: np.ndarray, k: int, num: int, den: int,
+                strict: bool) -> np.ndarray:
     """Mask of rows that stay balanced and below the exponent bound.
 
     Each row is a candidate word whose last symbol was just appended; the
@@ -49,6 +51,7 @@ def extend_mask_numpy(words: np.ndarray, k: int, num: int, den: int,
 
 
 def _longest_true_run(eq: np.ndarray) -> int:
+    """Length of the longest run of True in a boolean vector."""
     if not eq.size:
         return 0
     edges = np.diff(np.concatenate([[False], eq, [False]]).astype(np.int8))
@@ -58,7 +61,7 @@ def _longest_true_run(eq: np.ndarray) -> int:
     return int((np.flatnonzero(edges == -1) - starts).max())
 
 
-def exponent_scan_numpy(w: np.ndarray) -> tuple[int, int]:
+def exponent_scan(w: np.ndarray) -> tuple[int, int]:
     """(n, p) maximizing n/p over factors of length n with period p."""
     length = len(w)
     best_n, best_p = 1, 1
@@ -70,7 +73,7 @@ def exponent_scan_numpy(w: np.ndarray) -> tuple[int, int]:
     return best_n, best_p
 
 
-def balanced_scan_numpy(w: np.ndarray, k: int) -> bool:
+def balanced_scan(w: np.ndarray, k: int) -> bool:
     length = len(w)
     for a in range(k):
         counts = np.concatenate([[0], np.cumsum(w == a)])
@@ -79,131 +82,3 @@ def balanced_scan_numpy(w: np.ndarray, k: int) -> bool:
             if windows.max() - windows.min() >= 2:
                 return False
     return True
-
-
-NUMBA_ENABLED = False
-extend_mask_numba = None
-exponent_scan_numba = None
-balanced_scan_numba = None
-
-if os.environ.get("PELLDECIDE_NO_NUMBA", "") != "1":
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _extend_mask_jit(words, k, num, den, strict):  # pragma: no cover
-            n_rows, length = words.shape
-            out = np.ones(n_rows, dtype=np.bool_)
-            counts = np.zeros(length + 1, dtype=np.int32)
-            for r in range(n_rows):
-                w = words[r]
-                ok = True
-                for p in range(1, length):
-                    run = 0
-                    j = length - 1
-                    while j - p >= 0 and w[j] == w[j - p]:
-                        run += 1
-                        j -= 1
-                    if run > 0:
-                        n = run + p
-                        if strict:
-                            if n * den >= num * p:
-                                ok = False
-                                break
-                        elif n * den > num * p:
-                            ok = False
-                            break
-                if ok:
-                    for a in range(k):
-                        c = 0
-                        for i in range(length):
-                            if w[i] == a:
-                                c += 1
-                            counts[i + 1] = c
-                        for ell in range(1, length):
-                            mn = length + 1
-                            mx = -1
-                            for i in range(length - ell + 1):
-                                v = counts[i + ell] - counts[i]
-                                if v < mn:
-                                    mn = v
-                                if v > mx:
-                                    mx = v
-                            if mx - mn >= 2:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                out[r] = ok
-            return out
-
-        @njit(cache=True)
-        def _exponent_scan_jit(w):  # pragma: no cover
-            length = len(w)
-            best_n = 1
-            best_p = 1
-            for p in range(1, length):
-                run = 0
-                best = 0
-                for i in range(p, length):
-                    if w[i] == w[i - p]:
-                        run += 1
-                        if run > best:
-                            best = run
-                    else:
-                        run = 0
-                n = best + p
-                if n * best_p > best_n * p:
-                    best_n = n
-                    best_p = p
-            return best_n, best_p
-
-        @njit(cache=True)
-        def _balanced_scan_jit(w, k):  # pragma: no cover
-            length = len(w)
-            counts = np.zeros(length + 1, dtype=np.int32)
-            for a in range(k):
-                c = 0
-                for i in range(length):
-                    if w[i] == a:
-                        c += 1
-                    counts[i + 1] = c
-                for ell in range(1, length):
-                    mn = length + 1
-                    mx = -1
-                    for i in range(length - ell + 1):
-                        v = counts[i + ell] - counts[i]
-                        if v < mn:
-                            mn = v
-                        if v > mx:
-                            mx = v
-                    if mx - mn >= 2:
-                        return False
-            return True
-
-        def extend_mask_numba(words, k, num, den, strict):
-            return _extend_mask_jit(
-                np.ascontiguousarray(words, dtype=np.int8), k, num, den, strict
-            )
-
-        def exponent_scan_numba(w):
-            n, p = _exponent_scan_jit(np.ascontiguousarray(w, dtype=np.int8))
-            return int(n), int(p)
-
-        def balanced_scan_numba(w, k):
-            return bool(
-                _balanced_scan_jit(np.ascontiguousarray(w, dtype=np.int8), k)
-            )
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if NUMBA_ENABLED:
-    extend_mask = extend_mask_numba
-    exponent_scan = exponent_scan_numba
-    balanced_scan = balanced_scan_numba
-else:
-    extend_mask = extend_mask_numpy
-    exponent_scan = exponent_scan_numpy
-    balanced_scan = balanced_scan_numpy

@@ -255,6 +255,18 @@ def run_batch(a: Dfa | Dfao, words: np.ndarray) -> np.ndarray:
 # reachability
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an integer array.
+
+    Same result as ``np.unique``, which in numpy 2.4 takes a hash path on
+    plain integer arrays that is many times slower than one sort.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _reachable(delta: np.ndarray, initial: int) -> np.ndarray:
     """Sorted array of states reachable from the initial state."""
     n = len(delta)
@@ -262,7 +274,7 @@ def _reachable(delta: np.ndarray, initial: int) -> np.ndarray:
     seen[initial] = True
     frontier = np.array([initial], dtype=np.int64)
     while len(frontier):
-        nxt = np.unique(delta[frontier].ravel())
+        nxt = _sorted_unique(delta[frontier])
         nxt = nxt[~seen[nxt]]
         seen[nxt] = True
         frontier = nxt
@@ -355,23 +367,30 @@ def _refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return classes
 
 
-def minimize(a: Dfa) -> Dfa:
-    """Minimal automaton with canonical breadth-first state numbering."""
+def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
+    """Minimal automaton with canonical breadth-first state numbering.
+
+    Takes a Dfa or a Dfao and returns the same type.  States start out apart
+    by their accepting flag or their output; the refinement and the
+    renumbering are shared.
+    """
+    labels = a.accepting if isinstance(a, Dfa) else a.outputs
     reach = _reachable(a.delta, a.initial)
     remap = -np.ones(a.n_states, dtype=np.int64)
     remap[reach] = np.arange(len(reach))
     delta = remap[a.delta[reach]]
-    accepting = a.accepting[reach]
+    labels = labels[reach]
     initial = int(remap[a.initial])
 
-    classes = _refine_partition(delta, accepting.astype(np.int64))
+    _, classes = np.unique(labels, return_inverse=True)
+    classes = _refine_partition(delta, classes.astype(np.int64))
     n_classes = int(classes.max()) + 1
 
     # quotient table via one representative per class
     reps = np.zeros(n_classes, dtype=np.int64)
     reps[classes] = np.arange(len(classes))  # any representative works
     qdelta = classes[delta[reps]]
-    qacc = accepting[reps]
+    qlabels = labels[reps]
     qinit = int(classes[initial])
 
     # canonical renumbering: BFS from the initial class in symbol order
@@ -390,12 +409,7 @@ def minimize(a: Dfa) -> Dfa:
         queue = nxt
     # all classes are reachable here because unreachable states were dropped
     inv = np.argsort(order)
-    return Dfa(
-        alphabet=a.alphabet,
-        delta=order[qdelta[inv]],
-        accepting=qacc[inv],
-        initial=0,
-    )
+    return type(a)(a.alphabet, order[qdelta[inv]], qlabels[inv], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +442,9 @@ def product(a: Dfa, b: Dfa, op: str = "and") -> Dfa:
     db = b.delta.astype(np.int64)
     while len(frontier):
         qa, qb = frontier // nb, frontier % nb
-        succ = np.unique(da[qa] * nb + db[qb])
+        succ = _sorted_unique(da[qa] * nb + db[qb])
         frontier = np.setdiff1d(succ, codes, assume_unique=True)
-        codes = np.union1d(codes, frontier)
+        codes = np.sort(np.concatenate([codes, frontier]))
     qa, qb = codes // nb, codes % nb
     delta = np.searchsorted(codes, da[qa] * nb + db[qb])
     accepting = combine(a.accepting[qa], b.accepting[qb])

@@ -11,8 +11,6 @@ theorems module, not the bounded testing here.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -154,9 +152,8 @@ def lstar_moore(
     """Learn the minimal Moore machine of an integer-valued word function."""
 
     def build(delta, values, initial):
-        return _canonical_dfao(
-            Dfao(_alphabet(n_symbols), delta, np.array(values, dtype=np.int32), initial)
-        )
+        outputs = np.array(values, dtype=np.int32)
+        return automata.minimize(Dfao(_alphabet(n_symbols), delta, outputs, initial))
 
     return _lstar_engine(outputs, n_symbols, equivalence, build)
 
@@ -168,28 +165,6 @@ def _alphabet(n_symbols: int) -> TrackAlphabet:
     if 3**k != n_symbols:
         raise ValueError(f"symbol count {n_symbols} is not a power of 3")
     return TrackAlphabet(k)
-
-
-def _canonical_dfao(m: Dfao) -> Dfao:
-    """Breadth-first renumbering; states of an L*-built machine are reachable
-    and pairwise distinguishable already, so no merging is needed."""
-    order = -np.ones(m.n_states, dtype=np.int64)
-    order[m.initial] = 0
-    queue = [m.initial]
-    count = 1
-    while queue:
-        nxt = []
-        for q in queue:
-            for t in m.delta[q]:
-                if order[t] < 0:
-                    order[t] = count
-                    count += 1
-                    nxt.append(int(t))
-        queue = nxt
-    keep = np.flatnonzero(order >= 0)
-    inv = keep[np.argsort(order[keep])]
-    remap = order
-    return Dfao(m.alphabet, remap[m.delta[inv]], m.outputs[inv], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +342,6 @@ def direct_adder(cap: int = 64) -> Dfa:
 # cached reference adder
 
 
-def cache_dir() -> Path | None:
-    path = os.environ.get("PELLDECIDE_CACHE_DIR")
-    return Path(path) if path else None
-
-
 _ADDER: Dfa | None = None
 
 
@@ -379,21 +349,9 @@ def adder() -> Dfa:
     """The reference adder used by the logic and theorem layers.
 
     Built by carry analysis (structurally equal to the L* result, which the
-    test suite asserts); memoized per process and optionally disk-cached.
+    test suite asserts) and memoized per process.
     """
     global _ADDER
-    if _ADDER is not None:
-        return _ADDER
-    cached = cache_dir()
-    if cached is not None:
-        f = cached / "adder.txt"
-        if f.exists():
-            loaded = automata.load_text(f)
-            if isinstance(loaded, Dfa):
-                _ADDER = loaded
-                return _ADDER
-    _ADDER = direct_adder()
-    if cached is not None:
-        cached.mkdir(parents=True, exist_ok=True)
-        automata.save_text(_ADDER, cached / "adder.txt")
+    if _ADDER is None:
+        _ADDER = direct_adder()
     return _ADDER

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import automata, learner, pell
+from . import learner, pell
 from .automata import Dfao, TrackAlphabet
 
 __all__ = [
@@ -188,22 +188,9 @@ _DFAO_CACHE: dict[str, Dfao] = {}
 
 
 def _cached_dfao(name: str, build: Callable[[], Dfao]) -> Dfao:
-    if name in _DFAO_CACHE:
-        return _DFAO_CACHE[name]
-    cached = learner.cache_dir()
-    if cached is not None:
-        f = cached / f"{name}.txt"
-        if f.exists():
-            loaded = automata.load_text(f)
-            if isinstance(loaded, Dfao):
-                _DFAO_CACHE[name] = loaded
-                return loaded
-    machine = build()
-    _DFAO_CACHE[name] = machine
-    if cached is not None:
-        cached.mkdir(parents=True, exist_ok=True)
-        automata.save_text(machine, cached / f"{name}.txt")
-    return machine
+    if name not in _DFAO_CACHE:
+        _DFAO_CACHE[name] = build()
+    return _DFAO_CACHE[name]
 
 
 def x5_dfao() -> Dfao:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import automata, learner, logic, pell, sequences
+from . import _kernels, automata, learner, logic, pell, sequences
 from .automata import Dfa, Dfao
 
 __all__ = [
@@ -108,17 +108,6 @@ def exponent_of_m(m: int) -> Fraction:
 def _x5_env(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> logic.Environment:
     env = logic.Environment(adder=adder)
     return env.with_sequence("X", x if x is not None else sequences.x5_dfao())
-
-
-def _max_run(prefix: np.ndarray, p: int) -> int:
-    """Longest run of positions i with prefix[i] == prefix[i+p]."""
-    eq = prefix[p:] == prefix[:-p]
-    best = run = 0
-    for v in eq:
-        run = run + 1 if v else 0
-        if run > best:
-            best = run
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +265,8 @@ def almost_powers(
         if x is None
         else np.array([automata.dfao_eval(x, i) for i in range(50_000)], dtype=np.int8)
     )
-    brute = [(int(_max_run(prefix, p)) + p, p) for _, p in small]
+    brute = [(_kernels._longest_true_run(prefix[p:] == prefix[:-p]) + p, p)
+             for _, p in small]
     report.add("brute-force maximal repetitions on the 50000-symbol prefix",
                small, brute)
 
@@ -353,7 +343,7 @@ def x3_analysis(
             logic.eval_closed(f"?msd_pell An $highest_powers(n, {p}) <=> n = {n}", env),
         )
         report.add(f"brute-force maximal run for period {p}", n,
-                   int(_max_run(prefix, p)))
+                   _kernels._longest_true_run(prefix[p:] == prefix[:-p]))
 
     values = [exponent_of_m(m) for m in range(5, 61)]
     report.add("exponent sequence starts at 109/41", Fraction(109, 41), values[0])

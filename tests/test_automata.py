@@ -21,6 +21,26 @@ def random_dfa(rng, n_states=None, n_tracks=1):
     return Dfa(TrackAlphabet(n_tracks), delta, accepting, 0)
 
 
+def random_dfao(rng):
+    """Moore machine with outputs in 0..2, a twin of the initial state that
+    some edges use in its place, and one unreachable state."""
+    n = int(rng.integers(2, 9))
+    delta = rng.integers(0, n, size=(n, 3))
+    outputs = rng.integers(0, 3, size=n)
+    twin, unreachable = n, n + 1
+    delta[(delta == 0) & (rng.random((n, 3)) < 0.5)] = twin
+    delta = np.vstack([delta, delta[0], rng.integers(0, n + 2, size=3)])
+    outputs = np.append(outputs, [outputs[0], rng.integers(0, 3)])
+    return Dfao(TrackAlphabet(1), delta, outputs, 0)
+
+
+def permuted(a, rng):
+    """The same machine with its states renumbered at random."""
+    perm = rng.permutation(a.n_states)
+    inv = np.argsort(perm)
+    return Dfao(a.alphabet, perm[a.delta[inv]], a.outputs[inv], int(perm[a.initial]))
+
+
 def all_words(n_symbols, length):
     return itertools.product(range(n_symbols), repeat=length)
 
@@ -58,12 +78,17 @@ def naive_reachable(a):
     return seen
 
 
+def labels(a):
+    """What tells states apart from the start: acceptance, or the output."""
+    return a.accepting if isinstance(a, Dfa) else a.outputs
+
+
 def naive_minimal_count(a):
     """States of the minimal complete automaton, by pair marking."""
     states = sorted(naive_reachable(a))
     idx = {s: i for i, s in enumerate(states)}
     m = len(states)
-    distinct = [[bool(a.accepting[p]) != bool(a.accepting[q]) for q in states] for p in states]
+    distinct = [[labels(a)[p] != labels(a)[q] for q in states] for p in states]
     changed = True
     while changed:
         changed = False
@@ -90,7 +115,7 @@ def naive_equivalent(a, b):
     dq = deque(seen)
     while dq:
         p, q = dq.popleft()
-        if bool(a.accepting[p]) != bool(b.accepting[q]):
+        if labels(a)[p] != labels(b)[q]:
             return False
         for c in range(a.alphabet.size):
             t = (int(a.delta[p, c]), int(b.delta[q, c]))
@@ -120,9 +145,9 @@ def naive_live_count(a):
 
 def test_minimize_matches_pair_marking():
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = random_dfa(rng)
+    for a in [random_dfa(rng) for _ in range(100)] + [random_dfao(rng) for _ in range(100)]:
         m = automata.minimize(a)
+        assert type(m) is type(a)
         assert m.n_states == naive_minimal_count(a)
         assert naive_equivalent(a, m)
 
@@ -137,6 +162,12 @@ def test_minimize_is_canonical():
         ma, mb, mc = map(automata.minimize, (a, b, c))
         assert R.same_automaton(ma, mb)
         assert R.same_automaton(ma, mc)
+        assert R.same_automaton(ma, automata.minimize(ma))
+    for _ in range(40):
+        a = random_dfao(rng)
+        ma, mb = automata.minimize(a), automata.minimize(permuted(a, rng))
+        assert ma.n_states < a.n_states  # the twin merged, the unreachable state gone
+        assert R.same_automaton(ma, mb)
         assert R.same_automaton(ma, automata.minimize(ma))
 
 

@@ -1,6 +1,5 @@
 """End-to-end exercises of the command-line front end."""
 
-import os
 import re
 import shutil
 import subprocess
@@ -312,18 +311,3 @@ def test_installed_console_script():
     assert exe, "console script not installed"
     proc = subprocess.run([exe, "convert", "157"], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "201100\n"
-
-
-def test_numba_opt_out_environment_flag():
-    env = dict(os.environ, PELLDECIDE_NO_NUMBA="1")
-    probe = (
-        "from pelldecide import _kernels, search\n"
-        "from fractions import Fraction\n"
-        "assert not _kernels.NUMBA_ENABLED\n"
-        "print(search.bfs_optimal(2, Fraction(3), strict=True)[0])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "16\n"

@@ -200,24 +200,7 @@ def test_bfs_validates_arguments():
         list(search.bfs_levels(3, Fraction(1)))
 
 
-# --- kernel backends -----------------------------------------------------------------
-
-
-def test_numpy_and_numba_kernels_agree():
-    if not _kernels.NUMBA_ENABLED:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(56)
-    for _ in range(40):
-        k = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 50))
-        n = int(rng.integers(1, 40))
-        words = rng.integers(0, k, size=(m, n)).astype(np.int8)
-        got_np = _kernels.extend_mask_numpy(words, k, 3, 2, True)
-        got_nb = _kernels.extend_mask_numba(words, k, 3, 2, True)
-        assert np.array_equal(got_np, got_nb)
-        w = words[0]
-        assert _kernels.exponent_scan_numpy(w) == tuple(_kernels.exponent_scan_numba(w))
-        assert _kernels.balanced_scan_numpy(w, k) == bool(_kernels.balanced_scan_numba(w, k))
+# --- kernels ------------------------------------------------------------------------
 
 
 def test_exponent_scan_matches_reference():

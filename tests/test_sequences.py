@@ -1,10 +1,17 @@
 """The Sturmian word and its five- and three-letter balanced images."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pelldecide
 import references as R
-from pelldecide import automata, logic, pell, sequences
+from pelldecide import automata, learner, logic, pell, sequences
+from pelldecide.automata import Dfao, TrackAlphabet
 
 STURMIAN_29 = "01010010100101010010100101010"
 X5_29 = "03140230410324031042301403240"
@@ -104,6 +111,28 @@ def test_dfaos_are_shared_instances():
     assert sequences.x5_dfao() is sequences.x5_dfao()
     assert sequences.c_alpha_dfao() is sequences.c_alpha_dfao()
     assert sequences.x3_dfao() is sequences.x3_dfao()
+
+
+def test_no_disk_cache_is_read(tmp_path):
+    # PELLDECIDE_CACHE_DIR once named a directory whose automata were loaded
+    # unchecked; complete but wrong ones there must change nothing.
+    automata.save_text(automata.complement(learner.direct_adder()), tmp_path / "adder.txt")
+    constant = Dfao(TrackAlphabet(1), np.zeros((1, 3), dtype=np.int32), np.zeros(1))
+    automata.save_text(constant, tmp_path / "x5.txt")
+    probe = (
+        "import numpy as np\n"
+        "from pelldecide import automata, learner, sequences\n"
+        "want = automata.minimize(learner.direct_adder())\n"
+        "assert automata.to_text(learner.adder()) == automata.to_text(want)\n"
+        "x = sequences.x5_dfao()\n"
+        "got = [automata.dfao_eval(x, i) for i in range(2000)]\n"
+        "assert np.array_equal(got, sequences.x5_prefix(2000))\n"
+    )
+    src = str(Path(pelldecide.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PELLDECIDE_CACHE_DIR=str(tmp_path), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_learn_word_dfao_is_deterministic():
