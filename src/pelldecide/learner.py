@@ -171,19 +171,52 @@ def _alphabet(n_symbols: int) -> TrackAlphabet:
 # bounded equivalence testing
 
 
-def _all_words(n_symbols: int, length: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Words of one length in radix order, optionally a [start, stop) slice."""
-    if stop is None:
-        stop = n_symbols**length
-    ids = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((len(ids), length), dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        out[:, pos] = ids % n_symbols
-        ids //= n_symbols
+_EXHAUSTIVE_CHUNK = 2_000_000
+
+
+def _extend(words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Each word followed by every symbol, in radix order, column-major."""
+    m, n = words.shape[0], len(symbols)
+    out = np.empty((m * n, words.shape[1] + 1), dtype=symbols.dtype, order="F")
+    for pos in range(words.shape[1]):
+        out[:, pos] = np.repeat(words[:, pos], n)
+    out[:, -1] = np.tile(symbols, m)
     return out
 
 
-_EXHAUSTIVE_CHUNK = 2_000_000
+def _radix_pieces(hypothesis: Dfa | Dfao, n_symbols: int, max_len: int):
+    """Every word of length <= max_len with its hypothesis state, in radix order.
+
+    Yields (words, states) pieces of at most ``_EXHAUSTIVE_CHUNK`` words.  The
+    words of length L are those of length L-1, each followed by every symbol,
+    so their states are one gather from the level below, and only that level
+    is kept.  Words are of the smallest signed type, column-major so that the
+    oracles' per-position slices are contiguous.
+    """
+    state_type = np.min_scalar_type(hypothesis.n_states - 1)
+    delta = hypothesis.delta[:, :n_symbols].astype(state_type)
+    symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
+    words = np.zeros((1, 0), dtype=symbols.dtype)
+    states = np.array([hypothesis.initial], dtype=state_type)
+    yield words, states
+    for length in range(1, max_len + 1):
+        total = len(states) * n_symbols
+        keep = length < max_len
+        if keep:
+            next_words = np.empty((total, length), dtype=symbols.dtype, order="F")
+            next_states = np.empty(total, dtype=state_type)
+        for lo in range(0, total, _EXHAUSTIVE_CHUNK):
+            hi = min(lo + _EXHAUSTIVE_CHUNK, total)
+            first, last = lo // n_symbols, -(-hi // n_symbols)
+            cut = slice(lo - first * n_symbols, hi - first * n_symbols)
+            piece_words = _extend(words[first:last], symbols)[cut]
+            piece_states = delta[states[first:last]].reshape(-1)[cut]
+            yield piece_words, piece_states
+            if keep:
+                next_words[lo:hi] = piece_words
+                next_states[lo:hi] = piece_states
+        if keep:
+            words, states = next_words, next_states
 
 
 def bounded_equiv(
@@ -203,27 +236,23 @@ def bounded_equiv(
     random sampling stratified over the remaining lengths up to ``max_len``.
     Returns the radix-least mismatch found, or None.  A None answer is
     evidence, not proof; final soundness comes from the inductive verification
-    downstream.
+    downstream.  ``batch_membership`` receives (n_words, length) arrays of
+    symbol indices; the exhaustive sweep passes int8 for up to 128 symbols.
     """
     if exhaustive_len is None:
         exhaustive_len = max_len if n_symbols**max_len <= 27**6 else 6
+    if max_len < 0 or exhaustive_len < 0:
+        raise ValueError("max_len and exhaustive_len must be >= 0")
     if batch_membership is None:
         def batch_membership(words: np.ndarray) -> np.ndarray:  # noqa: F811
             return np.array([membership(tuple(map(int, w))) for w in words])
 
-    is_dfao = isinstance(hypothesis, Dfao)
+    values = hypothesis.outputs if isinstance(hypothesis, Dfao) else hypothesis.accepting
 
-    def hyp_values(words: np.ndarray) -> np.ndarray:
-        states = automata.run_batch(hypothesis, words)
-        return hypothesis.outputs[states] if is_dfao else hypothesis.accepting[states]
-
-    for length in range(0, min(exhaustive_len, max_len) + 1):
-        total = n_symbols**length
-        for lo in range(0, total, _EXHAUSTIVE_CHUNK):
-            words = _all_words(n_symbols, length, lo, min(lo + _EXHAUSTIVE_CHUNK, total))
-            bad = np.flatnonzero(hyp_values(words) != batch_membership(words))
-            if len(bad):
-                return tuple(map(int, words[bad[0]]))
+    for words, states in _radix_pieces(hypothesis, n_symbols, min(exhaustive_len, max_len)):
+        bad = np.flatnonzero(values[states] != batch_membership(words))
+        if len(bad):
+            return tuple(map(int, words[bad[0]]))
 
     rng = np.random.default_rng(seed)
     lengths = list(range(exhaustive_len + 1, max_len + 1))
@@ -232,7 +261,8 @@ def bounded_equiv(
         per_length = -(-samples // len(lengths))
         for length in lengths:
             words = rng.integers(0, n_symbols, size=(per_length, length), dtype=np.int64)
-            bad = np.flatnonzero(hyp_values(words) != batch_membership(words))
+            states = automata.run_batch(hypothesis, words)
+            bad = np.flatnonzero(values[states] != batch_membership(words))
             found.extend(tuple(map(int, words[i])) for i in bad)
     if found:
         return min(found, key=lambda w: (len(w), w))
@@ -246,7 +276,10 @@ _ADDER_ALPHABET = TrackAlphabet(3)
 
 
 def _split_tracks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return words // 9, (words // 3) % 3, words % 3
+    # two floor divisions by a constant: numpy's % on small ints is far slower
+    q = words // 3
+    dx = q // 3
+    return dx, q - 3 * dx, words - 3 * q
 
 
 def adder_oracle(word: Word) -> bool:
@@ -256,7 +289,8 @@ def adder_oracle(word: Word) -> bool:
 
 
 def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
-    words = np.asarray(words, dtype=np.int64)
+    """adder_oracle on each row of an (n_words, length) signed integer array."""
+    words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("expected a (n_words, length) array")
     dx, dy, dz = _split_tracks(words)
@@ -265,8 +299,8 @@ def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
         & pell.valid_digits_batch(dy)
         & pell.valid_digits_batch(dz)
     )
-    sums = pell.decode_batch(dx) + pell.decode_batch(dy) - pell.decode_batch(dz)
-    return ok & (sums == 0)
+    # decoding is linear in the digits, so one decode gives x + y - z
+    return ok & (pell.decode_batch(dx + dy - dz) == 0)
 
 
 def learn_adder(max_len: int = 6, seed: int = 0) -> Dfa:

@@ -145,11 +145,15 @@ def encode_batch(values: np.ndarray, length: int | None = None) -> np.ndarray:
 
 
 def decode_batch(digits: np.ndarray) -> np.ndarray:
-    """Values of an (n, length) digit array, msd first."""
+    """Values of an (n, length) digit array, msd first, as int64.
+
+    Any integer dtype is taken as it comes: einsum casts in small buffers, so
+    no int64 copy of the whole array is made.
+    """
     digits = np.asarray(digits)
     length = digits.shape[1]
     weights = _pell_array(length + 1)[length:0:-1]  # P_length .. P_1
-    return digits.astype(np.int64) @ weights
+    return np.einsum("ij,j->i", digits, weights)
 
 
 def valid_digits_batch(digits: np.ndarray) -> np.ndarray:

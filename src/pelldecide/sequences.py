@@ -4,8 +4,8 @@ x5 and x3 derived from it, as exact integer oracles and as Pell-base DFAOs.
 c_alpha[n] = floor((n+1)*alpha) - floor(n*alpha), indexed from 1.  x5 (indexed
 from 0) replaces the 0s of c_alpha by successive symbols of (0102)^w and the
 1s by successive symbols of (34)^w; x3 uses (01)^w and 2^w.  All arithmetic is
-integer-exact: floor(m*alpha) = isqrt(2*m*m) - m, so no floating point comes
-near the decision procedures.
+integer-exact: floor(m*alpha) = isqrt(2*m*m) - m.  The vectorized prefix takes
+a float square root only as a first guess, which integer comparisons correct.
 """
 
 from __future__ import annotations
@@ -53,10 +53,24 @@ def sturmian(n: int) -> int:
     return floor_alpha(n + 1) - floor_alpha(n)
 
 
+def _floor_alpha_batch(m: np.ndarray) -> np.ndarray:
+    """floor_alpha of an int64 array with 2m^2 in int64.
+
+    A float square root of 2m^2 is off by at most one, so it is corrected
+    once each way with exact integer comparisons.
+    """
+    square = 2 * m * m
+    root = np.sqrt(square.astype(np.float64)).astype(np.int64)
+    root -= root * root > square
+    root += (root + 1) * (root + 1) <= square
+    return root - m
+
+
 def sturmian_prefix(n: int) -> np.ndarray:
     """c_alpha[1..n] as an int8 array of length n."""
-    floors = np.fromiter((floor_alpha(m) for m in range(1, n + 2)), dtype=np.int64, count=n + 1)
-    return (floors[1:] - floors[:-1]).astype(np.int8)
+    if 2 * (n + 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"prefix length {n} overflows int64")
+    return np.diff(_floor_alpha_batch(np.arange(1, n + 2, dtype=np.int64))).astype(np.int8)
 
 
 def _replace(c_prefix: np.ndarray, blocks) -> np.ndarray:
@@ -166,7 +180,6 @@ def learn_word_dfao(blocks, max_len: int = 14) -> Dfao:
     table = _word_table(blocks, limit)
 
     def batch(words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
         valid = pell.valid_digits_batch(words)
         values = pell.decode_batch(words)
         return np.where(valid, table[values], 0)

@@ -203,6 +203,13 @@ def test_learn_adder_cli_reports_nonconvergence(capsys):
     assert "agrees with the direct construction: False" in out
 
 
+def test_learn_adder_cli_rejects_negative_max_len(capsys):
+    code, out, err = run_cli(capsys, "learn-adder", "--max-len", "-1")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "learned adder" not in out
+
+
 # --- run -------------------------------------------------------------------------------
 
 

@@ -91,6 +91,121 @@ def test_bounded_equiv_is_deterministic():
     assert a == b
 
 
+def test_bounded_equiv_rejects_negative_lengths():
+    target = automata.minimize(even_ones())
+    with pytest.raises(ValueError):
+        learner.bounded_equiv(target, membership_of(target), 3, max_len=-1)
+    with pytest.raises(ValueError):
+        learner.bounded_equiv(target, membership_of(target), 3, exhaustive_len=-1)
+
+
+# --- the exhaustive sweep against a run of every word ---------------------------
+
+
+def values_of(machine):
+    return machine.outputs if isinstance(machine, Dfao) else machine.accepting
+
+
+def reference_sweep(hypothesis, batch_membership, n_symbols, max_len):
+    """Radix-least mismatch, running every word from the initial state."""
+    for length in range(max_len + 1):
+        words = np.array(
+            list(itertools.product(range(n_symbols), repeat=length)), dtype=np.int64
+        ).reshape(n_symbols**length, length)
+        states = automata.run_batch(hypothesis, words)
+        bad = np.flatnonzero(values_of(hypothesis)[states] != batch_membership(words))
+        if len(bad):
+            return tuple(map(int, words[bad[0]]))
+    return None
+
+
+def random_machine(rng, n_symbols, moore):
+    n = int(rng.integers(1, 7))
+    alphabet = TrackAlphabet({1: 0, 3: 1, 9: 2, 27: 3}[n_symbols])
+    delta = rng.integers(0, n, size=(n, n_symbols)).astype(np.int32)
+    initial = int(rng.integers(0, n))
+    if moore:
+        return Dfao(alphabet, delta, rng.integers(0, 3, size=n).astype(np.int32), initial)
+    return Dfa(alphabet, delta, rng.random(n) < 0.5, initial)
+
+
+def oracle_of(machine, changed=()):
+    """Batch oracle: the machine's values, changed on the words in ``changed``."""
+
+    def batch(words):
+        got = values_of(machine)[automata.run_batch(machine, words)]
+        hit = np.zeros(len(words), dtype=bool)
+        for w in changed:
+            if len(w) == words.shape[1]:
+                hit |= (words == np.asarray(w, dtype=np.int64)).all(axis=1)
+        return got ^ hit if got.dtype == bool else got + hit
+
+    return batch
+
+
+def swept(hypothesis, batch, n_symbols, max_len, chunk):
+    """bounded_equiv's answer, checking the pieces the oracle is handed."""
+    sizes = []
+
+    def checked(words):
+        assert words.dtype == np.int8 and len(words) <= chunk
+        sizes.append(len(words))
+        return batch(words)
+
+    ce = learner.bounded_equiv(
+        hypothesis, None, n_symbols, max_len=max_len, batch_membership=checked
+    )
+    return ce, sizes
+
+
+MAX_LEN = {1: 8, 3: 6, 9: 4, 27: 3}
+
+
+@pytest.mark.parametrize("chunk", [learner._EXHAUSTIVE_CHUNK, 5], ids=["chunk-default", "chunk-5"])
+@pytest.mark.parametrize("moore", [False, True], ids=["dfa", "dfao"])
+@pytest.mark.parametrize("n_symbols", [1, 3, 9, 27])
+def test_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
+    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    rng = np.random.default_rng(1000 * n_symbols + 10 * moore + (chunk == 5))
+    max_len = MAX_LEN[n_symbols]
+    for _ in range(8):
+        hyp = random_machine(rng, n_symbols, moore)
+        lengths = rng.integers(0, max_len + 1, size=int(rng.integers(1, 4)))
+        changed = [tuple(int(s) for s in rng.integers(0, n_symbols, size=k)) for k in lengths]
+        targets = [
+            oracle_of(random_machine(rng, n_symbols, moore)),
+            oracle_of(hyp),
+            oracle_of(hyp, changed),
+        ]
+        for batch in targets:
+            ce, _ = swept(hyp, batch, n_symbols, max_len, chunk)
+            assert ce == reference_sweep(hyp, batch, n_symbols, max_len)
+        # the hypothesis agrees with itself, so every piece was handed out
+        ce, sizes = swept(hyp, targets[1], n_symbols, max_len, chunk)
+        assert ce is None
+        assert sizes == [
+            min(chunk, n_symbols**k - lo)
+            for k in range(max_len + 1) for lo in range(0, n_symbols**k, chunk)
+        ]
+
+
+@pytest.mark.parametrize("n_symbols", [3, 27])
+def test_sweep_finds_mismatch_in_last_piece_of_a_level(monkeypatch, n_symbols):
+    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", 4)
+    rng = np.random.default_rng(n_symbols)
+    max_len = MAX_LEN[n_symbols]
+    for moore in (False, True):
+        hyp = random_machine(rng, n_symbols, moore)
+        for length in range(1, max_len + 1):
+            last_piece_start = (n_symbols**length - 1) // 4 * 4
+            for index in range(last_piece_start, n_symbols**length):
+                word = np.unravel_index(index, (n_symbols,) * length)
+                word = tuple(int(s) for s in word)
+                batch = oracle_of(hyp, [word])
+                ce, _ = swept(hyp, batch, n_symbols, max_len, 4)
+                assert ce == word == reference_sweep(hyp, batch, n_symbols, max_len)
+
+
 # --- the addition relation ----------------------------------------------------
 
 

@@ -129,3 +129,20 @@ def test_encode_batch_padding():
     assert digits.shape == (4, 8)
     assert np.array_equal(pell.decode_batch(digits), values)
     assert "".join(map(str, digits[3])).lstrip("0") == "201100"
+
+
+def test_batch_codec_takes_int8_as_it_comes():
+    rng = np.random.default_rng(7)
+    for length in range(0, 15):
+        for count in (0, 1, 300):
+            rows = rng.integers(0, 3, size=(count, length))
+            for order in "CF":
+                small = np.asarray(rows, dtype=np.int8, order=order)
+                assert np.array_equal(
+                    pell.valid_digits_batch(small), pell.valid_digits_batch(rows)
+                )
+                values = pell.decode_batch(small)
+                assert values.dtype == np.int64
+                assert np.array_equal(values, pell.decode_batch(rows))
+                expect = [R.ref_decode("".join(map(str, r))) for r in rows]
+                assert np.array_equal(values, np.array(expect, dtype=np.int64))

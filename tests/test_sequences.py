@@ -41,6 +41,36 @@ def test_prefixes_match_references_to_1e5():
     assert np.array_equal(sequences.x3_prefix(10**5), R.ref_x3_prefix(10**5))
 
 
+@pytest.mark.parametrize("n", [0, 1, 4096, 1_200_000])
+def test_sturmian_prefix_matches_floor_alpha_loop(n):
+    floors = np.array([sequences.floor_alpha(m) for m in range(1, n + 2)], dtype=np.int64)
+    got = sequences.sturmian_prefix(n)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.diff(floors))
+
+
+def test_floor_alpha_batch_is_exact_where_floats_round():
+    # m * sqrt(2) is closest to an integer at the Pell numbers, where the
+    # float square root of 2m^2 can land on the wrong side
+    rng = np.random.default_rng(11)
+    top = 2**31 - 1
+    pells = [pell.pell_number(k) for k in range(2, 26)]
+    m = np.concatenate([
+        [p + d for p in pells for d in (-1, 0, 1)],
+        np.arange(top - 2000, top + 1),
+        rng.integers(2**26, top, size=20_000),
+    ]).astype(np.int64)
+    expected = [sequences.floor_alpha(int(v)) for v in m]
+    assert np.array_equal(sequences._floor_alpha_batch(m), expected)
+    uncorrected = np.sqrt((2 * m * m).astype(np.float64)).astype(np.int64) - m
+    assert not np.array_equal(uncorrected, expected)
+
+
+def test_sturmian_prefix_rejects_int64_overflow():
+    with pytest.raises(ValueError):
+        sequences.sturmian_prefix(2**31 - 1)
+
+
 def sweep(dfao, values):
     digits = pell.encode_batch(values)
     return dfao.outputs[automata.run_batch(dfao, digits)]
