@@ -16,7 +16,9 @@ identical arrays.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -318,53 +320,80 @@ def is_infinite(a: Dfa) -> bool:
     """
     reach = np.zeros(a.n_states, dtype=bool)
     reach[_reachable(a.delta, a.initial)] = True
-    useful = reach & _coreachable(a.delta, np.flatnonzero(a.accepting))
-    idx = np.flatnonzero(useful)
-    if not len(idx):
-        return False
-    # Kahn peeling on the useful subgraph; leftover nodes form cycles.
-    pos = {int(s): i for i, s in enumerate(idx)}
-    indeg = np.zeros(len(idx), dtype=np.int64)
-    succ: list[list[int]] = [[] for _ in idx]
-    for i, s in enumerate(idx):
-        for t in np.unique(a.delta[s]):
-            if useful[t]:
-                succ[i].append(pos[int(t)])
-                indeg[pos[int(t)]] += 1
-    stack = [i for i in range(len(idx)) if indeg[i] == 0]
-    removed = 0
-    while stack:
-        i = stack.pop()
-        removed += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    return removed < len(idx)
+    alive = reach & _coreachable(a.delta, np.flatnonzero(a.accepting))
+    # Peel off states with no successor left; what survives contains a cycle.
+    while alive.any():
+        keep = alive & alive[a.delta].any(axis=1)
+        if np.array_equal(keep, alive):
+            return True
+        alive = keep
+    return False
 
 
 # ---------------------------------------------------------------------------
 # minimization
 
 
+def _row_keys(m: int) -> np.ndarray:
+    """Odd int64 keys that hash a state's row: m successor classes, then its class."""
+    return _zobrist_keys(m + 1).view(np.int64) | 1
+
+
+def _exact_classes(classes: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """One refinement round without hashing: group the distinct rows."""
+    rows = np.column_stack([classes, succ])
+    _, new = np.unique(rows, axis=0, return_inverse=True)
+    return new.reshape(-1).astype(np.int32)
+
+
 def _refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Coarsest refinement of ``classes`` stable under every symbol."""
+    """Coarsest refinement of ``classes`` stable under every symbol.
+
+    Moore's rounds: each round splits the classes by the classes of all
+    successors at once, and stops when a round splits nothing.  A state's
+    row (successor classes, class) hashes to one int64, and one sort of the
+    hashes groups the states.  Every row is then compared with the row of
+    its group's representative, so a hash collision costs an exact round,
+    never a wrong merge.
+    """
     n, m = delta.shape
+    keys = _row_keys(m)
+    classes = classes.astype(np.int32)
     n_classes = int(classes.max()) + 1 if n else 0
-    stable_run = 0
-    s = 0
-    while stable_run < m:
-        pair = classes.astype(np.int64) * n_classes + classes[delta[:, s]]
-        _, new = np.unique(pair, return_inverse=True)
-        new_count = int(new.max()) + 1 if n else 0
+    while n:
+        succ = classes[delta]
+        hashes = np.einsum("ij,j->i", succ, keys[:m]) + classes * keys[m]
+        order = np.argsort(hashes)
+        ranked = hashes[order]
+        first = np.ones(n, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        new = np.empty(n, dtype=np.int32)
+        new[order] = np.cumsum(first) - 1
+        rep = order[first][new]
+        if not (np.array_equal(classes[rep], classes) and np.array_equal(succ[rep], succ)):
+            new = _exact_classes(classes, succ)
+        new_count = int(new.max()) + 1
         if new_count == n_classes:
-            stable_run += 1
-        else:
-            classes = new.astype(np.int64)
-            n_classes = new_count
-            stable_run = 0
-        s = (s + 1) % m
+            break
+        classes, n_classes = new, new_count
     return classes
+
+
+def _bfs_order(qdelta: np.ndarray, initial: int) -> np.ndarray:
+    """Breadth-first number of every state from ``initial``, edges taken in
+    symbol order; -1 for states it does not reach."""
+    order = np.full(len(qdelta), -1, dtype=np.int32)
+    order[initial] = 0
+    count = 1
+    frontier = np.array([initial])
+    while len(frontier):
+        targets = qdelta[frontier].ravel()
+        targets = targets[order[targets] < 0]
+        _, idx = np.unique(targets, return_index=True)
+        frontier = targets[np.sort(idx)]  # first occurrences, in reading order
+        order[frontier] = np.arange(count, count + len(frontier))
+        count += len(frontier)
+    return order
 
 
 def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
@@ -375,15 +404,17 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     renumbering are shared.
     """
     labels = a.accepting if isinstance(a, Dfa) else a.outputs
-    reach = _reachable(a.delta, a.initial)
-    remap = -np.ones(a.n_states, dtype=np.int64)
-    remap[reach] = np.arange(len(reach))
-    delta = remap[a.delta[reach]]
-    labels = labels[reach]
-    initial = int(remap[a.initial])
+    delta, initial = a.delta, a.initial
+    reach = _reachable(delta, initial)
+    if len(reach) < a.n_states:
+        remap = np.full(a.n_states, -1, dtype=np.int32)
+        remap[reach] = np.arange(len(reach))
+        delta = remap[delta[reach]]
+        labels = labels[reach]
+        initial = int(remap[initial])
 
     _, classes = np.unique(labels, return_inverse=True)
-    classes = _refine_partition(delta, classes.astype(np.int64))
+    classes = _refine_partition(delta, classes)
     n_classes = int(classes.max()) + 1
 
     # quotient table via one representative per class
@@ -391,23 +422,9 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     reps[classes] = np.arange(len(classes))  # any representative works
     qdelta = classes[delta[reps]]
     qlabels = labels[reps]
-    qinit = int(classes[initial])
 
-    # canonical renumbering: BFS from the initial class in symbol order
-    order = -np.ones(n_classes, dtype=np.int64)
-    order[qinit] = 0
-    count = 1
-    queue = [qinit]
-    while queue:
-        nxt = []
-        for q in queue:
-            for t in qdelta[q]:
-                if order[t] < 0:
-                    order[t] = count
-                    count += 1
-                    nxt.append(int(t))
-        queue = nxt
-    # all classes are reachable here because unreachable states were dropped
+    # canonical renumbering; every class is reachable, as every state is
+    order = _bfs_order(qdelta, int(classes[initial]))
     inv = np.argsort(order)
     return type(a)(a.alphabet, order[qdelta[inv]], qlabels[inv], 0)
 
@@ -590,7 +607,7 @@ def _expand(subsets: _Subsets, a: int, b: int, keyed: np.ndarray, bits: int, m: 
         is_new[reps[unseen]] = True
         first_id = subsets.add(np.compress(is_new[cand], tg), lengths[is_new], hashes[is_new])
         guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
-    ids = np.empty(len(starts), dtype=np.int64)
+    ids = np.empty(len(starts), dtype=np.int32)
     ids[order] = guess[np.cumsum(first) - 1]
 
     # confirm every guess member by member; settle the rest one by one
@@ -643,8 +660,10 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
         for a, b in _batches(subsets.offsets, done, level_end, m * w):
             rows.append(_expand(subsets, a, b, keyed, bits, m))
         done = level_end
-    delta = np.concatenate(rows)
-    return minimize(Dfa(alphabet, delta, np.concatenate(subsets.accepting), 0))
+    # free the construction's tables before minimize builds its own
+    dfa = Dfa(alphabet, np.concatenate(rows), np.concatenate(subsets.accepting), 0)
+    del rows, subsets
+    return minimize(dfa)
 
 
 def _zero_orbit(delta: np.ndarray, initial: int, zero_symbol: int = 0) -> np.ndarray:
@@ -809,9 +828,22 @@ def enumerate_accepted(a: Dfa, max_len: int) -> list[str]:
 HEADER = "msd_pell"
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``, so a failed write leaves the old file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:  # default file mode, unlike mkstemp
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_text(a: Dfa | Dfao, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(a))
+    write_text_atomic(path, to_text(a))
 
 
 def to_text(a: Dfa | Dfao) -> str:

@@ -87,8 +87,9 @@ class Session:
             return
         def_dir = self.directory / "definitions"
         def_dir.mkdir(parents=True, exist_ok=True)
-        (def_dir / f"{name}.json").write_text(
-            json.dumps({"params": list(params), "automaton": automata.to_text(dfa)})
+        automata.write_text_atomic(
+            def_dir / f"{name}.json",
+            json.dumps({"params": list(params), "automaton": automata.to_text(dfa)}),
         )
 
     def register_sequence(self, name: str, m) -> None:
@@ -103,7 +104,7 @@ class Session:
 def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
     text = automata.to_dot(a) if fmt == "dot" else automata.to_text(a)
     if out:
-        session.resolve(out).write_text(text)
+        automata.write_text_atomic(session.resolve(out), text)
     else:
         print(text, end="")
 

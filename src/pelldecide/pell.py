@@ -119,7 +119,8 @@ def _pell_array(upto: int) -> np.ndarray:
 def encode_batch(values: np.ndarray, length: int | None = None) -> np.ndarray:
     """Canonical digits for an int64 array, msd first, left-padded with zeros.
 
-    Returns an (n, length) int8 array; length defaults to the longest value's
+    Returns an (n, length) int8 array in column-major order, so each digit
+    position is contiguous; length defaults to the longest value's
     representation.  Values must fit in int64 comfortably (below P_50).
     """
     values = np.asarray(values, dtype=np.int64)
@@ -133,15 +134,18 @@ def encode_batch(values: np.ndarray, length: int | None = None) -> np.ndarray:
         length = max(need, 0)
     elif length < need:
         raise ValueError(f"length {length} too small; need {need}")
-    pell = _pell_array(length + 1)
-    digits = np.zeros((len(values), length), dtype=np.int8)
-    rem = values.copy()
+    # int32 division takes half the time of int64 division; a weight above
+    # top gives the digit 0 either way, so weights are capped to fit
+    dtype = np.int32 if top < np.iinfo(np.int32).max else np.int64
+    weights = np.minimum(_pell_array(length + 1), top + 1).astype(dtype)
+    digits = np.empty((length, len(values)), dtype=np.int8)
+    rem = values.astype(dtype)
     for pos in range(length):
-        w = pell[length - pos]
+        w = weights[length - pos]
         d = rem // w
-        digits[:, pos] = d
+        digits[pos] = d
         rem -= d * w
-    return digits
+    return digits.T
 
 
 def decode_batch(digits: np.ndarray) -> np.ndarray:

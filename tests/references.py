@@ -4,7 +4,9 @@ Everything here is deliberately naive: integer arithmetic straight from the
 definitions, explicit window scans, regular expressions over digit strings.
 The goal is that a bug in the package and a bug here would have to coincide
 to slip through.  The only nontrivial package import is pell.encode_batch,
-which the representation tests pin down exhaustively on its own.
+which the representation tests pin down exhaustively on its own.  The
+``ref_`` versions of package functions that were since rewritten for speed
+are the earlier code, kept so that the rewrites are checked against it.
 """
 
 from __future__ import annotations
@@ -241,6 +243,121 @@ def grid_highest_powers(w3: np.ndarray, box: int) -> np.ndarray:
             if n <= box:
                 out[n, p] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# earlier implementations that faster package code must reproduce exactly
+
+
+def ref_encode_batch(values, length=None) -> np.ndarray:
+    """Row-major digit extraction, one int64 division per position."""
+    values = np.asarray(values, dtype=np.int64)
+    top = int(values.max()) if values.size else 0
+    need = 0
+    while pell.pell_number(need + 1) <= top:
+        need += 1
+    length = need if length is None else length
+    digits = np.zeros((len(values), length), dtype=np.int8)
+    rem = values.copy()
+    for pos in range(length):
+        w = pell.pell_number(length - pos)
+        d = rem // w
+        digits[:, pos] = d
+        rem -= d * w
+    return digits
+
+
+def ref_refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Round-robin refinement: one symbol a step, until m steps split nothing."""
+    n, m = delta.shape
+    n_classes = int(classes.max()) + 1 if n else 0
+    stable_run = 0
+    s = 0
+    while stable_run < m:
+        pair = classes.astype(np.int64) * n_classes + classes[delta[:, s]]
+        _, new = np.unique(pair, return_inverse=True)
+        new_count = int(new.max()) + 1 if n else 0
+        if new_count == n_classes:
+            stable_run += 1
+        else:
+            classes = new.astype(np.int64)
+            n_classes = new_count
+            stable_run = 0
+        s = (s + 1) % m
+    return classes
+
+
+def ref_minimize(a):
+    """Minimal Dfa or Dfao, renumbered by a Python breadth-first walk."""
+    labels = a.accepting if isinstance(a, Dfa) else a.outputs
+    reach = sorted(_reach(a))
+    remap = -np.ones(a.n_states, dtype=np.int64)
+    remap[reach] = np.arange(len(reach))
+    delta = remap[a.delta[reach]]
+    labels = labels[reach]
+    _, classes = np.unique(labels, return_inverse=True)
+    classes = ref_refine_partition(delta, classes.astype(np.int64))
+    n_classes = int(classes.max()) + 1
+    reps = np.zeros(n_classes, dtype=np.int64)
+    reps[classes] = np.arange(len(classes))
+    qdelta = classes[delta[reps]]
+    order = -np.ones(n_classes, dtype=np.int64)
+    order[classes[remap[a.initial]]] = 0
+    count = 1
+    queue = [int(classes[remap[a.initial]])]
+    while queue:
+        nxt = []
+        for q in queue:
+            for t in qdelta[q]:
+                if order[t] < 0:
+                    order[t] = count
+                    count += 1
+                    nxt.append(int(t))
+        queue = nxt
+    inv = np.argsort(order)
+    return type(a)(a.alphabet, order[qdelta[inv]], labels[reps][inv], 0)
+
+
+def _reach(a) -> set[int]:
+    seen = {a.initial}
+    stack = [a.initial]
+    while stack:
+        for t in a.delta[stack.pop()]:
+            if int(t) not in seen:
+                seen.add(int(t))
+                stack.append(int(t))
+    return seen
+
+
+def ref_is_infinite(a: Dfa) -> bool:
+    """Kahn peeling of the useful states; leftover states lie on cycles."""
+    co = set(np.flatnonzero(a.accepting).tolist())
+    changed = True
+    while changed:
+        changed = False
+        for s in range(a.n_states):
+            if s not in co and any(int(t) in co for t in a.delta[s]):
+                co.add(s)
+                changed = True
+    useful = sorted(_reach(a) & co)
+    pos = {s: i for i, s in enumerate(useful)}
+    indeg = [0] * len(useful)
+    succ: list[list[int]] = [[] for _ in useful]
+    for i, s in enumerate(useful):
+        for t in set(int(t) for t in a.delta[s]):
+            if t in pos:
+                succ[i].append(pos[t])
+                indeg[pos[t]] += 1
+    stack = [i for i in range(len(useful)) if indeg[i] == 0]
+    removed = 0
+    while stack:
+        i = stack.pop()
+        removed += 1
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                stack.append(j)
+    return removed < len(useful)
 
 
 # ---------------------------------------------------------------------------

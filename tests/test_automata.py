@@ -171,6 +171,81 @@ def test_minimize_is_canonical():
         assert R.same_automaton(ma, automata.minimize(ma))
 
 
+def twinned_machine(rng, n_tracks, dfao):
+    """Random machine with twin states, unreachable states and few distinct
+    targets per row, so that minimize has classes to merge."""
+    m = 3**n_tracks
+    n = int(rng.integers(1, 16))
+    width = int(rng.choice([1, 2, 3, m]))  # distinct targets per row, at most
+    delta = rng.integers(0, n, size=(n, width))[:, np.arange(m) % width]
+    labels = rng.integers(0, 3 if dfao else 2, size=n)
+    twins = rng.integers(0, n, size=int(rng.integers(0, n + 1)))
+    lost = int(rng.integers(0, 3))
+    delta = np.vstack([delta, delta[twins], rng.integers(0, n, size=(lost, m))])
+    labels = np.concatenate([labels, labels[twins], rng.integers(0, 2, size=lost)])
+    for i, t in enumerate(twins):  # some edges into a state go to its twin
+        delta[(delta == t) & (rng.random(delta.shape) < 0.5)] = n + i
+    cls = Dfao if dfao else Dfa
+    return cls(TrackAlphabet(n_tracks), delta, labels, 0)
+
+
+def cycle_machine(n, n_tracks, dfao):
+    """An n-cycle on every symbol, label 1 at state 0 only, doubled: the
+    minimal machine has n states and takes n rounds to split."""
+    m = 3**n_tracks
+    delta = np.repeat(((np.arange(2 * n) + 1) % (2 * n))[:, None], m, axis=1)
+    labels = (np.arange(2 * n) % n == 0).astype(np.int32)
+    cls = Dfao if dfao else Dfa
+    return cls(TrackAlphabet(n_tracks), delta, labels, 0)
+
+
+def minimize_cases():
+    rng = np.random.default_rng(61)
+    cases = []
+    for n_tracks in (0, 1, 3, 4, 5):  # 1, 3, 27, 81 and 243 symbols
+        for dfao in (False, True):
+            cases += [twinned_machine(rng, n_tracks, dfao) for _ in range(25)]
+            cases += [cycle_machine(n, n_tracks, dfao) for n in (1, 2, 7)]
+            cls = Dfao if dfao else Dfa
+            one = np.zeros((1, 3**n_tracks), dtype=np.int32)
+            cases += [cls(TrackAlphabet(n_tracks), one, np.array([v])) for v in (0, 1)]
+    cases += [random_dfa(rng, n_tracks=2) for _ in range(25)]
+    return cases
+
+
+def test_minimize_matches_round_robin_reference():
+    cases = minimize_cases()
+    assert any(automata.minimize(a).n_states == 1 for a in cases)
+    assert any(len(automata._reachable(a.delta, a.initial)) < a.n_states for a in cases)
+    for a in cases:
+        got = automata.minimize(a)
+        assert automata.to_text(got) == automata.to_text(R.ref_minimize(a))
+        assert got.n_states == naive_minimal_count(a)
+
+
+def test_minimize_survives_row_hash_collisions(monkeypatch):
+    # all-equal keys give every row the same hash, so every round whose rows
+    # are not all equal is settled by _exact_classes
+    cases = minimize_cases()
+    want = [automata.to_text(automata.minimize(a)) for a in cases]
+    exact_rounds = []
+    exact = automata._exact_classes
+
+    def counted(classes, succ):
+        exact_rounds.append(len(classes))
+        return exact(classes, succ)
+
+    monkeypatch.setattr(automata, "_row_keys", lambda m: np.zeros(m + 1, dtype=np.int64))
+    monkeypatch.setattr(automata, "_exact_classes", counted)
+    for a, text in zip(cases, want):
+        before = len(exact_rounds)
+        got = automata.minimize(a)
+        assert automata.to_text(got) == text
+        if got.n_states > 1:
+            assert len(exact_rounds) > before
+    assert len(exact_rounds) > len(cases)
+
+
 def test_equivalent_matches_naive():
     rng = np.random.default_rng(13)
     agree = disagree = 0
@@ -249,6 +324,28 @@ def test_is_infinite_matches_pumping_window():
                 found = True
                 break
         assert automata.is_infinite(a) == found
+
+
+def test_is_infinite_matches_kahn_reference():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(300):
+        n_tracks = int(rng.integers(0, 3))
+        m = 3**n_tracks
+        n = int(rng.integers(1, 14))
+        if rng.random() < 0.5:
+            # mostly forward edges into a sink, so many languages are finite
+            delta = np.minimum(np.arange(n)[:, None] + rng.integers(1, 4, size=(n, m)), n - 1)
+            back = rng.random((n, m)) < 0.03
+            delta[back] = rng.integers(0, n, size=int(back.sum()))
+        else:
+            delta = rng.integers(0, n, size=(n, m))
+        accepting = rng.random(n) < 0.3
+        a = Dfa(TrackAlphabet(n_tracks), delta, accepting, 0)
+        want = R.ref_is_infinite(a)
+        assert automata.is_infinite(a) == want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_live_state_count_matches_naive():

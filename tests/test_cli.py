@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import references as R
-from pelldecide import automata, cli, sequences
+from pelldecide import automata, cli, pell, sequences
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +272,53 @@ def test_subset_budget_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "2 subsets" in err
     assert len(err.splitlines()) == 1
+
+
+class HalfWriter:
+    """A new file that takes the first half of a text, then fails."""
+
+    def __init__(self, path, mode="r", **kw):
+        self.fh = open(path, mode, **kw)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+def test_failed_writes_keep_the_previous_file(capsys, tmp_path, monkeypatch):
+    session = cli.Session(str(tmp_path))
+    session.save_definition("d", pell.canonical_recognizer(), ["x"])
+    session.register_sequence("s", sequences.c_alpha_dfao())
+    out = tmp_path / "x3.txt"
+    assert run_cli(capsys, "dump", "x3", "--out", str(out))[0] == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+
+    monkeypatch.setattr(automata, "open", HalfWriter, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        session.save_definition("d", sequences.x5_dfao(), ["y"])
+    with pytest.raises(OSError, match="disk full"):
+        session.register_sequence("s", sequences.x5_dfao())
+    code, _, err = run_cli(capsys, "dump", "x5", "--out", str(out))
+    assert code == 2 and "disk full" in err
+    monkeypatch.undo()
+
+    def broken_to_text(a):
+        raise RuntimeError("no text")
+
+    monkeypatch.setattr(automata, "to_text", broken_to_text)
+    with pytest.raises(RuntimeError):
+        automata.save_text(sequences.x5_dfao(), out)
+    monkeypatch.undo()
+
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+    assert [p.read_bytes() for p in files] == before
 
 
 def test_run_bundled_walkthrough(capsys, tmp_path):

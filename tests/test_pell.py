@@ -131,6 +131,28 @@ def test_encode_batch_padding():
     assert "".join(map(str, digits[3])).lstrip("0") == "201100"
 
 
+def test_encode_batch_matches_row_major_reference():
+    # int32 and int64 remainders, and lengths past every value's digits
+    rng = np.random.default_rng(5)
+    table = rng.integers(0, 10**6, size=(500, 3))
+    table[:, 2] *= 10**9  # past the int32 range
+    table[:40] = 0  # some rows encode to the empty word
+    table[40, 1] = 2**31 - 1
+    for order in "CF":
+        cols = np.asarray(table, order=order)
+        for i in range(3):
+            values = cols[:, i]  # a strided view for C order
+            for length in (None, 40, 45):
+                got = pell.encode_batch(values, length)
+                assert got.dtype == np.int8 and got.flags.f_contiguous
+                assert np.array_equal(got, R.ref_encode_batch(values, length))
+    for values, length in [(np.zeros(7, dtype=np.int64), None), (np.zeros(7, dtype=np.int64), 0),
+                           (np.zeros(0, dtype=np.int64), None), (np.zeros(0, dtype=np.int64), 4)]:
+        got = pell.encode_batch(values, length)
+        want = R.ref_encode_batch(values, length)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_batch_codec_takes_int8_as_it_comes():
     rng = np.random.default_rng(7)
     for length in range(0, 15):
