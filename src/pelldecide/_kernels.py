@@ -1,17 +1,20 @@
 """Hot inner loops for word combinatorics, vectorized with numpy.
 
 ``extend_mask`` tests a whole batch of candidate words at once (one row
-each); ``exponent_scan`` and ``balanced_scan`` scan a single word.  The
-module stays separate from ``search`` so that each kernel call can be timed
-on its own.
+each), from tables the breadth-first search carries for their parents;
+``exponent_scan`` and ``balanced_scan`` scan a single word.  The module stays
+separate from ``search`` so that each kernel call can be timed on its own.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
+    "LevelTables",
     "extend_mask",
     "exponent_scan",
     "balanced_scan",
@@ -22,63 +25,141 @@ __all__ = [
 NUMBA_ENABLED = False
 
 
-def extend_mask(words: np.ndarray, k: int, num: int, den: int,
-                strict: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class LevelTables:
+    """A level of words of length L, with what a new last symbol is tested against.
+
+    - ``words``: (n, L) int8, one word per row;
+    - ``runs[:, p-1]``: the trailing run of ``w[i] == w[i-p]``, for p = 1..L;
+    - ``counts[:, j, a]``: the count of symbol a in the last j symbols, j = 0..L;
+    - ``lo[:, ell-1, a]`` and ``hi[:, ell-1, a]``: the least and greatest count
+      of a over the windows of length ell, for ell = 1..L.
+    """
+
+    words: np.ndarray
+    runs: np.ndarray
+    counts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @staticmethod
+    def root(k: int) -> "LevelTables":
+        """The one-word level "0" over k symbols."""
+        counts = np.zeros((1, 2, k), dtype=_count_type(1))
+        counts[0, 1, 0] = 1
+        return LevelTables(np.zeros((1, 1), dtype=np.int8), np.zeros((1, 1), counts.dtype),
+                           counts, counts[:, 1:].copy(), counts[:, 1:].copy())
+
+    def children(self, words: np.ndarray, parent: np.ndarray) -> "LevelTables":
+        """Tables for ``words``, each row ``self.words[parent]`` plus one symbol."""
+        length = self.words.shape[1]
+        dtype = _count_type(length + 1)
+        s = words[:, -1]
+        agree = self.words[parent, ::-1] == s[:, None]
+        runs = np.zeros((len(words), length + 1), dtype=dtype)
+        runs[:, :length] = np.where(agree, self.runs[parent] + 1, 0)
+        # windows ending at the new symbol: the parent's suffixes plus s
+        suffix = self.counts[parent].astype(dtype, copy=False)
+        suffix += np.eye(self.counts.shape[2], dtype=dtype)[s][:, None, :]
+        counts = np.concatenate([np.zeros_like(suffix[:, :1]), suffix], axis=1)
+        lo = suffix.copy()
+        hi = suffix
+        np.minimum(lo[:, :length], self.lo[parent], out=lo[:, :length])
+        np.maximum(hi[:, :length], self.hi[parent], out=hi[:, :length])
+        return LevelTables(words, runs, counts, lo, hi)
+
+
+def _count_type(length: int) -> np.dtype:
+    """Least signed integer type for the tables of words of this length.
+
+    It holds every count up to length + 1 and down to -2, so ``extend_mask``
+    can shift the bounds by 1 or 2 in that type.
+    """
+    return np.min_scalar_type(-(length + 2))
+
+
+def extend_mask(words: np.ndarray, parent: np.ndarray, tables: LevelTables,
+                num: int, den: int, strict: bool) -> np.ndarray:
     """Mask of rows that stay balanced and below the exponent bound.
 
-    Each row is a candidate word whose last symbol was just appended; the
-    caller guarantees the row minus its last symbol already passed.  A row
-    fails if some suffix is a repetition of exponent >= num/den (> when not
-    strict), or some pair of equal-length windows differs by 2 in a symbol
-    count.
+    Row i is ``tables.words[parent[i]]`` with one symbol appended, and every
+    word of ``tables`` already passed.  So only what ends at the new symbol
+    is tested, once per parent and next symbol.  A row fails if some suffix
+    is a repetition of exponent >= num/den (> when not strict), or some
+    pair of equal-length windows differs by 2 in a symbol count.
     """
-    n_rows, length = words.shape
-    bad = np.zeros(n_rows, dtype=bool)
-    for p in range(1, length):
-        eq = words[:, p:] == words[:, :-p]
-        # trailing run of agreements = repetition ending at the last symbol
-        run = np.cumprod(eq[:, ::-1], axis=1).sum(axis=1)
-        n = run + p
-        hit = (n * den >= num * p) if strict else (n * den > num * p)
-        bad |= hit & (run > 0)
-    for a in range(k):
-        counts = np.zeros((n_rows, length + 1), dtype=np.int32)
-        np.cumsum(words == a, axis=1, out=counts[:, 1:])
-        for ell in range(1, length):
-            windows = counts[:, ell:] - counts[:, :-ell]
-            bad |= (windows.max(axis=1) - windows.min(axis=1)) >= 2
-    return ~bad
+    w = tables.words
+    n, length = w.shape
+    k = tables.counts.shape[2]
+    # appending s = w[L-p] extends the trailing run at period p by one
+    p = np.arange(1, length + 1)
+    factor = (tables.runs + 1 + p) * den
+    rep = (factor >= num * p) if strict else (factor > num * p)
+    bad = np.zeros((n, k), dtype=bool)
+    rows, cols = np.nonzero(rep)
+    bad[rows, w[rows, length - 1 - cols]] = True
+    # the new window of length ell holds c = the count in the last ell - 1
+    # symbols, plus one for a == s; it must stay within [hi - 1, lo + 1]
+    c = tables.counts[:, :length]
+    keep = ((c >= tables.hi - 1) & (c <= tables.lo + 1)).all(axis=1)
+    keep_plus = ((c >= tables.hi - 2) & (c <= tables.lo)).all(axis=1)
+    others_fail = (~keep).sum(axis=1, keepdims=True) - ~keep
+    bad |= ~keep_plus | (others_fail > 0)
+    return ~bad[parent, words[:, -1]]
 
 
-def _longest_true_run(eq: np.ndarray) -> int:
-    """Length of the longest run of True in a boolean vector."""
-    if not eq.size:
+def _longest_run(w: np.ndarray, p: int) -> int:
+    """Longest run of ``w[i] == w[i + p]``, from the gaps between disagreements."""
+    if p >= len(w):
         return 0
-    edges = np.diff(np.concatenate([[False], eq, [False]]).astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    if not starts.size:
-        return 0
-    return int((np.flatnonzero(edges == -1) - starts).max())
+    # disagreements at -1 and len(w) - p bound the first and last runs
+    differ = np.ones(len(w) - p + 2, dtype=bool)
+    np.not_equal(w[p:], w[:-p], out=differ[1:-1])
+    at = np.flatnonzero(differ)
+    return int((at[1:] - at[:-1]).max()) - 1
 
 
 def exponent_scan(w: np.ndarray) -> tuple[int, int]:
-    """(n, p) maximizing n/p over factors of length n with period p."""
+    """(n, p) maximizing n/p over factors of length n with period p.
+
+    Ties keep the least p.  The scan stops at the first p with
+    L / p <= n / p_best: no factor is longer than L, so no larger period
+    can do strictly better.
+    """
     length = len(w)
     best_n, best_p = 1, 1
     for p in range(1, length):
-        # longest run of agreements anywhere, not just at the end
-        n = _longest_true_run(w[p:] == w[:-p]) + p
+        if length * best_p <= best_n * p:
+            break
+        n = _longest_run(w, p) + p
         if n * best_p > best_n * p:
             best_n, best_p = n, p
     return best_n, best_p
 
 
 def balanced_scan(w: np.ndarray, k: int) -> bool:
+    """True iff no symbol's counts differ by 2 between equal-length windows.
+
+    Let P be the positions of symbol a (m of them) and Q = [-1, *P, L].  For
+    j >= 1, the shortest window with j + 1 occurrences has length
+    minP_j + 1, where minP_j = min(P[j:] - P[:-j]); the longest window with
+    at most j - 1 occurrences has length maxQ_j - 1, where
+    maxQ_j = max(Q[j:] - Q[:-j]).  The word is unbalanced in a iff
+    maxQ_j - minP_j >= 2 for some j in 1..m-1:
+
+    - (=>) windows of one length ell with counts >= c + 2 and <= c give,
+      for j = c + 1, minP_j <= ell - 1 and maxQ_j >= ell + 1;
+    - (<=) a window of length ell = minP_j + 1 holds j + 1 occurrences, and
+      one of the same length fits strictly inside the widest Q gap, so it
+      holds at most j - 1.
+
+    That is sum(m_a^2) differences in place of k L^2 window counts.
+    """
     length = len(w)
     for a in range(k):
-        counts = np.concatenate([[0], np.cumsum(w == a)])
-        for ell in range(1, length):
-            windows = counts[ell:] - counts[:-ell]
-            if windows.max() - windows.min() >= 2:
+        pos = np.flatnonzero(w == a)
+        gaps = np.concatenate([[-1], pos, [length]])
+        for j in range(1, len(pos)):
+            if (gaps[j:] - gaps[:-j]).max() - (pos[j:] - pos[:-j]).min() >= 2:
                 return False
     return True

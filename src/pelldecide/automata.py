@@ -246,10 +246,16 @@ def dfao_eval(m: Dfao, n) -> int:
 
 
 def run_batch(a: Dfa | Dfao, words: np.ndarray) -> np.ndarray:
-    """Final states for a (n_words, length) array of symbol indices."""
+    """Final states for a (n_words, length) array of symbol indices.
+
+    Every symbol must lie in 0..m-1: the table is read through one flat,
+    row-major index ``state * m + symbol`` a position, which does not check.
+    """
+    flat = a.delta.ravel()
+    m = a.delta.shape[1]
     states = np.full(len(words), a.initial, dtype=np.int32)
     for pos in range(words.shape[1]):
-        states = a.delta[states, words[:, pos]]
+        states = flat[states * m + words[:, pos]]
     return states
 
 

@@ -22,7 +22,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -251,9 +250,8 @@ def cmd_prove(session: Session, ns) -> int:
 
 
 def cmd_search(session: Session, ns) -> int:
-    bound = Fraction(ns.bound)
     depth, words = search.bfs_optimal(
-        ns.alphabet, bound, strict=ns.strict, limit_depth=ns.limit_depth
+        ns.alphabet, ns.bound, strict=ns.strict, limit_depth=ns.limit_depth
     )
     print(f"max length {depth} with {len(words)} words:")
     for w in words:

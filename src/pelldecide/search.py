@@ -129,30 +129,32 @@ def bfs_levels(
     """
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be at least 2")
-    bound = Fraction(bound)
+    if limit_depth is not None and limit_depth < 1:
+        raise ValueError("limit_depth must be at least 1")
+    try:
+        bound = Fraction(bound)
+    except ZeroDivisionError:
+        raise ValueError("bound has a zero denominator") from None
     if bound <= 1:
         raise ValueError("bound must exceed 1")
     num, den = bound.numerator, bound.denominator
 
-    level = np.zeros((1, 1), dtype=np.int8)
+    tables = _kernels.LevelTables.root(alphabet_size)
     depth = 1
-    yield level
-    while level.size and (limit_depth is None or depth < limit_depth):
-        highest = level.max(axis=1)
-        batches = []
-        for s in range(alphabet_size):
-            rows = level[highest + 1 >= s]
-            if rows.size:
-                tail = np.full((len(rows), 1), s, dtype=np.int8)
-                batches.append(np.concatenate([rows, tail], axis=1))
-        candidates = np.vstack(batches)
-        mask = _kernels.extend_mask(candidates, alphabet_size, num, den, strict)
-        level = candidates[mask]
-        if not level.size:
+    yield tables.words
+    while limit_depth is None or depth < limit_depth:
+        level = tables.words
+        # candidates in (parent, symbol) order, which is sorted order
+        opens = np.arange(alphabet_size) <= level.max(axis=1, keepdims=True) + 1
+        parent, symbol = np.nonzero(opens)
+        candidates = np.concatenate(
+            [level[parent], symbol.astype(np.int8)[:, None]], axis=1)
+        mask = _kernels.extend_mask(candidates, parent, tables, num, den, strict)
+        if not mask.any():
             return
-        level = level[np.lexsort(level.T[::-1])]
+        tables = tables.children(candidates[mask], parent[mask])
         depth += 1
-        yield level
+        yield tables.words
 
 
 def bfs_optimal(

@@ -265,7 +265,7 @@ def almost_powers(
         if x is None
         else np.array([automata.dfao_eval(x, i) for i in range(50_000)], dtype=np.int8)
     )
-    brute = [(_kernels._longest_true_run(prefix[p:] == prefix[:-p]) + p, p)
+    brute = [(_kernels._longest_run(prefix, p) + p, p)
              for _, p in small]
     report.add("brute-force maximal repetitions on the 50000-symbol prefix",
                small, brute)
@@ -343,7 +343,7 @@ def x3_analysis(
             logic.eval_closed(f"?msd_pell An $highest_powers(n, {p}) <=> n = {n}", env),
         )
         report.add(f"brute-force maximal run for period {p}", n,
-                   _kernels._longest_true_run(prefix[p:] == prefix[:-p]))
+                   _kernels._longest_run(prefix, p))
 
     values = [exponent_of_m(m) for m in range(5, 61)]
     report.add("exponent sequence starts at 109/41", Fraction(109, 41), values[0])

@@ -136,6 +136,90 @@ def ref_max_exponent(word) -> Fraction:
     return best
 
 
+def ref_extend_mask(words: np.ndarray, k: int, num: int, den: int,
+                    strict: bool) -> np.ndarray:
+    """Full rescan of every candidate row: all suffix runs, all windows."""
+    n_rows, length = words.shape
+    bad = np.zeros(n_rows, dtype=bool)
+    for p in range(1, length):
+        eq = words[:, p:] == words[:, :-p]
+        # trailing run of agreements = repetition ending at the last symbol
+        run = np.cumprod(eq[:, ::-1], axis=1).sum(axis=1)
+        n = run + p
+        hit = (n * den >= num * p) if strict else (n * den > num * p)
+        bad |= hit & (run > 0)
+    for a in range(k):
+        counts = np.zeros((n_rows, length + 1), dtype=np.int32)
+        np.cumsum(words == a, axis=1, out=counts[:, 1:])
+        for ell in range(1, length):
+            windows = counts[:, ell:] - counts[:, :-ell]
+            bad |= (windows.max(axis=1) - windows.min(axis=1)) >= 2
+    return ~bad
+
+
+def ref_next_level(level: np.ndarray, k: int, bound: Fraction, strict: bool) -> np.ndarray:
+    """Append every symbol a word may introduce, rescan, then lexsort the rows."""
+    highest = level.max(axis=1)
+    batches = []
+    for s in range(k):
+        rows = level[highest + 1 >= s]
+        if rows.size:
+            tail = np.full((len(rows), 1), s, dtype=np.int8)
+            batches.append(np.concatenate([rows, tail], axis=1))
+    candidates = np.vstack(batches)
+    level = candidates[ref_extend_mask(candidates, k, bound.numerator, bound.denominator,
+                                       strict)]
+    return level[np.lexsort(level.T[::-1])]
+
+
+def ref_bfs_levels(k: int, bound: Fraction, strict: bool, limit_depth: int):
+    """Every level of the search, one full rescan each."""
+    level = np.zeros((1, 1), dtype=np.int8)
+    depth = 1
+    yield level
+    while depth < limit_depth:
+        level = ref_next_level(level, k, bound, strict)
+        if not level.size:
+            return
+        depth += 1
+        yield level
+
+
+def ref_longest_true_run(eq: np.ndarray) -> int:
+    """Length of the longest run of True in a boolean vector."""
+    if not eq.size:
+        return 0
+    edges = np.diff(np.concatenate([[False], eq, [False]]).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    if not starts.size:
+        return 0
+    return int((np.flatnonzero(edges == -1) - starts).max())
+
+
+def ref_exponent_scan(w: np.ndarray) -> tuple[int, int]:
+    """(n, p) over every period, the least p on ties."""
+    length = len(w)
+    best_n, best_p = 1, 1
+    for p in range(1, length):
+        # longest run of agreements anywhere, not just at the end
+        n = ref_longest_true_run(w[p:] == w[:-p]) + p
+        if n * best_p > best_n * p:
+            best_n, best_p = n, p
+    return best_n, best_p
+
+
+def ref_balanced_scan(w: np.ndarray, k: int) -> bool:
+    """Every window length and symbol, by prefix-count differences."""
+    length = len(w)
+    for a in range(k):
+        counts = np.concatenate([[0], np.cumsum(w == a)])
+        for ell in range(1, length):
+            windows = counts[ell:] - counts[:-ell]
+            if windows.max() - windows.min() >= 2:
+                return False
+    return True
+
+
 def agreement_runs(w: np.ndarray, p: int) -> np.ndarray:
     """runs[i] = number of consecutive positions t >= i with w[t] == w[t+p].
 
@@ -265,6 +349,14 @@ def ref_encode_batch(values, length=None) -> np.ndarray:
         digits[:, pos] = d
         rem -= d * w
     return digits
+
+
+def ref_run_batch(a, words: np.ndarray) -> np.ndarray:
+    """Final states by a 2-D index into the table, one position at a time."""
+    states = np.full(len(words), a.initial, dtype=np.int32)
+    for pos in range(words.shape[1]):
+        states = a.delta[states, words[:, pos]]
+    return states
 
 
 def ref_refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:

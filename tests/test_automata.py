@@ -542,6 +542,22 @@ def test_run_batch_matches_run():
         assert automata.run(a, row) == s
 
 
+def test_run_batch_matches_the_2d_index():
+    from pelldecide import learner
+
+    rng = np.random.default_rng(54)
+    machines = [random_dfa(rng, n_tracks=t) for t in (1, 2, 3) for _ in range(4)]
+    machines += [random_dfao(rng) for _ in range(6)]
+    machines += [learner.direct_adder(), sequences.x5_dfao()]
+    for a in machines:
+        m = a.delta.shape[1]
+        for length in (0, 1, 7):
+            words = rng.integers(0, m, size=(300, length)).astype(np.int8)
+            got = automata.run_batch(a, words)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, R.ref_run_batch(a, words))
+
+
 def test_dfao_eval_digit_sum():
     # Moore machine computing digit sum mod 3
     delta = np.array([[(s + d) % 3 for d in range(3)] for s in range(3)], dtype=np.int32)

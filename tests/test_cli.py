@@ -159,6 +159,19 @@ def test_search_cli(capsys):
     assert code == 0 and out.splitlines()[0] == "max length 28 with 2 words:"
 
 
+def test_search_zero_denominator_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--bound", "3/0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: bound has a zero denominator"]
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_search_limit_depth_below_one_exits_2(capsys, depth):
+    code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--limit-depth", depth)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: limit_depth must be at least 1"]
+
+
 # --- prove / verify-adder ----------------------------------------------------------------
 
 

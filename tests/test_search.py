@@ -198,6 +198,64 @@ def test_bfs_validates_arguments():
         list(search.bfs_levels(1, Fraction(3, 2)))
     with pytest.raises(ValueError):
         list(search.bfs_levels(3, Fraction(1)))
+    with pytest.raises(ValueError, match="zero denominator"):
+        list(search.bfs_levels(3, "3/0"))
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="limit_depth"):
+            list(search.bfs_levels(3, Fraction(2), limit_depth=depth))
+    assert [len(level) for level in search.bfs_levels(3, Fraction(2), limit_depth=1)] == [1]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "k,bound",
+    [(5, Fraction(3, 2)), (3, Fraction(2)), (4, Fraction(7, 4)), (2, Fraction(3)),
+     (2, Fraction(5, 2))],
+)
+def test_bfs_levels_match_the_full_rescan(k, bound, strict):
+    depth = 25
+    got = list(search.bfs_levels(k, bound, strict=strict, limit_depth=depth))
+    want = list(R.ref_bfs_levels(k, bound, strict, depth))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# per-level row counts of the six-letter search for bound 4/3, taken from the
+# full-rescan search
+SIX_LETTER_COUNTS = [
+    1, 1, 1, 1, 2, 4, 10, 24, 58, 107, 192, 268, 426, 545, 745, 914, 1069, 1130,
+    1222, 1329, 1393, 1409, 1494, 1475, 1524, 1520, 1514, 1458, 1431, 1362, 1273,
+    1138, 1146, 1148, 1105, 1103, 1124, 1122, 1117, 1101, 1097, 1079, 1082, 1067,
+    1055, 1031, 1027, 1018, 997, 971, 944, 927, 926, 917, 923, 909, 899, 807, 753,
+    728,
+]
+
+
+def test_bfs_six_letter_level_counts():
+    levels = search.bfs_levels(6, Fraction(4, 3), limit_depth=60)
+    assert [len(level) for level in levels] == SIX_LETTER_COUNTS
+
+
+@pytest.mark.parametrize("word,k,bound,strict", [
+    ("0" * 300, 2, Fraction(1000), True),  # runs and counts reach the length
+    (sequences.x5_prefix(300), 5, Fraction(3, 2), False),
+], ids=["unary", "x5"])
+def test_tables_along_one_word_past_int8(word, k, bound, strict):
+    # tables of words of length 127 and up are int16: check extend_mask
+    # against the full rescan on either side of the switch
+    word = FiniteWord.make(word, k).symbols
+    assert _kernels._count_type(126) == np.int8 and _kernels._count_type(127) == np.int16
+    tables = _kernels.LevelTables.root(k)
+    for length in range(2, len(word) + 1):
+        tables = tables.children(word[None, :length], np.zeros(1, dtype=np.intp))
+        if length in (125, 126, 127, 128, 200, len(word)):
+            candidates = np.array([np.append(word[:length], s) for s in range(k)], dtype=np.int8)
+            got = _kernels.extend_mask(candidates, np.zeros(k, dtype=np.intp), tables,
+                                       bound.numerator, bound.denominator, strict)
+            want = R.ref_extend_mask(candidates, k, bound.numerator, bound.denominator, strict)
+            assert np.array_equal(got, want)
 
 
 # --- kernels ------------------------------------------------------------------------
@@ -209,3 +267,55 @@ def test_exponent_scan_matches_reference():
         w = rng.integers(0, 4, size=rng.integers(2, 50)).astype(np.int8)
         n, p = _kernels.exponent_scan(w)
         assert Fraction(int(n), int(p)) == R.ref_max_exponent(w)
+
+
+def scan_words(rng):
+    """Random words, and factors of x5 and x3 as they are and with one symbol
+    changed, which are balanced or nearly so."""
+    words = []
+    for _ in range(150):
+        k = int(rng.integers(2, 6))
+        words.append((rng.integers(0, k, size=int(rng.integers(1, 70))).astype(np.int8), k))
+    for source, k in ((sequences.x5_prefix(20_000), 5), (sequences.x3_prefix(20_000), 3)):
+        for _ in range(100):
+            n = int(rng.integers(2, 300))
+            start = int(rng.integers(0, len(source) - n))
+            words.append((source[start:start + n], k))
+            w = source[start:start + n].copy()
+            i = int(rng.integers(0, n))
+            w[i] = (w[i] + int(rng.integers(1, k))) % k
+            words.append((w, k))
+    return words
+
+
+def test_scans_match_the_full_scans():
+    words = scan_words(np.random.default_rng(91))
+    unbalanced = 0
+    for w, k in words:
+        ok = _kernels.balanced_scan(w, k)
+        assert ok == R.ref_balanced_scan(w, k)
+        unbalanced += not ok
+        assert _kernels.exponent_scan(w) == R.ref_exponent_scan(w)
+    assert 100 < unbalanced < len(words) - 100
+
+
+def test_scans_match_on_long_factors():
+    rng = np.random.default_rng(92)
+    for source, k in ((sequences.x5_prefix(60_000), 5), (sequences.x3_prefix(60_000), 3)):
+        start = int(rng.integers(0, 50_000))
+        w = source[start:start + 10_000]
+        assert _kernels.balanced_scan(w, k) and R.ref_balanced_scan(w, k)
+        assert _kernels.exponent_scan(w) == R.ref_exponent_scan(w)
+        w = w.copy()
+        w[5_000] = (w[5_000] + 1) % k
+        assert _kernels.balanced_scan(w, k) == R.ref_balanced_scan(w, k)
+        assert _kernels.exponent_scan(w) == R.ref_exponent_scan(w)
+
+
+def test_longest_run_counts_agreements():
+    rng = np.random.default_rng(93)
+    for _ in range(200):
+        w = rng.integers(0, 2, size=int(rng.integers(1, 40))).astype(np.int8)
+        for p in range(1, len(w) + 2):
+            want = R.ref_longest_true_run(w[p:] == w[:-p]) if p < len(w) else 0
+            assert _kernels._longest_run(w, p) == want
