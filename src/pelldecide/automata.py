@@ -15,11 +15,10 @@ identical arrays.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,10 +85,6 @@ class TrackAlphabet:
             index //= DIGITS
         return tuple(reversed(out))
 
-    def symbols(self) -> Iterable[tuple[int, ...]]:
-        for i in range(self.size):
-            yield self.digits(i)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
@@ -104,75 +99,65 @@ def _check_table(delta: np.ndarray, n_states: int, size: int) -> None:
         raise ValueError("transition target out of range")
 
 
+class _Machine:
+    """What Dfa and Dfao share: a complete, frozen transition table, an
+    initial state, and one label per state in the field named by ``_label``."""
+
+    _label: str
+    _label_type: type
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", _freeze(self.delta.astype(np.int32)))
+        object.__setattr__(self, self._label, _freeze(self.labels.astype(self._label_type)))
+        _check_table(self.delta, self.n_states, self.alphabet.size)
+        if not 0 <= self.initial < self.n_states:
+            raise ValueError("initial state out of range")
+
+    @property
+    def labels(self) -> np.ndarray:
+        """What tells states apart: the accepting flags or the outputs."""
+        return getattr(self, self._label)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.alphabet == other.alphabet
+            and self.initial == other.initial
+            and np.array_equal(self.delta, other.delta)
+            and np.array_equal(self.labels, other.labels)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.initial, self.delta.tobytes(), self.labels.tobytes()))
+
+
 @dataclass(frozen=True, eq=False)
-class Dfa:
+class Dfa(_Machine):
     """Complete DFA; ``accepting`` is a boolean flag per state."""
 
     alphabet: TrackAlphabet
     delta: np.ndarray
     accepting: np.ndarray
     initial: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze(self.delta.astype(np.int32)))
-        object.__setattr__(self, "accepting", _freeze(self.accepting.astype(bool)))
-        _check_table(self.delta, self.n_states, self.alphabet.size)
-        if not 0 <= self.initial < self.n_states:
-            raise ValueError("initial state out of range")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.accepting)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dfa):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.initial == other.initial
-            and np.array_equal(self.delta, other.delta)
-            and np.array_equal(self.accepting, other.accepting)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.initial, self.delta.tobytes(), self.accepting.tobytes()))
+    _label = "accepting"
+    _label_type = bool
 
 
 @dataclass(frozen=True, eq=False)
-class Dfao:
+class Dfao(_Machine):
     """Complete DFA with an integer output attached to every state."""
 
     alphabet: TrackAlphabet
     delta: np.ndarray
     outputs: np.ndarray
     initial: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze(self.delta.astype(np.int32)))
-        object.__setattr__(self, "outputs", _freeze(self.outputs.astype(np.int32)))
-        _check_table(self.delta, self.n_states, self.alphabet.size)
-        if not 0 <= self.initial < self.n_states:
-            raise ValueError("initial state out of range")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.outputs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dfao):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.initial == other.initial
-            and np.array_equal(self.delta, other.delta)
-            and np.array_equal(self.outputs, other.outputs)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.initial, self.delta.tobytes(), self.outputs.tobytes()))
-
-    def output_alphabet(self) -> tuple[int, ...]:
-        return tuple(sorted(set(int(o) for o in self.outputs)))
+    _label = "outputs"
+    _label_type = np.int32
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +274,26 @@ def _reachable(delta: np.ndarray, initial: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _coreachable(delta: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Boolean mask of states from which some target state is reachable."""
-    n, m = delta.shape
-    mask = np.zeros(n, dtype=bool)
-    mask[targets] = True
+def _distance_to(delta: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Length of a shortest word leading each state into the boolean mask
+    ``targets``; len(delta) + 1 for the states that no word leads there."""
+    dist = np.where(targets, 0, len(delta) + 1)
+    reached = targets.copy()
+    d = 0
     while True:
-        hits = mask[delta].any(axis=1) | mask
-        if np.array_equal(hits, mask):
-            return mask
-        mask = hits
+        d += 1
+        newly = reached[delta].any(axis=1) & ~reached
+        if not newly.any():
+            return dist
+        dist[newly] = d
+        reached |= newly
+
+
+def _useful(a: Dfa) -> np.ndarray:
+    """Mask of the states that are reachable and can still reach acceptance."""
+    reach = np.zeros(a.n_states, dtype=bool)
+    reach[_reachable(a.delta, a.initial)] = True
+    return reach & (_distance_to(a.delta, a.accepting) <= a.n_states)
 
 
 def is_empty(a: Dfa) -> bool:
@@ -312,10 +307,7 @@ def live_state_count(a: Dfa) -> int:
     language carries one explicit sink on top of its live states; this is the
     count with that sink (and nothing else, after minimize) excluded.
     """
-    reach = np.zeros(a.n_states, dtype=bool)
-    reach[_reachable(a.delta, a.initial)] = True
-    live = reach & _coreachable(a.delta, np.flatnonzero(a.accepting))
-    return int(live.sum())
+    return int(_useful(a).sum())
 
 
 def is_infinite(a: Dfa) -> bool:
@@ -324,9 +316,7 @@ def is_infinite(a: Dfa) -> bool:
     Holds exactly when some useful state (reachable and co-accepting) lies on
     a cycle of useful states.
     """
-    reach = np.zeros(a.n_states, dtype=bool)
-    reach[_reachable(a.delta, a.initial)] = True
-    alive = reach & _coreachable(a.delta, np.flatnonzero(a.accepting))
+    alive = _useful(a)
     # Peel off states with no successor left; what survives contains a cycle.
     while alive.any():
         keep = alive & alive[a.delta].any(axis=1)
@@ -409,8 +399,7 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     by their accepting flag or their output; the refinement and the
     renumbering are shared.
     """
-    labels = a.accepting if isinstance(a, Dfa) else a.outputs
-    delta, initial = a.delta, a.initial
+    labels, delta, initial = a.labels, a.delta, a.initial
     reach = _reachable(delta, initial)
     if len(reach) < a.n_states:
         remap = np.full(a.n_states, -1, dtype=np.int32)
@@ -672,27 +661,14 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     return minimize(dfa)
 
 
-def _zero_orbit(delta: np.ndarray, initial: int, zero_symbol: int = 0) -> np.ndarray:
-    states = [initial]
-    seen = {initial}
-    q = initial
-    while True:
-        q = int(delta[q, zero_symbol])
-        if q in seen:
-            return np.array(sorted(seen), dtype=np.int64)
-        seen.add(q)
-        states.append(q)
-
-
 def zero_saturate(a: Dfa) -> Dfa:
     """Close the language under removal of leading all-zero symbols.
 
     The result accepts w iff ``a`` accepts 0^k w for some k >= 0, where 0 is
     the symbol with every track digit zero.
     """
-    init = _zero_orbit(a.delta, a.initial)
-    delta3 = a.delta[:, :, None]
-    return _determinize(delta3, init, a.accepting, a.alphabet)
+    init = _reachable(a.delta[:, :1], a.initial)
+    return _determinize(a.delta[:, :, None], init, a.accepting, a.alphabet)
 
 
 def zero_pad_closure(a: Dfa) -> Dfa:
@@ -733,17 +709,7 @@ def project(a: Dfa, track: int) -> Dfa:
     delta3 = np.ascontiguousarray(delta3)
 
     # zero closure at the NFA level: remaining digits 0, erased digit free
-    frontier = {a.initial}
-    closure = {a.initial}
-    while frontier:
-        nxt = set()
-        for q in frontier:
-            for t in delta3[q, 0]:
-                if int(t) not in closure:
-                    closure.add(int(t))
-                    nxt.add(int(t))
-        frontier = nxt
-    init = np.array(sorted(closure), dtype=np.int64)
+    init = _reachable(delta3[:, 0, :], a.initial)
     return _determinize(delta3, init, a.accepting, TrackAlphabet(k - 1))
 
 
@@ -788,7 +754,7 @@ def permute_tracks(a: Dfa, perm: Sequence[int]) -> Dfa:
 
 def enumerate_words(a: Dfa, max_len: int) -> list[tuple[int, ...]]:
     """Accepted words of length <= max_len as symbol-index tuples, radix order."""
-    dist = _distance_to_accepting(a)
+    dist = _distance_to(a.delta, a.accepting)
     out: list[tuple[int, ...]] = []
     m = a.alphabet.size
 
@@ -806,21 +772,6 @@ def enumerate_words(a: Dfa, max_len: int) -> list[tuple[int, ...]]:
         walk(a.initial, ())
     out.sort(key=lambda w: (len(w), w))
     return out
-
-
-def _distance_to_accepting(a: Dfa) -> np.ndarray:
-    n = a.n_states
-    dist = np.full(n, n + 1, dtype=np.int64)
-    dist[a.accepting] = 0
-    frontier = np.flatnonzero(a.accepting)
-    d = 0
-    while len(frontier):
-        d += 1
-        hits = np.isin(a.delta, frontier).any(axis=1)
-        newly = np.flatnonzero(hits & (dist > d))
-        dist[newly] = d
-        frontier = newly
-    return dist
 
 
 def enumerate_accepted(a: Dfa, max_len: int) -> list[str]:
@@ -862,11 +813,11 @@ def to_text(a: Dfa | Dfao) -> str:
     lines = [HEADER]
     alphabet = a.alphabet
     is_dfao = isinstance(a, Dfao)
-    for q in range(a.n_states):
+    for q, label in enumerate(a.labels.tolist()):
         head = f"state {q}"
         if is_dfao:
-            head += f" output {int(a.outputs[q])}"
-        elif a.accepting[q]:
+            head += f" output {label}"
+        elif label:
             head += " accepting"
         lines.append(head)
         for s in range(alphabet.size):
@@ -881,10 +832,7 @@ def _initial_first(a):
     perm = np.arange(a.n_states)
     perm[[0, a.initial]] = perm[[a.initial, 0]]
     inv = np.argsort(perm)
-    delta = inv[a.delta[perm]]
-    if isinstance(a, Dfao):
-        return Dfao(a.alphabet, delta, a.outputs[perm], 0)
-    return Dfa(a.alphabet, delta, a.accepting[perm], 0)
+    return type(a)(a.alphabet, inv[a.delta[perm]], a.labels[perm], 0)
 
 
 def load_text(path) -> Dfa | Dfao:
@@ -955,14 +903,10 @@ def to_dot(a: Dfa | Dfao, name: str = "automaton") -> str:
     """Graphviz rendering with transitions grouped per (source, target)."""
     is_dfao = isinstance(a, Dfao)
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=none label=""];']
-    for q in range(a.n_states):
-        if is_dfao:
-            label = f"{q}/{int(a.outputs[q])}"
-            shape = "circle"
-        else:
-            label = str(q)
-            shape = "doublecircle" if a.accepting[q] else "circle"
-        lines.append(f'  q{q} [shape={shape} label="{label}"];')
+    for q, label in enumerate(a.labels.tolist()):
+        shape = "doublecircle" if label and not is_dfao else "circle"
+        text = f"{q}/{label}" if is_dfao else str(q)
+        lines.append(f'  q{q} [shape={shape} label="{text}"];')
     lines.append(f"  hidden -> q{a.initial};")
     groups: dict[tuple[int, int], list[str]] = {}
     for q in range(a.n_states):

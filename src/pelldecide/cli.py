@@ -237,8 +237,7 @@ def cmd_prove(session: Session, ns) -> int:
         return 2
     failed = False
     for name in names:
-        result = theorems.THEOREMS[name]()
-        report = result[1] if isinstance(result, tuple) else result
+        report = theorems.THEOREMS[name]()
         print(report.summary())
         failed = failed or not report.passed
         if ns.emit_automata:
@@ -395,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a command script")
     p.add_argument("script")
-    p.add_argument("--emit-automata", help="directory for intermediate automata")
     _add_session(p)
 
     return parser

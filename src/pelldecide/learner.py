@@ -11,6 +11,7 @@ theorems module, not the bounded testing here.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -247,7 +248,7 @@ def bounded_equiv(
         def batch_membership(words: np.ndarray) -> np.ndarray:  # noqa: F811
             return np.array([membership(tuple(map(int, w))) for w in words])
 
-    values = hypothesis.outputs if isinstance(hypothesis, Dfao) else hypothesis.accepting
+    values = hypothesis.labels
 
     for words, states in _radix_pieces(hypothesis, n_symbols, min(exhaustive_len, max_len)):
         bad = np.flatnonzero(values[states] != batch_membership(words))
@@ -358,25 +359,8 @@ def direct_adder(cap: int = 64) -> Dfa:
 
     delta = np.array(rows, dtype=np.int32)
     accepting = np.array([k is not dead and k[0] == 0 for k in ids], dtype=bool)
-    residual = Dfa(_ADDER_ALPHABET, delta, accepting, 0)
-
-    track_ok = pell.canonical_recognizer()
-    lifted = [
-        automata.cylindrify(automata.cylindrify(track_ok, 1), 2),  # track 0
-        automata.cylindrify(automata.cylindrify(track_ok, 0), 2),  # track 1
-        automata.cylindrify(automata.cylindrify(track_ok, 0), 0),  # track 2
-    ]
-    out = automata.minimize(residual)
-    for lift in lifted:
-        out = automata.product(out, lift, "and")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cached reference adder
-
-
-_ADDER: Dfa | None = None
+    residual = automata.minimize(Dfa(_ADDER_ALPHABET, delta, accepting, 0))
+    return automata.product(residual, pell.valid_tracks(3), "and")
 
 
 def adder() -> Dfa:
@@ -385,7 +369,9 @@ def adder() -> Dfa:
     Built by carry analysis (structurally equal to the L* result, which the
     test suite asserts) and memoized per process.
     """
-    global _ADDER
-    if _ADDER is None:
-        _ADDER = direct_adder()
-    return _ADDER
+    return _adder()
+
+
+@cache
+def _adder() -> Dfa:
+    return direct_adder()

@@ -19,8 +19,8 @@ negation around projection.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cache, reduce
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -489,102 +489,70 @@ def _lift(a: Dfa, position: int, total: int) -> Dfa:
     return out
 
 
-_VALID_CACHE: dict[int, Dfa] = {}
-_CMP_CACHE: dict[str, Dfa] = {}
-_CONST_CACHE: dict[int, Dfa] = {}
-_SLICE_CACHE: dict[tuple[Dfao, int], Dfa] = {}
-_PAIR_CACHE: dict[tuple[Dfao, Dfao], Dfa] = {}
+# The builders below are memoized per process.  Automata hash and compare
+# by content, so an equal sequence machine finds the entry of an earlier one.
 
 
-def _valid(k: int) -> Dfa:
-    """All tracks are padded canonical representations."""
-    if k not in _VALID_CACHE:
-        if k == 0:
-            _VALID_CACHE[k] = Dfa(
-                TrackAlphabet(0),
-                np.zeros((1, 1), dtype=np.int32),
-                np.array([True]),
-                0,
-            )
-        else:
-            rec = pell.canonical_recognizer()
-            out = _lift(rec, 0, k)
-            for i in range(1, k):
-                out = automata.product(out, _lift(rec, i, k), "and")
-            _VALID_CACHE[k] = out
-    return _VALID_CACHE[k]
-
-
+@cache
 def _comparison(op: str) -> Dfa:
     """2-track relation for one comparison; numeric order is lexicographic
     order of equal-length padded canonical representations."""
-    if op not in _CMP_CACHE:
-        alphabet = TrackAlphabet(2)
-        delta = np.empty((3, 9), dtype=np.int32)
-        for sym in range(9):
-            a, b = sym // 3, sym % 3
-            delta[0, sym] = 0 if a == b else (1 if a < b else 2)
-        delta[1, :] = 1
-        delta[2, :] = 2
-        accept_sets = {
-            "=": (0,),
-            "!=": (1, 2),
-            "<": (1,),
-            "<=": (0, 1),
-            ">": (2,),
-            ">=": (0, 2),
-        }
-        for name, states in accept_sets.items():
-            accepting = np.zeros(3, dtype=bool)
-            accepting[list(states)] = True
-            core = Dfa(alphabet, delta, accepting, 0)
-            _CMP_CACHE[name] = automata.product(core, _valid(2), "and")
-    return _CMP_CACHE[op]
+    delta = np.empty((3, 9), dtype=np.int32)
+    for sym in range(9):
+        a, b = sym // 3, sym % 3
+        delta[0, sym] = 0 if a == b else (1 if a < b else 2)
+    delta[1, :] = 1
+    delta[2, :] = 2
+    accept_sets = {
+        "=": (0,),
+        "!=": (1, 2),
+        "<": (1,),
+        "<=": (0, 1),
+        ">": (2,),
+        ">=": (0, 2),
+    }
+    accepting = np.zeros(3, dtype=bool)
+    accepting[list(accept_sets[op])] = True
+    core = Dfa(TrackAlphabet(2), delta, accepting, 0)
+    return automata.product(core, pell.valid_tracks(2), "and")
 
 
+@cache
 def _const_dfa(value: int) -> Dfa:
     """1-track automaton accepting exactly the padded representations of one
     natural number."""
-    if value not in _CONST_CACHE:
-        digits = [int(d) for d in pell.encode(value)]
-        n = len(digits) + 2  # match states, plus the padding start, plus dead
-        dead = n - 1
-        delta = np.full((n, 3), dead, dtype=np.int32)
-        delta[0, 0] = 0
-        for i, d in enumerate(digits):
-            delta[i, d] = i + 1
-        accepting = np.zeros(n, dtype=bool)
-        accepting[len(digits)] = True
-        _CONST_CACHE[value] = automata.minimize(Dfa(TrackAlphabet(1), delta, accepting, 0))
-    return _CONST_CACHE[value]
+    digits = [int(d) for d in pell.encode(value)]
+    n = len(digits) + 2  # match states, plus the padding start, plus dead
+    dead = n - 1
+    delta = np.full((n, 3), dead, dtype=np.int32)
+    delta[0, 0] = 0
+    for i, d in enumerate(digits):
+        delta[i, d] = i + 1
+    accepting = np.zeros(n, dtype=bool)
+    accepting[len(digits)] = True
+    return automata.minimize(Dfa(TrackAlphabet(1), delta, accepting, 0))
 
 
+@cache
 def _slice(m: Dfao, value: int) -> Dfa:
     """1-track relation: the sequence value at the track's number equals
     ``value``."""
-    key = (m, value)
-    if key not in _SLICE_CACHE:
-        core = Dfa(m.alphabet, m.delta, np.asarray(m.outputs) == value, m.initial)
-        _SLICE_CACHE[key] = automata.product(core, _valid(1), "and")
-    return _SLICE_CACHE[key]
+    core = Dfa(m.alphabet, m.delta, np.asarray(m.outputs) == value, m.initial)
+    return automata.product(core, pell.valid_tracks(1), "and")
 
 
+@cache
 def _pair_equal(a: Dfao, b: Dfao) -> Dfa:
     """2-track relation: a's value at track 0 equals b's value at track 1."""
-    key = (a, b)
-    if key not in _PAIR_CACHE:
-        common = sorted(set(map(int, a.outputs)) & set(map(int, b.outputs)))
-        parts = [
-            automata.product(_lift(_slice(a, c), 0, 2), _lift(_slice(b, c), 1, 2), "and")
-            for c in common
-        ]
-        if not parts:
-            out = automata.complement(_valid(2))
-            out = automata.product(out, _valid(2), "and")  # empty relation
-        else:
-            out = reduce(lambda x, y: automata.product(x, y, "or"), parts)
-        _PAIR_CACHE[key] = out
-    return _PAIR_CACHE[key]
+    common = sorted(set(map(int, a.outputs)) & set(map(int, b.outputs)))
+    parts = [
+        automata.product(_lift(_slice(a, c), 0, 2), _lift(_slice(b, c), 1, 2), "and")
+        for c in common
+    ]
+    if not parts:
+        out = automata.complement(pell.valid_tracks(2))
+        return automata.product(out, pell.valid_tracks(2), "and")  # empty relation
+    return reduce(lambda x, y: automata.product(x, y, "or"), parts)
 
 
 _OP_NAMES = {"&": "and", "|": "or", "=>": "implies", "<=>": "iff"}
@@ -617,12 +585,12 @@ def _combine(a: Relation, b: Relation, op: str) -> Relation:
     # or/implies/iff can accept junk on tracks the operands did not both
     # constrain (and implies/iff accept whatever both reject), so restrict
     # back to valid representations.
-    prod = automata.product(prod, _valid(len(names)), "and")
+    prod = automata.product(prod, pell.valid_tracks(len(names)), "and")
     return Relation(prod, names)
 
 
 def _negate(r: Relation) -> Relation:
-    out = automata.product(automata.complement(r.dfa), _valid(len(r.tracks)), "and")
+    out = automata.product(automata.complement(r.dfa), pell.valid_tracks(len(r.tracks)), "and")
     return Relation(out, r.tracks)
 
 
@@ -795,7 +763,7 @@ class _Context:
     def finish(self, keep: Iterable[str]) -> Relation:
         keep = set(keep)
         if not self.constraints:
-            return Relation(_valid(0), ())
+            return Relation(pell.valid_tracks(0), ())
         out = _eliminate(self.constraints, self.temps - keep)
         return out
 
@@ -1000,7 +968,7 @@ def reg(env: Environment, name: str, pattern: str) -> Environment:
     matches, so the pattern is read up to leading zeros.
     """
     raw = _regex_dfa(pattern)
-    restricted = automata.product(raw, _valid(1), "and")
+    restricted = automata.product(raw, pell.valid_tracks(1), "and")
     closed = automata.zero_pad_closure(automata.zero_saturate(restricted))
     return env.with_callable(name, closed, ("w",))
 

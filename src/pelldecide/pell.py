@@ -11,8 +11,11 @@ n < P_{i+2} forces n - 2 P_{i+1} < P_i.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
+from . import automata
 from .automata import Dfa, TrackAlphabet, minimize
 
 __all__ = [
@@ -22,6 +25,7 @@ __all__ = [
     "is_canonical",
     "compare",
     "canonical_recognizer",
+    "valid_tracks",
     "encode_batch",
     "decode_batch",
     "valid_digits_batch",
@@ -105,6 +109,23 @@ def canonical_recognizer() -> Dfa:
     )
     accepting = np.array([True, False, False])
     return minimize(Dfa(TrackAlphabet(1), delta, accepting, 0))
+
+
+def valid_tracks(k: int) -> Dfa:
+    """k-track automaton accepting the words whose every track is a padded
+    canonical representation; built once per k."""
+    return _valid_tracks(k)
+
+
+@cache
+def _valid_tracks(k: int) -> Dfa:
+    if k == 0:
+        return Dfa(TrackAlphabet(0), np.zeros((1, 1), dtype=np.int32), np.array([True]), 0)
+    # valid_tracks(k - 1) with a free last track, and the recognizer on the last track
+    last = canonical_recognizer()
+    for _ in range(k - 1):
+        last = automata.cylindrify(last, 0)
+    return automata.product(automata.cylindrify(_valid_tracks(k - 1), k - 1), last, "and")
 
 
 # ---------------------------------------------------------------------------

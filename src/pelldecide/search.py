@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from . import _kernels
 
 __all__ = [
     "FiniteWord",
-    "Repetition",
     "is_balanced",
     "max_exponent",
     "bfs_levels",
@@ -35,11 +34,10 @@ WordLike = Union["FiniteWord", str, Sequence[int], np.ndarray]
 
 @dataclass(frozen=True)
 class FiniteWord:
-    """Symbols over {0..k-1} with per-symbol prefix counts for O(1) windows."""
+    """Symbols over {0..k-1}, read-only, with the alphabet size."""
 
     symbols: np.ndarray
     alphabet_size: int
-    prefix_counts: np.ndarray
 
     @staticmethod
     def make(word: WordLike, alphabet_size: Optional[int] = None) -> "FiniteWord":
@@ -62,39 +60,14 @@ class FiniteWord:
         k = alphabet_size if alphabet_size is not None else (
             int(symbols.max()) + 1 if symbols.size else 1
         )
-        counts = np.zeros((k, len(symbols) + 1), dtype=np.int32)
-        for a in range(k):
-            np.cumsum(symbols == a, out=counts[a, 1:])
         symbols.setflags(write=False)
-        counts.setflags(write=False)
-        return FiniteWord(symbols, k, counts)
-
-    def count(self, symbol: int, start: int, stop: int) -> int:
-        """Occurrences of ``symbol`` in the factor [start, stop)."""
-        return int(self.prefix_counts[symbol, stop] - self.prefix_counts[symbol, start])
+        return FiniteWord(symbols, k)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def __str__(self) -> str:
         return "".join(str(int(s)) for s in self.symbols)
-
-
-@dataclass(frozen=True)
-class Repetition:
-    """A factor [start, start+length) repeating with the given period."""
-
-    start: int
-    length: int
-    period: int
-
-    def __post_init__(self):
-        if not 1 <= self.period <= self.length:
-            raise ValueError("period must be in 1..length")
-
-    @property
-    def exponent(self) -> Fraction:
-        return Fraction(self.length, self.period)
 
 
 def is_balanced(word: WordLike) -> bool:

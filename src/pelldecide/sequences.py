@@ -10,8 +10,9 @@ a float square root only as a first guess, which integer comparisons correct.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -125,9 +126,6 @@ def x3_oracle(i: int) -> int:
 # DFAOs
 
 
-_C_ALPHA: Optional[Dfao] = None
-
-
 def c_alpha_dfao() -> Dfao:
     """Pell-base automaton for c_alpha, built from the trailing-zero rule.
 
@@ -138,35 +136,31 @@ def c_alpha_dfao() -> Dfao:
     see a 0 next; a word may not stop here), 4 = invalid input.  Outputs on
     states 3 and 4 are defined (0) but only invalid strings halt there.
 
-    Returns one shared instance; downstream caches key automata by identity.
+    Returns one shared instance.
     """
-    global _C_ALPHA
-    if _C_ALPHA is None:
-        delta = np.array(
-            [
-                [0, 1, 3],
-                [2, 1, 3],
-                [1, 1, 3],
-                [2, 4, 4],
-                [4, 4, 4],
-            ],
-            dtype=np.int32,
-        )
-        outputs = np.array([0, 0, 1, 0, 0], dtype=np.int32)
-        _C_ALPHA = Dfao(TrackAlphabet(1), delta, outputs, 0)
-    return _C_ALPHA
+    return _c_alpha()
 
 
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
+@cache
+def _c_alpha() -> Dfao:
+    delta = np.array(
+        [
+            [0, 1, 3],
+            [2, 1, 3],
+            [1, 1, 3],
+            [2, 4, 4],
+            [4, 4, 4],
+        ],
+        dtype=np.int32,
+    )
+    outputs = np.array([0, 0, 1, 0, 0], dtype=np.int32)
+    return Dfao(TrackAlphabet(1), delta, outputs, 0)
 
 
+@cache
 def _word_table(blocks, size: int) -> np.ndarray:
-    """Cached table word[0..size-1] for a replacement word."""
-    cached = _TABLE_CACHE.get(blocks)
-    if cached is None or len(cached) < size:
-        cached = _replace(sturmian_prefix(max(size, 4096)), blocks)
-        _TABLE_CACHE[blocks] = cached
-    return cached
+    """Table word[0..max(size, 4096)-1] for a replacement word."""
+    return _replace(sturmian_prefix(max(size, 4096)), blocks)
 
 
 def learn_word_dfao(blocks, max_len: int = 14) -> Dfao:
@@ -197,23 +191,19 @@ def learn_word_dfao(blocks, max_len: int = 14) -> Dfao:
     return learner.lstar_moore(outputs, 3, equivalence)
 
 
-_DFAO_CACHE: dict[str, Dfao] = {}
-
-
-def _cached_dfao(name: str, build: Callable[[], Dfao]) -> Dfao:
-    if name not in _DFAO_CACHE:
-        _DFAO_CACHE[name] = build()
-    return _DFAO_CACHE[name]
-
-
 def x5_dfao() -> Dfao:
     """Pell-base automaton computing x5[N] from the representation of N."""
-    return _cached_dfao("x5", lambda: learn_word_dfao(X5_BLOCKS))
+    return _learned_dfao(X5_BLOCKS)
 
 
 def x3_dfao() -> Dfao:
     """Pell-base automaton computing x3[N] from the representation of N."""
-    return _cached_dfao("x3", lambda: learn_word_dfao(X3_BLOCKS))
+    return _learned_dfao(X3_BLOCKS)
+
+
+@cache
+def _learned_dfao(blocks) -> Dfao:
+    return learn_word_dfao(blocks)
 
 
 # ---------------------------------------------------------------------------

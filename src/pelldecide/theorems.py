@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels, automata, learner, logic, pell, sequences
+from . import _kernels, automata, logic, pell, sequences
 from .automata import Dfa, Dfao
 
 __all__ = [
@@ -178,13 +178,11 @@ def prove_e_x5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theorem
     return report
 
 
-def corollary_cex5(
-    x: Optional[Dfao] = None, adder: Optional[Dfa] = None
-) -> tuple[Dfa, TheoremReport]:
+def corollary_cex5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> TheoremReport:
     """Exponent 3/2 is attained, and only with period 4.
 
-    Returns the compiled (i, p) relation: i is a starting position of a
-    factor of length exactly 3p/2 with period p, together with the report.
+    The report keeps the compiled (i, p) relation as ``fac_cex5``: i is a
+    starting position of a factor of length exactly 3p/2 with period p.
     """
     t0 = time.perf_counter()
     report = TheoremReport("corollary_cex5")
@@ -216,19 +214,18 @@ def corollary_cex5(
     factor = "".join(str(automata.dfao_eval(mx, i)) for i in range(23, 29))
     report.add("factor at 23 of length 6", "403240", factor)
     report.duration = time.perf_counter() - t0
-    return rel.dfa, report
+    return report
 
 
-def almost_powers(
-    x: Optional[Dfao] = None, adder: Optional[Dfa] = None
-) -> tuple[Dfa, TheoremReport]:
+def almost_powers(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> TheoremReport:
     """Infinitely many factors approach exponent 3/2 from below.
 
-    Compiles the (n, p) relation: some factor of length n has period p, with
-    p > 10 and 2n + 4 >= 3p.  The accepted pairs turn out to satisfy
-    n = (3p - 4)/2 exactly, so the exponents n/p = 3/2 - 2/p climb toward
-    3/2 without reaching it.  Each enumerated pair is confirmed against a
-    brute-force scan of the word itself.
+    Compiles the (n, p) relation, kept in the report as ``almost_ce_period``:
+    some factor of length n has period p, with p > 10 and 2n + 4 >= 3p.  The
+    accepted pairs turn out to satisfy n = (3p - 4)/2 exactly, so the
+    exponents n/p = 3/2 - 2/p climb toward 3/2 without reaching it.  Each
+    enumerated pair is confirmed against a brute-force scan of the word
+    itself.
     """
     t0 = time.perf_counter()
     report = TheoremReport("almost_powers")
@@ -280,7 +277,7 @@ def almost_powers(
                bool(late) and all(Fraction(3, 2) - Fraction(n, p) < Fraction(1, 1000)
                                   for n, p in late))
     report.duration = time.perf_counter() - t0
-    return rel.dfa, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +359,7 @@ def x3_analysis(
 # suite
 
 
-def _strip(result) -> TheoremReport:
-    return result[1] if isinstance(result, tuple) else result
-
-
-THEOREMS: dict[str, Callable[[], object]] = {
+THEOREMS: dict[str, Callable[[], TheoremReport]] = {
     "verify_adder": verify_adder,
     "prove_e_x5": prove_e_x5,
     "corollary_cex5": corollary_cex5,
@@ -377,4 +370,4 @@ THEOREMS: dict[str, Callable[[], object]] = {
 
 def run_all() -> dict[str, TheoremReport]:
     """Run every theorem script; keys in a stable order."""
-    return {name: _strip(fn()) for name, fn in THEOREMS.items()}
+    return {name: fn() for name, fn in THEOREMS.items()}

@@ -410,6 +410,53 @@ def ref_minimize(a):
     return type(a)(a.alphabet, order[qdelta[inv]], labels[reps][inv], 0)
 
 
+def ref_zero_orbit(delta: np.ndarray, initial: int, zero_symbol: int = 0) -> np.ndarray:
+    """States met reading zero symbols from ``initial``, sorted, walked one
+    state at a time until the orbit closes."""
+    states = [initial]
+    seen = {initial}
+    q = initial
+    while True:
+        q = int(delta[q, zero_symbol])
+        if q in seen:
+            return np.array(sorted(seen), dtype=np.int64)
+        seen.add(q)
+        states.append(q)
+
+
+def ref_project_closure(delta3: np.ndarray, initial: int) -> np.ndarray:
+    """The initial set of project: the closure of ``initial`` under symbol 0
+    with every choice of the erased digit, by a set-based breadth-first walk."""
+    frontier = {initial}
+    closure = {initial}
+    while frontier:
+        nxt = set()
+        for q in frontier:
+            for t in delta3[q, 0]:
+                if int(t) not in closure:
+                    closure.add(int(t))
+                    nxt.add(int(t))
+        frontier = nxt
+    return np.array(sorted(closure), dtype=np.int64)
+
+
+def ref_distance_to_accepting(a: Dfa) -> np.ndarray:
+    """Fewest symbols from each state to acceptance, n + 1 where there is no
+    way; one np.isin against the last frontier per distance."""
+    n = a.n_states
+    dist = np.full(n, n + 1, dtype=np.int64)
+    dist[a.accepting] = 0
+    frontier = np.flatnonzero(a.accepting)
+    d = 0
+    while len(frontier):
+        d += 1
+        hits = np.isin(a.delta, frontier).any(axis=1)
+        newly = np.flatnonzero(hits & (dist > d))
+        dist[newly] = d
+        frontier = newly
+    return dist
+
+
 def _reach(a) -> set[int]:
     seen = {a.initial}
     stack = [a.initial]

@@ -1,5 +1,6 @@
 """Automaton algebra checked against naive set-theoretic constructions."""
 
+import hashlib
 import itertools
 from collections import deque
 
@@ -246,6 +247,26 @@ def test_minimize_survives_row_hash_collisions(monkeypatch):
     assert len(exact_rounds) > len(cases)
 
 
+def test_canonical_outputs_are_byte_identical():
+    # sha256 of to_text: canonical minimize gives the same bytes for as long
+    # as these languages stay the same, whatever the code path that builds them
+    from pelldecide import learner
+
+    pinned = {
+        "c_alpha": (sequences.c_alpha_dfao,
+                    "ffbb08605015360323de33900be5906c955ecef880c721811cb7a33e3673afc3"),
+        "x5": (sequences.x5_dfao,
+               "af67afc4a115ba3c6439d9a1ee5ae52d26bff2b6b3abb9280d22facd632a5fe6"),
+        "x3": (sequences.x3_dfao,
+               "2550864df7788f549425a3fb4b27997b8c18de8500a3b30899faf4d4602ddcf4"),
+        "direct_adder": (learner.direct_adder,
+                         "cf07748bf10449a7df07129187350daba68d4689acee1e3e81b933f1b8c89ec6"),
+    }
+    for name, (build, digest) in pinned.items():
+        text = automata.to_text(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
 def test_equivalent_matches_naive():
     rng = np.random.default_rng(13)
     agree = disagree = 0
@@ -354,6 +375,28 @@ def test_live_state_count_matches_naive():
         a = random_dfa(rng)
         assert automata.live_state_count(a) == naive_live_count(a)
     assert automata.live_state_count(pell.canonical_recognizer()) == 2
+
+
+def test_walks_match_the_earlier_walks():
+    # _reachable and _distance_to against the single-purpose walks kept in
+    # references: the zero orbit, project's initial closure, and distances
+    # to acceptance
+    rng = np.random.default_rng(67)
+    for _ in range(400):
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 12))
+        accepting = rng.random(n) < rng.choice([0.0, 0.2, 0.5])
+        a = Dfa(TrackAlphabet(k), rng.integers(0, n, size=(n, 3**k)), accepting,
+                int(rng.integers(0, n)))
+        got = automata._reachable(a.delta[:, :1], a.initial)
+        assert np.array_equal(got, R.ref_zero_orbit(a.delta, a.initial))
+        shaped = a.delta.reshape((n,) + (3,) * k)
+        for track in range(k):
+            delta3 = np.moveaxis(shaped, 1 + track, k).reshape(n, 3 ** (k - 1), 3)
+            got = automata._reachable(delta3[:, 0, :], a.initial)
+            assert np.array_equal(got, R.ref_project_closure(delta3, a.initial))
+        got = automata._distance_to(a.delta, a.accepting)
+        assert np.array_equal(got, R.ref_distance_to_accepting(a))
 
 
 # --- track operations --------------------------------------------------------

@@ -241,6 +241,17 @@ def test_run_script(capsys, tmp_path):
     assert out.count("> ") == 3
 
 
+def test_run_has_no_emit_automata_option(capsys, tmp_path):
+    # only prove writes automata; run once took the option and ignored it
+    script = tmp_path / "demo.ws"
+    script.write_text('eval closing "1 + 1 = 2" => TRUE\n')
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", str(script), "--emit-automata", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--emit-automata" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_script_expectation_failure_continues(capsys, tmp_path):
     script = tmp_path / "bad.ws"
     script.write_text('eval wrong "1 = 2" => TRUE\neval fine "1 = 1" => TRUE\n')

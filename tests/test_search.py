@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import references as R
 from pelldecide import _kernels, search, sequences
-from pelldecide.search import FiniteWord, Repetition
+from pelldecide.search import FiniteWord
 
 FIVE_OPTIMAL = [
     "01203104120130410213014021031401203104120130",
@@ -21,15 +21,13 @@ FIVE_OPTIMAL = [
 ]
 
 
-# --- FiniteWord / Repetition ---------------------------------------------------
+# --- FiniteWord -----------------------------------------------------------------
 
 
 def test_finite_word_from_letters():
     w = FiniteWord.make("abacaba")
     assert w.alphabet_size == 3
     assert list(w.symbols) == [0, 1, 0, 2, 0, 1, 0]
-    assert w.count(0, 0, 7) == 4
-    assert w.count(1, 2, 6) == 1
 
 
 def test_finite_word_from_digits_and_arrays():
@@ -37,25 +35,6 @@ def test_finite_word_from_digits_and_arrays():
     assert list(w.symbols) == [0, 1, 2, 0]
     v = FiniteWord.make(np.array([0, 4, 4], dtype=np.int8), alphabet_size=5)
     assert v.alphabet_size == 5
-    assert v.count(4, 0, 3) == 2
-
-
-def test_finite_word_counts_match_slices():
-    rng = np.random.default_rng(0)
-    w = FiniteWord.make(rng.integers(0, 4, size=60), alphabet_size=4)
-    for _ in range(200):
-        a, b = sorted(rng.integers(0, 61, size=2))
-        s = int(rng.integers(0, 4))
-        assert w.count(s, a, b) == int(np.sum(w.symbols[a:b] == s))
-
-
-def test_repetition_validation():
-    assert Repetition(start=0, length=4, period=2).exponent == Fraction(2)
-    assert Repetition(start=23, length=6, period=4).exponent == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        Repetition(start=0, length=4, period=0)
-    with pytest.raises(ValueError):
-        Repetition(start=0, length=2, period=3)
 
 
 def test_empty_word_edges():
