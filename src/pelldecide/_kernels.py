@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -23,6 +24,9 @@ __all__ = [
 # Always False: the kernels are numpy only.  perfbench/worker.py still reads
 # this name and records it with every run.
 NUMBA_ENABLED = False
+
+_SAMPLES = 1 << 18  # most samples that exponent_scan takes at once
+_BLOCK = 64  # start positions that balanced_scan takes at once
 
 
 @dataclass(frozen=True)
@@ -122,18 +126,41 @@ def _longest_run(w: np.ndarray, p: int) -> int:
 def exponent_scan(w: np.ndarray) -> tuple[int, int]:
     """(n, p) maximizing n/p over factors of length n with period p.
 
-    Ties keep the least p.  The scan stops at the first p with
-    L / p <= n / p_best: no factor is longer than L, so no larger period
-    can do strictly better.
+    Ties keep the least p.  Periods go in chunks of doubling size, each
+    bounded by the best (bn, bp) before it.  A run of R agreements at period
+    p beats it only if R >= r = (bn - bp) p // bp + 1, and any r consecutive
+    j hold r // s multiples of s = max(1, r // 4).  One flat pass samples
+    ``w[j] == w[j + p]`` at those j, and only periods with r // s agreeing
+    samples in a row get an exact scan, in increasing p.  The others have
+    n / p <= bn / bp and can neither beat nor tie the running best.  No p
+    with L / p <= n_best / p_best can win, since no factor is longer than L.
     """
     length = len(w)
     best_n, best_p = 1, 1
-    for p in range(1, length):
-        if length * best_p <= best_n * p:
-            break
-        n = _longest_run(w, p) + p
-        if n * best_p > best_n * p:
-            best_n, best_p = n, p
+    lo = 1
+    while (hi := min(2 * lo, -(-length * best_p // best_n))) > lo:
+        periods = np.arange(lo, hi)
+        need = (best_n - best_p) * periods // best_p + 1
+        step = np.maximum(need // 4, 1)
+        counts = (length - 1 - periods) // step + 1
+        # at most _SAMPLES samples (and at least one period) a chunk, in int32
+        hi = lo + max(1, int(np.searchsorted(np.cumsum(counts), _SAMPLES, side="right")))
+        periods, step, streak, counts = (
+            x[:hi - lo].astype(np.int32) for x in (periods, step, need // step, counts))
+        group = np.repeat(np.arange(hi - lo, dtype=np.int32), counts)
+        stop = np.cumsum(counts, dtype=np.int32)[group]
+        t = np.arange(len(group), dtype=np.int32)
+        j = (t - stop + counts[group]) * step[group]
+        agree = np.insert(np.cumsum(w[j] == w[j + periods[group]], dtype=np.int32), 0, 0)
+        # a streak cut short by the end of its period's samples falls short
+        end = np.minimum(t + streak[group], stop)
+        for p in periods[np.unique(group[agree[end] - agree[t] == streak[group]])].tolist():
+            if length * best_p <= best_n * p:
+                return best_n, best_p
+            n = _longest_run(w, p) + p
+            if n * best_p > best_n * p:
+                best_n, best_p = n, p
+        lo = hi
     return best_n, best_p
 
 
@@ -153,13 +180,28 @@ def balanced_scan(w: np.ndarray, k: int) -> bool:
       one of the same length fits strictly inside the widest Q gap, so it
       holds at most j - 1.
 
-    That is sum(m_a^2) differences in place of k L^2 window counts.
+    That is sum(m_a^2) differences in place of k L^2 window counts.  Q adds
+    P[j-1] + 1 and L - P[m-j] to P's differences, which are taken for
+    ``_BLOCK`` starts i and every j at once, from P padded with sentinels
+    that never set a maximum or minimum.  Running maxima only grow and
+    minima only shrink, so the scan stops at the first block with a gap of 2.
     """
     length = len(w)
+    far = 2 * length + 2
     for a in range(k):
-        pos = np.flatnonzero(w == a)
-        gaps = np.concatenate([[-1], pos, [length]])
-        for j in range(1, len(pos)):
-            if (gaps[j:] - gaps[:-j]).max() - (pos[j:] - pos[:-j]).min() >= 2:
+        pos = np.flatnonzero(w == a).astype(np.int32)
+        m = len(pos)
+        widest = np.maximum(pos[:-1] + 1, length - pos[:0:-1])
+        closest = np.full_like(widest, far)
+        low = np.concatenate([pos, np.full(_BLOCK, -far, dtype=np.int32)])
+        high = np.concatenate([pos, np.full(_BLOCK, far, dtype=np.int32)])
+        for i in range(0, m - 1, _BLOCK):
+            cols = m - 1 - i
+            start = pos[i:i + min(_BLOCK, cols), None]
+            diffs = sliding_window_view(low[i + 1:], cols)[:len(start)] - start
+            np.maximum(widest[:cols], diffs.max(axis=0), out=widest[:cols])
+            diffs = sliding_window_view(high[i + 1:], cols)[:len(start)] - start
+            np.minimum(closest[:cols], diffs.min(axis=0), out=closest[:cols])
+            if (widest - closest >= 2).any():
                 return False
     return True

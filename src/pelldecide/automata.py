@@ -755,6 +755,8 @@ def permute_tracks(a: Dfa, perm: Sequence[int]) -> Dfa:
 def enumerate_words(a: Dfa, max_len: int) -> list[tuple[int, ...]]:
     """Accepted words of length <= max_len as symbol-index tuples, radix order."""
     dist = _distance_to(a.delta, a.accepting)
+    # states that no word leads to acceptance are pruned at every max_len
+    dist[dist > a.n_states] = max_len + 1
     out: list[tuple[int, ...]] = []
     m = a.alphabet.size
 

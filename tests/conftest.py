@@ -3,7 +3,9 @@
 The expensive artifacts are built once: the learner run for the addition
 automaton, the five theorem reports, and the relation-soundness grids that
 compare compiled predicates against brute-force truth tables.  The final
-summary block prints one line per acceptance criterion.
+summary block prints one line per acceptance criterion.  Every hypothesis
+test runs under one profile: the same examples on every run, and no
+per-example deadline, so a slow spell on a shared machine fails nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 _ACCEPTANCE: dict[int, tuple[str, bool]] = {}
 

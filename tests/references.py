@@ -220,6 +220,33 @@ def ref_balanced_scan(w: np.ndarray, k: int) -> bool:
     return True
 
 
+def ref_exponent_scan_by_period(w: np.ndarray) -> tuple[int, int]:
+    """(n, p) from one exact run count per period, least p on ties, stopping
+    at the first p with L / p <= n_best / p_best."""
+    length = len(w)
+    best_n, best_p = 1, 1
+    for p in range(1, length):
+        if length * best_p <= best_n * p:
+            break
+        n = ref_longest_true_run(w[p:] == w[:-p]) + p
+        if n * best_p > best_n * p:
+            best_n, best_p = n, p
+    return best_n, best_p
+
+
+def ref_balanced_scan_by_gap(w: np.ndarray, k: int) -> bool:
+    """The occurrence-gap test maxQ_j - minP_j >= 2, one j at a time (the
+    proof is in ``_kernels.balanced_scan``)."""
+    length = len(w)
+    for a in range(k):
+        pos = np.flatnonzero(w == a)
+        gaps = np.concatenate([[-1], pos, [length]])
+        for j in range(1, len(pos)):
+            if (gaps[j:] - gaps[:-j]).max() - (pos[j:] - pos[:-j]).min() >= 2:
+                return False
+    return True
+
+
 def agreement_runs(w: np.ndarray, p: int) -> np.ndarray:
     """runs[i] = number of consecutive positions t >= i with w[t] == w[t+p].
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 from collections import deque
 
 import numpy as np
@@ -615,6 +616,33 @@ def test_enumeration_orders_and_agrees():
     brute = [w for w in words_up_to(3, 3) if automata.accepts(rec, w)]
     assert words == brute
     assert automata.enumerate_accepted(rec, 2) == ["", "0", "1", "00", "01", "10", "11", "20"]
+
+
+def test_enumeration_skips_states_that_cannot_accept():
+    # 4 states: "12" leads to acceptance, every other edge to a dead state
+    a = exact_word_dfa("12")
+    visited = []
+
+    def trace(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            visited.append(frame.f_locals["word"])
+
+    sys.settrace(trace)
+    try:
+        words = automata.enumerate_words(a, 12)
+    finally:
+        sys.settrace(None)
+    assert words == [(1, 2)]
+    assert visited == [(), (1,), (1, 2)]
+
+
+def test_enumeration_matches_brute_force_past_the_state_count():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        a = random_dfa(rng, n_states=int(rng.integers(2, 5)))
+        for max_len in (0, 3, a.n_states + 2, 7):
+            brute = [w for w in words_up_to(3, max_len) if automata.accepts(a, w)]
+            assert automata.enumerate_words(a, max_len) == brute
 
 
 def test_word_parsing_round_trip():

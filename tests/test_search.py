@@ -37,6 +37,15 @@ def test_finite_word_from_digits_and_arrays():
     assert v.alphabet_size == 5
 
 
+def test_finite_word_leaves_the_callers_array_writeable():
+    w = np.array([0, 1, 0, 2], dtype=np.int8)
+    assert search.max_exponent(w) == Fraction(3, 2)
+    assert search.is_balanced(w)
+    assert not FiniteWord.make(w).symbols.flags.writeable
+    w[0] = 1
+    assert list(w) == [1, 1, 0, 2]
+
+
 def test_empty_word_edges():
     assert search.is_balanced("")
     with pytest.raises(ValueError):
@@ -248,16 +257,21 @@ def test_exponent_scan_matches_reference():
         assert Fraction(int(n), int(p)) == R.ref_max_exponent(w)
 
 
-def scan_words(rng):
-    """Random words, and factors of x5 and x3 as they are and with one symbol
+X5_FACTORS = sequences.x5_prefix(20_000)
+X3_FACTORS = sequences.x3_prefix(20_000)
+
+
+def scan_words(rng, randoms=150, random_len=70, factors=100, factor_len=300):
+    """Random words over 2-5 letters, shorter than ``random_len``, and factors
+    of x5 and x3 shorter than ``factor_len``, as they are and with one symbol
     changed, which are balanced or nearly so."""
     words = []
-    for _ in range(150):
+    for _ in range(randoms):
         k = int(rng.integers(2, 6))
-        words.append((rng.integers(0, k, size=int(rng.integers(1, 70))).astype(np.int8), k))
-    for source, k in ((sequences.x5_prefix(20_000), 5), (sequences.x3_prefix(20_000), 3)):
-        for _ in range(100):
-            n = int(rng.integers(2, 300))
+        words.append((rng.integers(0, k, size=int(rng.integers(1, random_len))).astype(np.int8), k))
+    for source, k in ((X5_FACTORS, 5), (X3_FACTORS, 3)):
+        for _ in range(factors):
+            n = int(rng.integers(2, factor_len))
             start = int(rng.integers(0, len(source) - n))
             words.append((source[start:start + n], k))
             w = source[start:start + n].copy()
@@ -298,3 +312,99 @@ def test_longest_run_counts_agreements():
         for p in range(1, len(w) + 2):
             want = R.ref_longest_true_run(w[p:] == w[:-p]) if p < len(w) else 0
             assert _kernels._longest_run(w, p) == want
+
+
+# --- the filtered exponent scan and the blocked balance scan -----------------------
+
+@pytest.fixture(params=["default", "small"])
+def kernel_sizes(request, monkeypatch):
+    """The kernels as they are, and with a few samples per chunk and a few
+    start positions per block, so that every chunk and block is cut."""
+    if request.param == "small":
+        monkeypatch.setattr(_kernels, "_SAMPLES", 40)
+        monkeypatch.setattr(_kernels, "_BLOCK", 3)
+
+
+def test_scans_match_the_earlier_kernels(kernel_sizes):
+    words = scan_words(np.random.default_rng(94), randoms=300, random_len=81,
+                       factors=25, factor_len=3001)
+    for w, k in words:
+        assert _kernels.exponent_scan(w) == R.ref_exponent_scan_by_period(w)
+        assert _kernels.balanced_scan(w, k) == R.ref_balanced_scan_by_gap(w, k)
+
+
+def planted_run(prefix, p, run, pad):
+    """``prefix``, ``pad`` fresh letters, then p + run letters of period p
+    made of p fresh letters: the only agreements past the prefix are the run
+    of ``run`` at period p."""
+    fresh = iter(range(max(prefix) + 1, 128))
+    padding = [next(fresh) for _ in range(pad)]
+    block = [next(fresh) for _ in range(p)]
+    return np.array(prefix + padding + (block * 3)[:p + run], dtype=np.int8)
+
+
+@pytest.mark.parametrize("prefix,bound", [([0, 0], (2, 1)), ([0, 1, 0], (3, 2)),
+                                          ([0, 1, 2, 0], (4, 3))])
+def test_runs_of_exactly_r_minus_one_and_r_agreements(prefix, bound):
+    """At a period p past the prefix's chunks, a run wins iff it has at least
+    r = (bn - bp) p // bp + 1 agreements.  Every alignment of the run's start
+    against the sample step is tried."""
+    bn, bp = bound
+    assert _kernels.exponent_scan(np.array(prefix, dtype=np.int8)) == bound
+    for p in range(4, 61):
+        r = (bn - bp) * p // bp + 1
+        for pad in range(max(1, r // 4)):
+            short = planted_run(prefix, p, r - 1, pad)
+            assert _kernels.exponent_scan(short) == bound == R.ref_exponent_scan_by_period(short)
+            win = planted_run(prefix, p, r, pad)
+            assert _kernels.exponent_scan(win) == (p + r, p) == R.ref_exponent_scan_by_period(win)
+
+
+def test_ties_keep_the_least_period():
+    # squares at periods 5 and 11 (exponent 2 each), and 3/2 at periods 2 and 4
+    fresh = iter(range(10, 128))
+    first, second = [next(fresh) for _ in range(5)], [next(fresh) for _ in range(11)]
+    w = np.array(first * 2 + [1] + second * 2 + [2], dtype=np.int8)
+    assert _kernels.exponent_scan(w) == (10, 5) == R.ref_exponent_scan_by_period(w)
+    w = np.array([0, 1, 0, 5, 6, 7, 8, 5, 6, 9], dtype=np.int8)
+    assert _kernels.exponent_scan(w) == (3, 2) == R.ref_exponent_scan_by_period(w)
+    w = np.array([5, 6, 7, 8, 5, 6, 0, 1, 0], dtype=np.int8)
+    assert _kernels.exponent_scan(w) == (3, 2) == R.ref_exponent_scan_by_period(w)
+
+
+def test_exponent_scan_skips_most_periods(monkeypatch):
+    w = X5_FACTORS[4_000:14_000]
+    scanned = []
+    longest_run = _kernels._longest_run
+    monkeypatch.setattr(_kernels, "_longest_run",
+                        lambda w, p: scanned.append(p) or longest_run(w, p))
+    assert _kernels.exponent_scan(w) == (6, 4)
+    # the scan stops at p = 6,667 (L / p <= 3/2)
+    assert scanned == sorted(scanned) and len(scanned) < 6_667 // 4
+
+
+@st.composite
+def scan_cases(draw):
+    """Words over 2-6 letters, or factors of x5 and x3, some with one
+    symbol changed."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 6))
+        w = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=80)),
+                     dtype=np.int8)
+        return w, k
+    source, k = draw(st.sampled_from([(X5_FACTORS, 5), (X3_FACTORS, 3)]))
+    n = draw(st.integers(1, 300))
+    start = draw(st.integers(0, len(source) - n))
+    w = source[start:start + n].copy()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        w[i] = (w[i] + draw(st.integers(1, k - 1))) % k
+    return w, k
+
+
+@given(scan_cases())
+@settings(max_examples=200)
+def test_scans_match_the_full_scans_on_drawn_words(case):
+    w, k = case
+    assert _kernels.exponent_scan(w) == R.ref_exponent_scan(w)
+    assert _kernels.balanced_scan(w, k) == R.ref_balanced_scan(w, k)
