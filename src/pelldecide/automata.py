@@ -43,7 +43,6 @@ __all__ = [
     "enumerate_accepted",
     "dfao_eval",
     "cylindrify",
-    "permute_tracks",
     "format_word",
     "parse_word",
     "save_text",
@@ -92,6 +91,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(arr: np.ndarray, dtype: type) -> np.ndarray:
+    """``arr`` itself if it is a frozen ``dtype`` array that owns its data,
+    else a frozen copy: nobody else can write to what a machine keeps."""
+    if (arr.dtype == dtype and arr.flags.owndata and arr.flags.c_contiguous
+            and not arr.flags.writeable):
+        return arr
+    return _freeze(np.array(arr, dtype=dtype))
+
+
 def _check_table(delta: np.ndarray, n_states: int, size: int) -> None:
     if delta.shape != (n_states, size):
         raise ValueError(f"transition table shape {delta.shape} != {(n_states, size)}")
@@ -107,8 +115,8 @@ class _Machine:
     _label_type: type
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze(self.delta.astype(np.int32)))
-        object.__setattr__(self, self._label, _freeze(self.labels.astype(self._label_type)))
+        object.__setattr__(self, "delta", _owned(self.delta, np.int32))
+        object.__setattr__(self, self._label, _owned(self.labels, self._label_type))
         _check_table(self.delta, self.n_states, self.alphabet.size)
         if not 0 <= self.initial < self.n_states:
             raise ValueError("initial state out of range")
@@ -421,7 +429,7 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     # canonical renumbering; every class is reachable, as every state is
     order = _bfs_order(qdelta, int(classes[initial]))
     inv = np.argsort(order)
-    return type(a)(a.alphabet, order[qdelta[inv]], qlabels[inv], 0)
+    return type(a)(a.alphabet, _freeze(order[qdelta[inv]]), _freeze(qlabels[inv]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +439,18 @@ _OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "and": np.logical_and,
     "or": np.logical_or,
     "xor": np.logical_xor,
-    "implies": lambda p, q: np.logical_or(~p, q),
+    "implies": lambda p, q: np.logical_or(np.logical_not(p), q),
     "iff": lambda p, q: p == q,
-    "andnot": lambda p, q: np.logical_and(p, ~q),
+    "andnot": lambda p, q: np.logical_and(p, np.logical_not(q)),
 }
 
 
-def product(a: Dfa, b: Dfa, op: str = "and") -> Dfa:
-    """Boolean combination of two automata over the same alphabet."""
+def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
+    """Boolean combination of two automata over the same alphabet.
+
+    The op combines the states' labels: a nonzero output counts as true,
+    except that for two Dfaos ``"iff"`` accepts where the outputs are equal.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("product requires matching alphabets")
     try:
@@ -459,7 +471,7 @@ def product(a: Dfa, b: Dfa, op: str = "and") -> Dfa:
         codes = np.sort(np.concatenate([codes, frontier]))
     qa, qb = codes // nb, codes % nb
     delta = np.searchsorted(codes, da[qa] * nb + db[qb])
-    accepting = combine(a.accepting[qa], b.accepting[qb])
+    accepting = combine(a.labels[qa], b.labels[qb])
     return minimize(
         Dfa(
             alphabet=a.alphabet,
@@ -472,7 +484,7 @@ def product(a: Dfa, b: Dfa, op: str = "and") -> Dfa:
 
 def complement(a: Dfa) -> Dfa:
     """Accepting-set flip; sound because tables are complete."""
-    return Dfa(a.alphabet, a.delta.copy(), ~a.accepting, a.initial)
+    return Dfa(a.alphabet, a.delta, _freeze(~a.accepting), a.initial)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -656,7 +668,8 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
             rows.append(_expand(subsets, a, b, keyed, bits, m))
         done = level_end
     # free the construction's tables before minimize builds its own
-    dfa = Dfa(alphabet, np.concatenate(rows), np.concatenate(subsets.accepting), 0)
+    delta, accepting = np.concatenate(rows), np.concatenate(subsets.accepting)
+    dfa = Dfa(alphabet, _freeze(delta), _freeze(accepting), 0)
     del rows, subsets
     return minimize(dfa)
 
@@ -713,39 +726,21 @@ def project(a: Dfa, track: int) -> Dfa:
     return _determinize(delta3, init, a.accepting, TrackAlphabet(k - 1))
 
 
-def cylindrify(a: Dfa, position: int) -> Dfa:
-    """Insert an unconstrained track at the given position."""
+def cylindrify(a: Dfa | Dfao, positions: Sequence[int], total: int) -> Dfa | Dfao:
+    """Place the tracks among ``total``: track i of ``a`` becomes track
+    ``positions[i]``, and the other tracks are free."""
     k = a.alphabet.n_tracks
-    if not 0 <= position <= k:
-        raise ValueError("track insertion position out of range")
+    distinct = set(positions)
+    if len(positions) != k or len(distinct) != k or not distinct <= set(range(total)):
+        raise ValueError(f"cannot place {k} tracks at {tuple(positions)} among {total}")
     n = a.n_states
+    # the old tracks in the order of their new positions, then the free ones
     shaped = a.delta.reshape((n,) + (DIGITS,) * k)
-    expanded = np.broadcast_to(
-        np.expand_dims(shaped, axis=1 + position),
-        (n,) + (DIGITS,) * (k + 1),
-    )
-    return Dfa(
-        alphabet=TrackAlphabet(k + 1),
-        delta=expanded.reshape(n, DIGITS ** (k + 1)),
-        accepting=a.accepting.copy(),
-        initial=a.initial,
-    )
-
-
-def permute_tracks(a: Dfa, perm: Sequence[int]) -> Dfa:
-    """Reorder tracks; ``perm[i]`` is the old track shown at new position i."""
-    k = a.alphabet.n_tracks
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a permutation of {k} tracks: {perm}")
-    n = a.n_states
-    shaped = a.delta.reshape((n,) + (DIGITS,) * k)
-    shaped = shaped.transpose((0,) + tuple(1 + p for p in perm))
-    return Dfa(
-        alphabet=a.alphabet,
-        delta=shaped.reshape(n, DIGITS**k),
-        accepting=a.accepting.copy(),
-        initial=a.initial,
-    )
+    shaped = shaped.transpose((0,) + tuple(1 + int(i) for i in np.argsort(positions)))
+    free = tuple(1 + p for p in range(total) if p not in distinct)
+    delta = np.empty((n, DIGITS**total), dtype=np.int32)
+    delta.reshape((n,) + (DIGITS,) * total)[...] = np.expand_dims(shaped, free)
+    return type(a)(TrackAlphabet(total), _freeze(delta), a.labels, a.initial)
 
 
 # ---------------------------------------------------------------------------

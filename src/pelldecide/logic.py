@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -469,24 +469,14 @@ class Relation:
         order = tuple(sorted(names))
         if order == names:
             return Relation(dfa, names)
-        perm = [names.index(n) for n in order]
-        return Relation(automata.permute_tracks(dfa, perm), order)
+        placed = automata.cylindrify(dfa, [order.index(n) for n in names], len(names))
+        return Relation(placed, order)
 
     @property
     def is_true(self) -> bool:
         if self.tracks:
             raise CompileError(f"relation has free variables {self.tracks}")
         return bool(self.dfa.accepting[self.dfa.initial])
-
-
-def _lift(a: Dfa, position: int, total: int) -> Dfa:
-    """Embed a 1-track automaton as the given track among ``total``."""
-    out = a
-    for _ in range(total - 1 - position):
-        out = automata.cylindrify(out, out.alphabet.n_tracks)
-    for _ in range(position):
-        out = automata.cylindrify(out, 0)
-    return out
 
 
 # The builders below are memoized per process.  Automata hash and compare
@@ -544,48 +534,28 @@ def _slice(m: Dfao, value: int) -> Dfa:
 @cache
 def _pair_equal(a: Dfao, b: Dfao) -> Dfa:
     """2-track relation: a's value at track 0 equals b's value at track 1."""
-    common = sorted(set(map(int, a.outputs)) & set(map(int, b.outputs)))
-    parts = [
-        automata.product(_lift(_slice(a, c), 0, 2), _lift(_slice(b, c), 1, 2), "and")
-        for c in common
-    ]
-    if not parts:
-        out = automata.complement(pell.valid_tracks(2))
-        return automata.product(out, pell.valid_tracks(2), "and")  # empty relation
-    return reduce(lambda x, y: automata.product(x, y, "or"), parts)
+    at0, at1 = automata.cylindrify(a, (0,), 2), automata.cylindrify(b, (1,), 2)
+    same = automata.product(at0, at1, "iff")
+    return automata.product(same, pell.valid_tracks(2), "and")
 
 
 _OP_NAMES = {"&": "and", "|": "or", "=>": "implies", "<=>": "iff"}
 
 
-def _join(a: Relation, b: Relation) -> Relation:
-    """Conjunction over the union of the two track sets."""
-    names = tuple(sorted(set(a.tracks) | set(b.tracks)))
-    da = _spread(a, names)
-    db = _spread(b, names)
-    return Relation(automata.product(da, db, "and"), names)
-
-
 def _spread(r: Relation, names: tuple[str, ...]) -> Dfa:
-    """Cylindrify a relation's automaton onto a superset of its tracks."""
-    out = r.dfa
-    have = list(r.tracks)
-    for pos, name in enumerate(names):
-        if name not in have:
-            out = automata.cylindrify(out, pos)
-            have.insert(pos, name)
-    return out
+    """Place a relation's tracks among a sorted superset of its names."""
+    return automata.cylindrify(r.dfa, [names.index(n) for n in r.tracks], len(names))
 
 
-def _combine(a: Relation, b: Relation, op: str) -> Relation:
-    if op == "&":
-        return _join(a, b)
+def _combine(a: Relation, b: Relation, op: str = "&") -> Relation:
+    """Boolean combination over the union of the two track sets."""
     names = tuple(sorted(set(a.tracks) | set(b.tracks)))
     prod = automata.product(_spread(a, names), _spread(b, names), _OP_NAMES[op])
-    # or/implies/iff can accept junk on tracks the operands did not both
-    # constrain (and implies/iff accept whatever both reject), so restrict
-    # back to valid representations.
-    prod = automata.product(prod, pell.valid_tracks(len(names)), "and")
+    if op != "&":
+        # or/implies/iff can accept junk on tracks the operands did not both
+        # constrain (and implies/iff accept whatever both reject), so restrict
+        # back to valid representations.
+        prod = automata.product(prod, pell.valid_tracks(len(names)), "and")
     return Relation(prod, names)
 
 
@@ -613,10 +583,10 @@ def _eliminate(constraints: list[Relation], temps: set[str]) -> Relation:
                 best_name, best_width = t, len(bucket_tracks)
         bucket = [r for r in work if best_name in r.tracks]
         rest = [r for r in work if best_name not in r.tracks]
-        joined = reduce(_join, bucket)
+        joined = reduce(_combine, bucket)
         work = rest + [_project_var(joined, best_name)]
         remaining.discard(best_name)
-    return reduce(_join, work)
+    return reduce(_combine, work)
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +730,8 @@ class _Context:
         self.add(self.compiler.adder, (rest, v, out))
         return out
 
-    def finish(self, keep: Iterable[str]) -> Relation:
-        keep = set(keep)
-        if not self.constraints:
-            return Relation(pell.valid_tracks(0), ())
-        out = _eliminate(self.constraints, self.temps - keep)
-        return out
+    def finish(self) -> Relation:
+        return _eliminate(self.constraints, self.temps)
 
 
 class _Compiler:
@@ -774,43 +740,34 @@ class _Compiler:
         self.adder = env.adder()
         self.counter = 0
 
-    def compile(self, p: Predicate) -> Relation:
+    def atom(self, p: Predicate) -> tuple[Dfa, tuple[Term, ...], bool]:
+        """An atom's automaton, the terms on its tracks, and whether it is negated."""
         if isinstance(p, PCmp):
-            ctx = _Context(self)
-            a = ctx.term(p.left)
-            b = ctx.term(p.right)
-            ctx.add(_comparison(p.op), (a, b))
-            return ctx.finish(free_variables(p))
+            return _comparison(p.op), (p.left, p.right), False
         if isinstance(p, PSeqConst):
             m = self.env.sequence(p.name)
             if p.value not in set(map(int, m.outputs)):
                 raise CompileError(
                     f"output @{p.value} is not in the alphabet of sequence {p.name!r}"
                 )
-            ctx = _Context(self)
-            v = ctx.term(p.index)
-            ctx.add(_slice(m, p.value), (v,))
-            out = ctx.finish(free_variables(p))
-            return _negate(out) if p.negated else out
+            return _slice(m, p.value), (p.index,), p.negated
         if isinstance(p, PSeqPair):
-            ma = self.env.sequence(p.left_name)
-            mb = self.env.sequence(p.right_name)
+            pair = _pair_equal(self.env.sequence(p.left_name), self.env.sequence(p.right_name))
+            return pair, (p.left_index, p.right_index), p.negated
+        stored = self.env.stored(p.name)
+        if len(p.args) != len(stored.params):
+            raise CompileError(
+                f"${p.name} takes {len(stored.params)} arguments, got {len(p.args)}"
+            )
+        return stored.dfa, p.args, False
+
+    def compile(self, p: Predicate) -> Relation:
+        if isinstance(p, (PCmp, PSeqConst, PSeqPair, PCall)):
+            dfa, terms, negated = self.atom(p)
             ctx = _Context(self)
-            va = ctx.term(p.left_index)
-            vb = ctx.term(p.right_index)
-            ctx.add(_pair_equal(ma, mb), (va, vb))
-            out = ctx.finish(free_variables(p))
-            return _negate(out) if p.negated else out
-        if isinstance(p, PCall):
-            stored = self.env.stored(p.name)
-            if len(p.args) != len(stored.params):
-                raise CompileError(
-                    f"${p.name} takes {len(stored.params)} arguments, got {len(p.args)}"
-                )
-            ctx = _Context(self)
-            names = tuple(ctx.term(a) for a in p.args)
-            ctx.add(stored.dfa, names)
-            return ctx.finish(free_variables(p))
+            ctx.add(dfa, tuple(ctx.term(t) for t in terms))
+            out = ctx.finish()
+            return _negate(out) if negated else out
         if isinstance(p, PNot):
             return _negate(self.compile(p.body))
         if isinstance(p, PBin):

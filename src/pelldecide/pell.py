@@ -23,7 +23,6 @@ __all__ = [
     "encode",
     "decode",
     "is_canonical",
-    "compare",
     "canonical_recognizer",
     "valid_tracks",
     "encode_batch",
@@ -86,11 +85,6 @@ def is_canonical(s: str) -> bool:
     return all(s[j + 1] == "0" for j in range(len(s) - 1) if s[j] == "2")
 
 
-def compare(x: int, y: int) -> int:
-    """-1, 0 or 1; agrees with padded lexicographic order of canonical forms."""
-    return (x > y) - (x < y)
-
-
 def canonical_recognizer() -> Dfa:
     """1-track automaton accepting 0* w for every canonical w.
 
@@ -121,11 +115,10 @@ def valid_tracks(k: int) -> Dfa:
 def _valid_tracks(k: int) -> Dfa:
     if k == 0:
         return Dfa(TrackAlphabet(0), np.zeros((1, 1), dtype=np.int32), np.array([True]), 0)
-    # valid_tracks(k - 1) with a free last track, and the recognizer on the last track
-    last = canonical_recognizer()
-    for _ in range(k - 1):
-        last = automata.cylindrify(last, 0)
-    return automata.product(automata.cylindrify(_valid_tracks(k - 1), k - 1), last, "and")
+    # valid_tracks(k - 1) on the first k - 1 tracks, and the recognizer on the last
+    first = automata.cylindrify(_valid_tracks(k - 1), range(k - 1), k)
+    last = automata.cylindrify(canonical_recognizer(), (k - 1,), k)
+    return automata.product(first, last, "and")
 
 
 # ---------------------------------------------------------------------------

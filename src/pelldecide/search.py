@@ -54,8 +54,7 @@ class FiniteWord:
                     [seen.setdefault(c, len(seen)) for c in word], dtype=np.int8
                 )
         else:
-            # a view, so freezing it leaves the caller's array writeable
-            symbols = np.asarray(word, dtype=np.int8).view()
+            symbols = np.array(word, dtype=np.int8)
         if symbols.size and symbols.min() < 0:
             raise ValueError("symbols must be naturals")
         k = alphabet_size if alphabet_size is not None else (

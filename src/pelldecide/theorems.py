@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import _kernels, automata, logic, pell, sequences
-from .automata import Dfa, Dfao
+from .automata import Dfa
 
 __all__ = [
     "Check",
@@ -105,9 +103,8 @@ def exponent_of_m(m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _x5_env(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> logic.Environment:
-    env = logic.Environment(adder=adder)
-    return env.with_sequence("X", x if x is not None else sequences.x5_dfao())
+def _x5_env() -> logic.Environment:
+    return logic.Environment().with_sequence("X", sequences.x5_dfao())
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def verify_adder(adder: Optional[Dfa] = None) -> TheoremReport:
 _FAC_TAIL = "(Aj (j + p < n) => X[i + j] = X[i + j + p])"
 
 
-def prove_e_x5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> TheoremReport:
+def prove_e_x5() -> TheoremReport:
     """The critical exponent of the five-letter balanced word is exactly 3/2.
 
     Factors of exponent below or at 3/2 exist; factors of exponent above 3/2
@@ -164,7 +161,7 @@ def prove_e_x5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theorem
     """
     t0 = time.perf_counter()
     report = TheoremReport("prove_e_x5")
-    env = _x5_env(x, adder)
+    env = _x5_env()
     cases = [
         ("fac_low_exponent", "(2*n <= 3*p)", True),
         ("fac_ex_exponent", "(2*n = 3*p)", True),
@@ -178,7 +175,7 @@ def prove_e_x5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theorem
     return report
 
 
-def corollary_cex5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> TheoremReport:
+def corollary_cex5() -> TheoremReport:
     """Exponent 3/2 is attained, and only with period 4.
 
     The report keeps the compiled (i, p) relation as ``fac_cex5``: i is a
@@ -186,7 +183,7 @@ def corollary_cex5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> The
     """
     t0 = time.perf_counter()
     report = TheoremReport("corollary_cex5")
-    env = _x5_env(x, adder)
+    env = _x5_env()
     env = logic.define(
         env,
         "fac_cex5",
@@ -210,14 +207,13 @@ def corollary_cex5(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> The
         False,
         logic.relation_accepts(rel, {"i": 23, "p": 5}),
     )
-    mx = x if x is not None else sequences.x5_dfao()
-    factor = "".join(str(automata.dfao_eval(mx, i)) for i in range(23, 29))
+    factor = "".join(str(automata.dfao_eval(sequences.x5_dfao(), i)) for i in range(23, 29))
     report.add("factor at 23 of length 6", "403240", factor)
     report.duration = time.perf_counter() - t0
     return report
 
 
-def almost_powers(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> TheoremReport:
+def almost_powers() -> TheoremReport:
     """Infinitely many factors approach exponent 3/2 from below.
 
     Compiles the (n, p) relation, kept in the report as ``almost_ce_period``:
@@ -229,7 +225,7 @@ def almost_powers(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theo
     """
     t0 = time.perf_counter()
     report = TheoremReport("almost_powers")
-    env = _x5_env(x, adder)
+    env = _x5_env()
     rel = logic.compile(
         f"?msd_pell Ei (p > 10) & (2*n + 4 >= 3*p) & {_FAC_TAIL}", env
     )
@@ -257,11 +253,7 @@ def almost_powers(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theo
 
     # confirm each pair on the word itself: the longest factor with period p
     # inside the 50000-symbol prefix has length exactly n (run length n - p)
-    prefix = (
-        sequences.x5_prefix(50_000)
-        if x is None
-        else np.array([automata.dfao_eval(x, i) for i in range(50_000)], dtype=np.int8)
-    )
+    prefix = sequences.x5_prefix(50_000)
     brute = [(_kernels._longest_run(prefix, p) + p, p)
              for _, p in small]
     report.add("brute-force maximal repetitions on the 50000-symbol prefix",
@@ -284,9 +276,7 @@ def almost_powers(x: Optional[Dfao] = None, adder: Optional[Dfa] = None) -> Theo
 # the three-letter word
 
 
-def x3_analysis(
-    x: Optional[Dfao] = None, adder: Optional[Dfa] = None
-) -> TheoremReport:
+def x3_analysis() -> TheoremReport:
     """High powers in the three-letter word.
 
     The periods admitting exponent >= 8/5 repetitions are exactly the numbers
@@ -297,8 +287,7 @@ def x3_analysis(
     """
     t0 = time.perf_counter()
     report = TheoremReport("x3_analysis")
-    env = logic.Environment(adder=adder)
-    env = env.with_sequence("X", x if x is not None else sequences.x3_dfao())
+    env = logic.Environment().with_sequence("X", sequences.x3_dfao())
 
     high = logic.compile(
         "?msd_pell Ei (p >= 1) & (Aj (5*j <= 8*p) => X[i + j] = X[i + j + p])", env
@@ -326,11 +315,7 @@ def x3_analysis(
     report.automata["maximal_reps"] = env.stored("maximal_reps").dfa
     report.automata["highest_powers"] = env.stored("highest_powers").dfa
 
-    prefix = (
-        sequences.x3_prefix(6000)
-        if x is None
-        else np.array([automata.dfao_eval(x, i) for i in range(6000)], dtype=np.int8)
-    )
+    prefix = sequences.x3_prefix(6000)
     for m in (5, 6, 7, 8):
         p = pell.pell_number(m) + pell.pell_number(m - 1)
         n = pell.pell_number(m + 1) - 2

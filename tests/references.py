@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from pelldecide import automata, pell
-from pelldecide.automata import Dfa, Dfao
+from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 # ---------------------------------------------------------------------------
 # Pell numbers and representations, from scratch
@@ -435,6 +435,50 @@ def ref_minimize(a):
         queue = nxt
     inv = np.argsort(order)
     return type(a)(a.alphabet, order[qdelta[inv]], labels[reps][inv], 0)
+
+
+def ref_cylindrify(a, position: int):
+    """Insert one free track at ``position``."""
+    k = a.alphabet.n_tracks
+    n = a.n_states
+    shaped = a.delta.reshape((n,) + (3,) * k)
+    expanded = np.broadcast_to(np.expand_dims(shaped, axis=1 + position), (n,) + (3,) * (k + 1))
+    return type(a)(TrackAlphabet(k + 1), expanded.reshape(n, 3 ** (k + 1)), a.labels, a.initial)
+
+
+def ref_permute_tracks(a, perm):
+    """Reorder tracks; ``perm[i]`` is the old track shown at new position i."""
+    k = a.alphabet.n_tracks
+    n = a.n_states
+    shaped = a.delta.reshape((n,) + (3,) * k).transpose((0,) + tuple(1 + p for p in perm))
+    return type(a)(a.alphabet, shaped.reshape(n, 3**k), a.labels, a.initial)
+
+
+def ref_place_tracks(a, positions, total: int):
+    """Track i of ``a`` at ``positions[i]`` among ``total``: permute, then
+    insert the free tracks one at a time, lowest position first."""
+    perm = sorted(range(len(positions)), key=lambda i: positions[i])
+    out = ref_permute_tracks(a, perm)
+    for p in range(total):
+        if p not in positions:
+            out = ref_cylindrify(out, p)
+    return out
+
+
+def ref_pair_equal(a: Dfao, b: Dfao) -> Dfa:
+    """a's value at track 0 equals b's value at track 1: the union over the
+    shared outputs c of (a = c on track 0 and b = c on track 1), starting
+    from the empty relation."""
+    valid1, valid2 = pell.valid_tracks(1), pell.valid_tracks(2)
+
+    def at(m: Dfao, c: int) -> Dfa:
+        return automata.product(Dfa(m.alphabet, m.delta, m.outputs == c, m.initial), valid1)
+
+    out = automata.product(automata.complement(valid2), valid2)
+    for c in sorted(set(a.outputs.tolist()) & set(b.outputs.tolist())):
+        both = automata.product(ref_cylindrify(at(a, c), 1), ref_cylindrify(at(b, c), 0))
+        out = automata.product(out, both, "or")
+    return out
 
 
 def ref_zero_orbit(delta: np.ndarray, initial: int, zero_symbol: int = 0) -> np.ndarray:

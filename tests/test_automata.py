@@ -311,6 +311,21 @@ def test_complement():
     c = automata.complement(a)
     for w in words_up_to(3, 5):
         assert automata.accepts(c, w) != automata.accepts(a, w)
+    assert c.delta is a.delta  # a frozen table is shared, not copied
+
+
+def test_machines_copy_what_the_caller_can_write():
+    delta = np.array([[0, 1, 1], [1, 1, 1]], dtype=np.int32)
+    accepting = np.array([True, False])
+    a = Dfa(TrackAlphabet(1), delta, accepting)
+    delta[0, 0], accepting[0] = 1, False
+    assert a.delta[0, 0] == 0 and a.accepting[0]
+    assert delta.flags.writeable and accepting.flags.writeable
+    assert not (a.delta.flags.writeable or a.accepting.flags.writeable)
+    # a read-only view of a writeable array is copied too
+    view = delta.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(Dfa(TrackAlphabet(1), view, accepting).delta, delta)
 
 
 # --- emptiness, finiteness, liveness ----------------------------------------
@@ -452,8 +467,8 @@ def test_cylindrify_inserts_a_free_track():
     rng = np.random.default_rng(37)
     for _ in range(8):
         a = random_dfa(rng, n_states=5)
-        c0 = automata.cylindrify(a, 0)  # original word on track 1
-        c1 = automata.cylindrify(a, 1)  # original word on track 0
+        c0 = automata.cylindrify(a, (1,), 2)  # original word on track 1
+        c1 = automata.cylindrify(a, (0,), 2)  # original word on track 0
         assert c0.alphabet.n_tracks == c1.alphabet.n_tracks == 2
         for length in range(4):
             for u in all_words(3, length):
@@ -466,13 +481,42 @@ def test_cylindrify_inserts_a_free_track():
 def test_permute_tracks():
     rng = np.random.default_rng(41)
     a = random_dfa(rng, n_states=6, n_tracks=2)
-    swapped = automata.permute_tracks(a, (1, 0))
+    swapped = automata.cylindrify(a, (1, 0), 2)
     for length in range(4):
         for u in all_words(3, length):
             for w in all_words(3, length):
                 fwd = [3 * x + y for x, y in zip(u, w)]
                 rev = [3 * y + x for x, y in zip(u, w)]
                 assert automata.accepts(swapped, rev) == automata.accepts(a, fwd)
+
+
+def test_cylindrify_matches_permute_then_insert():
+    rng = np.random.default_rng(47)
+    for k in range(4):
+        a = random_dfa(rng, n_states=4, n_tracks=k)
+        m = Dfao(a.alphabet, a.delta, rng.integers(0, 3, size=a.n_states), 0)
+        for total in range(k, 6):
+            for positions in itertools.permutations(range(total), k):
+                for machine in (a, m):
+                    got = automata.cylindrify(machine, positions, total)
+                    assert got == R.ref_place_tracks(machine, positions, total), (positions, total)
+
+
+def test_cylindrify_rejects_bad_placements():
+    a = random_dfa(np.random.default_rng(53), n_states=3, n_tracks=2)
+    for positions, total in [((0,), 2), ((0, 0), 2), ((0, 2), 2), ((-1, 0), 2), ((0, 1, 2), 3)]:
+        with pytest.raises(ValueError):
+            automata.cylindrify(a, positions, total)
+
+
+def test_product_of_dfaos_compares_outputs():
+    rng = np.random.default_rng(59)
+    for _ in range(6):
+        a, b = random_dfao(rng), random_dfao(rng)
+        same = automata.product(a, b, "iff")
+        for w in words_up_to(3, 4):
+            want = automata.dfao_eval(a, w) == automata.dfao_eval(b, w)
+            assert automata.accepts(same, w) == want
 
 
 def test_zero_saturate_strips_expected_leading_zeros():

@@ -7,6 +7,7 @@ import pytest
 
 import references as R
 from pelldecide import automata, learner, logic, pell, sequences
+from pelldecide.automata import Dfao, TrackAlphabet
 from pelldecide.logic import (
     CompileError,
     PBin,
@@ -207,6 +208,20 @@ def test_sequence_pair_atoms():
     rel = logic.compile("X[i + 1] = X[i]", env)
     flat = np.arange(box + 1)
     assert np.array_equal(grid(rel, box), w5[flat + 1] == w5[flat])
+
+
+def test_pair_equal_matches_the_union_over_shared_outputs():
+    machines = [sequences.c_alpha_dfao(), sequences.x5_dfao(), sequences.x3_dfao()]
+    for a in machines:
+        for b in machines:
+            assert logic._pair_equal(a, b) == R.ref_pair_equal(a, b)
+    # no output in common: the empty relation
+    zeros, ones = (
+        Dfao(TrackAlphabet(1), np.zeros((1, 3), dtype=np.int32), np.array([v])) for v in (0, 1)
+    )
+    empty = logic._pair_equal(zeros, ones)
+    assert empty == R.ref_pair_equal(zeros, ones)
+    assert automata.is_empty(empty)
 
 
 def test_sturmian_atom_alphabet():

@@ -92,14 +92,6 @@ def test_canonical_recognizer_equals_digit_conditions():
         assert np.array_equal(rec.accepting[states], pell.valid_digits_batch(rows))
 
 
-def test_compare_orders_like_integers():
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        x, y = map(int, rng.integers(0, 10**9, size=2))
-        assert pell.compare(x, y) == (x > y) - (x < y)
-    assert pell.compare(7, 7) == 0
-
-
 @given(st.integers(0, 10**12))
 def test_round_trip_property(n):
     s = pell.encode(n)

@@ -41,9 +41,11 @@ def test_finite_word_leaves_the_callers_array_writeable():
     w = np.array([0, 1, 0, 2], dtype=np.int8)
     assert search.max_exponent(w) == Fraction(3, 2)
     assert search.is_balanced(w)
-    assert not FiniteWord.make(w).symbols.flags.writeable
+    fw = FiniteWord.make(w)
+    assert not fw.symbols.flags.writeable
     w[0] = 1
     assert list(w) == [1, 1, 0, 2]
+    assert list(fw.symbols) == [0, 1, 0, 2]  # a snapshot, not a view
 
 
 def test_empty_word_edges():
