@@ -47,6 +47,29 @@ def _session_file(path: Path):
         raise ValueError(f"{path}: {e}") from e
 
 
+def _checked_sequence(m):
+    """A stored sequence must read one track and ignore leading zeros."""
+    if not isinstance(m, automata.Dfao) or m.alphabet.n_tracks != 1:
+        raise ValueError("a sequence must be a one-track automaton with outputs")
+    canon = automata.minimize(m)
+    if canon.delta[canon.initial, 0] != canon.initial:
+        raise ValueError("the sequence's output depends on leading zeros")
+    return m
+
+
+def _checked_definition(dfa, params: tuple[str, ...]):
+    """A stored relation must hold only valid tracks and ignore padding, as
+    every relation the compiler builds does."""
+    k = len(params)
+    if not isinstance(dfa, automata.Dfa) or dfa.alphabet.n_tracks != k:
+        raise ValueError(f"a definition with {k} parameters must be a {k}-track automaton")
+    if not automata.equivalent(dfa, automata.product(dfa, pell.valid_tracks(k), "and")):
+        raise ValueError("the definition accepts a track that is not a canonical representation")
+    if not automata.equivalent(dfa, automata.zero_pad_closure(automata.zero_saturate(dfa))):
+        raise ValueError("the definition depends on leading zeros")
+    return dfa
+
+
 class Session:
     """Environment plus optional persistence directory."""
 
@@ -59,15 +82,14 @@ class Session:
     def _load(self) -> None:
         for path in sorted(self.directory.glob("sequences/*.txt")):
             with _session_file(path):
-                self.env = self.env.with_sequence(path.stem, automata.load_text(path))
+                m = _checked_sequence(automata.load_text(path))
+                self.env = self.env.with_sequence(path.stem, m)
         for path in sorted(self.directory.glob("definitions/*.json")):
             with _session_file(path):
                 data = json.loads(path.read_text())
-                self.env = self.env.with_callable(
-                    path.stem,
-                    automata.from_text(data["automaton"]),
-                    tuple(data["params"]),
-                )
+                params = tuple(data["params"])
+                dfa = _checked_definition(automata.from_text(data["automaton"]), params)
+                self.env = self.env.with_callable(path.stem, dfa, params)
 
     def ensure_sequences(self, text: str) -> None:
         """Materialize built-in sequences the predicate indexes into."""

@@ -570,11 +570,12 @@ def _project_var(r: Relation, name: str) -> Relation:
     return Relation(automata.project(r.dfa, idx), rest)
 
 
-def _eliminate(constraints: list[Relation], temps: set[str]) -> Relation:
+def _eliminate(constraints: list[Relation], temps: list[str]) -> Relation:
     """Conjoin constraints, projecting each temp variable as early as its
-    last use allows, which keeps intermediate track counts low."""
+    last use allows, which keeps intermediate track counts low.  Among temps
+    of equal bucket width the earliest made goes first."""
     work = list(constraints)
-    remaining = set(temps)
+    remaining = list(temps)
     while remaining:
         best_name, best_width = None, None
         for t in remaining:
@@ -585,7 +586,7 @@ def _eliminate(constraints: list[Relation], temps: set[str]) -> Relation:
         rest = [r for r in work if best_name not in r.tracks]
         joined = reduce(_combine, bucket)
         work = rest + [_project_var(joined, best_name)]
-        remaining.discard(best_name)
+        remaining.remove(best_name)
     return reduce(_combine, work)
 
 
@@ -666,6 +667,136 @@ class Environment:
 
 
 # ---------------------------------------------------------------------------
+# change of variables: quantify over positions, not offsets
+#
+# In Aj (j + p < n) => X[i + j] = X[i + j + p] the offset j sits next to the
+# start i in every index.  Projecting j out of the relation over (i, j, n, p)
+# is the costliest step of the paper's sentences; over the position k = i + j
+# the same relation, Ak (k >= i) => ((k + p < n + i) => X[k] = X[k + p]),
+# projects through far fewer subsets.
+
+
+def _nodes(p: Predicate):
+    """Every node of a predicate, parents before children."""
+    yield p
+    if isinstance(p, (PNot, PQuant)):
+        yield from _nodes(p.body)
+    elif isinstance(p, PBin):
+        yield from _nodes(p.left)
+        yield from _nodes(p.right)
+
+
+def _indices(p: Predicate) -> tuple[Term, ...]:
+    if isinstance(p, PSeqConst):
+        return (p.index,)
+    if isinstance(p, PSeqPair):
+        return (p.left_index, p.right_index)
+    return ()
+
+
+def _summands(t: Term) -> list[Term]:
+    """The summands of a term: TAdd trees flattened, 1*x read as x."""
+    if isinstance(t, TAdd):
+        return _summands(t.left) + _summands(t.right)
+    if isinstance(t, TMul) and t.factor == 1:
+        return _summands(t.term)
+    return [t]
+
+
+def _once(summands: list[Term], name: str) -> bool:
+    """The variable is exactly one of the summands and in no other."""
+    j = TVar(name)
+    return summands.count(j) == 1 and all(s == j or name not in _term_vars(s) for s in summands)
+
+
+def _anchor(name: str, body: Predicate) -> Optional[str]:
+    """The variable t for which ``name`` may be rebound as the position
+    t + name in ``body``, or None.
+
+    Every index term mentioning the name must read t + name + u for one
+    variable t (u any further summands), and there must be two such terms;
+    the name must have coefficient 1 in every comparison and appear in no
+    call; t (and the name) must be bound nowhere inside the body.
+    """
+    anchors = []
+    bound: set[str] = set()
+    for q in _nodes(body):
+        if isinstance(q, PQuant):
+            bound.update(q.names)
+        elif isinstance(q, PCall):
+            if any(name in _term_vars(a) for a in q.args):
+                return None
+        elif isinstance(q, PCmp):
+            if name in _term_vars(q.left) | _term_vars(q.right):
+                if not _once(_summands(q.left) + _summands(q.right), name):
+                    return None
+        for index in _indices(q):
+            if name in _term_vars(index):
+                s = _summands(index)
+                shaped = len(s) >= 2 and isinstance(s[0], TVar) and s[1] == TVar(name)
+                if not (shaped and _once(s, name)):
+                    return None
+                anchors.append(s[0].name)
+    if len(anchors) < 2 or len(set(anchors)) != 1 or bound & {name, anchors[0]}:
+        return None
+    return anchors[0]
+
+
+def _rebind(p: Predicate, name: str, anchor: str) -> Predicate:
+    """Substitute name - anchor for name: the anchor leaves every index
+    t + name + u, and crosses every comparison that mentions the name."""
+    t = TVar(anchor)
+    if isinstance(p, PCmp):
+        sides = [p.left, p.right]
+        for k in (0, 1):
+            if name in _term_vars(sides[k]):
+                own = _summands(sides[k])
+                if t in own:
+                    own.remove(t)
+                    sides[k] = reduce(TAdd, own)
+                else:
+                    sides[1 - k] = TAdd(sides[1 - k], t)
+                return PCmp(p.op, *sides)
+        return p
+
+    def shift(index: Term) -> Term:
+        return reduce(TAdd, _summands(index)[1:]) if name in _term_vars(index) else index
+
+    if isinstance(p, PSeqConst):
+        return PSeqConst(p.name, shift(p.index), p.value, p.negated)
+    if isinstance(p, PSeqPair):
+        return PSeqPair(p.left_name, shift(p.left_index), p.right_name, shift(p.right_index),
+                        p.negated)
+    if isinstance(p, PNot):
+        return PNot(_rebind(p.body, name, anchor))
+    if isinstance(p, PBin):
+        return PBin(p.op, _rebind(p.left, name, anchor), _rebind(p.right, name, anchor))
+    if isinstance(p, PQuant):
+        return PQuant(p.kind, p.names, _rebind(p.body, name, anchor))
+    return p
+
+
+def _positions(q: PQuant) -> PQuant:
+    """Rebind each offset the quantifier binds as a position, where that fits.
+
+    ``Qx,y φ`` is ``Qx Qy φ``; each name, innermost first, becomes
+    ``Qj (j >= t) op φ'`` (op ``=>`` for A, ``&`` for E) when ``_anchor``
+    finds its t.  Names that do not move stay together, in their order.
+    """
+    body, held = q.body, ()
+    for name in reversed(q.names):
+        inner = PQuant(q.kind, held, body) if held else body
+        anchor = _anchor(name, inner)
+        if anchor is None:
+            held = (name,) + held
+            continue
+        guard = PCmp(">=", TVar(name), TVar(anchor))
+        moved = PBin("=>" if q.kind == "A" else "&", guard, _rebind(inner, name, anchor))
+        body, held = PQuant(q.kind, (name,), moved), ()
+    return PQuant(q.kind, held, body) if held else body
+
+
+# ---------------------------------------------------------------------------
 # compiler
 
 
@@ -675,12 +806,12 @@ class _Context:
     def __init__(self, compiler: "_Compiler"):
         self.compiler = compiler
         self.constraints: list[Relation] = []
-        self.temps: set[str] = set()
+        self.temps: list[str] = []
 
     def fresh(self) -> str:
         name = f"%{self.compiler.counter}"
         self.compiler.counter += 1
-        self.temps.add(name)
+        self.temps.append(name)
         return name
 
     def add(self, dfa: Dfa, names: tuple[str, ...]) -> None:
@@ -773,6 +904,7 @@ class _Compiler:
         if isinstance(p, PBin):
             return _combine(self.compile(p.left), self.compile(p.right), p.op)
         if isinstance(p, PQuant):
+            p = _positions(p)
             r = self.compile(p.body)
             if p.kind == "E":
                 for name in p.names:

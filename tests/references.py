@@ -356,6 +356,58 @@ def grid_highest_powers(w3: np.ndarray, box: int) -> np.ndarray:
     return out
 
 
+_CMP = {
+    "=": np.equal, "!=": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+
+
+def ref_holds(p, values: dict, words: dict, calls: dict, box: int) -> np.ndarray:
+    """Truth of a parsed predicate at each assignment, by integer arithmetic.
+
+    ``values`` maps each free variable to an array of naturals (one entry per
+    assignment), ``words`` each sequence name to its values from index 0, and
+    ``calls`` each callable name to a function of integer arrays.  A
+    quantifier ranges over 0..box, so this is the predicate's truth only when
+    every quantified variable is bounded by ``box`` in the predicate itself.
+    """
+    kind = type(p).__name__
+
+    def term(t):
+        name = type(t).__name__
+        if name == "TVar":
+            return values[t.name]
+        if name == "TConst":
+            return t.value
+        if name == "TAdd":
+            return term(t.left) + term(t.right)
+        return t.factor * term(t.term)
+
+    if kind == "PCmp":
+        return _CMP[p.op](term(p.left), term(p.right))
+    if kind == "PSeqConst":
+        return (words[p.name][term(p.index)] == p.value) != p.negated
+    if kind == "PSeqPair":
+        same = words[p.left_name][term(p.left_index)] == words[p.right_name][term(p.right_index)]
+        return same != p.negated
+    if kind == "PCall":
+        return calls[p.name](*(term(a) for a in p.args))
+    if kind == "PNot":
+        return ~ref_holds(p.body, values, words, calls, box)
+    if kind == "PBin":
+        a = ref_holds(p.left, values, words, calls, box)
+        b = ref_holds(p.right, values, words, calls, box)
+        return {"&": a & b, "|": a | b, "=>": ~a | b, "<=>": a == b}[p.op]
+    shape = np.broadcast(*values.values()).shape if values else ()
+    out = np.full(shape, p.kind == "A")
+    name, rest = p.names[0], p.names[1:]
+    body = type(p)(p.kind, rest, p.body) if rest else p.body
+    for v in range(box + 1):
+        got = ref_holds(body, {**values, name: np.full(shape, v)}, words, calls, box)
+        out = out & got if p.kind == "A" else out | got
+    return out
+
+
 # ---------------------------------------------------------------------------
 # earlier implementations that faster package code must reproduce exactly
 

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -7,10 +8,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import references as R
 from pelldecide import automata, cli, pell, sequences
+from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +291,48 @@ def test_corrupt_session_definition(capsys, tmp_path):
     bad.write_text('{"params": ["x"]}')
     code, _, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
     assert code == 2 and err.startswith("error:") and "bad.json" in err
+
+
+def test_tampered_session_definition(capsys, tmp_path):
+    run_cli(capsys, "def", "dbl", "y = 2*x", "--session", str(tmp_path))
+    path = tmp_path / "definitions" / "dbl.json"
+    good = automata.from_text(json.loads(path.read_text())["automaton"])
+    delta = np.full((3, 3), 2, dtype=np.int32)
+    delta[0, 1] = 1
+    only_unpadded_one = Dfa(TrackAlphabet(1), delta, np.array([False, True, False]), 0)
+    tampered = {
+        "junk tracks": (automata.complement(good), ["x", "y"], "canonical representation"),
+        "padding": (only_unpadded_one, ["w"], "leading zeros"),
+        "arity": (good, ["x"], "1-track automaton"),
+    }
+    for label, (dfa, params, message) in tampered.items():
+        path.write_text(json.dumps({"params": params, "automaton": automata.to_text(dfa)}))
+        code, out, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
+        assert code == 2 and out == "", label
+        assert err.startswith("error:") and "dbl.json" in err and message in err, label
+        assert len(err.splitlines()) == 1, label
+
+
+def test_tampered_session_sequence(capsys, tmp_path):
+    run_cli(capsys, "seq", "c_alpha", "--dump", "C.txt", "--session", str(tmp_path))
+    path = tmp_path / "sequences" / "C.txt"
+    good = automata.load_text(path)
+    # a leading zero now leads to a state with another output
+    other = next(q for q in range(good.n_states) if good.outputs[q] != good.outputs[good.initial])
+    delta = good.delta.copy()
+    delta[good.initial, 0] = other
+    tampered = {
+        "padding": (Dfao(good.alphabet, delta, good.outputs, good.initial), "leading zeros"),
+        "no outputs": (pell.canonical_recognizer(), "with outputs"),
+    }
+    for label, (m, message) in tampered.items():
+        path.write_text(automata.to_text(m))
+        code, out, err = run_cli(capsys, "eval", "C[1] = @0", "--session", str(tmp_path))
+        assert code == 2 and out == "", label
+        assert err.startswith("error:") and "C.txt" in err and message in err, label
+        assert len(err.splitlines()) == 1, label
+    path.write_text(automata.to_text(good))
+    assert run_cli(capsys, "eval", "C[1] = @0", "--session", str(tmp_path))[:2] == (0, "TRUE\n")
 
 
 def test_subset_budget_exits_2(capsys, monkeypatch):

@@ -1,9 +1,17 @@
 """Predicate parsing and compilation to track automata."""
 
+import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import references as R
 from pelldecide import automata, learner, logic, pell, sequences
@@ -395,3 +403,152 @@ def test_compiled_relations_match_brute_force(soundness_grids):
     for name, (auto, brute) in soundness_grids.items():
         assert auto.shape == brute.shape, name
         assert np.array_equal(auto, brute), name
+
+
+# --- quantifying over positions --------------------------------------------------------
+
+TAIL = "Aj (j + p < n) => X[i + j] = X[i + j + p]"
+
+
+def test_offsets_become_positions():
+    moved = {
+        TAIL: "Aj (j >= i) => ((j + p < n + i) => X[j] = X[j + p])",
+        # i cancels where it meets j; the bound on j is then n itself
+        "Ej (i + j < n) & X[i + j + 1] != X[i + j]": "Ej (j >= i) & ((j < n) & X[j + 1] != X[j])",
+        # one name at a time: j moves, n does not (i + j + n is not t + n + u)
+        "En,j (j < n) & X[i + j] = X[i + j + n]":
+            "En Ej (j >= i) & ((j < n + i) & X[j] = X[j + n])",
+    }
+    for text, expected in moved.items():
+        assert logic._positions(logic.parse(text)) == logic.parse(expected), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Ej (j < 5) & X[i + j] = @2",  # the windows: one index term
+        "Ej (j < 8) & C[i + j + 1] = @1",
+        "Aj (5*j <= 8*p) => X[i + j] = X[i + j + p]",  # coefficient 5
+        "Aj (j + 1 < n) => X[j + i] = X[j + i + p]",  # j before its anchor
+        "Aj (j < n) => X[i + j] = X[p + j]",  # two anchors
+        "Aj (j < n) => ($ok(j) & X[i + j] = X[i + j + 1])",  # j in a call
+        f"Ei,p,n (p >= 1) & (2*n > 3*p) & ({TAIL})",  # i, p, n index with j
+    ],
+    ids=["window-X", "window-C", "coefficient-5", "j-first", "two-anchors", "call", "outer"],
+)
+def test_other_quantifiers_stay_as_written(text):
+    q = logic.parse(text)
+    assert logic._positions(q) == q
+
+
+def test_tail_projects_positions_not_offsets(monkeypatch):
+    # projecting the offset determinized 156,877 subsets; the position, about 50k
+    sizes = []
+    minimize = automata.minimize
+
+    def recording(a):
+        sizes.append(a.n_states)
+        return minimize(a)
+
+    env = x5_env()
+    monkeypatch.setattr(automata, "minimize", recording)
+    rel = logic.compile(TAIL, env)
+    assert rel.tracks == ("i", "n", "p") and rel.dfa.n_states == 309
+    assert max(sizes) < 60_000
+
+
+_ORDER_SCRIPT = """
+import json, sys
+from pelldecide import logic
+order = []
+project = logic._project_var
+def recording(r, name):
+    order.append(name)
+    return project(r, name)
+logic._project_var = recording
+logic.compile(sys.argv[1])
+print(json.dumps(order))
+"""
+
+
+def test_temps_are_projected_in_the_same_order_under_any_hash_seed():
+    src = str(Path(logic.__file__).resolve().parents[1])
+    orders = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT, "?msd_pell x + 2*y + 3 = z + 5"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        orders.append(json.loads(done.stdout))
+    assert orders[0] == orders[1]
+    assert sorted(orders[0], key=lambda t: int(t[1:])) == [f"%{k}" for k in range(7)]
+
+
+NEAR_MISSES = ("coefficient 2", "offset in a call", "two anchors", "anchor bound inside",
+               "one index term")
+
+
+@st.composite
+def offset_formulas(draw):
+    """(shape, text): a quantifier over an offset j, bounded by a free variable."""
+    shape = "eligible" if draw(st.booleans()) else draw(st.sampled_from(NEAR_MISSES))
+    s, kind = draw(st.sampled_from("CY")), draw(st.sampled_from("AE"))
+    slack = draw(st.integers(0, 2))
+    bound = draw(st.sampled_from(
+        [f"j + {slack} < n", f"1*j + {slack} <= n", f"i + j < n + {slack}", f"j + {slack} < i + n"]
+    ))
+    if shape == "coefficient 2":
+        bound = f"2*j + {slack} < n"
+    if shape == "anchor bound inside":
+        bound = f"j + {slack} < n"  # i is bound only inside
+    shift = draw(st.sampled_from(["1", "2", "p", "p + 1"]))
+    first, second = "i + j", ("p" if shape == "two anchors" else "i") + f" + j + {shift}"
+    eq = draw(st.sampled_from(["=", "!="]))
+    atom = f"{s}[{first}] {eq} {s}[{second}]"
+    if shape == "one index term":
+        atom = f"{s}[{first}] {eq} @{draw(st.integers(0, 1))}"
+    if shape == "offset in a call":
+        atom = f"($small(j) | {atom})"
+    elif draw(st.booleans()):
+        atom = f"($small(n) | {atom})"
+    if shape == "anchor bound inside":
+        atom = f"(Ei (i <= p) & {atom})"
+    return shape, f"{kind}j ({bound}) {'=>' if kind == 'A' else '&'} {atom}"
+
+
+def _offset_env():
+    env = (
+        logic.Environment()
+        .with_sequence("C", sequences.c_alpha_dfao())
+        .with_sequence("Y", sequences.x3_dfao())
+    )
+    return logic.define(env, "small", "?msd_pell x < 7")
+
+
+def _digest(rel):
+    return rel.tracks, hashlib.sha256(automata.to_text(rel.dfa).encode()).hexdigest()
+
+
+@given(offset_formulas())
+@settings(max_examples=30)
+def test_positions_compile_to_the_same_relation(drawn):
+    shape, text = drawn
+    ast, env, box = logic.parse(text), _offset_env(), 40
+    assert (logic._positions(ast) != ast) == (shape == "eligible"), text
+    rel = logic.compile(ast, env)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "_positions", lambda q: q)
+        assert _digest(logic.compile(ast, env)) == _digest(rel), text
+
+    # and the relation is the predicate's truth on the grid 0..box; j stays
+    # below i + n, and every other bound is at most box + 2
+    reach = 2 * box if "< i + n" in text else box + 2
+    length = 2 * reach + box + 3
+    words = {"C": np.concatenate(([0], R.ref_sturmian_prefix(length - 1))),
+             "Y": R.ref_x3_prefix(length)}
+    axes = np.indices((box + 1,) * len(rel.tracks)).reshape(len(rel.tracks), -1)
+    values = dict(zip(rel.tracks, axes))
+    truth = R.ref_holds(ast, values, words, {"small": lambda x: x < 7}, reach)
+    got = logic.relation_accepts_batch(rel, axes.T)
+    assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text
