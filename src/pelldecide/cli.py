@@ -230,7 +230,7 @@ def cmd_seq(session: Session, ns) -> int:
 
 
 def cmd_learn_adder(session: Session, ns) -> int:
-    learned = learner.learn_adder(max_len=ns.max_len, seed=ns.seed)
+    learned = learner.learn_adder(max_len=ns.max_len)
     live = automata.live_state_count(learned)
     print(f"learned adder: {learned.n_states} states ({live} live) "
           f"over {learned.alphabet.size} symbols")
@@ -393,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_session(p)
 
     p = sub.add_parser("learn-adder", help="learn the addition automaton")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-len", type=int, default=6,
+                   help="sweep every word of up to this many digit triples (at most 6)")
     _add_format(p)
     _add_session(p)
 

@@ -109,7 +109,7 @@ class ObservationTable:
         return delta, values, ids[self.row(())]
 
 
-def _lstar_engine(membership, n_symbols, equivalence, build, max_rounds=10_000):
+def _lstar_engine(membership, n_symbols, equivalence, kind, max_rounds=10_000):
     table = ObservationTable(membership, n_symbols)
     for _ in range(max_rounds):
         while True:
@@ -122,7 +122,8 @@ def _lstar_engine(membership, n_symbols, equivalence, build, max_rounds=10_000):
                 table.add_suffix(suf)
                 continue
             break
-        hyp = build(*table.hypothesis())
+        delta, values, initial = table.hypothesis()
+        hyp = automata.minimize(kind(_alphabet(n_symbols), delta, np.asarray(values), initial))
         ce = equivalence(hyp)
         if ce is None:
             return hyp
@@ -137,12 +138,7 @@ def lstar(
     equivalence: Callable[[Dfa], Optional[Word]],
 ) -> Dfa:
     """Learn the minimal DFA of a boolean membership oracle."""
-
-    def build(delta, values, initial):
-        acc = np.array([bool(v) for v in values])
-        return automata.minimize(Dfa(_alphabet(n_symbols), delta, acc, initial))
-
-    return _lstar_engine(membership, n_symbols, equivalence, build)
+    return _lstar_engine(membership, n_symbols, equivalence, Dfa)
 
 
 def lstar_moore(
@@ -151,12 +147,7 @@ def lstar_moore(
     equivalence: Callable[[Dfao], Optional[Word]],
 ) -> Dfao:
     """Learn the minimal Moore machine of an integer-valued word function."""
-
-    def build(delta, values, initial):
-        outputs = np.array(values, dtype=np.int32)
-        return automata.minimize(Dfao(_alphabet(n_symbols), delta, outputs, initial))
-
-    return _lstar_engine(outputs, n_symbols, equivalence, build)
+    return _lstar_engine(outputs, n_symbols, equivalence, Dfao)
 
 
 def _alphabet(n_symbols: int) -> TrackAlphabet:
@@ -173,6 +164,7 @@ def _alphabet(n_symbols: int) -> TrackAlphabet:
 
 
 _EXHAUSTIVE_CHUNK = 2_000_000
+_MAX_LEVEL = 27**6  # words of the longest level bounded_equiv sweeps
 
 
 def _extend(words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -222,51 +214,32 @@ def _radix_pieces(hypothesis: Dfa | Dfao, n_symbols: int, max_len: int):
 
 def bounded_equiv(
     hypothesis: Dfa | Dfao,
-    membership: Callable[[Word], Hashable],
+    oracle: Callable[[np.ndarray], np.ndarray],
     n_symbols: int,
     max_len: int = 6,
-    exhaustive_len: int | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-    batch_membership: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Optional[Word]:
-    """Search for a word where hypothesis and oracle disagree.
+    """The radix-least word of length <= max_len where hypothesis and oracle
+    disagree, or None.
 
-    Exhaustive in radix order through ``exhaustive_len`` (default: all of
-    ``max_len`` when that stays below ~400M words, else length 6), then seeded
-    random sampling stratified over the remaining lengths up to ``max_len``.
-    Returns the radix-least mismatch found, or None.  A None answer is
-    evidence, not proof; final soundness comes from the inductive verification
-    downstream.  ``batch_membership`` receives (n_words, length) arrays of
-    symbol indices; the exhaustive sweep passes int8 for up to 128 symbols.
+    Every such word is swept; ``oracle`` receives them as (n_words, length)
+    arrays of symbol indices, int8 for up to 128 symbols, and returns one
+    value per row.  A None answer is evidence, not proof; final soundness
+    comes from the inductive verification downstream.  Raises ValueError,
+    before any oracle call, for a negative ``max_len`` or a longest level of
+    more than 27^6 words.
     """
-    if exhaustive_len is None:
-        exhaustive_len = max_len if n_symbols**max_len <= 27**6 else 6
-    if max_len < 0 or exhaustive_len < 0:
-        raise ValueError("max_len and exhaustive_len must be >= 0")
-    if batch_membership is None:
-        def batch_membership(words: np.ndarray) -> np.ndarray:  # noqa: F811
-            return np.array([membership(tuple(map(int, w))) for w in words])
-
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    if n_symbols**max_len > _MAX_LEVEL:
+        raise ValueError(
+            f"a sweep to length {max_len} over {n_symbols} symbols has more than "
+            f"27^6 words in its last level"
+        )
     values = hypothesis.labels
-
-    for words, states in _radix_pieces(hypothesis, n_symbols, min(exhaustive_len, max_len)):
-        bad = np.flatnonzero(values[states] != batch_membership(words))
+    for words, states in _radix_pieces(hypothesis, n_symbols, max_len):
+        bad = np.flatnonzero(values[states] != oracle(words))
         if len(bad):
             return tuple(map(int, words[bad[0]]))
-
-    rng = np.random.default_rng(seed)
-    lengths = list(range(exhaustive_len + 1, max_len + 1))
-    found: list[Word] = []
-    if lengths:
-        per_length = -(-samples // len(lengths))
-        for length in lengths:
-            words = rng.integers(0, n_symbols, size=(per_length, length), dtype=np.int64)
-            states = automata.run_batch(hypothesis, words)
-            bad = np.flatnonzero(values[states] != batch_membership(words))
-            found.extend(tuple(map(int, words[i])) for i in bad)
-    if found:
-        return min(found, key=lambda w: (len(w), w))
     return None
 
 
@@ -304,23 +277,19 @@ def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
     return ok & (pell.decode_batch(dx + dy - dz) == 0)
 
 
-def learn_adder(max_len: int = 6, seed: int = 0) -> Dfa:
+def learn_adder(max_len: int = 6) -> Dfa:
     """L*-learned minimal DFA of the addition relation."""
 
     def equivalence(hyp: Dfa) -> Optional[Word]:
-        return bounded_equiv(
-            hyp,
-            adder_oracle,
-            27,
-            max_len=max_len,
-            seed=seed,
-            batch_membership=adder_oracle_batch,
-        )
+        return bounded_equiv(hyp, adder_oracle_batch, 27, max_len)
 
     return lstar(adder_oracle, 27, equivalence)
 
 
-def direct_adder(cap: int = 64) -> Dfa:
+_CAP = 64  # largest carry coefficient direct_adder tracks
+
+
+def direct_adder() -> Dfa:
     """Addition relation built by carry analysis instead of learning.
 
     Reading digit triples most significant first, the running discrepancy
@@ -328,7 +297,7 @@ def direct_adder(cap: int = 64) -> Dfa:
     symbols remain, and reading a triple with digit sum difference d maps
     (c1, c0) to (2*c1 + c0 + d, c1).  The word sums correctly iff c1 ends at
     0 (the trailing weight P_0 is 0, so c0 is free).  Coefficients beyond
-    ``cap`` cannot return to zero and collapse into a dead state; the cap is
+    ``_CAP`` cannot return to zero and collapse into a dead state; the cap is
     validated by the equivalence test against the learned automaton.
     """
     start = (0, 0)
@@ -353,7 +322,7 @@ def direct_adder(cap: int = 64) -> Dfa:
             c1, c0 = state
             dx, dy, dz = sym // 9, (sym // 3) % 3, sym % 3
             n1, n0 = 2 * c1 + c0 + dx + dy - dz, c1
-            key = (n1, n0) if max(abs(n1), abs(n0)) <= cap else dead
+            key = (n1, n0) if max(abs(n1), abs(n0)) <= _CAP else dead
             row.append(intern(key))
         rows.append(row)
 

@@ -643,9 +643,6 @@ class Environment:
         new[_check_name(name)] = _Stored(dfa, params)
         return Environment(self._sequences, new, self._adder)
 
-    def with_adder(self, adder: Dfa) -> "Environment":
-        return Environment(self._sequences, self._callables, adder)
-
     def sequence(self, name: str) -> Dfao:
         if name not in self._sequences:
             raise CompileError(f"unknown sequence {name!r}")
@@ -658,9 +655,6 @@ class Environment:
 
     def sequence_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._sequences))
-
-    def callable_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._callables))
 
     def adder(self) -> Dfa:
         return self._adder if self._adder is not None else learner.adder()

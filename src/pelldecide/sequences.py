@@ -163,15 +163,17 @@ def _word_table(blocks, size: int) -> np.ndarray:
     return _replace(sturmian_prefix(max(size, 4096)), blocks)
 
 
-def learn_word_dfao(blocks, max_len: int = 14) -> Dfao:
+_WORD_MAX_LEN = 14  # digit strings learn_word_dfao's equivalence sweep reaches
+
+
+def learn_word_dfao(blocks) -> Dfao:
     """Learn the Pell-base DFAO of a replacement word from its oracle.
 
     The target function is total: a digit string that is a padded canonical
     representation of N maps to word[N], anything else to 0.  Equivalence is
-    an exhaustive sweep over all digit strings up to ``max_len``.
+    an exhaustive sweep over all digit strings up to ``_WORD_MAX_LEN``.
     """
-    limit = pell.pell_number(max_len + 2)
-    table = _word_table(blocks, limit)
+    table = _word_table(blocks, pell.pell_number(_WORD_MAX_LEN + 2))
 
     def batch(words: np.ndarray) -> np.ndarray:
         valid = pell.valid_digits_batch(words)
@@ -179,14 +181,10 @@ def learn_word_dfao(blocks, max_len: int = 14) -> Dfao:
         return np.where(valid, table[values], 0)
 
     def outputs(word) -> int:
-        if not word:
-            return int(table[0])
         return int(batch(np.asarray(word, dtype=np.int64).reshape(1, -1))[0])
 
     def equivalence(hyp: Dfao):
-        return learner.bounded_equiv(
-            hyp, outputs, 3, max_len=max_len, batch_membership=batch
-        )
+        return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN)
 
     return learner.lstar_moore(outputs, 3, equivalence)
 

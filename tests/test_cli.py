@@ -206,7 +206,7 @@ def test_prove_emits_automata(capsys, tmp_path):
 
 
 def test_learn_adder_cli_converges(capsys):
-    code, out, _ = run_cli(capsys, "learn-adder", "--max-len", "5", "--seed", "0")
+    code, out, _ = run_cli(capsys, "learn-adder", "--max-len", "5")
     assert code == 0
     assert "learned adder: 17 states (16 live) over 27 symbols" in out
     assert "agrees with the direct construction: True" in out
@@ -214,13 +214,20 @@ def test_learn_adder_cli_converges(capsys):
 
 def test_learn_adder_cli_reports_nonconvergence(capsys):
     # with too small an equivalence budget the learner stops early and says so
-    code, out, _ = run_cli(capsys, "learn-adder", "--max-len", "3", "--seed", "1")
+    code, out, _ = run_cli(capsys, "learn-adder", "--max-len", "3")
     assert code == 1
     assert "agrees with the direct construction: False" in out
 
 
 def test_learn_adder_cli_rejects_negative_max_len(capsys):
     code, out, err = run_cli(capsys, "learn-adder", "--max-len", "-1")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "learned adder" not in out
+
+
+def test_learn_adder_cli_refuses_sweeps_past_length_6(capsys):
+    code, out, err = run_cli(capsys, "learn-adder", "--max-len", "7")
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "learned adder" not in out

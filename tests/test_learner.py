@@ -29,6 +29,24 @@ def membership_of(target):
     return lambda w: automata.accepts(target, w)
 
 
+def values_of(machine):
+    return machine.outputs if isinstance(machine, Dfao) else machine.accepting
+
+
+def oracle_of(machine, changed=()):
+    """Batch oracle: the machine's values, changed on the words in ``changed``."""
+
+    def batch(words):
+        got = values_of(machine)[automata.run_batch(machine, words)]
+        hit = np.zeros(len(words), dtype=bool)
+        for w in changed:
+            if len(w) == words.shape[1]:
+                hit |= (words == np.asarray(w, dtype=np.int64)).all(axis=1)
+        return got ^ hit if got.dtype == bool else got + hit
+
+    return batch
+
+
 def ends_in_two():
     delta = np.array([[0, 0, 1], [0, 0, 1]], dtype=np.int32)
     return Dfa(TrackAlphabet(1), delta, np.array([False, True]))
@@ -56,7 +74,7 @@ def test_lstar_moore_recovers_digit_sum():
         return int(target.outputs[automata.run(target, w)])
 
     def equivalence(h):
-        return learner.bounded_equiv(h, outputs_fn, 3, max_len=8, exhaustive_len=6)
+        return learner.bounded_equiv(h, oracle_of(target), 3, max_len=8)
 
     learned = learner.lstar_moore(outputs_fn, 3, equivalence)
     for n in range(300):
@@ -66,7 +84,7 @@ def test_lstar_moore_recovers_digit_sum():
 def test_bounded_equiv_reports_smallest_mismatch():
     target = automata.minimize(pell.canonical_recognizer())
     mutant = R.flip_accepting(target, 1)
-    ce = learner.bounded_equiv(mutant, membership_of(target), 3, exhaustive_len=6)
+    ce = learner.bounded_equiv(mutant, oracle_of(target), 3)
     assert ce is not None
     assert automata.accepts(mutant, ce) != automata.accepts(target, ce)
     # radix order: no shorter or lexicographically earlier mismatch exists
@@ -80,40 +98,55 @@ def test_bounded_equiv_reports_smallest_mismatch():
 def test_bounded_equiv_passes_identical_languages():
     target = automata.minimize(pell.canonical_recognizer())
     same = automata.complement(automata.complement(target))
-    assert learner.bounded_equiv(same, membership_of(target), 3, exhaustive_len=6) is None
-
-
-def test_bounded_equiv_is_deterministic():
-    target = automata.minimize(even_ones())
-    mutant = R.reroute(target, 1, 2, 0)
-    a = learner.bounded_equiv(mutant, membership_of(target), 3, seed=9)
-    b = learner.bounded_equiv(mutant, membership_of(target), 3, seed=9)
-    assert a == b
+    assert learner.bounded_equiv(same, oracle_of(target), 3) is None
 
 
 def test_bounded_equiv_rejects_negative_lengths():
     target = automata.minimize(even_ones())
     with pytest.raises(ValueError):
-        learner.bounded_equiv(target, membership_of(target), 3, max_len=-1)
-    with pytest.raises(ValueError):
-        learner.bounded_equiv(target, membership_of(target), 3, exhaustive_len=-1)
+        learner.bounded_equiv(target, oracle_of(target), 3, max_len=-1)
+
+
+class FirstCall(Exception):
+    """Raised by ``counting`` on its first call."""
+
+
+def counting(calls):
+    """Batch oracle that records each call and stops the sweep at the first."""
+
+    def batch(words):
+        calls.append(words.shape)
+        raise FirstCall
+
+    return batch
+
+
+@pytest.mark.parametrize(
+    "n_symbols, max_len", [(27, 7), (3, 19)], ids=["27-symbols-7", "3-symbols-19"]
+)
+def test_bounded_equiv_refuses_sweeps_past_27_to_the_6(n_symbols, max_len):
+    hyp = random_machine(np.random.default_rng(n_symbols), n_symbols, moore=False)
+    calls = []
+    with pytest.raises(ValueError, match="27\\^6"):
+        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len)
+    assert calls == []
+    # one length less is within the limit: the sweep starts with the empty word
+    with pytest.raises(FirstCall):
+        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len - 1)
+    assert calls == [(1, 0)]
 
 
 # --- the exhaustive sweep against a run of every word ---------------------------
 
 
-def values_of(machine):
-    return machine.outputs if isinstance(machine, Dfao) else machine.accepting
-
-
-def reference_sweep(hypothesis, batch_membership, n_symbols, max_len):
+def reference_sweep(hypothesis, oracle, n_symbols, max_len):
     """Radix-least mismatch, running every word from the initial state."""
     for length in range(max_len + 1):
         words = np.array(
             list(itertools.product(range(n_symbols), repeat=length)), dtype=np.int64
         ).reshape(n_symbols**length, length)
         states = automata.run_batch(hypothesis, words)
-        bad = np.flatnonzero(values_of(hypothesis)[states] != batch_membership(words))
+        bad = np.flatnonzero(values_of(hypothesis)[states] != oracle(words))
         if len(bad):
             return tuple(map(int, words[bad[0]]))
     return None
@@ -129,20 +162,6 @@ def random_machine(rng, n_symbols, moore):
     return Dfa(alphabet, delta, rng.random(n) < 0.5, initial)
 
 
-def oracle_of(machine, changed=()):
-    """Batch oracle: the machine's values, changed on the words in ``changed``."""
-
-    def batch(words):
-        got = values_of(machine)[automata.run_batch(machine, words)]
-        hit = np.zeros(len(words), dtype=bool)
-        for w in changed:
-            if len(w) == words.shape[1]:
-                hit |= (words == np.asarray(w, dtype=np.int64)).all(axis=1)
-        return got ^ hit if got.dtype == bool else got + hit
-
-    return batch
-
-
 def swept(hypothesis, batch, n_symbols, max_len, chunk):
     """bounded_equiv's answer, checking the pieces the oracle is handed."""
     sizes = []
@@ -152,9 +171,7 @@ def swept(hypothesis, batch, n_symbols, max_len, chunk):
         sizes.append(len(words))
         return batch(words)
 
-    ce = learner.bounded_equiv(
-        hypothesis, None, n_symbols, max_len=max_len, batch_membership=checked
-    )
+    ce = learner.bounded_equiv(hypothesis, checked, n_symbols, max_len)
     return ce, sizes
 
 
