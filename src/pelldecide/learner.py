@@ -24,7 +24,6 @@ __all__ = [
     "lstar",
     "lstar_moore",
     "bounded_equiv",
-    "adder_oracle",
     "adder_oracle_batch",
     "learn_adder",
     "direct_adder",
@@ -36,57 +35,80 @@ Word = tuple[int, ...]
 class ObservationTable:
     """Prefix/suffix observation table over symbol indices.
 
-    ``prefixes`` stays prefix-closed, ``suffixes`` always contains the empty
-    word, and every queried value is cached, so refills after extensions only
-    touch new cells.
+    ``prefixes`` stays prefix-closed and ``suffixes`` always contains the
+    empty word.  ``oracle`` takes an (n_words, length) array of symbol
+    indices, int8 for up to 128 symbols, and returns one value per row.  Before the table is read, every
+    missing cell of the prefixes and their one-letter extensions is asked for,
+    one oracle call per word length, and each row is kept and grown by the new
+    columns only, so no word is asked twice.
     """
 
-    def __init__(self, membership: Callable[[Word], Hashable], n_symbols: int):
-        self._member = membership
+    def __init__(self, oracle: Callable[[np.ndarray], np.ndarray], n_symbols: int):
+        self._oracle = oracle
         self.n_symbols = n_symbols
-        self.prefixes: list[Word] = [()]
+        self._symbol_type = np.min_scalar_type(-n_symbols)
+        self.prefixes: list[Word] = []
         self.suffixes: list[Word] = [()]
-        self._cache: dict[Word, Hashable] = {}
-
-    def cell(self, prefix: Word, suffix: Word) -> Hashable:
-        word = prefix + suffix
-        if word not in self._cache:
-            self._cache[word] = self._member(word)
-        return self._cache[word]
-
-    def row(self, prefix: Word) -> tuple:
-        return tuple(self.cell(prefix, s) for s in self.suffixes)
+        self._values: dict[Word, Hashable] = {}
+        self._rows: dict[Word, tuple] = {}
+        self.add_prefix(())
 
     def add_prefix(self, prefix: Word) -> None:
         for cut in range(len(prefix) + 1):
             p = prefix[:cut]
-            if p not in self.prefixes:
-                self.prefixes.append(p)
+            if p in self.prefixes:
+                continue
+            self.prefixes.append(p)
+            for q in [p] + [p + (a,) for a in range(self.n_symbols)]:
+                self._rows.setdefault(q, ())
 
     def add_suffix(self, suffix: Word) -> None:
         if suffix not in self.suffixes:
             self.suffixes.append(suffix)
 
+    def _fill(self) -> None:
+        width = len(self.suffixes)
+        stale = [(p, row) for p, row in self._rows.items() if len(row) < width]
+        by_length: dict[int, dict[Word, None]] = {}
+        for p, row in stale:
+            for s in self.suffixes[len(row):]:
+                word = p + s
+                if word not in self._values:
+                    by_length.setdefault(len(word), {})[word] = None
+        for length, words in sorted(by_length.items()):
+            batch = np.array(list(words), dtype=self._symbol_type).reshape(len(words), length)
+            self._values.update(zip(words, self._oracle(batch).tolist()))
+        for p, row in stale:
+            self._rows[p] = row + tuple(self._values[p + s] for s in self.suffixes[len(row):])
+
+    def row(self, prefix: Word) -> tuple:
+        """The values of ``prefix`` followed by each suffix; ``prefix`` is a
+        prefix or one letter longer than one."""
+        self._fill()
+        return self._rows[prefix]
+
     def closed(self) -> tuple[bool, Optional[Word]]:
         """Second item: a one-letter extension whose row is missing."""
-        rows = {self.row(p) for p in self.prefixes}
+        self._fill()
+        rows = {self._rows[p] for p in self.prefixes}
         for p in self.prefixes:
             for a in range(self.n_symbols):
-                if self.row(p + (a,)) not in rows:
+                if self._rows[p + (a,)] not in rows:
                     return False, p + (a,)
         return True, None
 
     def consistent(self) -> tuple[bool, Optional[Word]]:
         """Second item: a distinguishing suffix to add."""
+        self._fill()
         by_row: dict[tuple, Word] = {}
         for p in self.prefixes:
-            r = self.row(p)
+            r = self._rows[p]
             if r not in by_row:
                 by_row[r] = p
                 continue
             q = by_row[r]
             for a in range(self.n_symbols):
-                ra, rb = self.row(q + (a,)), self.row(p + (a,))
+                ra, rb = self._rows[q + (a,)], self._rows[p + (a,)]
                 if ra != rb:
                     at = next(i for i in range(len(ra)) if ra[i] != rb[i])
                     return False, (a,) + self.suffixes[at]
@@ -94,60 +116,63 @@ class ObservationTable:
 
     def hypothesis(self) -> tuple[np.ndarray, list, int]:
         """Transition table, per-state values, initial state index."""
+        self._fill()
         ids: dict[tuple, int] = {}
         values: list = []
         for p in self.prefixes:
-            r = self.row(p)
+            r = self._rows[p]
             if r not in ids:
                 ids[r] = len(values)
-                values.append(self.cell(p, ()))
+                values.append(r[0])
         delta = np.zeros((len(values), self.n_symbols), dtype=np.int32)
         for p in self.prefixes:
-            q = ids[self.row(p)]
+            q = ids[self._rows[p]]
             for a in range(self.n_symbols):
-                delta[q, a] = ids[self.row(p + (a,))]
-        return delta, values, ids[self.row(())]
+                delta[q, a] = ids[self._rows[p + (a,)]]
+        return delta, values, ids[self._rows[()]]
 
 
-def _lstar_engine(membership, n_symbols, equivalence, kind, max_rounds=10_000):
-    table = ObservationTable(membership, n_symbols)
-    for _ in range(max_rounds):
-        while True:
-            ok, ext = table.closed()
-            if not ok:
-                table.add_prefix(ext)
-                continue
-            ok, suf = table.consistent()
-            if not ok:
-                table.add_suffix(suf)
-                continue
-            break
+def _lstar_engine(oracle, n_symbols, equivalence, kind):
+    table = ObservationTable(oracle, n_symbols)
+    while True:
+        ok, ext = table.closed()
+        if not ok:
+            table.add_prefix(ext)
+            continue
+        ok, suf = table.consistent()
+        if not ok:
+            table.add_suffix(suf)
+            continue
         delta, values, initial = table.hypothesis()
         hyp = automata.minimize(kind(_alphabet(n_symbols), delta, np.asarray(values), initial))
         ce = equivalence(hyp)
         if ce is None:
             return hyp
         # Angluin-style counterexample processing: absorb every prefix.
-        table.add_prefix(tuple(ce))
-    raise RuntimeError("learning did not converge")
+        ce = tuple(ce)
+        table.add_prefix(ce)
+        # a word the hypothesis already gets right would leave the table as it
+        # was, and L* would ask the same equivalence query forever
+        if table.row(ce)[0] == hyp.labels[automata.run(hyp, ce)]:
+            raise ValueError(f"{ce} is not a counterexample: the hypothesis agrees there")
 
 
 def lstar(
-    membership: Callable[[Word], bool],
+    oracle: Callable[[np.ndarray], np.ndarray],
     n_symbols: int,
     equivalence: Callable[[Dfa], Optional[Word]],
 ) -> Dfa:
-    """Learn the minimal DFA of a boolean membership oracle."""
-    return _lstar_engine(membership, n_symbols, equivalence, Dfa)
+    """Learn the minimal DFA of a boolean batch membership oracle."""
+    return _lstar_engine(oracle, n_symbols, equivalence, Dfa)
 
 
 def lstar_moore(
-    outputs: Callable[[Word], int],
+    oracle: Callable[[np.ndarray], np.ndarray],
     n_symbols: int,
     equivalence: Callable[[Dfao], Optional[Word]],
 ) -> Dfao:
-    """Learn the minimal Moore machine of an integer-valued word function."""
-    return _lstar_engine(outputs, n_symbols, equivalence, Dfao)
+    """Learn the minimal Moore machine of an integer-valued batch oracle."""
+    return _lstar_engine(oracle, n_symbols, equivalence, Dfao)
 
 
 def _alphabet(n_symbols: int) -> TrackAlphabet:
@@ -256,14 +281,10 @@ def _split_tracks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return dx, q - 3 * dx, words - 3 * q
 
 
-def adder_oracle(word: Word) -> bool:
-    """Membership oracle: padded canonical tracks with x + y = z."""
-    arr = np.asarray(word, dtype=np.int64).reshape(1, -1)
-    return bool(adder_oracle_batch(arr)[0])
-
-
 def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
-    """adder_oracle on each row of an (n_words, length) signed integer array."""
+    """Membership oracle of the addition relation on each row of an
+    (n_words, length) signed integer array: padded canonical tracks with
+    x + y = z."""
     words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("expected a (n_words, length) array")
@@ -283,7 +304,7 @@ def learn_adder(max_len: int = 6) -> Dfa:
     def equivalence(hyp: Dfa) -> Optional[Word]:
         return bounded_equiv(hyp, adder_oracle_batch, 27, max_len)
 
-    return lstar(adder_oracle, 27, equivalence)
+    return lstar(adder_oracle_batch, 27, equivalence)
 
 
 _CAP = 64  # largest carry coefficient direct_adder tracks

@@ -180,13 +180,10 @@ def learn_word_dfao(blocks) -> Dfao:
         values = pell.decode_batch(words)
         return np.where(valid, table[values], 0)
 
-    def outputs(word) -> int:
-        return int(batch(np.asarray(word, dtype=np.int64).reshape(1, -1))[0])
-
     def equivalence(hyp: Dfao):
         return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN)
 
-    return learner.lstar_moore(outputs, 3, equivalence)
+    return learner.lstar_moore(batch, 3, equivalence)
 
 
 def x5_dfao() -> Dfao:

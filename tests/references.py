@@ -623,6 +623,108 @@ def ref_is_infinite(a: Dfa) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# L* with one membership query per word
+
+
+class _RefObservationTable:
+    """The observation table before batching: each new cell asks ``membership``
+    for its one word, and every row is rebuilt from the cell cache."""
+
+    def __init__(self, membership, n_symbols: int):
+        self._member = membership
+        self.n_symbols = n_symbols
+        self.prefixes: list[tuple] = [()]
+        self.suffixes: list[tuple] = [()]
+        self._cache: dict[tuple, object] = {}
+
+    def cell(self, prefix: tuple, suffix: tuple):
+        word = prefix + suffix
+        if word not in self._cache:
+            self._cache[word] = self._member(word)
+        return self._cache[word]
+
+    def row(self, prefix: tuple) -> tuple:
+        return tuple(self.cell(prefix, s) for s in self.suffixes)
+
+    def add_prefix(self, prefix: tuple) -> None:
+        for cut in range(len(prefix) + 1):
+            p = prefix[:cut]
+            if p not in self.prefixes:
+                self.prefixes.append(p)
+
+    def add_suffix(self, suffix: tuple) -> None:
+        if suffix not in self.suffixes:
+            self.suffixes.append(suffix)
+
+    def closed(self):
+        rows = {self.row(p) for p in self.prefixes}
+        for p in self.prefixes:
+            for a in range(self.n_symbols):
+                if self.row(p + (a,)) not in rows:
+                    return False, p + (a,)
+        return True, None
+
+    def consistent(self):
+        by_row: dict[tuple, tuple] = {}
+        for p in self.prefixes:
+            r = self.row(p)
+            if r not in by_row:
+                by_row[r] = p
+                continue
+            q = by_row[r]
+            for a in range(self.n_symbols):
+                ra, rb = self.row(q + (a,)), self.row(p + (a,))
+                if ra != rb:
+                    at = next(i for i in range(len(ra)) if ra[i] != rb[i])
+                    return False, (a,) + self.suffixes[at]
+        return True, None
+
+    def hypothesis(self):
+        ids: dict[tuple, int] = {}
+        values: list = []
+        for p in self.prefixes:
+            r = self.row(p)
+            if r not in ids:
+                ids[r] = len(values)
+                values.append(self.cell(p, ()))
+        delta = np.zeros((len(values), self.n_symbols), dtype=np.int32)
+        for p in self.prefixes:
+            q = ids[self.row(p)]
+            for a in range(self.n_symbols):
+                delta[q, a] = ids[self.row(p + (a,))]
+        return delta, values, ids[self.row(())]
+
+
+def ref_lstar(membership, n_symbols: int, equivalence, kind):
+    """L* over a per-word ``membership`` oracle; ``kind`` is Dfa or Dfao.
+
+    Returns the learned machine and the rounds, each the table's hypothesis
+    (delta, values, initial) and the equivalence query's answer.
+    """
+    alphabet = TrackAlphabet(round(math.log(n_symbols, 3)))
+    table = _RefObservationTable(membership, n_symbols)
+    rounds = []
+    while True:
+        while True:
+            ok, ext = table.closed()
+            if not ok:
+                table.add_prefix(ext)
+                continue
+            ok, suf = table.consistent()
+            if not ok:
+                table.add_suffix(suf)
+                continue
+            break
+        delta, values, initial = table.hypothesis()
+        hyp = automata.minimize(kind(alphabet, delta, np.asarray(values), initial))
+        ce = equivalence(hyp)
+        rounds.append(((delta, values, initial), ce))
+        if ce is None:
+            return hyp, rounds
+        table.add_prefix(tuple(ce))
+
+
+# ---------------------------------------------------------------------------
 # single-point automaton mutants
 
 

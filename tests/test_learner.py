@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import references as R
-from pelldecide import automata, learner, pell
+from pelldecide import automata, learner, pell, sequences
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 
@@ -23,10 +23,6 @@ def exact_equivalence(target):
                     return w
 
     return check
-
-
-def membership_of(target):
-    return lambda w: automata.accepts(target, w)
 
 
 def values_of(machine):
@@ -47,6 +43,10 @@ def oracle_of(machine, changed=()):
     return batch
 
 
+def learn_exactly(target):
+    return lambda: learner.lstar(oracle_of(target), 3, exact_equivalence(target))
+
+
 def ends_in_two():
     delta = np.array([[0, 0, 1], [0, 0, 1]], dtype=np.int32)
     return Dfa(TrackAlphabet(1), delta, np.array([False, True]))
@@ -57,28 +57,106 @@ def even_ones():
     return Dfa(TrackAlphabet(1), delta, np.array([True, False]))
 
 
+def digit_sum():
+    delta = np.array([[(s + d) % 3 for d in range(3)] for s in range(3)], dtype=np.int32)
+    return Dfao(TrackAlphabet(1), delta, np.arange(3))
+
+
 @pytest.mark.parametrize(
     "target", [ends_in_two(), even_ones(), pell.canonical_recognizer()],
     ids=["ends-in-2", "even-1s", "canonical"],
 )
 def test_lstar_recovers_small_languages(target):
-    learned = learner.lstar(membership_of(target), 3, exact_equivalence(target))
+    learned = learn_exactly(target)()
     assert R.same_automaton(automata.minimize(learned), automata.minimize(target))
 
 
-def test_lstar_moore_recovers_digit_sum():
-    delta = np.array([[(s + d) % 3 for d in range(3)] for s in range(3)], dtype=np.int32)
-    target = Dfao(TrackAlphabet(1), delta, np.arange(3))
-
-    def outputs_fn(w):
-        return int(target.outputs[automata.run(target, w)])
+def learn_digit_sum():
+    target = digit_sum()
 
     def equivalence(h):
         return learner.bounded_equiv(h, oracle_of(target), 3, max_len=8)
 
-    learned = learner.lstar_moore(outputs_fn, 3, equivalence)
+    return learner.lstar_moore(oracle_of(target), 3, equivalence)
+
+
+def test_lstar_moore_recovers_digit_sum():
+    learned = learn_digit_sum()
     for n in range(300):
-        assert automata.dfao_eval(learned, n) == automata.dfao_eval(target, n)
+        assert automata.dfao_eval(learned, n) == automata.dfao_eval(digit_sum(), n)
+
+
+@pytest.mark.parametrize(
+    "target, learn", [(ends_in_two(), learner.lstar), (digit_sum(), learner.lstar_moore)],
+    ids=["dfa", "dfao"],
+)
+def test_lstar_rejects_a_word_the_hypothesis_gets_right(target, learn):
+    asked = []
+
+    def equivalence(h):
+        asked.append(h)
+        return ()  # every hypothesis agrees with the table on its empty prefix
+
+    with pytest.raises(ValueError, match="not a counterexample"):
+        learn(oracle_of(target), 3, equivalence)
+    assert len(asked) == 1
+
+
+def learned_with_rounds(monkeypatch, learn):
+    """Run ``learn``, which calls lstar or lstar_moore once, and the per-word
+    reference engine on the same oracles.  Each side gives the learned machine
+    and its rounds: the table's hypothesis and the counterexample."""
+    hypotheses, counterexamples, reference = [], [], []
+    hypothesis = learner.ObservationTable.hypothesis
+
+    def recorded_hypothesis(table):
+        hypotheses.append(hypothesis(table))
+        return hypotheses[-1]
+
+    def spy(engine, kind):
+        def run(oracle, n_symbols, equivalence):
+            def recorded_equivalence(h):
+                counterexamples.append(equivalence(h))
+                return counterexamples[-1]
+
+            def per_word(word):
+                return oracle(np.array(word, dtype=np.int8).reshape(1, len(word)))[0].item()
+
+            reference.append(R.ref_lstar(per_word, n_symbols, equivalence, kind))
+            return engine(oracle, n_symbols, recorded_equivalence)
+
+        return run
+
+    monkeypatch.setattr(learner.ObservationTable, "hypothesis", recorded_hypothesis)
+    monkeypatch.setattr(learner, "lstar", spy(learner.lstar, Dfa))
+    monkeypatch.setattr(learner, "lstar_moore", spy(learner.lstar_moore, Dfao))
+    learned = learn()
+    [ref] = reference
+    return (learned, list(zip(hypotheses, counterexamples))), ref
+
+
+@pytest.mark.parametrize(
+    "learn",
+    [
+        learn_exactly(ends_in_two()),
+        learn_exactly(even_ones()),
+        learn_exactly(pell.canonical_recognizer()),
+        learn_digit_sum,
+        lambda: sequences.learn_word_dfao(sequences.X3_BLOCKS),
+        lambda: learner.learn_adder(max_len=3),
+    ],
+    ids=["ends-in-2", "even-1s", "canonical", "digit-sum", "x3", "adder-3"],
+)
+def test_batched_table_matches_per_word_reference(monkeypatch, learn):
+    (learned, rounds), (ref_learned, ref_rounds) = learned_with_rounds(monkeypatch, learn)
+    assert len(rounds) == len(ref_rounds)
+    for ((delta, values, initial), ce), ((ref_delta, ref_values, ref_initial), ref_ce) in zip(
+        rounds, ref_rounds
+    ):
+        assert np.array_equal(delta, ref_delta)
+        assert values == ref_values and initial == ref_initial
+        assert ce == ref_ce
+    assert automata.to_text(learned) == automata.to_text(ref_learned)
 
 
 def test_bounded_equiv_reports_smallest_mismatch():
@@ -270,7 +348,7 @@ def test_adder_oracle_matches_decode():
     for _ in range(200):
         length = int(rng.integers(0, 7))
         word = tuple(int(s) for s in rng.integers(0, 27, size=length))
-        digits = np.array(word).reshape(1, -1)
+        digits = np.array(word, dtype=np.int64).reshape(1, -1)
         x = pell.decode("".join(str(s // 9) for s in word))
         y = pell.decode("".join(str((s // 3) % 3) for s in word))
         z = pell.decode("".join(str(s % 3) for s in word))
@@ -279,11 +357,33 @@ def test_adder_oracle_matches_decode():
             and pell.valid_digits_batch((digits // 3) % 3).item()
             and pell.valid_digits_batch(digits % 3).item()
         )
-        assert learner.adder_oracle(word) == (valid and x + y == z)
+        assert learner.adder_oracle_batch(digits).tolist() == [valid and x + y == z]
+    # a row's value does not depend on the rows asked with it
     batch = rng.integers(0, 27, size=(500, 5))
     got = learner.adder_oracle_batch(batch)
     for row, g in zip(batch, got):
-        assert learner.adder_oracle(tuple(int(s) for s in row)) == bool(g)
+        assert learner.adder_oracle_batch(row.reshape(1, -1))[0] == g
+
+
+def test_table_asks_each_word_once(monkeypatch):
+    """learn_adder's table asks the oracle once per word length per fill."""
+    oracle, sweep = learner.adder_oracle_batch, learner.bounded_equiv
+    asked = []
+
+    def recorder(words):
+        asked.append(words)
+        return oracle(words)
+
+    monkeypatch.setattr(learner, "adder_oracle_batch", recorder)
+    # the equivalence sweeps ask every short word again, so they get the oracle
+    monkeypatch.setattr(
+        learner, "bounded_equiv", lambda hyp, _, n, max_len: sweep(hyp, oracle, n, max_len)
+    )
+    learner.learn_adder(max_len=4)
+    assert all(words.ndim == 2 and words.dtype == np.int8 for words in asked)
+    words = [tuple(w) for batch in asked for w in batch.tolist()]
+    assert len(words) == len(set(words))
+    assert len(asked) <= 200
 
 
 def test_learned_adder_equals_direct(learned_adder):
