@@ -11,6 +11,7 @@ theorems module, not the bounded testing here.
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from typing import Callable, Hashable, Optional
 
@@ -77,7 +78,7 @@ class ObservationTable:
                     by_length.setdefault(len(word), {})[word] = None
         for length, words in sorted(by_length.items()):
             batch = np.array(list(words), dtype=self._symbol_type).reshape(len(words), length)
-            self._values.update(zip(words, self._oracle(batch).tolist()))
+            self._values.update(zip(words, _ask(self._oracle, batch).tolist()))
         for p, row in stale:
             self._rows[p] = row + tuple(self._values[p + s] for s in self.suffixes[len(row):])
 
@@ -130,6 +131,17 @@ class ObservationTable:
             for a in range(self.n_symbols):
                 delta[q, a] = ids[self._rows[p + (a,)]]
         return delta, values, ids[self._rows[()]]
+
+
+def _ask(oracle: Callable[[np.ndarray], np.ndarray], words: np.ndarray) -> np.ndarray:
+    """The oracle's answers to ``words``, checked to be one value per row."""
+    answers = np.asarray(oracle(words))
+    if answers.shape != (len(words),):
+        raise ValueError(
+            f"expected one oracle answer per word, shape ({len(words)},); "
+            f"got shape {answers.shape}"
+        )
+    return answers
 
 
 def _lstar_engine(oracle, n_symbols, equivalence, kind):
@@ -192,49 +204,57 @@ _EXHAUSTIVE_CHUNK = 2_000_000
 _MAX_LEVEL = 27**6  # words of the longest level bounded_equiv sweeps
 
 
-def _extend(words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Each word followed by every symbol, in radix order, column-major."""
-    m, n = words.shape[0], len(symbols)
-    out = np.empty((m * n, words.shape[1] + 1), dtype=symbols.dtype, order="F")
-    for pos in range(words.shape[1]):
-        out[:, pos] = np.repeat(words[:, pos], n)
-    out[:, -1] = np.tile(symbols, m)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _radix_pieces(hypothesis: Dfa | Dfao, n_symbols: int, max_len: int):
     """Every word of length <= max_len with its hypothesis state, in radix order.
 
-    Yields (words, states) pieces of at most ``_EXHAUSTIVE_CHUNK`` words.  The
-    words of length L are those of length L-1, each followed by every symbol,
-    so their states are one gather from the level below, and only that level
-    is kept.  Words are of the smallest signed type, column-major so that the
-    oracles' per-position slices are contiguous.
+    Yields (words, states) pieces.  The words of length L come in aligned
+    pieces of n^k words, where n^k is the largest power of ``n_symbols`` that
+    is at most ``_EXHAUSTIVE_CHUNK`` (and k at most L).  The last k digits run
+    through the same radix pattern in every piece, so each length fills one
+    buffer once, and a piece rewrites only its L-k constant leading columns.
+    A piece's ``words`` is a read-only view of that buffer, valid until the
+    next piece; it has the smallest signed type and is column-major, so that
+    the oracles' per-position slices are contiguous.  The words of length L
+    are those of length L-1, each followed by every symbol, so their states
+    are one gather from the length below; the last length's are not kept.
     """
     state_type = np.min_scalar_type(hypothesis.n_states - 1)
     delta = hypothesis.delta[:, :n_symbols].astype(state_type)
     symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
-    words = np.zeros((1, 0), dtype=symbols.dtype)
+    k = 0
+    while k < max_len and n_symbols ** (k + 1) <= _EXHAUSTIVE_CHUNK:
+        k += 1
     states = np.array([hypothesis.initial], dtype=state_type)
-    yield words, states
+    yield _read_only(np.zeros((1, 0), dtype=symbols.dtype)), states
     for length in range(1, max_len + 1):
-        total = len(states) * n_symbols
+        tail = min(k, length)
+        lead, size = length - tail, n_symbols**tail
+        buffer = np.empty((size, length), dtype=symbols.dtype, order="F")
+        for col in range(lead, length):
+            # each symbol in turn, n^(length-1-col) rows at a time
+            runs = buffer[:, col].reshape(n_symbols ** (col - lead), n_symbols, -1)
+            runs[...] = symbols[:, None]
+        words = _read_only(buffer)
         keep = length < max_len
         if keep:
-            next_words = np.empty((total, length), dtype=symbols.dtype, order="F")
-            next_states = np.empty(total, dtype=state_type)
-        for lo in range(0, total, _EXHAUSTIVE_CHUNK):
-            hi = min(lo + _EXHAUSTIVE_CHUNK, total)
-            first, last = lo // n_symbols, -(-hi // n_symbols)
-            cut = slice(lo - first * n_symbols, hi - first * n_symbols)
-            piece_words = _extend(words[first:last], symbols)[cut]
-            piece_states = delta[states[first:last]].reshape(-1)[cut]
-            yield piece_words, piece_states
+            next_states = np.empty(n_symbols**length, dtype=state_type)
+        for piece, digits in enumerate(itertools.product(symbols.tolist(), repeat=lead)):
+            buffer[:, :lead] = digits
+            lo = piece * size
+            first, last = lo // n_symbols, -(-(lo + size) // n_symbols)
+            cut = lo - first * n_symbols
+            piece_states = delta[states[first:last]].reshape(-1)[cut : cut + size]
+            yield words, piece_states
             if keep:
-                next_words[lo:hi] = piece_words
-                next_states[lo:hi] = piece_states
+                next_states[lo : lo + size] = piece_states
         if keep:
-            words, states = next_words, next_states
+            states = next_states
 
 
 def bounded_equiv(
@@ -248,10 +268,11 @@ def bounded_equiv(
 
     Every such word is swept; ``oracle`` receives them as (n_words, length)
     arrays of symbol indices, int8 for up to 128 symbols, and returns one
-    value per row.  A None answer is evidence, not proof; final soundness
+    value per row.  Each array is a read-only view, valid until the next
+    one is handed out.  A None answer is evidence, not proof; final soundness
     comes from the inductive verification downstream.  Raises ValueError,
     before any oracle call, for a negative ``max_len`` or a longest level of
-    more than 27^6 words.
+    more than 27^6 words, and for an answer that is not one value per row.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -262,9 +283,9 @@ def bounded_equiv(
         )
     values = hypothesis.labels
     for words, states in _radix_pieces(hypothesis, n_symbols, max_len):
-        bad = np.flatnonzero(values[states] != oracle(words))
-        if len(bad):
-            return tuple(map(int, words[bad[0]]))
+        mismatch = values[states] != _ask(oracle, words)
+        if mismatch.any():
+            return tuple(map(int, words[mismatch.argmax()]))
     return None
 
 
@@ -294,8 +315,11 @@ def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
         & pell.valid_digits_batch(dy)
         & pell.valid_digits_batch(dz)
     )
-    # decoding is linear in the digits, so one decode gives x + y - z
-    return ok & (pell.decode_batch(dx + dy - dz) == 0)
+    # most words fail the test above; decoding is linear in the digits, so
+    # one decode of the rest gives x + y - z
+    rows = np.flatnonzero(ok)
+    ok[rows] = pell.decode_batch(dx[rows] + dy[rows] - dz[rows]) == 0
+    return ok
 
 
 def learn_adder(max_len: int = 6) -> Dfa:

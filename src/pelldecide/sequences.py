@@ -173,17 +173,27 @@ def learn_word_dfao(blocks) -> Dfao:
     representation of N maps to word[N], anything else to 0.  Equivalence is
     an exhaustive sweep over all digit strings up to ``_WORD_MAX_LEN``.
     """
-    table = _word_table(blocks, pell.pell_number(_WORD_MAX_LEN + 2))
-
-    def batch(words: np.ndarray) -> np.ndarray:
-        valid = pell.valid_digits_batch(words)
-        values = pell.decode_batch(words)
-        return np.where(valid, table[values], 0)
+    batch = _word_oracle(blocks)
 
     def equivalence(hyp: Dfao):
         return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN)
 
     return learner.lstar_moore(batch, 3, equivalence)
+
+
+def _word_oracle(blocks):
+    """Batch oracle of learn_word_dfao's target on digit strings of length
+    up to ``_WORD_MAX_LEN``."""
+    table = _word_table(blocks, pell.pell_number(_WORD_MAX_LEN + 2))
+
+    def batch(words: np.ndarray) -> np.ndarray:
+        # most digit strings are not canonical, and only the rest are decoded
+        rows = np.flatnonzero(pell.valid_digits_batch(words))
+        out = np.zeros(len(words), dtype=table.dtype)
+        out[rows] = table[pell.decode_batch(words[rows])]
+        return out
+
+    return batch
 
 
 def x5_dfao() -> Dfao:

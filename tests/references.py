@@ -725,6 +725,79 @@ def ref_lstar(membership, n_symbols: int, equivalence, kind):
 
 
 # ---------------------------------------------------------------------------
+# the exhaustive sweep and its oracles before the reused buffer
+
+
+def _ref_extend(words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Each word followed by every symbol, in radix order, column-major."""
+    m, n = words.shape[0], len(symbols)
+    out = np.empty((m * n, words.shape[1] + 1), dtype=symbols.dtype, order="F")
+    for pos in range(words.shape[1]):
+        out[:, pos] = np.repeat(words[:, pos], n)
+    out[:, -1] = np.tile(symbols, m)
+    return out
+
+
+def ref_radix_pieces(hypothesis, n_symbols: int, max_len: int, chunk: int):
+    """Every word of length <= max_len with its hypothesis state, in radix
+    order, in pieces of at most ``chunk`` words copied from the length below."""
+    state_type = np.min_scalar_type(hypothesis.n_states - 1)
+    delta = hypothesis.delta[:, :n_symbols].astype(state_type)
+    symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
+    words = np.zeros((1, 0), dtype=symbols.dtype)
+    states = np.array([hypothesis.initial], dtype=state_type)
+    yield words, states
+    for length in range(1, max_len + 1):
+        total = len(states) * n_symbols
+        keep = length < max_len
+        if keep:
+            next_words = np.empty((total, length), dtype=symbols.dtype, order="F")
+            next_states = np.empty(total, dtype=state_type)
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            first, last = lo // n_symbols, -(-hi // n_symbols)
+            cut = slice(lo - first * n_symbols, hi - first * n_symbols)
+            piece_words = _ref_extend(words[first:last], symbols)[cut]
+            piece_states = delta[states[first:last]].reshape(-1)[cut]
+            yield piece_words, piece_states
+            if keep:
+                next_words[lo:hi] = piece_words
+                next_states[lo:hi] = piece_states
+        if keep:
+            words, states = next_words, next_states
+
+
+def _ref_valid_digits(digits: np.ndarray) -> np.ndarray:
+    # digits are taken to be in {0, 1, 2}
+    if digits.shape[1] == 0:
+        return np.ones(len(digits), dtype=bool)
+    ok = (digits[:, :-1] != 2) | (digits[:, 1:] == 0)
+    return ok.all(axis=1) & (digits[:, -1] <= 1)
+
+
+def ref_adder_oracle_batch(words: np.ndarray) -> np.ndarray:
+    """The addition relation's oracle, decoding every row; symbols in 0..26."""
+    words = np.asarray(words)
+    q = words // 3
+    dx = q // 3
+    dy, dz = q - 3 * dx, words - 3 * q
+    ok = _ref_valid_digits(dx) & _ref_valid_digits(dy) & _ref_valid_digits(dz)
+    return ok & (pell.decode_batch(dx + dy - dz) == 0)
+
+
+def ref_word_oracle(word: np.ndarray):
+    """learn_word_dfao's target over ``word``, decoding every row; digits in
+    0..2 and ``word`` long enough for every value they spell."""
+
+    def batch(words: np.ndarray) -> np.ndarray:
+        valid = _ref_valid_digits(words)
+        values = pell.decode_batch(words)
+        return np.where(valid, word[values], 0)
+
+    return batch
+
+
+# ---------------------------------------------------------------------------
 # single-point automaton mutants
 
 

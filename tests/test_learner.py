@@ -275,13 +275,80 @@ def test_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
         for batch in targets:
             ce, _ = swept(hyp, batch, n_symbols, max_len, chunk)
             assert ce == reference_sweep(hyp, batch, n_symbols, max_len)
-        # the hypothesis agrees with itself, so every piece was handed out
+        # the hypothesis agrees with itself, so every piece was handed out:
+        # a length L in pieces of n^min(k, L), n^k the largest power up to chunk
         ce, sizes = swept(hyp, targets[1], n_symbols, max_len, chunk)
         assert ce is None
+        k = aligned_power(n_symbols, chunk, max_len)
         assert sizes == [
-            min(chunk, n_symbols**k - lo)
-            for k in range(max_len + 1) for lo in range(0, n_symbols**k, chunk)
+            n_symbols ** min(k, length)
+            for length in range(max_len + 1) for _ in range(n_symbols ** max(length - k, 0))
         ]
+
+
+def aligned_power(n_symbols, chunk, max_len):
+    """The largest k <= max_len with n_symbols^k <= chunk."""
+    return max(k for k in range(max_len + 1) if n_symbols**k <= chunk)
+
+
+@pytest.mark.parametrize(
+    "chunk", [1, 2, 4, 5, 9, learner._EXHAUSTIVE_CHUNK],
+    ids=["chunk-1", "chunk-2", "chunk-4", "chunk-5", "chunk-9", "chunk-default"],
+)
+@pytest.mark.parametrize("n_symbols", [1, 3, 9, 27])
+def test_radix_pieces_match_reference(monkeypatch, n_symbols, chunk):
+    """The reused-buffer sweep hands out the words and states of the
+    copy-per-piece one, in read-only int8 views, piece by piece."""
+    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    rng = np.random.default_rng(10 * n_symbols + chunk % 7)
+    max_len = MAX_LEN[n_symbols]
+    for moore in (False, True):
+        hyp = random_machine(rng, n_symbols, moore)
+        by_length = {}
+        for words, states in learner._radix_pieces(hyp, n_symbols, max_len):
+            assert words.dtype == np.int8 and not words.flags.writeable
+            assert words.flags.f_contiguous and len(states) == len(words)
+            with pytest.raises(ValueError):
+                words[...] = 0
+            pieces = by_length.setdefault(words.shape[1], ([], []))
+            pieces[0].append(words.copy())
+            pieces[1].append(states)
+        ref = {}
+        for words, states in R.ref_radix_pieces(hyp, n_symbols, max_len, chunk):
+            pieces = ref.setdefault(words.shape[1], ([], []))
+            pieces[0].append(words)
+            pieces[1].append(states)
+        assert sorted(by_length) == sorted(ref) == list(range(max_len + 1))
+        for length, (words, states) in by_length.items():
+            ref_words, ref_states = ref[length]
+            assert np.array_equal(np.concatenate(words), np.concatenate(ref_words))
+            got, want = np.concatenate(states), np.concatenate(ref_states)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def answering(shape_of):
+    """Batch oracle whose answer to n words has shape ``shape_of(n)``."""
+    return lambda words: np.zeros(shape_of(len(words)), dtype=bool)
+
+
+BAD_SHAPES = pytest.mark.parametrize(
+    "shape_of", [lambda n: (n, 1), lambda n: (n - 1,), lambda n: (n + 1,), lambda n: ()],
+    ids=["column", "short", "long", "scalar"],
+)
+
+
+@BAD_SHAPES
+def test_bounded_equiv_rejects_answers_not_one_per_row(shape_of):
+    hyp = automata.minimize(even_ones())
+    with pytest.raises(ValueError, match=r"one oracle answer per word, shape \(1,\)"):
+        learner.bounded_equiv(hyp, answering(shape_of), 3, max_len=2)
+
+
+@BAD_SHAPES
+def test_table_rejects_answers_not_one_per_row(shape_of):
+    table = learner.ObservationTable(answering(shape_of), 3)
+    with pytest.raises(ValueError, match=r"one oracle answer per word, shape \(1,\)"):
+        table.closed()
 
 
 @pytest.mark.parametrize("n_symbols", [3, 27])
@@ -363,6 +430,28 @@ def test_adder_oracle_matches_decode():
     got = learner.adder_oracle_batch(batch)
     for row, g in zip(batch, got):
         assert learner.adder_oracle_batch(row.reshape(1, -1))[0] == g
+
+
+def batches_to_compare(rng, n_symbols, max_len):
+    """Every word up to max_len in radix order, in int8 and int64, and random
+    batches of both types with zero rows and of length 0."""
+    for length in range(max_len + 1):
+        words = np.indices((n_symbols,) * length).reshape(length, n_symbols**length).T
+        yield np.asfortranarray(words, dtype=np.int8)
+        yield np.ascontiguousarray(words, dtype=np.int64)
+    for length in range(max_len + 4):
+        for count in (0, 1, 1000):
+            words = rng.integers(0, n_symbols, size=(count, length))
+            yield words
+            yield np.asfortranarray(words.astype(np.int8))
+
+
+def test_adder_oracle_matches_decode_every_row_reference():
+    rng = np.random.default_rng(27)
+    for words in batches_to_compare(rng, 27, 4):
+        got = learner.adder_oracle_batch(words)
+        assert got.dtype == bool
+        assert np.array_equal(got, R.ref_adder_oracle_batch(words))
 
 
 def test_table_asks_each_word_once(monkeypatch):

@@ -145,6 +145,37 @@ def test_encode_batch_matches_row_major_reference():
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def digit_string(row) -> str:
+    # a digit outside 0..9 becomes a letter, which is_canonical rejects
+    return "".join(str(d) if 0 <= d <= 9 else "n" for d in row)
+
+
+def test_valid_digits_batch_matches_is_canonical():
+    """Padded canonical rows, with digits from -2 to 5 in int8 and int64,
+    C and F order: every row up to length 4 and seeded ones up to 14."""
+    rng = np.random.default_rng(14)
+    for length in range(15):
+        if length <= 4:
+            rows = np.indices((8,) * length).reshape(length, 8**length).T - 2
+        else:
+            # canonical rows, then one digit changed in half of them
+            rows = pell.encode_batch(rng.integers(0, PELL[length + 1], size=3000), length)
+            rows = rows.astype(np.int64)
+            hit = rng.random(len(rows)) < 0.5
+            cols = rng.integers(0, length, size=len(rows))
+            rows[hit, cols[hit]] = rng.integers(-2, 6, size=int(hit.sum()))
+            rows = np.concatenate([rows, rng.integers(-2, 6, size=(1000, length))])
+        want = [pell.is_canonical(digit_string(r).lstrip("0")) for r in rows.tolist()]
+        assert 0 < sum(want) < len(want) or length == 0
+        for dtype in (np.int8, np.int64):
+            for order in "CF":
+                got = pell.valid_digits_batch(np.asarray(rows, dtype=dtype, order=order))
+                assert got.dtype == bool and got.tolist() == want
+    assert pell.valid_digits_batch(np.zeros((0, 3), dtype=np.int8)).shape == (0,)
+    assert not pell.valid_digits_batch(np.array([[3, 0], [-1, 0]])).any()
+    assert not pell.is_canonical("30")
+
+
 def test_batch_codec_takes_int8_as_it_comes():
     rng = np.random.default_rng(7)
     for length in range(0, 15):

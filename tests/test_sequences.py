@@ -168,3 +168,25 @@ def test_no_disk_cache_is_read(tmp_path):
 def test_learn_word_dfao_is_deterministic():
     m = sequences.learn_word_dfao(sequences.X3_BLOCKS)
     assert R.same_automaton(m, sequences.x3_dfao())
+
+
+@pytest.mark.parametrize(
+    "blocks, prefix",
+    [(sequences.X5_BLOCKS, R.ref_x5_prefix), (sequences.X3_BLOCKS, R.ref_x3_prefix)],
+    ids=["x5", "x3"],
+)
+def test_word_oracle_matches_decode_every_row_reference(blocks, prefix):
+    """Every digit string up to length 10 and drawn ones up to 14, with zero
+    rows and length 0, in int8 and int64."""
+    oracle = sequences._word_oracle(blocks)
+    reference = R.ref_word_oracle(prefix(pell.pell_number(sequences._WORD_MAX_LEN + 2)))
+    rng = np.random.default_rng(len(blocks[0]))
+    words = [np.indices((3,) * k).reshape(k, 3**k).T for k in range(11)]
+    for length in range(sequences._WORD_MAX_LEN + 1):
+        for count in (0, 1, 1000):
+            words.append(rng.integers(0, 3, size=(count, length)))
+    for rows in words:
+        for batch in (np.asfortranarray(rows, dtype=np.int8), np.ascontiguousarray(rows)):
+            got = oracle(batch)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, reference(batch))
