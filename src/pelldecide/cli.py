@@ -241,12 +241,6 @@ def cmd_learn_adder(session: Session, ns) -> int:
     return 0 if same else 1
 
 
-def cmd_verify_adder(session: Session, ns) -> int:
-    report = theorems.verify_adder()
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
 def cmd_prove(session: Session, ns) -> int:
     if ns.theorem == "all":
         names = list(theorems.THEOREMS)
@@ -398,9 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     _add_session(p)
 
-    p = sub.add_parser("verify-adder", help="run the adder correctness proof")
-    _add_session(p)
-
     p = sub.add_parser("prove", help="run theorem scripts")
     p.add_argument("theorem")
     p.add_argument("--emit-automata", help="directory for intermediate automata")
@@ -429,7 +420,6 @@ _HANDLERS = {
     "dump": cmd_dump,
     "seq": cmd_seq,
     "learn-adder": cmd_learn_adder,
-    "verify-adder": cmd_verify_adder,
     "prove": cmd_prove,
     "search": cmd_search,
     "run": cmd_run,

@@ -135,12 +135,15 @@ def encode_batch(values: np.ndarray, length: int | None = None) -> np.ndarray:
 
     Returns an (n, length) int8 array in column-major order, so each digit
     position is contiguous; length defaults to the longest value's
-    representation.  Values must fit in int64 comfortably (below P_50).
+    representation.  Values must be below P_50 = 4866752642924153522;
+    larger ones raise ValueError.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and values.min() < 0:
         raise ValueError("only naturals have Pell representations")
     top = int(values.max()) if values.size else 0
+    if top >= pell_number(50):
+        raise ValueError(f"values must be below P_50 = {pell_number(50)}, got {top}")
     need = 0
     while pell_number(need + 1) <= top:
         need += 1
@@ -151,7 +154,7 @@ def encode_batch(values: np.ndarray, length: int | None = None) -> np.ndarray:
     # int32 division takes half the time of int64 division; a weight above
     # top gives the digit 0 either way, so weights are capped to fit
     dtype = np.int32 if top < np.iinfo(np.int32).max else np.int64
-    weights = np.minimum(_pell_array(length + 1), top + 1).astype(dtype)
+    weights = np.array([min(pell_number(i), top + 1) for i in range(length + 1)], dtype=dtype)
     digits = np.empty((length, len(values)), dtype=np.int8)
     rem = values.astype(dtype)
     for pos in range(length):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
-from typing import Optional
 
 import numpy as np
 
@@ -31,9 +30,6 @@ __all__ = [
     "x5_dfao",
     "x3_dfao",
     "learn_word_dfao",
-    "VerificationError",
-    "VERIFICATION_PREDICATES",
-    "verify_x5",
 ]
 
 X5_BLOCKS = ((0, 1, 0, 2), (3, 4))
@@ -209,64 +205,3 @@ def x3_dfao() -> Dfao:
 @cache
 def _learned_dfao(blocks) -> Dfao:
     return learn_word_dfao(blocks)
-
-
-# ---------------------------------------------------------------------------
-# verification of the x5 automaton against the defining replacement
-
-
-class VerificationError(Exception):
-    """A verification predicate evaluated to false."""
-
-    def __init__(self, predicate: str):
-        super().__init__(f"verification predicate {predicate!r} is false")
-        self.predicate = predicate
-
-
-# The five defining properties of the replacement, as decidable sentences
-# over the sequence symbols C (c_alpha) and X (x5).  Order matters: the
-# first failure is reported.
-VERIFICATION_PREDICATES: dict[str, str] = {
-    "first_0_to_0": '?msd_pell C[1] = @0 & X[0] = @0',
-    "second_0_to_1": '?msd_pell C[3] = @0 & X[2] = @1',
-    "possible_triplets_for_0s": """?msd_pell Ap,q,r
-        ((p < q) & (q < r) &
-         (C[p + 1] = @0) &
-         (C[q + 1] = @0) &
-         (C[r + 1] = @0) &
-         (Ai ((i > p) & (i < r) & (i != q)) =>
-             (C[i + 1] = @1))) =>
-        (((X[p] = @0) & (X[q] = @1) & (X[r] = @0)) |
-         ((X[p] = @1) & (X[q] = @0) & (X[r] = @2)) |
-         ((X[p] = @0) & (X[q] = @2) & (X[r] = @0)) |
-         ((X[p] = @2) & (X[q] = @0) & (X[r] = @1)))""",
-    "first_1_to_3": '?msd_pell C[2] = @1 & X[1] = @3',
-    "alternate_3_4_for_1s": """?msd_pell Ap,q
-        ((p < q) &
-         (C[p + 1] = @1) &
-         (C[q + 1] = @1) &
-         (Ai ((i > p) & (i < q)) => (C[i + 1] = @0))) =>
-        (((X[p] = @3) & (X[q] = @4)) |
-         ((X[p] = @4) & (X[q] = @3)))""",
-}
-
-
-def verify_x5(c: Optional[Dfao] = None, x: Optional[Dfao] = None) -> bool:
-    """Check that the x5 automaton realizes the defining replacement.
-
-    Evaluates the five closed predicates relating C and X; returns True when
-    all hold, raises VerificationError naming the first that fails.  Passing
-    replacement automata here exists so tests can check that mutants are
-    caught.
-    """
-    from . import logic
-
-    env = (
-        logic.Environment()
-        .with_sequence("C", c if c is not None else c_alpha_dfao())
-        .with_sequence("X", x if x is not None else x5_dfao())
-    )
-    for name, text in VERIFICATION_PREDICATES.items():
-        if not logic.eval_closed(text, env):
-            raise VerificationError(name)
-    return True

@@ -11,6 +11,8 @@ The headline results:
 
 * ``verify_adder``   -- the addition automaton is correct, by induction on
   the successor relation.
+* ``verify_x5``      -- the x5 automaton computes the word that the defining
+  replacement describes.
 * ``prove_e_x5``     -- the five-letter balanced word has critical exponent
   exactly 3/2.
 * ``corollary_cex5`` -- the exponent is attained, only with period 4.
@@ -25,10 +27,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from . import _kernels, automata, logic, pell, sequences
-from .automata import Dfa
+from .automata import Dfa, Dfao
 
 __all__ = [
     "Check",
@@ -37,6 +40,8 @@ __all__ = [
     "convergent",
     "exponent_of_m",
     "verify_adder",
+    "VERIFICATION_PREDICATES",
+    "verify_x5",
     "prove_e_x5",
     "corollary_cex5",
     "almost_powers",
@@ -103,8 +108,12 @@ def exponent_of_m(m: int) -> Fraction:
     return Fraction(num, den)
 
 
+@cache
 def _x5_env() -> logic.Environment:
-    return logic.Environment().with_sequence("X", sequences.x5_dfao())
+    """X bound to x5, and $fac(i, n, p): the factor of length n at i has
+    period p.  The x5 sentences share this tail, so it is compiled once."""
+    env = logic.Environment().with_sequence("X", sequences.x5_dfao())
+    return logic.define(env, "fac", "?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]")
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +156,57 @@ def verify_adder(adder: Optional[Dfa] = None) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# critical exponent of the five-letter word
+# construction of the five-letter word
 
-_FAC_TAIL = "(Aj (j + p < n) => X[i + j] = X[i + j + p])"
+# The five defining properties of the replacement, as decidable sentences
+# over the sequence symbols C (c_alpha) and X (x5).
+VERIFICATION_PREDICATES: dict[str, str] = {
+    "first_0_to_0": '?msd_pell C[1] = @0 & X[0] = @0',
+    "second_0_to_1": '?msd_pell C[3] = @0 & X[2] = @1',
+    "possible_triplets_for_0s": """?msd_pell Ap,q,r
+        ((p < q) & (q < r) &
+         (C[p + 1] = @0) &
+         (C[q + 1] = @0) &
+         (C[r + 1] = @0) &
+         (Ai ((i > p) & (i < r) & (i != q)) =>
+             (C[i + 1] = @1))) =>
+        (((X[p] = @0) & (X[q] = @1) & (X[r] = @0)) |
+         ((X[p] = @1) & (X[q] = @0) & (X[r] = @2)) |
+         ((X[p] = @0) & (X[q] = @2) & (X[r] = @0)) |
+         ((X[p] = @2) & (X[q] = @0) & (X[r] = @1)))""",
+    "first_1_to_3": '?msd_pell C[2] = @1 & X[1] = @3',
+    "alternate_3_4_for_1s": """?msd_pell Ap,q
+        ((p < q) &
+         (C[p + 1] = @1) &
+         (C[q + 1] = @1) &
+         (Ai ((i > p) & (i < q)) => (C[i + 1] = @0))) =>
+        (((X[p] = @3) & (X[q] = @4)) |
+         ((X[p] = @4) & (X[q] = @3)))""",
+}
+
+
+def verify_x5(c: Optional[Dfao] = None, x: Optional[Dfao] = None) -> TheoremReport:
+    """The x5 automaton realizes the defining replacement of c_alpha.
+
+    One check per predicate of ``VERIFICATION_PREDICATES``, each expected
+    TRUE.  Passing replacement automata exists so tests can check that
+    mutants are caught.
+    """
+    t0 = time.perf_counter()
+    report = TheoremReport("verify_x5")
+    env = (
+        logic.Environment()
+        .with_sequence("C", c if c is not None else sequences.c_alpha_dfao())
+        .with_sequence("X", x if x is not None else sequences.x5_dfao())
+    )
+    for name, text in VERIFICATION_PREDICATES.items():
+        report.add(name, True, logic.eval_closed(text, env))
+    report.duration = time.perf_counter() - t0
+    return report
+
+
+# ---------------------------------------------------------------------------
+# critical exponent of the five-letter word
 
 
 def prove_e_x5() -> TheoremReport:
@@ -169,7 +226,7 @@ def prove_e_x5() -> TheoremReport:
         ("fac_high_exponent (exponent 2 variant)", "(n > 2*p)", False),
     ]
     for name, bound, expected in cases:
-        text = f"?msd_pell Ei,p,n (p >= 1) & {bound} & {_FAC_TAIL}"
+        text = f"?msd_pell Ei,p,n (p >= 1) & {bound} & $fac(i, n, p)"
         report.add(name, expected, logic.eval_closed(text, env))
     report.duration = time.perf_counter() - t0
     return report
@@ -187,7 +244,7 @@ def corollary_cex5() -> TheoremReport:
     env = logic.define(
         env,
         "fac_cex5",
-        f"?msd_pell En (p >= 1) & (2*n = 3*p) & {_FAC_TAIL}",
+        "?msd_pell En (p >= 1) & (2*n = 3*p) & $fac(i, n, p)",
     )
     rel = logic.compile("$fac_cex5(i, p)", env)
     report.automata["fac_cex5"] = rel.dfa
@@ -227,7 +284,7 @@ def almost_powers() -> TheoremReport:
     report = TheoremReport("almost_powers")
     env = _x5_env()
     rel = logic.compile(
-        f"?msd_pell Ei (p > 10) & (2*n + 4 >= 3*p) & {_FAC_TAIL}", env
+        "?msd_pell Ei (p > 10) & (2*n + 4 >= 3*p) & $fac(i, n, p)", env
     )
     report.automata["almost_ce_period"] = rel.dfa
 
@@ -346,6 +403,7 @@ def x3_analysis() -> TheoremReport:
 
 THEOREMS: dict[str, Callable[[], TheoremReport]] = {
     "verify_adder": verify_adder,
+    "verify_x5": verify_x5,
     "prove_e_x5": prove_e_x5,
     "corollary_cex5": corollary_cex5,
     "almost_powers": almost_powers,

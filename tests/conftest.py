@@ -1,7 +1,7 @@
 """Session fixtures shared across the suite.
 
 The expensive artifacts are built once: the learner run for the addition
-automaton, the five theorem reports, and the relation-soundness grids that
+automaton, the six theorem reports, and the relation-soundness grids that
 compare compiled predicates against brute-force truth tables.  The final
 summary block prints one line per acceptance criterion.  Every hypothesis
 test runs under one profile: the same examples on every run, and no

@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import references as R
 from conftest import criterion
@@ -106,12 +105,14 @@ def test_04_construction_verification():
             "first_1_to_3",
             "alternate_3_4_for_1s",
         ]
-        assert sorted(sequences.VERIFICATION_PREDICATES) == sorted(names)
+        assert sorted(theorems.VERIFICATION_PREDICATES) == sorted(names)
         for name in names:
-            rel = logic.compile(sequences.VERIFICATION_PREDICATES[name], env)
+            rel = logic.compile(theorems.VERIFICATION_PREDICATES[name], env)
             assert rel.tracks == ()
             assert rel.is_true, name
-        assert sequences.verify_x5()
+        report = theorems.verify_x5()
+        assert report.passed
+        assert sorted(c.name for c in report.checks) == sorted(names)
 
 
 def test_05_critical_exponent(theorem_reports):
@@ -213,10 +214,13 @@ def test_10_mutation_sensitivity():
         assert not theorems.verify_adder(rerouted).passed
         assert theorems.verify_adder(healthy).passed
 
+        # each failing check names a defining predicate of the x5 word
         x_bad = R.mutated_at_word(sequences.x5_dfao(), "2001")
-        with pytest.raises(sequences.VerificationError):
-            sequences.verify_x5(x=x_bad)
+        report = theorems.verify_x5(x=x_bad)
+        assert not report.passed
+        assert [c.name for c in report.checks if not c.ok] == ["alternate_3_4_for_1s"]
         c_bad = R.mutated_at_word(sequences.c_alpha_dfao(), "1")
-        with pytest.raises(sequences.VerificationError):
-            sequences.verify_x5(c=c_bad)
-        assert sequences.verify_x5()
+        report = theorems.verify_x5(c=c_bad)
+        assert not report.passed
+        assert [c.name for c in report.checks if not c.ok][0] == "first_0_to_0"
+        assert theorems.verify_x5().passed

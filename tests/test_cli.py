@@ -175,11 +175,11 @@ def test_search_limit_depth_below_one_exits_2(capsys, depth):
     assert err.splitlines() == ["error: limit_depth must be at least 1"]
 
 
-# --- prove / verify-adder ----------------------------------------------------------------
+# --- prove -------------------------------------------------------------------------------
 
 
 def test_verify_adder_cli(capsys):
-    code, out, _ = run_cli(capsys, "verify-adder")
+    code, out, _ = run_cli(capsys, "prove", "verify_adder")
     assert code == 0
     assert re.match(r"verify_adder: PASS \(\d+\.\ds\)", out)
     assert "ok base_proof" in out.replace("  ", " ")

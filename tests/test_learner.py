@@ -29,16 +29,39 @@ def values_of(machine):
     return machine.outputs if isinstance(machine, Dfao) else machine.accepting
 
 
+def every_word(n_symbols, length):
+    """All words of a length in radix order, one per row."""
+    words = itertools.product(range(n_symbols), repeat=length)
+    return np.array(list(words), dtype=np.int64).reshape(n_symbols**length, length)
+
+
 def oracle_of(machine, changed=()):
-    """Batch oracle: the machine's values, changed on the words in ``changed``."""
+    """Batch oracle: the machine's values, changed on the words in ``changed``.
+
+    The first query of a length runs every word of that length once; later
+    queries look their words up by radix rank, so a one-word query costs no
+    run of the machine.
+    """
+    n_symbols = machine.alphabet.size
+    tables = {}
+
+    def table(length):
+        if length not in tables:
+            # one row per word of the length: keep the tables small
+            assert n_symbols**length <= 3**13, (n_symbols, length)
+            weights = n_symbols ** np.arange(length - 1, -1, -1)
+            got = values_of(machine)[automata.run_batch(machine, every_word(n_symbols, length))]
+            flips = sorted({int(np.dot(w, weights)) for w in changed if len(w) == length})
+            if got.dtype == bool:
+                got[flips] ^= True
+            else:
+                got[flips] += 1
+            tables[length] = weights, got
+        return tables[length]
 
     def batch(words):
-        got = values_of(machine)[automata.run_batch(machine, words)]
-        hit = np.zeros(len(words), dtype=bool)
-        for w in changed:
-            if len(w) == words.shape[1]:
-                hit |= (words == np.asarray(w, dtype=np.int64)).all(axis=1)
-        return got ^ hit if got.dtype == bool else got + hit
+        weights, values = table(words.shape[1])
+        return values[words @ weights]
 
     return batch
 
@@ -220,9 +243,7 @@ def test_bounded_equiv_refuses_sweeps_past_27_to_the_6(n_symbols, max_len):
 def reference_sweep(hypothesis, oracle, n_symbols, max_len):
     """Radix-least mismatch, running every word from the initial state."""
     for length in range(max_len + 1):
-        words = np.array(
-            list(itertools.product(range(n_symbols), repeat=length)), dtype=np.int64
-        ).reshape(n_symbols**length, length)
+        words = every_word(n_symbols, length)
         states = automata.run_batch(hypothesis, words)
         bad = np.flatnonzero(values_of(hypothesis)[states] != oracle(words))
         if len(bad):

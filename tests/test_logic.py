@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import references as R
-from pelldecide import automata, learner, logic, pell, sequences
+from pelldecide import automata, learner, logic, pell, sequences, theorems
 from pelldecide.automata import Dfao, TrackAlphabet
 from pelldecide.logic import (
     CompileError,
@@ -36,7 +36,7 @@ CORPUS = [
     "?msd_pell Ei (p >= 1) & (Aj (5*j <= 8*p) => X[i + j] = X[i + j + p])",
     "?msd_pell Ei (Aj (j < n) => X[i + j] = X[i + j + p]) & (X[i + n] != X[i + n + p])",
     "~(Ex x = 1) | (X[0] = X[1] <=> 2*q = q + q)",
-    *sequences.VERIFICATION_PREDICATES.values(),
+    *theorems.VERIFICATION_PREDICATES.values(),
 ]
 
 

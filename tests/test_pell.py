@@ -1,6 +1,7 @@
 """Pell numbers, digit strings, and the canonical-form recognizer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,22 @@ def test_encode_batch_padding():
     assert digits.shape == (4, 8)
     assert np.array_equal(pell.decode_batch(digits), values)
     assert "".join(map(str, digits[3])).lstrip("0") == "201100"
+
+
+def test_encode_batch_limit_is_p50():
+    p50 = pell.pell_number(50)
+    assert p50 == 4866752642924153522
+    digits = pell.encode_batch([p50 - 1])
+    assert digits.shape == (1, 49)
+    assert "".join(map(str, digits[0])) == pell.encode(p50 - 1)
+    assert pell.decode_batch(digits)[0] == p50 - 1
+    # padding past P_50's position still works for values below the limit
+    padded = pell.encode_batch([p50 - 1, 5], length=60)
+    assert np.array_equal(padded[:, 11:], pell.encode_batch([p50 - 1, 5]))
+    assert not padded[:, :11].any()
+    for top in (p50, 2**63 - 1):
+        with pytest.raises(ValueError, match="below P_50 = 4866752642924153522"):
+            pell.encode_batch([0, top])
 
 
 def test_encode_batch_matches_row_major_reference():

@@ -10,7 +10,7 @@ import pytest
 
 import pelldecide
 import references as R
-from pelldecide import automata, learner, logic, pell, sequences
+from pelldecide import automata, learner, logic, pell, sequences, theorems
 from pelldecide.automata import Dfao, TrackAlphabet
 
 STURMIAN_29 = "01010010100101010010100101010"
@@ -114,27 +114,37 @@ def test_high_letters_align_with_sturmian_ones():
 
 
 def test_verification_predicates_all_hold():
-    assert len(sequences.VERIFICATION_PREDICATES) == 5
-    assert sequences.verify_x5() is True
+    assert len(theorems.VERIFICATION_PREDICATES) == 5
+    report = theorems.verify_x5()
+    assert report.passed
+    assert [(c.name, c.expected, c.obtained) for c in report.checks] == [
+        (name, True, True) for name in theorems.VERIFICATION_PREDICATES
+    ]
     env = (
         logic.Environment()
         .with_sequence("C", sequences.c_alpha_dfao())
         .with_sequence("X", sequences.x5_dfao())
     )
-    for name, text in sequences.VERIFICATION_PREDICATES.items():
+    for name, text in theorems.VERIFICATION_PREDICATES.items():
         assert logic.eval_closed(text, env), name
+
+
+def failing(report):
+    return [c.name for c in report.checks if not c.ok]
 
 
 def test_verify_x5_catches_mutants():
     good_c = sequences.c_alpha_dfao()
     good_x = sequences.x5_dfao()
-    with pytest.raises(sequences.VerificationError):
-        sequences.verify_x5(x=R.mutated_at_word(good_x, "2001"))
+    assert failing(theorems.verify_x5(x=R.mutated_at_word(good_x, "2001"))) == [
+        "alternate_3_4_for_1s"
+    ]
     # the C mutation flips a 0 state so both letters stay in the alphabet
-    with pytest.raises(sequences.VerificationError):
-        sequences.verify_x5(c=R.mutated_at_word(good_c, "1"))
+    assert failing(theorems.verify_x5(c=R.mutated_at_word(good_c, "1"))) == [
+        "first_0_to_0", "second_0_to_1", "alternate_3_4_for_1s"
+    ]
     # the originals were not disturbed
-    assert sequences.verify_x5() is True
+    assert theorems.verify_x5().passed
 
 
 def test_dfaos_are_shared_instances():

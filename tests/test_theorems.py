@@ -1,12 +1,13 @@
-"""The five scripted proofs, their reports, and their sensitivity to mutants."""
+"""The six scripted proofs, their reports, and their sensitivity to mutants."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import references as R
-from pelldecide import automata, learner, pell, sequences, theorems
+from pelldecide import automata, learner, logic, pell, sequences, theorems
 
 
 def by_name(report, fragment):
@@ -18,6 +19,7 @@ def by_name(report, fragment):
 def test_all_theorems_pass(theorem_reports):
     assert set(theorem_reports) == {
         "verify_adder",
+        "verify_x5",
         "prove_e_x5",
         "corollary_cex5",
         "almost_powers",
@@ -27,6 +29,70 @@ def test_all_theorems_pass(theorem_reports):
         assert report.passed, report.summary()
         assert report.duration > 0
         assert "PASS" in report.summary()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each report's (name, expected, obtained) list and of each report
+# automaton's to_text, taken while every x5 sentence spelled out the factor
+# tail inline: calling it as $fac must not change a byte
+PINNED = {
+    "verify_adder": (
+        "294730f1234824b2ad09332d3c645599dd3b74bf7e3fe3ed123e6564328bf77b",
+        {
+            "pell_successor": "02ea3f228d50634d94cce61262806f3dbcb8738226ba39e7f20f0c7534758d0d",
+            "adder": "cf07748bf10449a7df07129187350daba68d4689acee1e3e81b933f1b8c89ec6",
+        },
+    ),
+    "prove_e_x5": (
+        "2b4051afbd0689f7315e17778fcf2fde0234ad2e878cfa84410afa65a9582dda",
+        {},
+    ),
+    "corollary_cex5": (
+        "010020f095a07a3707b4fc095665a57812d54ece4211148ecdf94d486c764e3d",
+        {"fac_cex5": "13c7358d67deddbd86e47adeb92cca1bbb49fd7bcd772ade811d739bf2d849bf"},
+    ),
+    "almost_powers": (
+        "1dc1f74df8db787768e79f597804c99ade4d7bc26c88ad651016c408732bd5f6",
+        {"almost_ce_period": "0ccbb761a921537b6ad3d8dc0cd40c082366d8cb89b8a5e9598a330eb42b1953"},
+    ),
+    "x3_analysis": (
+        "e828a399a06c93d24bd5caf8e580dcb069802048887b187ca6f03b2966dccae1",
+        {
+            "periods_of_high_powers":
+                "dd6e991d516a18048221295d783acf08f038b96abdb4f2ed048ffaaa53b653d7",
+            "pows": "dd6e991d516a18048221295d783acf08f038b96abdb4f2ed048ffaaa53b653d7",
+            "maximal_reps": "9c67d2c2ecf181934d2f47771e90f6c76a520bb93135afa88a473579b978a0a5",
+            "highest_powers": "6877619843d51978d5f6f19fde0b79446b06f3365f585896902b8dbf7844fbec",
+        },
+    ),
+}
+
+
+def test_reports_match_pinned_digests(theorem_reports):
+    for name, (checks, machines) in PINNED.items():
+        report = theorem_reports[name]
+        listed = [(c.name, c.expected, c.obtained) for c in report.checks]
+        assert sha256(repr(listed)) == checks, name
+        texts = {key: automata.to_text(a) for key, a in report.automata.items()}
+        assert {key: sha256(text) for key, text in texts.items()} == machines, name
+
+
+def test_run_all_compiles_the_shared_tail_once(monkeypatch):
+    tail = logic.parse("Aj (j + p < n) => X[i + j] = X[i + j + p]")
+    compile_node = logic._Compiler.compile
+    seen = []
+
+    def counting(self, p):
+        seen.append(p == tail)
+        return compile_node(self, p)
+
+    monkeypatch.setattr(logic._Compiler, "compile", counting)
+    theorems._x5_env.cache_clear()
+    assert all(report.passed for report in theorems.run_all().values())
+    assert sum(seen) == 1
 
 
 def test_exponent_verdicts(theorem_reports):
