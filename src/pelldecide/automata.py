@@ -40,11 +40,8 @@ __all__ = [
     "accepts",
     "equivalent",
     "enumerate_words",
-    "enumerate_accepted",
     "dfao_eval",
     "cylindrify",
-    "format_word",
-    "parse_word",
     "save_text",
     "load_text",
     "to_dot",
@@ -189,29 +186,6 @@ def coerce_word(a: Dfa | Dfao, word) -> np.ndarray:
     if isinstance(items[0], (tuple, list, np.ndarray)):
         return np.array([a.alphabet.index(tuple(map(int, t))) for t in items], dtype=np.int64)
     return np.array([int(s) for s in items], dtype=np.int64)
-
-
-def format_word(alphabet: TrackAlphabet, word: Sequence[int]) -> str:
-    """Render symbol indices as digits ("201") or tuples ("[1,0,2][0,1,0]")."""
-    if alphabet.n_tracks == 1:
-        return "".join(str(s) for s in word)
-    return "".join("[" + ",".join(map(str, alphabet.digits(int(s)))) + "]" for s in word)
-
-
-def parse_word(alphabet: TrackAlphabet, text: str) -> tuple[int, ...]:
-    """Inverse of format_word."""
-    text = text.strip()
-    if alphabet.n_tracks == 1:
-        return tuple(int(c) for c in text)
-    if not text:
-        return ()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"malformed multi-track word: {text!r}")
-    out = []
-    for chunk in text[1:-1].split("]["):
-        digits = tuple(int(p) for p in chunk.split(","))
-        out.append(alphabet.index(digits))
-    return tuple(out)
 
 
 def run(a: Dfa | Dfao, word) -> int:
@@ -769,11 +743,6 @@ def enumerate_words(a: Dfa, max_len: int) -> list[tuple[int, ...]]:
         walk(a.initial, ())
     out.sort(key=lambda w: (len(w), w))
     return out
-
-
-def enumerate_accepted(a: Dfa, max_len: int) -> list[str]:
-    """Accepted words of length <= max_len, formatted, in radix order."""
-    return [format_word(a.alphabet, w) for w in enumerate_words(a, max_len)]
 
 
 # ---------------------------------------------------------------------------

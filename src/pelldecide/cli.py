@@ -5,7 +5,10 @@ session environment, ``prove`` runs the theorem scripts, ``seq`` prints or
 dumps the built-in sequences, ``search`` runs the balanced-word optimality
 search, and ``run`` executes a script of these commands (one per line, ``#``
 comments, double-quoted predicates, and an optional trailing
-``=> TRUE``/``=> FALSE`` expectation on eval lines).
+``=> TRUE``/``=> FALSE`` expectation on eval lines).  Scripts are read by
+``logic.script_commands``, the reader ``theorems`` uses too: ``prove`` takes
+its sentences by name from the bundled walkthrough ``data/paper.walnutish``,
+so that script is the text to edit when a sentence changes.
 
 A session directory (``--session``) persists definitions and sequence dumps
 between invocations; within one ``run``, later commands see everything
@@ -277,8 +280,7 @@ def cmd_search(session: Session, ns) -> int:
 def cmd_run(session: Session, ns) -> int:
     parser = _build_parser()
     worst = 0
-    for line in _script_lines(Path(ns.script).read_text()):
-        tokens = _line_tokens(line)
+    for tokens in logic.script_commands(Path(ns.script).read_text()):
         if not tokens:
             continue
         print(f"> {' '.join(tokens)}")
@@ -291,42 +293,6 @@ def cmd_run(session: Session, ns) -> int:
             return 2
         worst = max(worst, code)
     return worst
-
-
-def _script_lines(text: str):
-    """Logical lines: comments stripped, quotes joined across line breaks."""
-    pending = ""
-    for raw in text.splitlines():
-        line = _strip_comment(raw) if not pending else raw
-        pending = f"{pending} {line.strip()}" if pending else line.strip()
-        if pending.count('"') % 2 == 0:
-            if pending:
-                yield pending
-            pending = ""
-    if pending:
-        yield pending
-
-
-def _strip_comment(line: str) -> str:
-    quoted = False
-    for i, c in enumerate(line):
-        if c == '"':
-            quoted = not quoted
-        elif c == "#" and not quoted:
-            return line[:i]
-    return line
-
-
-def _line_tokens(line: str) -> list[str]:
-    import shlex
-
-    tokens = shlex.split(line, comments=False)
-    if "=>" in tokens:
-        at = tokens.index("=>")
-        if at != len(tokens) - 2:
-            raise ValueError(f"malformed expectation in: {line}")
-        tokens[at : at + 2] = ["--expect", tokens[at + 1]]
-    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "eval_closed",
     "define",
     "reg",
+    "script_commands",
     "relation_accepts",
     "relation_accepts_batch",
 ]
@@ -934,6 +935,48 @@ def define(env: Environment, name: str, p: Union[str, Predicate]) -> Environment
     """Compile a predicate and store it as a callable $name(...)."""
     r = compile(p, env)
     return env.with_callable(name, r.dfa, r.tracks)
+
+
+# ---------------------------------------------------------------------------
+# command scripts: one command per logical line, as `pelldecide run` reads them
+
+
+def script_commands(text: str) -> Iterator[list[str]]:
+    """Each command's tokens, one logical line at a time: ``#`` comments
+    stripped, double-quoted text joined across line breaks, and a trailing
+    ``=> TRUE``/``=> FALSE`` turned into ``--expect TRUE``/``--expect FALSE``."""
+    pending = ""
+    for raw in text.splitlines():
+        line = _strip_comment(raw) if not pending else raw
+        pending = f"{pending} {line.strip()}" if pending else line.strip()
+        if pending.count('"') % 2 == 0:
+            if pending:
+                yield _line_tokens(pending)
+            pending = ""
+    if pending:
+        yield _line_tokens(pending)
+
+
+def _strip_comment(line: str) -> str:
+    quoted = False
+    for i, c in enumerate(line):
+        if c == '"':
+            quoted = not quoted
+        elif c == "#" and not quoted:
+            return line[:i]
+    return line
+
+
+def _line_tokens(line: str) -> list[str]:
+    import shlex
+
+    tokens = shlex.split(line, comments=False)
+    if "=>" in tokens:
+        at = tokens.index("=>")
+        if at != len(tokens) - 2:
+            raise ValueError(f"malformed expectation in: {line}")
+        tokens[at : at + 2] = ["--expect", tokens[at + 1]]
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,18 @@ sampling, no floating point in any verdict, and the addition relation comes
 from the carry construction that the test suite proves equal to the learned
 automaton.
 
+The sentences themselves live in one place, the bundled command script
+``data/paper.walnutish`` that ``pelldecide run`` walks through: each
+``def``/``eval``/``reg`` is looked up there by name, and each closed check
+expects the verdict of its ``=> TRUE``/``=> FALSE`` trailer.  To change a
+sentence, edit the script.  This module adds only what a script cannot say:
+brute-force scans of the words, the enumeration of an automaton, and exact
+``Fraction`` arithmetic.  The script is read on first use, not on import.
+
 The headline results:
 
 * ``verify_adder``   -- the addition automaton is correct, by induction on
-  the successor relation.
+  the successor relation and uniqueness of the sum.
 * ``verify_x5``      -- the x5 automaton computes the word that the defining
   replacement describes.
 * ``prove_e_x5``     -- the five-letter balanced word has critical exponent
@@ -28,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from importlib import resources
 from typing import Callable, Optional
 
 from . import _kernels, automata, logic, pell, sequences
@@ -36,8 +45,6 @@ from .automata import Dfa, Dfao
 __all__ = [
     "Check",
     "TheoremReport",
-    "ConvergentPair",
-    "convergent",
     "exponent_of_m",
     "verify_adder",
     "VERIFICATION_PREDICATES",
@@ -87,19 +94,6 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
-    """Consecutive Pell numbers P_k/P_{k+1}, the convergents of sqrt(2)-1."""
-
-    k: int
-    numerator: int
-    denominator: int
-
-
-def convergent(k: int) -> ConvergentPair:
-    return ConvergentPair(k, pell.pell_number(k), pell.pell_number(k + 1))
-
-
 def exponent_of_m(m: int) -> Fraction:
     """Exponent of the maximal power with period P_m + P_{m-1} in the
     three-letter word: (P_{m+1} + P_m + P_{m-1} - 2) / (P_m + P_{m-1})."""
@@ -108,12 +102,46 @@ def exponent_of_m(m: int) -> Fraction:
     return Fraction(num, den)
 
 
+# ---------------------------------------------------------------------------
+# the sentences, read from the bundled script
+
+
+@cache
+def _script() -> dict[str, tuple[str, Optional[bool]]]:
+    """Each def, eval and reg of the bundled script by name: its predicate
+    (a reg's pattern) and the verdict its trailer expects, None if it has none."""
+    text = (resources.files(__package__) / "data" / "paper.walnutish").read_text()
+    sentences = {}
+    for command, name, *rest in logic.script_commands(text):
+        if command in ("def", "eval", "reg"):
+            expected = rest[-1] == "TRUE" if "--expect" in rest else None
+            sentences[name] = (rest[-1] if command == "reg" else rest[0], expected)
+    return sentences
+
+
+def _sentence(name: str) -> str:
+    """The predicate of the script's def or eval ``name``, or a reg's pattern."""
+    return _script()[name][0]
+
+
+def _define(env: logic.Environment, name: str) -> logic.Environment:
+    """Store the script's open sentence ``name`` as the callable $name."""
+    return logic.define(env, name, _sentence(name))
+
+
+def _check(report: TheoremReport, env: logic.Environment, name: str,
+           label: Optional[str] = None) -> None:
+    """Evaluate the script's closed sentence ``name`` as one check (labelled
+    ``label``, else ``name``) that expects the verdict of its trailer."""
+    text = _sentence(name)
+    report.add(label or name, _script()[name][1], logic.eval_closed(text, env))
+
+
 @cache
 def _x5_env() -> logic.Environment:
     """X bound to x5, and $fac(i, n, p): the factor of length n at i has
     period p.  The x5 sentences share this tail, so it is compiled once."""
-    env = logic.Environment().with_sequence("X", sequences.x5_dfao())
-    return logic.define(env, "fac", "?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]")
+    return _define(logic.Environment().with_sequence("X", sequences.x5_dfao()), "fac")
 
 
 # ---------------------------------------------------------------------------
@@ -125,32 +153,17 @@ def verify_adder(adder: Optional[Dfa] = None) -> TheoremReport:
 
     With the successor relation defined order-theoretically (no arithmetic),
     x + 0 = z iff x = z covers the base case, and invariance under taking
-    successors of the second summand and the sum covers the step.  Together
-    they pin the relation to true addition on all of N^2.
+    successors of the second summand and the sum covers the step, so every
+    (x, y, x + y) is accepted.  Uniqueness of the sum then leaves no other
+    triple.  Together they pin the relation to true addition on all of N^2.
     """
     t0 = time.perf_counter()
     report = TheoremReport("verify_adder")
-    env = logic.Environment(adder=adder)
-    env = logic.define(
-        env, "pell_successor", "?msd_pell x < y & (Az (z <= x) | (z >= y))"
-    )
+    env = _define(logic.Environment(adder=adder), "pell_successor")
     report.automata["pell_successor"] = env.stored("pell_successor").dfa
     report.automata["adder"] = env.adder()
-
-    report.add(
-        "base_proof",
-        True,
-        logic.eval_closed("?msd_pell Ax,z ((x + 0 = z) <=> (x = z))", env),
-    )
-    report.add(
-        "inductive_proof",
-        True,
-        logic.eval_closed(
-            "?msd_pell Ax,y,z,u,v ($pell_successor(y, u) & $pell_successor(z, v))"
-            " => ((x + y = z) <=> (x + u = v))",
-            env,
-        ),
-    )
+    for name in ("base_proof", "inductive_proof", "uniqueness_proof"):
+        _check(report, env, name)
     report.duration = time.perf_counter() - t0
     return report
 
@@ -159,30 +172,22 @@ def verify_adder(adder: Optional[Dfa] = None) -> TheoremReport:
 # construction of the five-letter word
 
 # The five defining properties of the replacement, as decidable sentences
-# over the sequence symbols C (c_alpha) and X (x5).
-VERIFICATION_PREDICATES: dict[str, str] = {
-    "first_0_to_0": '?msd_pell C[1] = @0 & X[0] = @0',
-    "second_0_to_1": '?msd_pell C[3] = @0 & X[2] = @1',
-    "possible_triplets_for_0s": """?msd_pell Ap,q,r
-        ((p < q) & (q < r) &
-         (C[p + 1] = @0) &
-         (C[q + 1] = @0) &
-         (C[r + 1] = @0) &
-         (Ai ((i > p) & (i < r) & (i != q)) =>
-             (C[i + 1] = @1))) =>
-        (((X[p] = @0) & (X[q] = @1) & (X[r] = @0)) |
-         ((X[p] = @1) & (X[q] = @0) & (X[r] = @2)) |
-         ((X[p] = @0) & (X[q] = @2) & (X[r] = @0)) |
-         ((X[p] = @2) & (X[q] = @0) & (X[r] = @1)))""",
-    "first_1_to_3": '?msd_pell C[2] = @1 & X[1] = @3',
-    "alternate_3_4_for_1s": """?msd_pell Ap,q
-        ((p < q) &
-         (C[p + 1] = @1) &
-         (C[q + 1] = @1) &
-         (Ai ((i > p) & (i < q)) => (C[i + 1] = @0))) =>
-        (((X[p] = @3) & (X[q] = @4)) |
-         ((X[p] = @4) & (X[q] = @3)))""",
-}
+# over the sequence symbols C (c_alpha) and X (x5), named as in the script.
+_X5_PREDICATES = (
+    "first_0_to_0",
+    "second_0_to_1",
+    "possible_triplets_for_0s",
+    "first_1_to_3",
+    "alternate_3_4_for_1s",
+)
+
+
+def __getattr__(name: str):
+    # VERIFICATION_PREDICATES (name -> text) is built on first use, so that
+    # importing this module reads no file
+    if name == "VERIFICATION_PREDICATES":
+        return {key: _sentence(key) for key in _X5_PREDICATES}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def verify_x5(c: Optional[Dfao] = None, x: Optional[Dfao] = None) -> TheoremReport:
@@ -199,8 +204,8 @@ def verify_x5(c: Optional[Dfao] = None, x: Optional[Dfao] = None) -> TheoremRepo
         .with_sequence("C", c if c is not None else sequences.c_alpha_dfao())
         .with_sequence("X", x if x is not None else sequences.x5_dfao())
     )
-    for name, text in VERIFICATION_PREDICATES.items():
-        report.add(name, True, logic.eval_closed(text, env))
+    for name in _X5_PREDICATES:
+        _check(report, env, name)
     report.duration = time.perf_counter() - t0
     return report
 
@@ -219,15 +224,9 @@ def prove_e_x5() -> TheoremReport:
     t0 = time.perf_counter()
     report = TheoremReport("prove_e_x5")
     env = _x5_env()
-    cases = [
-        ("fac_low_exponent", "(2*n <= 3*p)", True),
-        ("fac_ex_exponent", "(2*n = 3*p)", True),
-        ("fac_high_exponent", "(2*n > 3*p)", False),
-        ("fac_high_exponent (exponent 2 variant)", "(n > 2*p)", False),
-    ]
-    for name, bound, expected in cases:
-        text = f"?msd_pell Ei,p,n (p >= 1) & {bound} & $fac(i, n, p)"
-        report.add(name, expected, logic.eval_closed(text, env))
+    for name in ("fac_low_exponent", "fac_ex_exponent", "fac_high_exponent"):
+        _check(report, env, name)
+    _check(report, env, "fac_high_exponent_2", "fac_high_exponent (exponent 2 variant)")
     report.duration = time.perf_counter() - t0
     return report
 
@@ -240,20 +239,11 @@ def corollary_cex5() -> TheoremReport:
     """
     t0 = time.perf_counter()
     report = TheoremReport("corollary_cex5")
-    env = _x5_env()
-    env = logic.define(
-        env,
-        "fac_cex5",
-        "?msd_pell En (p >= 1) & (2*n = 3*p) & $fac(i, n, p)",
-    )
+    env = _define(_x5_env(), "fac_cex5")
     rel = logic.compile("$fac_cex5(i, p)", env)
     report.automata["fac_cex5"] = rel.dfa
 
-    report.add(
-        "every occurrence has period 4",
-        True,
-        logic.eval_closed("?msd_pell Ai,p $fac_cex5(i, p) => p = 4", env),
-    )
+    _check(report, env, "cex5_period_4", "every occurrence has period 4")
     report.add(
         "(i, p) = (23, 4) accepted",
         True,
@@ -282,10 +272,7 @@ def almost_powers() -> TheoremReport:
     """
     t0 = time.perf_counter()
     report = TheoremReport("almost_powers")
-    env = _x5_env()
-    rel = logic.compile(
-        "?msd_pell Ei (p > 10) & (2*n + 4 >= 3*p) & $fac(i, n, p)", env
-    )
+    rel = logic.compile(_sentence("almost_ce_period"), _x5_env())
     report.automata["almost_ce_period"] = rel.dfa
 
     report.add("accepted pairs form an infinite language", True,
@@ -345,30 +332,13 @@ def x3_analysis() -> TheoremReport:
     t0 = time.perf_counter()
     report = TheoremReport("x3_analysis")
     env = logic.Environment().with_sequence("X", sequences.x3_dfao())
+    env = _define(env, "periods_of_high_powers")
+    env = logic.reg(env, "pows", _sentence("pows"))
+    report.automata["periods_of_high_powers"] = env.stored("periods_of_high_powers").dfa
+    report.automata["pows"] = env.stored("pows").dfa
+    _check(report, env, "php_matches_pows", "periods of high powers are exactly 0*110000*")
 
-    high = logic.compile(
-        "?msd_pell Ei (p >= 1) & (Aj (5*j <= 8*p) => X[i + j] = X[i + j + p])", env
-    )
-    report.automata["periods_of_high_powers"] = high.dfa
-
-    env = logic.reg(env, "pows", "0*110000*")
-    pows = logic.compile("$pows(p)", env)
-    report.automata["pows"] = pows.dfa
-    report.add("periods of high powers are exactly 0*110000*", True,
-               automata.equivalent(high.dfa, pows.dfa))
-
-    env = logic.define(
-        env,
-        "maximal_reps",
-        "?msd_pell Ei (Aj (j < n) => X[i + j] = X[i + j + p])"
-        " & (X[i + n] != X[i + n + p])",
-    )
-    env = logic.define(
-        env,
-        "highest_powers",
-        "?msd_pell (p >= 1) & $pows(p) & $maximal_reps(n, p)"
-        " & (Am $maximal_reps(m, p) => m <= n)",
-    )
+    env = _define(_define(env, "maximal_reps"), "highest_powers")
     report.automata["maximal_reps"] = env.stored("maximal_reps").dfa
     report.automata["highest_powers"] = env.stored("highest_powers").dfa
 
@@ -376,11 +346,8 @@ def x3_analysis() -> TheoremReport:
     for m in (5, 6, 7, 8):
         p = pell.pell_number(m) + pell.pell_number(m - 1)
         n = pell.pell_number(m + 1) - 2
-        report.add(
-            f"highest power for period {p} has run length {n}",
-            True,
-            logic.eval_closed(f"?msd_pell An $highest_powers(n, {p}) <=> n = {n}", env),
-        )
+        _check(report, env, f"highest_power_{p}",
+               f"highest power for period {p} has run length {n}")
         report.add(f"brute-force maximal run for period {p}", n,
                    _kernels._longest_run(prefix, p))
 

@@ -206,12 +206,18 @@ def test_09_logic_soundness(soundness_grids):
 
 
 def test_10_mutation_sensitivity():
-    with criterion(10, "four single-point mutations each make a proof fail"):
+    with criterion(10, "four single-point mutations and a second sum each make a proof fail"):
         healthy = learner.direct_adder()
         flipped = R.flip_accepting(healthy, healthy.initial)
         assert not theorems.verify_adder(flipped).passed
         rerouted = R.reroute(healthy, healthy.initial, 1, healthy.initial)
         assert not theorems.verify_adder(rerouted).passed
+        # also accepts 0 + y = z for every z < y, such as 0 + 5 = 2: no step
+        # from y = 0 reaches those triples, so only uniqueness fails
+        second_sum = automata.minimize(automata.product(
+            healthy, logic.compile("?msd_pell x = 0 & z < y").dfa, "or"))
+        report = theorems.verify_adder(second_sum)
+        assert [c.name for c in report.checks if not c.ok] == ["uniqueness_proof"]
         assert theorems.verify_adder(healthy).passed
 
         # each failing check names a defining predicate of the x5 word

@@ -402,7 +402,9 @@ def test_run_bundled_walkthrough(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(script), "--session", str(tmp_path))
     assert code == 0, err
     assert "inductive_proof = TRUE" in out
+    assert "uniqueness_proof = TRUE" in out
     assert "fac_high_exponent = FALSE" in out
+    assert "fac_high_exponent_2 = FALSE" in out
     assert "php_matches_pows = TRUE" in out
     assert "highest_power_577 = TRUE" in out
 

@@ -1,7 +1,10 @@
 """The six scripted proofs, their reports, and their sensitivity to mutants."""
 
 import hashlib
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -37,10 +40,13 @@ def sha256(text):
 
 # sha256 of each report's (name, expected, obtained) list and of each report
 # automaton's to_text, taken while every x5 sentence spelled out the factor
-# tail inline: calling it as $fac must not change a byte
+# tail inline and theorems.py held its own copy of every sentence: calling
+# the tail as $fac and reading the sentences from the script must not change
+# a byte.  verify_adder's checks digest was retaken when it gained
+# uniqueness_proof.
 PINNED = {
     "verify_adder": (
-        "294730f1234824b2ad09332d3c645599dd3b74bf7e3fe3ed123e6564328bf77b",
+        "cdce8abc77c6a49329d2f3cb05545cbdeb2b3ec35c66fa9a06cf41684317721d",
         {
             "pell_successor": "02ea3f228d50634d94cce61262806f3dbcb8738226ba39e7f20f0c7534758d0d",
             "adder": "cf07748bf10449a7df07129187350daba68d4689acee1e3e81b933f1b8c89ec6",
@@ -95,11 +101,71 @@ def test_run_all_compiles_the_shared_tail_once(monkeypatch):
     assert sum(seen) == 1
 
 
+def script_trailers():
+    """name -> trailer ("TRUE", "FALSE", or None) of each def/eval/reg of the
+    bundled script, read here apart from theorems' own reading."""
+    text = (resources.files("pelldecide") / "data" / "paper.walnutish").read_text()
+    return {
+        name: rest[-1] if "--expect" in rest else None
+        for command, name, *rest in logic.script_commands(text)
+        if command in ("def", "eval", "reg")
+    }
+
+
+def test_theorems_read_every_sentence_of_the_script(monkeypatch):
+    read = []
+    sentence = theorems._sentence
+
+    def recording(name):
+        read.append(name)
+        return sentence(name)
+
+    monkeypatch.setattr(theorems, "_sentence", recording)
+    theorems._x5_env.cache_clear()
+    assert all(report.passed for report in theorems.run_all().values())
+    assert set(read) == set(script_trailers())
+
+
+# check label -> script name, where the two differ
+LABELS = {
+    "fac_high_exponent (exponent 2 variant)": "fac_high_exponent_2",
+    "every occurrence has period 4": "cex5_period_4",
+    "periods of high powers are exactly 0*110000*": "php_matches_pows",
+    **{
+        f"highest power for period {p} has run length {n}": f"highest_power_{p}"
+        for p, n in ((41, 68), (99, 167), (239, 406), (577, 983))
+    },
+}
+
+
+def test_closed_checks_expect_their_script_trailers(theorem_reports):
+    trailers = {name: t for name, t in script_trailers().items() if t is not None}
+    checked = {}
+    for report in theorem_reports.values():
+        for c in report.checks:
+            name = LABELS.get(c.name, c.name)
+            if name in trailers:
+                checked[name] = c.expected
+    assert checked == {name: trailer == "TRUE" for name, trailer in trailers.items()}
+
+
+def test_importing_theorems_reads_no_file():
+    code = (
+        "import pelldecide.cli, pelldecide.theorems as t\n"
+        "assert t._script.cache_info().misses == 0\n"
+        "assert 'first_0_to_0' in t.VERIFICATION_PREDICATES\n"
+        "assert t._script.cache_info().misses == 1\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exponent_verdicts(theorem_reports):
     report = theorem_reports["prove_e_x5"]
     assert by_name(report, "fac_low_exponent").obtained is True
     assert by_name(report, "fac_ex_exponent").obtained is True
     assert by_name(report, "fac_high_exponent").obtained is False
+    assert by_name(report, "exponent 2 variant").obtained is False
 
 
 def test_corollary_details(theorem_reports):
@@ -150,12 +216,6 @@ def test_exponent_of_m_values():
     for e in values:
         assert e > 2
         assert (2 * e.numerator - 4 * e.denominator) ** 2 < 2 * e.denominator**2
-
-
-def test_convergent_pairs():
-    c = theorems.convergent(3)
-    assert (c.k, c.numerator, c.denominator) == (3, 5, 12)
-    assert theorems.convergent(6).numerator == 70
 
 
 def test_report_plumbing():
