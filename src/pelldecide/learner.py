@@ -11,7 +11,6 @@ theorems module, not the bounded testing here.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from typing import Callable, Hashable, Optional
 
@@ -200,7 +199,7 @@ def _alphabet(n_symbols: int) -> TrackAlphabet:
 # bounded equivalence testing
 
 
-_EXHAUSTIVE_CHUNK = 2_000_000
+_EXHAUSTIVE_CHUNK = 2_000_000  # most words the oracle is handed at once
 _MAX_LEVEL = 27**6  # words of the longest level bounded_equiv sweeps
 
 
@@ -210,51 +209,96 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _radix_pieces(hypothesis: Dfa | Dfao, n_symbols: int, max_len: int):
-    """Every word of length <= max_len with its hypothesis state, in radix order.
+def _pairs(hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int) -> tuple[np.ndarray, int]:
+    """The product of ``hypothesis`` and ``domain``, whose state h * n + d
+    pairs hypothesis state h with domain state d (n the domain's state count):
+    its transition table, in the smallest unsigned type, and initial state."""
+    n = domain.n_states
+    delta = hypothesis.delta[:, None, :n_symbols] * n + domain.delta
+    pair_type = np.min_scalar_type(len(delta) * n - 1)
+    return delta.reshape(-1, n_symbols).astype(pair_type), hypothesis.initial * n + domain.initial
 
-    Yields (words, states) pieces.  The words of length L come in aligned
-    pieces of n^k words, where n^k is the largest power of ``n_symbols`` that
-    is at most ``_EXHAUSTIVE_CHUNK`` (and k at most L).  The last k digits run
-    through the same radix pattern in every piece, so each length fills one
-    buffer once, and a piece rewrites only its L-k constant leading columns.
-    A piece's ``words`` is a read-only view of that buffer, valid until the
-    next piece; it has the smallest signed type and is column-major, so that
-    the oracles' per-position slices are contiguous.  The words of length L
-    are those of length L-1, each followed by every symbol, so their states
-    are one gather from the length below; the last length's are not kept.
+
+def _grown(digits, pairs, keep, delta, symbols, step):
+    """The prefixes given as ``digits`` (one row per position, one column per
+    prefix) and product states ``pairs``, each followed by every symbol that
+    ``keep`` allows in its state, in radix order and in the same form: in
+    blocks grown from ``step`` prefixes at a time."""
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo : lo + step]
+        mask = keep[block]
+        counts = mask.sum(axis=1)
+        grown = np.empty((len(digits) + 1, counts.sum()), dtype=digits.dtype)
+        grown[:-1] = np.repeat(digits[:, lo : lo + step], counts, axis=1)
+        grown[-1] = np.broadcast_to(symbols, mask.shape)[mask]
+        yield grown, delta[block][mask]
+
+
+def _domain_pieces(hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int, max_len: int):
+    """Every word of length <= max_len that ``domain`` accepts, with its
+    hypothesis state, in radix order.
+
+    Yields (words, states) pieces of at most ``_EXHAUSTIVE_CHUNK`` words, one
+    length after another.  Per length, the walk keeps only the prefixes from
+    which the domain can still reach acceptance by length max_len, in radix
+    order: those of length L are the kept ones of length L-1, each followed
+    by every symbol that keeps it, so their product states are one gather
+    from the length below.  A length is grown from at most
+    ``_EXHAUSTIVE_CHUNK // n_symbols`` prefixes at a time, and only the
+    lengths below max_len are kept whole.  A piece's ``words`` is a
+    read-only array of the smallest signed type; it is column-major, so that
+    the oracles' per-position slices are contiguous.
     """
-    state_type = np.min_scalar_type(hypothesis.n_states - 1)
-    delta = hypothesis.delta[:, :n_symbols].astype(state_type)
+    delta, initial = _pairs(hypothesis, domain, n_symbols)
+    n_hyp = hypothesis.n_states
+    state_of = (np.arange(len(delta)) // domain.n_states).astype(np.min_scalar_type(n_hyp - 1))
+    accepted = np.tile(domain.accepting, n_hyp)
+    # the fewest steps from each product state to one the domain accepts
+    ahead = np.tile(automata._distance_to(domain.delta, domain.accepting), n_hyp)
     symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
-    k = 0
-    while k < max_len and n_symbols ** (k + 1) <= _EXHAUSTIVE_CHUNK:
-        k += 1
-    states = np.array([hypothesis.initial], dtype=state_type)
-    yield _read_only(np.zeros((1, 0), dtype=symbols.dtype)), states
-    for length in range(1, max_len + 1):
-        tail = min(k, length)
-        lead, size = length - tail, n_symbols**tail
-        buffer = np.empty((size, length), dtype=symbols.dtype, order="F")
-        for col in range(lead, length):
-            # each symbol in turn, n^(length-1-col) rows at a time
-            runs = buffer[:, col].reshape(n_symbols ** (col - lead), n_symbols, -1)
-            runs[...] = symbols[:, None]
-        words = _read_only(buffer)
-        keep = length < max_len
-        if keep:
-            next_states = np.empty(n_symbols**length, dtype=state_type)
-        for piece, digits in enumerate(itertools.product(symbols.tolist(), repeat=lead)):
-            buffer[:, :lead] = digits
-            lo = piece * size
-            first, last = lo // n_symbols, -(-(lo + size) // n_symbols)
-            cut = lo - first * n_symbols
-            piece_states = delta[states[first:last]].reshape(-1)[cut : cut + size]
-            yield words, piece_states
-            if keep:
-                next_states[lo : lo + size] = piece_states
-        if keep:
-            states = next_states
+    step = max(1, _EXHAUSTIVE_CHUNK // n_symbols)  # prefixes grown at once
+    # a length's prefixes in blocks, each with one row per position and one
+    # column per prefix (the transpose of the words) and the product states
+    blocks = [(np.zeros((0, 1), dtype=symbols.dtype), np.array([initial], dtype=delta.dtype))]
+    for length in range(max_len + 1):
+        kept = []
+        for digits, pairs in blocks:
+            rows = np.flatnonzero(accepted[pairs])
+            for lo in range(0, len(rows), _EXHAUSTIVE_CHUNK):
+                piece = rows[lo : lo + _EXHAUSTIVE_CHUNK]
+                yield _read_only(np.take(digits, piece, axis=1).T), state_of[pairs[piece]]
+            if length < max_len:
+                kept.append((digits, pairs))
+        if not kept:  # the last length, or no prefix left
+            return
+        digits = np.concatenate([d for d, _ in kept], axis=1)
+        pairs = np.concatenate([p for _, p in kept])
+        keep = ahead[delta] <= max_len - length - 1
+        blocks = _grown(digits, pairs, keep, delta, symbols, step)
+
+
+def _least_off_domain(
+    hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int, max_len: int
+) -> Optional[Word]:
+    """The radix-least word of length <= max_len that ``domain`` rejects and
+    ``hypothesis`` labels nonzero, or None; read off their product, so no
+    word is run."""
+    delta, initial = _pairs(hypothesis, domain, n_symbols)
+    # exact[r]: the product states from which some word of length exactly r
+    # ends off the domain on a nonzero label
+    exact = [((hypothesis.labels != 0)[:, None] & ~domain.accepting).ravel()]
+    for _ in range(max_len):
+        exact.append(exact[-1][delta].any(axis=1))
+    for length, reach in enumerate(exact):
+        if reach[initial]:
+            word, state = [], initial
+            for r in range(length - 1, -1, -1):
+                # the least symbol that still ends there in r more steps
+                symbol = int(exact[r][delta[state]].argmax())
+                word.append(symbol)
+                state = delta[state, symbol]
+            return tuple(word)
+    return None
 
 
 def bounded_equiv(
@@ -262,17 +306,23 @@ def bounded_equiv(
     oracle: Callable[[np.ndarray], np.ndarray],
     n_symbols: int,
     max_len: int = 6,
+    *,
+    domain: Dfa,
 ) -> Optional[Word]:
     """The radix-least word of length <= max_len where hypothesis and oracle
     disagree, or None.
 
-    Every such word is swept; ``oracle`` receives them as (n_words, length)
-    arrays of symbol indices, int8 for up to 128 symbols, and returns one
-    value per row.  Each array is a read-only view, valid until the next
-    one is handed out.  A None answer is evidence, not proof; final soundness
-    comes from the inductive verification downstream.  Raises ValueError,
-    before any oracle call, for a negative ``max_len`` or a longest level of
-    more than 27^6 words, and for an answer that is not one value per row.
+    ``domain`` accepts the words the oracle is asked on; off it, the oracle
+    promises the zero label (0 or False).  Every word of the domain is
+    swept: ``oracle`` receives them as (n_words, length) arrays of symbol
+    indices, int8 for up to 128 symbols, and returns one value per row.
+    Each array is read-only.  The other words are checked exactly, on the
+    product of hypothesis and domain, and never asked.  A None answer is
+    evidence, not proof; final soundness comes from the inductive
+    verification downstream.  Raises ValueError, before any oracle call, for
+    a negative ``max_len``, a longest level of more than 27^6 words or a
+    domain over another number of symbols, and for an answer that is not one
+    value per row.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -281,12 +331,18 @@ def bounded_equiv(
             f"a sweep to length {max_len} over {n_symbols} symbols has more than "
             f"27^6 words in its last level"
         )
+    if domain.alphabet.size != n_symbols:
+        raise ValueError(f"the domain reads {domain.alphabet.size} symbols, not {n_symbols}")
+    off = _least_off_domain(hypothesis, domain, n_symbols, max_len)
+    # a word longer than the off-domain one cannot come before it
+    last = max_len if off is None else len(off)
     values = hypothesis.labels
-    for words, states in _radix_pieces(hypothesis, n_symbols, max_len):
+    for words, states in _domain_pieces(hypothesis, domain, n_symbols, last):
         mismatch = values[states] != _ask(oracle, words)
         if mismatch.any():
-            return tuple(map(int, words[mismatch.argmax()]))
-    return None
+            found = tuple(map(int, words[mismatch.argmax()]))
+            return found if off is None else min(found, off, key=lambda w: (len(w), w))
+    return off
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +382,7 @@ def learn_adder(max_len: int = 6) -> Dfa:
     """L*-learned minimal DFA of the addition relation."""
 
     def equivalence(hyp: Dfa) -> Optional[Word]:
-        return bounded_equiv(hyp, adder_oracle_batch, 27, max_len)
+        return bounded_equiv(hyp, adder_oracle_batch, 27, max_len, domain=pell.valid_tracks(3))
 
     return lstar(adder_oracle_batch, 27, equivalence)
 

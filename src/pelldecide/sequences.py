@@ -166,13 +166,15 @@ def learn_word_dfao(blocks) -> Dfao:
     """Learn the Pell-base DFAO of a replacement word from its oracle.
 
     The target function is total: a digit string that is a padded canonical
-    representation of N maps to word[N], anything else to 0.  Equivalence is
-    an exhaustive sweep over all digit strings up to ``_WORD_MAX_LEN``.
+    representation of N maps to word[N], anything else to 0.  Each
+    equivalence query covers every digit string up to ``_WORD_MAX_LEN``: the
+    padded canonical ones are asked, and the rest, where the target is 0,
+    are checked exactly on the hypothesis.
     """
     batch = _word_oracle(blocks)
 
     def equivalence(hyp: Dfao):
-        return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN)
+        return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN, domain=pell.valid_tracks(1))
 
     return learner.lstar_moore(batch, 3, equivalence)
 

@@ -11,6 +11,7 @@ are the earlier code, kept so that the rewrites are checked against it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -725,46 +726,21 @@ def ref_lstar(membership, n_symbols: int, equivalence, kind):
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive sweep and its oracles before the reused buffer
+# the equivalence sweep's words, and its oracles before the domain walk
 
 
-def _ref_extend(words: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Each word followed by every symbol, in radix order, column-major."""
-    m, n = words.shape[0], len(symbols)
-    out = np.empty((m * n, words.shape[1] + 1), dtype=symbols.dtype, order="F")
-    for pos in range(words.shape[1]):
-        out[:, pos] = np.repeat(words[:, pos], n)
-    out[:, -1] = np.tile(symbols, m)
+def ref_domain_words(hypothesis, domain, n_symbols: int, max_len: int):
+    """Per length up to max_len, the words ``domain`` accepts, in radix
+    order, and their hypothesis states: every word run from the initial
+    states."""
+    out = []
+    for length in range(max_len + 1):
+        words = itertools.product(range(n_symbols), repeat=length)
+        words = np.array(list(words), dtype=np.int8).reshape(n_symbols**length, length)
+        words = words[domain.accepting[ref_run_batch(domain, words)]]
+        states = ref_run_batch(hypothesis, words)
+        out.append((words, states.astype(np.min_scalar_type(hypothesis.n_states - 1))))
     return out
-
-
-def ref_radix_pieces(hypothesis, n_symbols: int, max_len: int, chunk: int):
-    """Every word of length <= max_len with its hypothesis state, in radix
-    order, in pieces of at most ``chunk`` words copied from the length below."""
-    state_type = np.min_scalar_type(hypothesis.n_states - 1)
-    delta = hypothesis.delta[:, :n_symbols].astype(state_type)
-    symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
-    words = np.zeros((1, 0), dtype=symbols.dtype)
-    states = np.array([hypothesis.initial], dtype=state_type)
-    yield words, states
-    for length in range(1, max_len + 1):
-        total = len(states) * n_symbols
-        keep = length < max_len
-        if keep:
-            next_words = np.empty((total, length), dtype=symbols.dtype, order="F")
-            next_states = np.empty(total, dtype=state_type)
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            first, last = lo // n_symbols, -(-hi // n_symbols)
-            cut = slice(lo - first * n_symbols, hi - first * n_symbols)
-            piece_words = _ref_extend(words[first:last], symbols)[cut]
-            piece_states = delta[states[first:last]].reshape(-1)[cut]
-            yield piece_words, piece_states
-            if keep:
-                next_words[lo:hi] = piece_words
-                next_states[lo:hi] = piece_states
-        if keep:
-            words, states = next_words, next_states
 
 
 def _ref_valid_digits(digits: np.ndarray) -> np.ndarray:

@@ -29,6 +29,15 @@ def values_of(machine):
     return machine.outputs if isinstance(machine, Dfao) else machine.accepting
 
 
+TRACKS = {1: 0, 3: 1, 9: 2, 27: 3}
+
+
+def all_words(n_symbols):
+    """The one-state domain that accepts every word."""
+    delta = np.zeros((1, n_symbols), dtype=np.int32)
+    return Dfa(TrackAlphabet(TRACKS[n_symbols]), delta, np.array([True]))
+
+
 def every_word(n_symbols, length):
     """All words of a length in radix order, one per row."""
     words = itertools.product(range(n_symbols), repeat=length)
@@ -98,7 +107,7 @@ def learn_digit_sum():
     target = digit_sum()
 
     def equivalence(h):
-        return learner.bounded_equiv(h, oracle_of(target), 3, max_len=8)
+        return learner.bounded_equiv(h, oracle_of(target), 3, max_len=8, domain=all_words(3))
 
     return learner.lstar_moore(oracle_of(target), 3, equivalence)
 
@@ -185,7 +194,7 @@ def test_batched_table_matches_per_word_reference(monkeypatch, learn):
 def test_bounded_equiv_reports_smallest_mismatch():
     target = automata.minimize(pell.canonical_recognizer())
     mutant = R.flip_accepting(target, 1)
-    ce = learner.bounded_equiv(mutant, oracle_of(target), 3)
+    ce = learner.bounded_equiv(mutant, oracle_of(target), 3, domain=all_words(3))
     assert ce is not None
     assert automata.accepts(mutant, ce) != automata.accepts(target, ce)
     # radix order: no shorter or lexicographically earlier mismatch exists
@@ -199,13 +208,13 @@ def test_bounded_equiv_reports_smallest_mismatch():
 def test_bounded_equiv_passes_identical_languages():
     target = automata.minimize(pell.canonical_recognizer())
     same = automata.complement(automata.complement(target))
-    assert learner.bounded_equiv(same, oracle_of(target), 3) is None
+    assert learner.bounded_equiv(same, oracle_of(target), 3, domain=all_words(3)) is None
 
 
 def test_bounded_equiv_rejects_negative_lengths():
     target = automata.minimize(even_ones())
     with pytest.raises(ValueError):
-        learner.bounded_equiv(target, oracle_of(target), 3, max_len=-1)
+        learner.bounded_equiv(target, oracle_of(target), 3, max_len=-1, domain=all_words(3))
 
 
 class FirstCall(Exception):
@@ -227,17 +236,17 @@ def counting(calls):
 )
 def test_bounded_equiv_refuses_sweeps_past_27_to_the_6(n_symbols, max_len):
     hyp = random_machine(np.random.default_rng(n_symbols), n_symbols, moore=False)
-    calls = []
+    calls, domain = [], all_words(n_symbols)
     with pytest.raises(ValueError, match="27\\^6"):
-        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len)
+        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len, domain=domain)
     assert calls == []
     # one length less is within the limit: the sweep starts with the empty word
     with pytest.raises(FirstCall):
-        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len - 1)
+        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len - 1, domain=domain)
     assert calls == [(1, 0)]
 
 
-# --- the exhaustive sweep against a run of every word ---------------------------
+# --- the domain sweep against a run of every word ------------------------------
 
 
 def reference_sweep(hypothesis, oracle, n_symbols, max_len):
@@ -253,7 +262,7 @@ def reference_sweep(hypothesis, oracle, n_symbols, max_len):
 
 def random_machine(rng, n_symbols, moore):
     n = int(rng.integers(1, 7))
-    alphabet = TrackAlphabet({1: 0, 3: 1, 9: 2, 27: 3}[n_symbols])
+    alphabet = TrackAlphabet(TRACKS[n_symbols])
     delta = rng.integers(0, n, size=(n, n_symbols)).astype(np.int32)
     initial = int(rng.integers(0, n))
     if moore:
@@ -261,17 +270,42 @@ def random_machine(rng, n_symbols, moore):
     return Dfa(alphabet, delta, rng.random(n) < 0.5, initial)
 
 
-def swept(hypothesis, batch, n_symbols, max_len, chunk):
-    """bounded_equiv's answer, checking the pieces the oracle is handed."""
-    sizes = []
+def check_piece(words, domain, chunk):
+    """A piece the oracle is handed: at most ``chunk`` read-only, column-major
+    int8 rows, every one of them a word of ``domain``."""
+    assert words.dtype == np.int8 and len(words) <= chunk
+    assert words.flags.f_contiguous and not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[...] = 0
+    assert domain.accepting[automata.run_batch(domain, words)].all()
+
+
+def swept(hypothesis, batch, n_symbols, max_len, chunk, domain=None):
+    """bounded_equiv's answer, checking the pieces the oracle is handed, and
+    a copy of each piece."""
+    domain = all_words(n_symbols) if domain is None else domain
+    pieces = []
 
     def checked(words):
-        assert words.dtype == np.int8 and len(words) <= chunk
-        sizes.append(len(words))
+        check_piece(words, domain, chunk)
+        pieces.append(words.copy())
         return batch(words)
 
-    ce = learner.bounded_equiv(hypothesis, checked, n_symbols, max_len)
-    return ce, sizes
+    ce = learner.bounded_equiv(hypothesis, checked, n_symbols, max_len, domain=domain)
+    return ce, pieces
+
+
+def by_length(pieces, max_len):
+    """The rows of the pieces of each length up to max_len, in order."""
+    return [
+        np.concatenate([p for p in pieces if p.shape[1] == length] or [np.zeros((0, length))])
+        for length in range(max_len + 1)
+    ]
+
+
+def domain_words(domain, n_symbols, length):
+    words = every_word(n_symbols, length)
+    return words[domain.accepting[automata.run_batch(domain, words)]]
 
 
 MAX_LEN = {1: 8, 3: 6, 9: 4, 27: 3}
@@ -296,20 +330,118 @@ def test_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
         for batch in targets:
             ce, _ = swept(hyp, batch, n_symbols, max_len, chunk)
             assert ce == reference_sweep(hyp, batch, n_symbols, max_len)
-        # the hypothesis agrees with itself, so every piece was handed out:
-        # a length L in pieces of n^min(k, L), n^k the largest power up to chunk
-        ce, sizes = swept(hyp, targets[1], n_symbols, max_len, chunk)
+        # the hypothesis agrees with itself, so every piece was handed out,
+        # each of at most chunk rows (checked in swept): those of a length
+        # are every word of that length, in radix order
+        ce, pieces = swept(hyp, targets[1], n_symbols, max_len, chunk)
         assert ce is None
-        k = aligned_power(n_symbols, chunk, max_len)
-        assert sizes == [
-            n_symbols ** min(k, length)
-            for length in range(max_len + 1) for _ in range(n_symbols ** max(length - k, 0))
-        ]
+        for length, words in enumerate(by_length(pieces, max_len)):
+            assert np.array_equal(words, every_word(n_symbols, length))
 
 
-def aligned_power(n_symbols, chunk, max_len):
-    """The largest k <= max_len with n_symbols^k <= chunk."""
-    return max(k for k in range(max_len + 1) if n_symbols**k <= chunk)
+def on_domain(batch, domain):
+    """``batch`` on the words of ``domain``, and the zero label off it."""
+
+    def answer(words):
+        inside = domain.accepting[automata.run_batch(domain, words)]
+        return np.where(inside, batch(words), 0).astype(batch(words[:0]).dtype)
+
+    return answer
+
+
+def restricted(machine, domain):
+    """``machine`` with the zero label off ``domain``: their product."""
+    n = domain.n_states
+    delta = (machine.delta[:, None, :] * n + domain.delta).reshape(-1, domain.alphabet.size)
+    labels = (values_of(machine)[:, None] * domain.accepting).ravel()
+    initial = machine.initial * n + domain.initial
+    if isinstance(machine, Dfao):
+        return Dfao(machine.alphabet, delta, labels.astype(np.int32), initial)
+    return Dfa(machine.alphabet, delta, labels.astype(bool), initial)
+
+
+@pytest.mark.parametrize("chunk", [learner._EXHAUSTIVE_CHUNK, 5], ids=["chunk-default", "chunk-5"])
+@pytest.mark.parametrize("moore", [False, True], ids=["dfa", "dfao"])
+@pytest.mark.parametrize("n_symbols", [3, 9, 27])
+def test_domain_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
+    """Over the padded canonical words, the oracle is asked only on the
+    domain, and the answer is still that of a run of every word."""
+    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    rng = np.random.default_rng(2000 * n_symbols + 10 * moore + (chunk == 5))
+    max_len = MAX_LEN[n_symbols]
+    domain = pell.valid_tracks(TRACKS[n_symbols])
+    inside = [domain_words(domain, n_symbols, length) for length in range(max_len + 1)]
+    found = set()
+    for _ in range(8):
+        hyp = random_machine(rng, n_symbols, moore)
+        # one hypothesis with and one without nonzero labels off the domain
+        for h in (hyp, restricted(hyp, domain)):
+            lengths = rng.integers(0, max_len + 1, size=int(rng.integers(1, 5)))
+            changed = [tuple(int(s) for s in rng.integers(0, n_symbols, size=k)) for k in lengths]
+            changed += [
+                tuple(int(s) for s in inside[k][rng.integers(0, len(inside[k]))])
+                for k in lengths if len(inside[k])
+            ]
+            targets = [
+                on_domain(oracle_of(random_machine(rng, n_symbols, moore)), domain),
+                on_domain(oracle_of(h), domain),
+                on_domain(oracle_of(h, changed), domain),
+            ]
+            for batch in targets:
+                ce, pieces = swept(h, batch, n_symbols, max_len, chunk, domain)
+                assert ce == reference_sweep(h, batch, n_symbols, max_len)
+                found.add(None if ce is None else automata.accepts(domain, ce))
+                if ce is None:
+                    # every word of the domain was handed out, in radix order
+                    for length, words in enumerate(by_length(pieces, max_len)):
+                        assert np.array_equal(words, inside[length])
+    # counterexamples on and off the domain both came up, and None did too
+    assert found == {None, True, False}
+
+
+def finite_language(words):
+    """The 1-track DFA accepting exactly ``words``: a trie and a dead state."""
+    trie = {(): 0}
+    for w in words:
+        for cut in range(1, len(w) + 1):
+            trie.setdefault(w[:cut], len(trie))
+    dead = len(trie)
+    delta = np.full((dead + 1, 3), dead, dtype=np.int32)
+    for prefix, state in trie.items():
+        if prefix:
+            delta[trie[prefix[:-1]], prefix[-1]] = state
+    accepting = np.zeros(dead + 1, dtype=bool)
+    accepting[[trie[w] for w in words]] = True
+    return Dfa(TrackAlphabet(1), delta, accepting)
+
+
+@pytest.mark.parametrize(
+    "accepted, least",
+    [
+        ([(2, 1)], (2, 1)),
+        ([(1,), (0, 2)], (1,)),
+        ([(1, 0), (0, 2)], (0, 2)),
+        ([(0, 1), (0, 2)], (0, 1)),
+    ],
+    ids=["only-unasked", "shorter-asked", "same-length-unasked", "same-length-asked"],
+)
+def test_answer_is_the_radix_least_of_asked_and_unasked(accepted, least):
+    """Against the empty language, a hypothesis accepting 21 or 02, which no
+    track may spell, gets that word back, and the oracle never sees it (swept
+    checks every piece); one that also accepts a canonical word gets the
+    radix-least of the two."""
+    hyp = finite_language(accepted)
+    nothing = oracle_of(finite_language([]))
+    ce, _ = swept(hyp, nothing, 3, 6, learner._EXHAUSTIVE_CHUNK, pell.valid_tracks(1))
+    assert ce == least == reference_sweep(hyp, nothing, 3, 6)
+
+
+def test_bounded_equiv_rejects_a_domain_over_other_symbols():
+    hyp = random_machine(np.random.default_rng(9), 9, moore=False)
+    calls = []
+    with pytest.raises(ValueError, match="domain reads 3 symbols, not 9"):
+        learner.bounded_equiv(hyp, counting(calls), 9, 4, domain=pell.valid_tracks(1))
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -318,33 +450,30 @@ def aligned_power(n_symbols, chunk, max_len):
 )
 @pytest.mark.parametrize("n_symbols", [1, 3, 9, 27])
 def test_radix_pieces_match_reference(monkeypatch, n_symbols, chunk):
-    """The reused-buffer sweep hands out the words and states of the
-    copy-per-piece one, in read-only int8 views, piece by piece."""
+    """The domain walk hands out the words of the domain and their
+    hypothesis states, as a run of every word finds them, in read-only int8
+    column-major pieces of at most chunk words."""
     monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
     rng = np.random.default_rng(10 * n_symbols + chunk % 7)
     max_len = MAX_LEN[n_symbols]
+    domains = [all_words(n_symbols), pell.valid_tracks(TRACKS[n_symbols])]
+    domains += [random_machine(rng, n_symbols, moore=False) for _ in range(2)]
     for moore in (False, True):
         hyp = random_machine(rng, n_symbols, moore)
-        by_length = {}
-        for words, states in learner._radix_pieces(hyp, n_symbols, max_len):
-            assert words.dtype == np.int8 and not words.flags.writeable
-            assert words.flags.f_contiguous and len(states) == len(words)
-            with pytest.raises(ValueError):
-                words[...] = 0
-            pieces = by_length.setdefault(words.shape[1], ([], []))
-            pieces[0].append(words.copy())
-            pieces[1].append(states)
-        ref = {}
-        for words, states in R.ref_radix_pieces(hyp, n_symbols, max_len, chunk):
-            pieces = ref.setdefault(words.shape[1], ([], []))
-            pieces[0].append(words)
-            pieces[1].append(states)
-        assert sorted(by_length) == sorted(ref) == list(range(max_len + 1))
-        for length, (words, states) in by_length.items():
-            ref_words, ref_states = ref[length]
-            assert np.array_equal(np.concatenate(words), np.concatenate(ref_words))
-            got, want = np.concatenate(states), np.concatenate(ref_states)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for domain in domains:
+            pieces = list(learner._domain_pieces(hyp, domain, n_symbols, max_len))
+            for words, states in pieces:
+                check_piece(words, domain, chunk)
+                assert len(states) == len(words)
+            ref = R.ref_domain_words(hyp, domain, n_symbols, max_len)
+            for length, (ref_words, ref_states) in enumerate(ref):
+                at = [(w, st) for w, st in pieces if w.shape[1] == length]
+                words = np.concatenate([w for w, _ in at] or [np.zeros((0, length))])
+                assert np.array_equal(words, ref_words)
+                if at:
+                    states = np.concatenate([st for _, st in at])
+                    assert states.dtype == ref_states.dtype
+                    assert np.array_equal(states, ref_states)
 
 
 def answering(shape_of):
@@ -362,7 +491,7 @@ BAD_SHAPES = pytest.mark.parametrize(
 def test_bounded_equiv_rejects_answers_not_one_per_row(shape_of):
     hyp = automata.minimize(even_ones())
     with pytest.raises(ValueError, match=r"one oracle answer per word, shape \(1,\)"):
-        learner.bounded_equiv(hyp, answering(shape_of), 3, max_len=2)
+        learner.bounded_equiv(hyp, answering(shape_of), 3, max_len=2, domain=all_words(3))
 
 
 @BAD_SHAPES
@@ -487,7 +616,9 @@ def test_table_asks_each_word_once(monkeypatch):
     monkeypatch.setattr(learner, "adder_oracle_batch", recorder)
     # the equivalence sweeps ask every short word again, so they get the oracle
     monkeypatch.setattr(
-        learner, "bounded_equiv", lambda hyp, _, n, max_len: sweep(hyp, oracle, n, max_len)
+        learner,
+        "bounded_equiv",
+        lambda hyp, _, n, max_len, domain: sweep(hyp, oracle, n, max_len, domain=domain),
     )
     learner.learn_adder(max_len=4)
     assert all(words.ndim == 2 and words.dtype == np.int8 for words in asked)
