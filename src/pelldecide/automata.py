@@ -473,7 +473,7 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 MAX_SUBSETS = 1_000_000
 """Most subsets one subset construction may build before it gives up."""
 
-_BATCH_KEYS = 1 << 22  # (subset, symbol, target) keys sorted in one batch
+_BATCH_KEYS = 1 << 20  # live (subset, symbol, target) keys sorted in one batch
 _INT32_MAX = np.iinfo(np.int32).max
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -553,26 +553,59 @@ class _Subsets:
         return self.add(members, np.array([len(members)]), np.array([h]))
 
 
-def _expand(subsets: _Subsets, a: int, b: int, keyed: np.ndarray, bits: int, m: int) -> np.ndarray:
-    """Transition rows of subsets a..b-1; successors not seen yet are stored."""
+def _live_rows(delta3: np.ndarray, accepting: np.ndarray, bits: int) -> tuple:
+    """Sinks of an NFA, and each state's sorted, distinct ``symbol << bits |
+    target`` keys over the targets that are not sinks.
+
+    A sink rejects and every choice on every symbol loops back to it, as the
+    sink of every minimized DFA does.  Dropping sinks from a subset leaves its
+    language as it is.  The key rows come back to back: returns the sink
+    mask and (keys, start of each row, length of each row).
+    """
+    n, m, w = delta3.shape
+    targets = delta3.reshape(n, m * w)
+    sink = (targets == np.arange(n)[:, None]).all(axis=1) & np.logical_not(accepting)
+    keyed = targets.astype(np.int32 if m << bits <= _INT32_MAX else np.int64)
+    keyed += (np.arange(m, dtype=keyed.dtype) << bits).repeat(w)
+    keyed.sort(axis=1)
+    keep = ~sink[keyed & ((1 << bits) - 1)]
+    keep[:, 1:] &= keyed[:, 1:] != keyed[:, :-1]
+    lengths = keep.sum(axis=1)
+    return sink, (keyed[keep], lengths.cumsum() - lengths, lengths)
+
+
+def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int) -> np.ndarray:
+    """Transition rows of subsets a..b-1; successors not seen yet are stored,
+    and a symbol that leads to no live state gets -1."""
+    flat, row_start, row_len = live
     off = subsets.offsets
-    keys = keyed[subsets.members[off[a] : off[b]]]
+    out = np.full((b - a) * m, -1, dtype=np.int32)
+    members = subsets.members[off[a] : off[b]]
+    lens = row_len[members]
+    ends = lens.cumsum()
+    if not ends[-1]:  # every symbol leads every subset to the dead row
+        return out.reshape(b - a, m)
+    # each member's live keys, back to back: key = candidate << bits | target,
+    # where candidate = subset * m + symbol
+    keys = flat[np.arange(ends[-1]) + (row_start[members] - (ends - lens)).repeat(lens)]
     if (b - a) * m << bits > _INT32_MAX:
         keys = keys.astype(np.int64)
-    # key = candidate << bits | target, where candidate = subset * m + symbol
     subset_base = np.arange(b - a, dtype=keys.dtype) * m << bits
-    keys += np.repeat(subset_base, off[a + 1 : b + 1] - off[a:b])[:, None]
-    keys = keys.ravel()
+    keys += subset_base.repeat(off[a + 1 : b + 1] - off[a:b]).repeat(lens)
     keys.sort()
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = np.compress(keep, keys)
+    keys = keys.compress(keep)
     cand = keys >> bits
     tg = (keys & ((1 << bits) - 1)).astype(np.int32, copy=False)
-    # every subset is non-empty, so every candidate owns at least one key
-    lengths = np.bincount(cand, minlength=(b - a) * m)
-    starts = np.cumsum(lengths) - lengths
+    # one run of keys per candidate with a live target; the others own none
+    bounds = np.empty(len(cand) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(cand[1:], cand[:-1], out=bounds[1:-1])
+    bounds = bounds.nonzero()[0]
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts
     hashes = subsets.digest(tg, starts, lengths)
 
     # one guess per distinct hash: the stored subset with that hash, else
@@ -586,7 +619,7 @@ def _expand(subsets: _Subsets, a: int, b: int, keyed: np.ndarray, bits: int, m: 
     if unseen.any():
         is_new = np.zeros(len(starts), dtype=bool)
         is_new[reps[unseen]] = True
-        first_id = subsets.add(np.compress(is_new[cand], tg), lengths[is_new], hashes[is_new])
+        first_id = subsets.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
         guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
     ids = np.empty(len(starts), dtype=np.int32)
     ids[order] = guess[np.cumsum(first) - 1]
@@ -594,18 +627,24 @@ def _expand(subsets: _Subsets, a: int, b: int, keyed: np.ndarray, bits: int, m: 
     # confirm every guess member by member; settle the rest one by one
     off = subsets.offsets
     same = lengths == off[ids + 1] - off[ids]
-    partner = subsets.members.take(np.arange(len(tg)) + (off[ids] - starts)[cand], mode="clip")
+    partner = subsets.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
+                                   mode="clip")
     same &= ~np.logical_or.reduceat(tg != partner, starts)
     for i in np.flatnonzero(~same):
         ids[i] = subsets.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
-    return ids.reshape(b - a, m)
+    out[cand[starts]] = ids
+    return out.reshape(b - a, m)
 
 
-def _batches(offsets: np.ndarray, lo: int, hi: int, keys_per_member: int) -> list[tuple[int, int]]:
-    """Split subsets lo..hi-1 into runs of about _BATCH_KEYS keys at most."""
-    if (offsets[hi] - offsets[lo]) * keys_per_member <= _BATCH_KEYS:
+def _batches(subsets: _Subsets, lo: int, hi: int, row_len: np.ndarray,
+             widest: int) -> list[tuple[int, int]]:
+    """Split subsets lo..hi-1 into runs of about _BATCH_KEYS live keys at
+    most; ``widest`` bounds the keys of one member."""
+    off = subsets.offsets
+    if (off[hi] - off[lo]) * widest <= _BATCH_KEYS:
         return [(lo, hi)]
-    batch = (offsets[lo + 1 : hi + 1] - offsets[lo]) * keys_per_member // _BATCH_KEYS
+    keys = row_len[subsets.members[off[lo] : off[hi]]].cumsum()
+    batch = keys[off[lo + 1 : hi + 1] - off[lo] - 1] // _BATCH_KEYS
     cuts = lo + np.flatnonzero(np.diff(batch, prepend=-1, append=batch[-1] + 1))
     return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
 
@@ -613,23 +652,30 @@ def _batches(offsets: np.ndarray, lo: int, hi: int, keys_per_member: int) -> lis
 def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndarray,
                  alphabet: TrackAlphabet) -> Dfa:
     """Minimized subset construction for an NFA given as (state, symbol,
-    choice) targets, started from a non-empty set of states.
+    choice) targets, started from a set of states.
 
-    Each breadth-first level is expanded in batches of at most about
-    ``_BATCH_KEYS`` (subset, symbol, target) keys.  One sort of a batch's
-    keys yields every successor as a sorted run of members; hashes find the
-    runs already stored, and a comparison of members confirms each match.
-    Raises SubsetBudgetError when a level starts past MAX_SUBSETS subsets.
+    Subsets hold only live states: sinks (see ``_live_rows``) are dropped,
+    and a symbol that leads a subset to no live state goes to one rejecting
+    dead row, appended last and never stored as a subset.  Each
+    breadth-first level is expanded in batches of at most about
+    ``_BATCH_KEYS`` live (subset, symbol, target) keys, gathered from the
+    members' precomputed key rows.  One sort of a batch's keys yields every
+    successor as a sorted run of members; hashes find the runs already
+    stored, and a comparison of members confirms each match.  Raises
+    SubsetBudgetError when a level starts past MAX_SUBSETS subsets.
     """
     n, m, w = delta3.shape
     bits = max(n - 1, 1).bit_length()
-    keyed = delta3.reshape(n, m * w).astype(np.int32 if m << bits <= _INT32_MAX else np.int64)
-    keyed += np.repeat(np.arange(m) << bits, w)
+    sink, live = _live_rows(delta3, accepting, bits)
+    row_len = live[2]
+    widest = int(row_len.max())
 
     subsets = _Subsets(_zobrist_keys(n), accepting)
-    init = np.unique(initial_set).astype(np.int32)
-    size = np.array([len(init)])
-    subsets.add(init, size, subsets.digest(init, np.zeros(1, dtype=np.int64), size))
+    init = _sorted_unique(initial_set).astype(np.int32)
+    init = init[~sink[init]]
+    if len(init):
+        size = np.array([len(init)])
+        subsets.add(init, size, subsets.digest(init, np.zeros(1, dtype=np.int64), size))
     rows = []
     done = 0
     while done < subsets.count:
@@ -638,11 +684,15 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
             raise SubsetBudgetError(
                 f"subset construction passed {MAX_SUBSETS} subsets; the formula is too large"
             )
-        for a, b in _batches(subsets.offsets, done, level_end, m * w):
-            rows.append(_expand(subsets, a, b, keyed, bits, m))
+        for a, b in _batches(subsets, done, level_end, row_len, widest):
+            rows.append(_expand(subsets, a, b, live, bits, m))
         done = level_end
+    # the dead row; an empty initial set leaves it the only state
+    rows.append(np.full((1, m), -1, dtype=np.int32))
+    delta = np.concatenate(rows)
+    delta[delta < 0] = len(delta) - 1
+    accepting = np.concatenate(subsets.accepting + [np.zeros(1, dtype=bool)])
     # free the construction's tables before minimize builds its own
-    delta, accepting = np.concatenate(rows), np.concatenate(subsets.accepting)
     dfa = Dfa(alphabet, _freeze(delta), _freeze(accepting), 0)
     del rows, subsets
     return minimize(dfa)

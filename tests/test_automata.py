@@ -576,6 +576,48 @@ def random_nfa(rng, n_tracks, width):
     return delta3, initial, accepting
 
 
+def sinks_of(delta3, accepting):
+    """Rejecting states whose every choice loops back to themselves."""
+    n = len(delta3)
+    return (delta3.reshape(n, -1) == np.arange(n)[:, None]).all(axis=1) & ~accepting
+
+
+def edge_nfas(rng, n_tracks, width):
+    """NFAs on each branch of the live-key construction, as (delta3,
+    initial, accepting)."""
+    m = 3**n_tracks
+    delta3, initial, accepting = random_nfa(rng, n_tracks, width)
+    n = len(delta3)
+    # two sinks, n and n + 1, after the random states
+    sinks = np.arange(n, n + 2)
+    with_sinks = np.concatenate([delta3, np.broadcast_to(sinks[:, None, None], (2, m, width))])
+    acc = np.concatenate([accepting, [False, False]])
+    # an initial set of dead states only: the empty language
+    yield with_sinks, np.array([n + 1, n, n + 1]), acc
+    # a (state, symbol) whose every choice is a sink, and a state whose
+    # every choice on every symbol is; the initial set holds a sink too
+    dead_ends = with_sinks.copy()
+    dead_ends[rng.integers(0, n), rng.integers(0, m)] = rng.choice(sinks, size=width)
+    dead_ends[rng.integers(0, n)] = rng.choice(sinks, size=(m, width))
+    yield dead_ends, np.append(initial, n), acc
+    # repeated choices, each list padded with its first target as
+    # logic._regex_dfa pads them; n is the sink
+    padded = np.full((n + 1, m, width), n)
+    for q in range(n):
+        for s in range(m):
+            ts = sorted(set(rng.integers(0, n + 1, size=int(rng.integers(1, width + 1))).tolist()))
+            padded[q, s] = ts + ts[:1] * (width - len(ts))
+    yield padded, initial, np.append(accepting, False)
+    # no sink: every rejecting state has a choice that leaves it, and state
+    # n loops on every choice but accepts
+    no_sink = np.concatenate([delta3, np.full((1, m, width), n)])
+    no_sink[:n, 0, 0] = (np.arange(n) + 1) % n
+    no_sink[rng.integers(0, n), rng.integers(0, m), 0] = n
+    acc = np.append(accepting, True)
+    acc[0] |= n == 1
+    yield no_sink, initial, acc
+
+
 @pytest.mark.parametrize("batch_keys", [1 << 22, 40])
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("n_tracks", [0, 1, 2, 3])
@@ -584,8 +626,10 @@ def test_determinize_matches_frozenset_construction(monkeypatch, n_tracks, width
     monkeypatch.setattr(automata, "_BATCH_KEYS", batch_keys)
     rng = np.random.default_rng(1000 * n_tracks + 10 * width)
     alphabet = TrackAlphabet(n_tracks)
-    for _ in range(12):
-        delta3, initial, accepting = random_nfa(rng, n_tracks, width)
+    cases = [random_nfa(rng, n_tracks, width) for _ in range(12)]
+    edges = list(edge_nfas(rng, n_tracks, width))
+    assert [sinks_of(d, a).any() for d, _, a in edges] == [True, True, True, False]
+    for delta3, initial, accepting in cases + edges:
         got = automata._determinize(delta3, initial, accepting, alphabet)
         assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
 
