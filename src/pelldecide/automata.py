@@ -7,10 +7,12 @@ state has a transition on every symbol, with rejection routed through ordinary
 dead states instead of missing entries.  That keeps complementation a pure
 accepting-set flip.
 
-State 0 is the initial state of every automaton produced by ``minimize``,
-which also renumbers states in breadth-first order over symbol-sorted edges,
-so two minimized automata accept the same language iff their tables are
-identical arrays.
+State 0 is the initial state of every automaton produced by ``minimize``
+and by the operations that end in its quotient step (``product``,
+``project``, ``zero_saturate``, ``zero_pad_closure``).  The quotient also
+renumbers states in breadth-first order over symbol-sorted edges, so two
+minimized automata accept the same language iff their tables are identical
+arrays.
 """
 
 from __future__ import annotations
@@ -364,11 +366,15 @@ def _bfs_order(qdelta: np.ndarray, initial: int) -> np.ndarray:
     order[initial] = 0
     count = 1
     frontier = np.array([initial])
+    first = np.empty(len(qdelta), dtype=np.intp)
     while len(frontier):
         targets = qdelta[frontier].ravel()
         targets = targets[order[targets] < 0]
-        _, idx = np.unique(targets, return_index=True)
-        frontier = targets[np.sort(idx)]  # first occurrences, in reading order
+        # scattered in reverse, the last write to each target is its first
+        # occurrence in reading order
+        at = np.arange(len(targets))
+        first[targets[::-1]] = at[::-1]
+        frontier = targets[first[targets] == at]
         order[frontier] = np.arange(count, count + len(frontier))
         count += len(frontier)
     return order
@@ -377,9 +383,9 @@ def _bfs_order(qdelta: np.ndarray, initial: int) -> np.ndarray:
 def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     """Minimal automaton with canonical breadth-first state numbering.
 
-    Takes a Dfa or a Dfao and returns the same type.  States start out apart
-    by their accepting flag or their output; the refinement and the
-    renumbering are shared.
+    Takes a Dfa or a Dfao and returns the same type.  The states that the
+    initial state does not reach are trimmed, then ``_quotient`` merges the
+    rest.
     """
     labels, delta, initial = a.labels, a.delta, a.initial
     reach = _reachable(delta, initial)
@@ -389,8 +395,20 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
         delta = remap[delta[reach]]
         labels = labels[reach]
         initial = int(remap[initial])
+    return _quotient(type(a), a.alphabet, delta, labels, initial)
 
-    _, classes = np.unique(labels, return_inverse=True)
+
+def _quotient(kind: type, alphabet: TrackAlphabet, delta: np.ndarray, labels: np.ndarray,
+              initial: int) -> Dfa | Dfao:
+    """Minimal ``kind`` (Dfa or Dfao) of a raw table whose every state the
+    initial state reaches, canonically numbered.
+
+    States start out apart by their accepting flag or their output; the
+    refinement and the renumbering are shared.  ``product`` and
+    ``_determinize`` build all-reachable tables and call this directly.
+    """
+    # a flag is a class number as it stands; outputs are ranked
+    classes = labels if labels.dtype == bool else np.unique(labels, return_inverse=True)[1]
     classes = _refine_partition(delta, classes)
     n_classes = int(classes.max()) + 1
 
@@ -403,7 +421,7 @@ def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     # canonical renumbering; every class is reachable, as every state is
     order = _bfs_order(qdelta, int(classes[initial]))
     inv = np.argsort(order)
-    return type(a)(a.alphabet, _freeze(order[qdelta[inv]]), _freeze(qlabels[inv]), 0)
+    return kind(alphabet, _freeze(order[qdelta[inv]]), _freeze(qlabels[inv]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +442,9 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
 
     The op combines the states' labels: a nonzero output counts as true,
     except that for two Dfaos ``"iff"`` accepts where the outputs are equal.
+    Only the pairs reachable from the initial pair are built, walked
+    level by level with a visited mask over all ``na * nb`` pair codes, and
+    their table goes straight to ``_quotient``.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("product requires matching alphabets")
@@ -432,28 +453,23 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
     except KeyError:
         raise ValueError(f"unknown boolean op: {op!r}") from None
 
+    # pair codes a * nb + b in int64: past 2^31 pairs int32 would wrap
     nb = b.n_states
-    start = np.int64(a.initial) * nb + b.initial
-    codes = np.array([start], dtype=np.int64)
-    frontier = codes
-    da = a.delta.astype(np.int64)
-    db = b.delta.astype(np.int64)
+    da = a.delta.astype(np.int64) * nb
+    db = b.delta
+    start = a.initial * nb + b.initial
+    seen = np.zeros(a.n_states * nb, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start], dtype=np.int64)
     while len(frontier):
-        qa, qb = frontier // nb, frontier % nb
-        succ = _sorted_unique(da[qa] * nb + db[qb])
-        frontier = np.setdiff1d(succ, codes, assume_unique=True)
-        codes = np.sort(np.concatenate([codes, frontier]))
-    qa, qb = codes // nb, codes % nb
-    delta = np.searchsorted(codes, da[qa] * nb + db[qb])
+        succ = (da[frontier // nb] + db[frontier % nb]).ravel()
+        frontier = _sorted_unique(succ[~seen[succ]])
+        seen[frontier] = True
+    codes = np.flatnonzero(seen)
+    qa, qb = np.divmod(codes, nb)
+    delta = np.searchsorted(codes, da[qa] + db[qb])
     accepting = combine(a.labels[qa], b.labels[qb])
-    return minimize(
-        Dfa(
-            alphabet=a.alphabet,
-            delta=delta,
-            accepting=accepting,
-            initial=int(np.searchsorted(codes, start)),
-        )
-    )
+    return _quotient(Dfa, a.alphabet, delta, accepting, int(np.searchsorted(codes, start)))
 
 
 def complement(a: Dfa) -> Dfa:
@@ -656,7 +672,10 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
 
     Subsets hold only live states: sinks (see ``_live_rows``) are dropped,
     and a symbol that leads a subset to no live state goes to one rejecting
-    dead row, appended last and never stored as a subset.  Each
+    dead row, never stored as a subset and appended last only when some
+    symbol leads there (or no subset is left).  The table is built by a
+    breadth-first walk from the initial subset, so every state is reachable
+    and it goes straight to ``_quotient``, with no trim.  Each
     breadth-first level is expanded in batches of at most about
     ``_BATCH_KEYS`` live (subset, symbol, target) keys, gathered from the
     members' precomputed key rows.  One sort of a batch's keys yields every
@@ -687,15 +706,17 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
         for a, b in _batches(subsets, done, level_end, row_len, widest):
             rows.append(_expand(subsets, a, b, live, bits, m))
         done = level_end
-    # the dead row; an empty initial set leaves it the only state
+    # the dead row, last; it stays only if some symbol leads there or the
+    # empty initial set leaves it the only state, so every state is reachable
     rows.append(np.full((1, m), -1, dtype=np.int32))
     delta = np.concatenate(rows)
-    delta[delta < 0] = len(delta) - 1
+    dead = delta < 0
+    n_states = len(delta) if dead[:-1].any() or len(delta) == 1 else len(delta) - 1
+    delta[dead] = len(delta) - 1
     accepting = np.concatenate(subsets.accepting + [np.zeros(1, dtype=bool)])
-    # free the construction's tables before minimize builds its own
-    dfa = Dfa(alphabet, _freeze(delta), _freeze(accepting), 0)
-    del rows, subsets
-    return minimize(dfa)
+    # free the construction's tables before the quotient builds its own
+    del rows, subsets, dead
+    return _quotient(Dfa, alphabet, delta[:n_states], accepting[:n_states], 0)
 
 
 def zero_saturate(a: Dfa) -> Dfa:

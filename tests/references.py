@@ -490,6 +490,36 @@ def ref_minimize(a):
     return type(a)(a.alphabet, order[qdelta[inv]], labels[reps][inv], 0)
 
 
+_REF_OPS = {
+    "and": lambda p, q: bool(p) and bool(q),
+    "or": lambda p, q: bool(p) or bool(q),
+    "xor": lambda p, q: bool(p) != bool(q),
+    "implies": lambda p, q: not p or bool(q),
+    "iff": lambda p, q: p == q,  # two Dfaos: equal outputs
+    "andnot": lambda p, q: bool(p) and not q,
+}
+
+
+def ref_product(a, b, op: str) -> Dfa:
+    """Boolean combination by a Python breadth-first walk over the reachable
+    state pairs, numbered as found, then ref_minimize."""
+    combine = _REF_OPS[op]
+    pairs = [(a.initial, b.initial)]
+    index = {pairs[0]: 0}
+    rows = []
+    for p, q in pairs:  # grows as new pairs are found
+        row = []
+        for s in range(a.alphabet.size):
+            t = (int(a.delta[p, s]), int(b.delta[q, s]))
+            if t not in index:
+                index[t] = len(pairs)
+                pairs.append(t)
+            row.append(index[t])
+        rows.append(row)
+    accepting = [combine(a.labels[p].item(), b.labels[q].item()) for p, q in pairs]
+    return ref_minimize(Dfa(a.alphabet, np.array(rows), np.array(accepting), 0))
+
+
 def ref_cylindrify(a, position: int):
     """Insert one free track at ``position``."""
     k = a.alphabet.n_tracks

@@ -305,6 +305,48 @@ def test_product_implements_boolean_ops():
                 assert automata.accepts(prods[op], w) == fn(pa, pb)
 
 
+def product_cases():
+    """Operand pairs of one kind over 0-4 tracks: random machines with twin
+    and unreachable states, a machine with itself (only the diagonal pairs
+    are reachable), and one-state machines."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for n_tracks in range(5):
+        for dfao in (False, True):
+            machines = [twinned_machine(rng, n_tracks, dfao) for _ in range(6)]
+            cls = Dfao if dfao else Dfa
+            one = np.zeros((1, 3**n_tracks), dtype=np.int32)
+            singles = [cls(TrackAlphabet(n_tracks), one, np.array([v])) for v in (0, 1)]
+            cases += list(zip(machines[::2], machines[1::2]))
+            cases += [(machines[0], machines[0]), (singles[0], singles[1])]
+            cases += [(singles[1], machines[1]), (machines[2], singles[0])]
+    return cases
+
+
+def test_product_matches_pair_walk_reference():
+    cases = product_cases()
+    assert any(a is b and automata.minimize(a).n_states > 1 for a, b in cases)
+    for a, b in cases:
+        for op in automata._OPS:
+            got = automata.product(a, b, op)
+            assert automata.to_text(got) == automata.to_text(R.ref_product(a, b, op)), op
+
+
+def test_product_pair_codes_are_int64(monkeypatch):
+    # a.delta is int32, and a * nb + b in int32 wraps past 2^31 pairs
+    seen = []
+    sorted_unique = automata._sorted_unique
+
+    def recording(values):
+        seen.append(values.dtype)
+        return sorted_unique(values)
+
+    monkeypatch.setattr(automata, "_sorted_unique", recording)
+    a = random_dfa(np.random.default_rng(71), n_states=6)
+    automata.product(a, automata.complement(a), "or")
+    assert seen and all(dtype == np.int64 for dtype in seen)
+
+
 def test_complement():
     rng = np.random.default_rng(19)
     a = random_dfa(rng)

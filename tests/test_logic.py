@@ -443,15 +443,16 @@ def test_other_quantifiers_stay_as_written(text):
 
 def test_tail_projects_positions_not_offsets(monkeypatch):
     # projecting the offset determinized 156,877 subsets; the position, about 50k
+    # every product and subset construction hands its table to _quotient
     sizes = []
-    minimize = automata.minimize
+    quotient = automata._quotient
 
-    def recording(a):
-        sizes.append(a.n_states)
-        return minimize(a)
+    def recording(kind, alphabet, delta, labels, initial):
+        sizes.append(len(delta))
+        return quotient(kind, alphabet, delta, labels, initial)
 
     env = x5_env()
-    monkeypatch.setattr(automata, "minimize", recording)
+    monkeypatch.setattr(automata, "_quotient", recording)
     rel = logic.compile(TAIL, env)
     assert rel.tracks == ("i", "n", "p") and rel.dfa.n_states == 309
     assert max(sizes) < 60_000
