@@ -2,8 +2,10 @@
 
 ``extend_mask`` tests a whole batch of candidate words at once (one row
 each), from tables the breadth-first search carries for their parents;
-``exponent_scan`` and ``balanced_scan`` scan a single word.  The module stays
-separate from ``search`` so that each kernel call can be timed on its own.
+``exponent_scan`` and ``balanced_scan`` scan a single word, the latter in
+linear time by reducing each symbol's indicator word (desubstitution).  The
+module stays separate from ``search`` so that each kernel call can be timed
+on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -26,7 +27,6 @@ __all__ = [
 NUMBA_ENABLED = False
 
 _SAMPLES = 1 << 18  # most samples that exponent_scan takes at once
-_BLOCK = 64  # start positions that balanced_scan takes at once
 
 
 @dataclass(frozen=True)
@@ -167,41 +167,53 @@ def exponent_scan(w: np.ndarray) -> tuple[int, int]:
 def balanced_scan(w: np.ndarray, k: int) -> bool:
     """True iff no symbol's counts differ by 2 between equal-length windows.
 
-    Let P be the positions of symbol a (m of them) and Q = [-1, *P, L].  For
-    j >= 1, the shortest window with j + 1 occurrences has length
-    minP_j + 1, where minP_j = min(P[j:] - P[:-j]); the longest window with
-    at most j - 1 occurrences has length maxQ_j - 1, where
-    maxQ_j = max(Q[j:] - Q[:-j]).  The word is unbalanced in a iff
-    maxQ_j - minP_j >= 2 for some j in 1..m-1:
-
-    - (=>) windows of one length ell with counts >= c + 2 and <= c give,
-      for j = c + 1, minP_j <= ell - 1 and maxQ_j >= ell + 1;
-    - (<=) a window of length ell = minP_j + 1 holds j + 1 occurrences, and
-      one of the same length fits strictly inside the widest Q gap, so it
-      holds at most j - 1.
-
-    That is sum(m_a^2) differences in place of k L^2 window counts.  Q adds
-    P[j-1] + 1 and L - P[m-j] to P's differences, which are taken for
-    ``_BLOCK`` starts i and every j at once, from P padded with sentinels
-    that never set a maximum or minimum.  Running maxima only grow and
-    minima only shrink, so the scan stops at the first block with a gap of 2.
+    That holds iff the binary word ``w == a`` is balanced for each symbol a,
+    and ``_balanced_binary`` decides that in time linear in L.
     """
-    length = len(w)
-    far = 2 * length + 2
-    for a in range(k):
-        pos = np.flatnonzero(w == a).astype(np.int32)
-        m = len(pos)
-        widest = np.maximum(pos[:-1] + 1, length - pos[:0:-1])
-        closest = np.full_like(widest, far)
-        low = np.concatenate([pos, np.full(_BLOCK, -far, dtype=np.int32)])
-        high = np.concatenate([pos, np.full(_BLOCK, far, dtype=np.int32)])
-        for i in range(0, m - 1, _BLOCK):
-            cols = m - 1 - i
-            start = pos[i:i + min(_BLOCK, cols), None]
-            diffs = sliding_window_view(low[i + 1:], cols)[:len(start)] - start
-            np.maximum(widest[:cols], diffs.max(axis=0), out=widest[:cols])
-            diffs = sliding_window_view(high[i + 1:], cols)[:len(start)] - start
-            np.minimum(closest[:cols], diffs.min(axis=0), out=closest[:cols])
-            if (widest - closest >= 2).any():
-                return False
+    return all(_balanced_binary(w == a) for a in range(k))
+
+
+def _balanced_binary(u: np.ndarray) -> bool:
+    """True iff the bool word u is balanced, by desubstitution.
+
+    If u has both 00 and 11 it is unbalanced, and if it has neither it
+    alternates.  Otherwise let x be the letter never doubled, at m positions
+    (if m <= 1, u is balanced), z_0..z_m the runs of the other letter
+    before, between and after them, and d the least interior run
+    z_1..z_{m-1}.  A binary word is balanced iff it is balanced in x, and
+    that is the gap criterion of ``ref_balanced_scan_by_gap`` in
+    ``tests/references.py``: u is unbalanced iff maxQ_j - minP_j >= 2 for
+    some j in 1..m-1.  At j = 1 that reads "some run, boundary runs
+    included, exceeds d + 1".
+    Otherwise the interior word v = z_1 - d, .., z_{m-1} - d is over {0, 1}
+    and, for 1 <= j <= m - 1,
+
+    - minP_j = j (d + 1) + the fewest 1s in a j-window of v;
+    - maxQ_j = j (d + 1) + the most 1s in a j-window of (z_0 - d, v, z_m - d).
+
+    A boundary value <= 0 never sets that maximum: its window moved one
+    step inward holds at least as many 1s.  A boundary 1 never lowers the
+    minimum: its window holds 1 plus the 1s of j - 1 interior entries, at
+    least the 1s of j interior entries.  So with u' = v, plus a 1 at each
+    end whose boundary run is d + 1, maxQ_j - minP_j is the spread of the
+    j-windows of u'.  The windows of u' longer than v are u' itself, or
+    1v and v1, which hold as many 1s.  So u is balanced iff u' is.  u' is
+    shorter than u, since u has m symbols x more, and it has at most
+    m + 1 <= (L + 3) / 2 symbols: O(log L) rounds of linear numpy work.
+    """
+    while len(u) > 2:
+        twice = u[1:][u[1:] == u[:-1]]  # the letter of each 00 or 11
+        if not twice.size:
+            return True
+        if twice.min() != twice.max():
+            return False
+        at = np.flatnonzero(u != twice[0])
+        if len(at) <= 1:
+            return True
+        runs = np.diff(at, prepend=-1, append=len(u)) - 1
+        d = runs[1:-1].min()
+        if runs.max() > d + 1:
+            return False
+        longer = runs > d  # u' keeps a boundary run only if it is d + 1
+        u = longer[int(not longer[0]):len(longer) - int(not longer[-1])]
     return True

@@ -60,6 +60,8 @@ class FiniteWord:
         k = alphabet_size if alphabet_size is not None else (
             int(symbols.max()) + 1 if symbols.size else 1
         )
+        if symbols.size and symbols.max() >= k:
+            raise ValueError(f"symbol {symbols.max()} is outside an alphabet of size {k}")
         symbols.setflags(write=False)
         return FiniteWord(symbols, k)
 

@@ -236,8 +236,23 @@ def ref_exponent_scan_by_period(w: np.ndarray) -> tuple[int, int]:
 
 
 def ref_balanced_scan_by_gap(w: np.ndarray, k: int) -> bool:
-    """The occurrence-gap test maxQ_j - minP_j >= 2, one j at a time (the
-    proof is in ``_kernels.balanced_scan``)."""
+    """The occurrence-gap test maxQ_j - minP_j >= 2, one j at a time.
+
+    Let P be the positions of symbol a (m of them) and Q = [-1, *P, L].  For
+    j >= 1, the shortest window with j + 1 occurrences has length
+    minP_j + 1, where minP_j = min(P[j:] - P[:-j]); the longest window with
+    at most j - 1 occurrences has length maxQ_j - 1, where
+    maxQ_j = max(Q[j:] - Q[:-j]).  The word is unbalanced in a iff
+    maxQ_j - minP_j >= 2 for some j in 1..m-1:
+
+    - (=>) windows of one length ell with counts >= c + 2 and <= c give,
+      for j = c + 1, minP_j <= ell - 1 and maxQ_j >= ell + 1;
+    - (<=) a window of length ell = minP_j + 1 holds j + 1 occurrences, and
+      one of the same length fits strictly inside the widest Q gap, so it
+      holds at most j - 1.
+
+    ``_kernels.balanced_scan`` reduces each symbol's word by this criterion.
+    """
     length = len(w)
     for a in range(k):
         pos = np.flatnonzero(w == a)

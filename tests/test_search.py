@@ -48,6 +48,15 @@ def test_finite_word_leaves_the_callers_array_writeable():
     assert list(fw.symbols) == [0, 1, 0, 2]  # a snapshot, not a view
 
 
+def test_finite_word_rejects_symbols_outside_its_alphabet():
+    # 0122 is unbalanced in symbol 2, which a scan over {0, 1} never reads
+    assert not search.is_balanced("0122")
+    with pytest.raises(ValueError, match="outside an alphabet of size 2"):
+        search.is_balanced(FiniteWord.make("0122", 2))
+    with pytest.raises(ValueError, match="outside"):
+        FiniteWord.make(np.array([0, 5], dtype=np.int8), alphabet_size=5)
+
+
 def test_empty_word_edges():
     assert search.is_balanced("")
     with pytest.raises(ValueError):
@@ -261,17 +270,18 @@ def test_exponent_scan_matches_reference():
 
 X5_FACTORS = sequences.x5_prefix(20_000)
 X3_FACTORS = sequences.x3_prefix(20_000)
+C_FACTORS = sequences.sturmian_prefix(20_000)
 
 
 def scan_words(rng, randoms=150, random_len=70, factors=100, factor_len=300):
     """Random words over 2-5 letters, shorter than ``random_len``, and factors
-    of x5 and x3 shorter than ``factor_len``, as they are and with one symbol
-    changed, which are balanced or nearly so."""
+    of x5, x3 and c_alpha shorter than ``factor_len``, as they are and with
+    one symbol changed, which are balanced or nearly so."""
     words = []
     for _ in range(randoms):
         k = int(rng.integers(2, 6))
         words.append((rng.integers(0, k, size=int(rng.integers(1, random_len))).astype(np.int8), k))
-    for source, k in ((X5_FACTORS, 5), (X3_FACTORS, 3)):
+    for source, k in ((X5_FACTORS, 5), (X3_FACTORS, 3), (C_FACTORS, 2)):
         for _ in range(factors):
             n = int(rng.integers(2, factor_len))
             start = int(rng.integers(0, len(source) - n))
@@ -307,6 +317,24 @@ def test_scans_match_on_long_factors():
         assert _kernels.exponent_scan(w) == R.ref_exponent_scan(w)
 
 
+@pytest.mark.parametrize("k,longest", [(2, 12), (3, 8)])
+def test_balanced_scan_on_every_short_word(k, longest):
+    for length in range(1, longest + 1):
+        for word in itertools.product(range(k), repeat=length):
+            w = np.array(word, dtype=np.int8)
+            assert _kernels.balanced_scan(w, k) == R.ref_balanced_scan(w, k), word
+
+
+@pytest.mark.parametrize("prefix", [sequences.x5_prefix, sequences.x3_prefix,
+                                    sequences.sturmian_prefix],
+                         ids=["x5", "x3", "c_alpha"])
+def test_is_balanced_on_million_symbol_prefixes(prefix):
+    w = prefix(1_000_000).copy()
+    assert search.is_balanced(w)
+    w[500_000] = (w[500_000] + 1) % (w.max() + 1)
+    assert not search.is_balanced(w)
+
+
 def test_longest_run_counts_agreements():
     rng = np.random.default_rng(93)
     for _ in range(200):
@@ -316,15 +344,14 @@ def test_longest_run_counts_agreements():
             assert _kernels._longest_run(w, p) == want
 
 
-# --- the filtered exponent scan and the blocked balance scan -----------------------
+# --- the filtered exponent scan and the balance scan by desubstitution -------------
 
 @pytest.fixture(params=["default", "small"])
 def kernel_sizes(request, monkeypatch):
-    """The kernels as they are, and with a few samples per chunk and a few
-    start positions per block, so that every chunk and block is cut."""
+    """The kernels as they are, and with a few samples per chunk, so that
+    every chunk of the exponent scan is cut."""
     if request.param == "small":
         monkeypatch.setattr(_kernels, "_SAMPLES", 40)
-        monkeypatch.setattr(_kernels, "_BLOCK", 3)
 
 
 def test_scans_match_the_earlier_kernels(kernel_sizes):
@@ -387,14 +414,14 @@ def test_exponent_scan_skips_most_periods(monkeypatch):
 
 @st.composite
 def scan_cases(draw):
-    """Words over 2-6 letters, or factors of x5 and x3, some with one
-    symbol changed."""
+    """Words over 2-6 letters, or factors of x5, x3 and c_alpha, some with
+    one symbol changed."""
     if draw(st.booleans()):
         k = draw(st.integers(2, 6))
         w = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=80)),
                      dtype=np.int8)
         return w, k
-    source, k = draw(st.sampled_from([(X5_FACTORS, 5), (X3_FACTORS, 3)]))
+    source, k = draw(st.sampled_from([(X5_FACTORS, 5), (X3_FACTORS, 3), (C_FACTORS, 2)]))
     n = draw(st.integers(1, 300))
     start = draw(st.integers(0, len(source) - n))
     w = source[start:start + n].copy()
