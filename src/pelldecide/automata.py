@@ -9,10 +9,13 @@ accepting-set flip.
 
 State 0 is the initial state of every automaton produced by ``minimize``
 and by the operations that end in its quotient step (``product``,
-``project``, ``zero_saturate``, ``zero_pad_closure``).  The quotient also
-renumbers states in breadth-first order over symbol-sorted edges, so two
-minimized automata accept the same language iff their tables are identical
-arrays.
+``project``, ``zero_pad_closure``).  The quotient also renumbers states in
+breadth-first order over symbol-sorted edges, so two minimized automata
+accept the same language iff their tables are identical arrays.
+
+Relations ignore leading-zero padding.  ``zero_pad_closure`` is the one
+closure that makes an automaton over exact strings do so: it both adds and
+drops leading all-zero symbols.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "product",
     "complement",
     "project",
-    "zero_saturate",
     "zero_pad_closure",
     "minimize",
     "is_empty",
@@ -719,22 +721,18 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     return _quotient(Dfa, alphabet, delta[:n_states], accepting[:n_states], 0)
 
 
-def zero_saturate(a: Dfa) -> Dfa:
-    """Close the language under removal of leading all-zero symbols.
-
-    The result accepts w iff ``a`` accepts 0^k w for some k >= 0, where 0 is
-    the symbol with every track digit zero.
-    """
-    init = _reachable(a.delta[:, :1], a.initial)
-    return _determinize(a.delta[:, :, None], init, a.accepting, a.alphabet)
-
-
 def zero_pad_closure(a: Dfa) -> Dfa:
-    """Close the language under addition of leading all-zero symbols.
+    """Close the language under addition and removal of leading all-zero
+    symbols.
 
-    The result accepts 0^k w for every accepted w and k >= 0; together with
-    zero_saturate this turns an automaton over exact strings into one that is
-    indifferent to leading-zero padding.
+    The result accepts 0^k w for every k >= 0 whenever ``a`` accepts 0^j w
+    for some j >= 0, where 0 is the symbol with every track digit zero, so it
+    turns an automaton over exact strings into one that is indifferent to
+    leading-zero padding.  A fresh state n reads like ``a``'s initial state
+    and also loops on 0; no state enters n, so the loop reads only leading
+    zeros.  The subset construction starts from every state that zeros lead
+    n to.  On a 0 each of those has a predecessor in the set, except n, which
+    keeps itself, so the set is the same after any number of leading zeros.
     """
     n = a.n_states
     m = a.alphabet.size
@@ -746,8 +744,7 @@ def zero_pad_closure(a: Dfa) -> Dfa:
     delta3[n, :, 1] = a.delta[a.initial]
     delta3[n, 0, 0] = n
     accepting = np.concatenate([a.accepting, a.accepting[a.initial : a.initial + 1]])
-    init = np.array([n], dtype=np.int64)
-    return _determinize(delta3, init, accepting, a.alphabet)
+    return _determinize(delta3, _reachable(delta3[:, 0, :], n), accepting, a.alphabet)
 
 
 def project(a: Dfa, track: int) -> Dfa:

@@ -50,16 +50,6 @@ def _session_file(path: Path):
         raise ValueError(f"{path}: {e}") from e
 
 
-def _checked_sequence(m):
-    """A stored sequence must read one track and ignore leading zeros."""
-    if not isinstance(m, automata.Dfao) or m.alphabet.n_tracks != 1:
-        raise ValueError("a sequence must be a one-track automaton with outputs")
-    canon = automata.minimize(m)
-    if canon.delta[canon.initial, 0] != canon.initial:
-        raise ValueError("the sequence's output depends on leading zeros")
-    return m
-
-
 def _checked_definition(dfa, params: tuple[str, ...]):
     """A stored relation must hold only valid tracks and ignore padding, as
     every relation the compiler builds does."""
@@ -68,7 +58,7 @@ def _checked_definition(dfa, params: tuple[str, ...]):
         raise ValueError(f"a definition with {k} parameters must be a {k}-track automaton")
     if not automata.equivalent(dfa, automata.product(dfa, pell.valid_tracks(k), "and")):
         raise ValueError("the definition accepts a track that is not a canonical representation")
-    if not automata.equivalent(dfa, automata.zero_pad_closure(automata.zero_saturate(dfa))):
+    if not automata.equivalent(dfa, automata.zero_pad_closure(dfa)):
         raise ValueError("the definition depends on leading zeros")
     return dfa
 
@@ -85,8 +75,7 @@ class Session:
     def _load(self) -> None:
         for path in sorted(self.directory.glob("sequences/*.txt")):
             with _session_file(path):
-                m = _checked_sequence(automata.load_text(path))
-                self.env = self.env.with_sequence(path.stem, m)
+                self.env = self.env.with_sequence(path.stem, automata.load_text(path))
         for path in sorted(self.directory.glob("definitions/*.json")):
             with _session_file(path):
                 data = json.loads(path.read_text())

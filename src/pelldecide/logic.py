@@ -631,8 +631,13 @@ class Environment:
         self._adder = adder
 
     def with_sequence(self, name: str, m: Dfao) -> "Environment":
-        if m.alphabet.n_tracks != 1:
-            raise CompileError(f"sequence {name!r} must read a single track")
+        """Bind a sequence: a one-track machine with outputs whose output
+        ignores leading zeros, as the compiled relations assume."""
+        if not isinstance(m, Dfao) or m.alphabet.n_tracks != 1:
+            raise CompileError(f"sequence {name!r} must be a one-track automaton with outputs")
+        canon = automata.minimize(m)
+        if canon.delta[canon.initial, 0] != canon.initial:
+            raise CompileError(f"the output of sequence {name!r} depends on leading zeros")
         new = dict(self._sequences)
         new[_check_name(name)] = m
         return Environment(new, self._callables, self._adder)
@@ -983,107 +988,89 @@ def _line_tokens(line: str) -> list[str]:
 # digit regular expressions
 
 
-def _regex_nfa(pattern: str):
-    """Thompson construction over the digit alphabet {0,1,2}."""
-    eps: list[list[int]] = []
-    sym: list[dict[int, list[int]]] = []
+def _regex_dfa(pattern: str) -> Dfa:
+    """Position automaton (Glushkov; McNaughton and Yamada) of a digit
+    pattern, determinized.
 
-    def new_state() -> int:
-        eps.append([])
-        sym.append({})
-        return len(eps) - 1
-
+    State 0 starts, and state i has just read the pattern's i-th digit, so
+    there are no empty moves.  Each subpattern yields whether it matches the
+    empty string and its first and last positions; concatenation and
+    ``*``/``+`` add follow edges from last positions to first ones.
+    """
+    digit = [-1]  # the digit each position reads; state 0 reads none
+    follow: list[set[int]] = [set()]
     pos = 0
 
     def error(msg: str):
         return PredicateSyntaxError(msg, 1, pos + 1)
 
-    def parse_alt() -> tuple[int, int]:
+    def parse_alt() -> tuple[bool, set[int], set[int]]:
         nonlocal pos
-        start, end = parse_cat()
+        empty, first, last = parse_cat()
         while pos < len(pattern) and pattern[pos] == "|":
             pos += 1
-            s2, e2 = parse_cat()
-            s = new_state()
-            e = new_state()
-            eps[s].extend([start, s2])
-            eps[end].append(e)
-            eps[e2].append(e)
-            start, end = s, e
-        return start, end
+            e2, f2, l2 = parse_cat()
+            empty, first, last = empty or e2, first | f2, last | l2
+        return empty, first, last
 
-    def parse_cat() -> tuple[int, int]:
-        start = end = new_state()
+    def parse_cat() -> tuple[bool, set[int], set[int]]:
+        empty, first, last = True, set(), set()
         while pos < len(pattern) and pattern[pos] not in ")|":
-            s2, e2 = parse_rep()
-            eps[end].append(s2)
-            end = e2
-        return start, end
+            e2, f2, l2 = parse_rep()
+            for i in last:
+                follow[i] |= f2
+            first = first | f2 if empty else first
+            last = last | l2 if e2 else l2
+            empty = empty and e2
+        return empty, first, last
 
-    def parse_rep() -> tuple[int, int]:
+    def parse_rep() -> tuple[bool, set[int], set[int]]:
         nonlocal pos
-        start, end = parse_prim()
+        empty, first, last = parse_prim()
         while pos < len(pattern) and pattern[pos] in "*+?":
             op = pattern[pos]
             pos += 1
-            s = new_state()
-            e = new_state()
-            eps[s].append(start)
-            eps[end].append(e)
-            if op in "*?":
-                eps[s].append(e)
             if op in "*+":
-                eps[end].append(start)
-            start, end = s, e
-        return start, end
+                for i in last:
+                    follow[i] |= first
+            if op in "*?":
+                empty = True
+        return empty, first, last
 
-    def parse_prim() -> tuple[int, int]:
+    def parse_prim() -> tuple[bool, set[int], set[int]]:
         nonlocal pos
         if pos >= len(pattern):
             raise error("pattern ended unexpectedly")
         ch = pattern[pos]
         if ch == "(":
             pos += 1
-            start, end = parse_alt()
+            parsed = parse_alt()
             if pos >= len(pattern) or pattern[pos] != ")":
                 raise error("unbalanced parenthesis")
             pos += 1
-            return start, end
+            return parsed
         if ch in "012":
             pos += 1
-            s = new_state()
-            e = new_state()
-            sym[s].setdefault(int(ch), []).append(e)
-            return s, e
+            digit.append(int(ch))
+            follow.append(set())
+            return False, {len(digit) - 1}, {len(digit) - 1}
         raise error(f"unexpected pattern character {ch!r}")
 
-    start, end = parse_alt()
+    empty, first, last = parse_alt()
     if pos != len(pattern):
         raise error(f"unexpected pattern character {pattern[pos]!r}")
-    return eps, sym, start, end
-
-
-def _regex_dfa(pattern: str) -> Dfa:
-    eps, sym, start, end = _regex_nfa(pattern)
-    n = len(eps)
-    closures = []
-    for q in range(n):
-        seen, stack = {q}, [q]
-        while stack:
-            for t in eps[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        closures.append(sorted(seen))
-    # epsilon-free NFA; a missing digit leads to the sink state n
+    follow[0] = first
+    n = len(digit)
+    # a missing digit leads to the sink state n
     targets = [
-        [sorted({t for u in sym[q].get(d, ()) for t in closures[u]}) or [n] for d in range(3)]
+        [sorted(t for t in follow[q] if digit[t] == d) or [n] for d in range(3)]
         for q in range(n)
     ] + [[[n]] * 3]
     width = max(len(ts) for row in targets for ts in row)
     delta3 = np.array([[ts + ts[:1] * (width - len(ts)) for ts in row] for row in targets])
-    accepting = np.arange(n + 1) == end
-    return automata._determinize(delta3, np.array(closures[start]), accepting, TrackAlphabet(1))
+    accepting = np.isin(np.arange(n + 1), list(last))
+    accepting[0] = empty
+    return automata._determinize(delta3, np.array([0]), accepting, TrackAlphabet(1))
 
 
 def reg(env: Environment, name: str, pattern: str) -> Environment:
@@ -1091,12 +1078,14 @@ def reg(env: Environment, name: str, pattern: str) -> Environment:
 
     The pattern matches literal digit strings; the stored relation accepts a
     number when some zero-padded spelling of its canonical representation
-    matches, so the pattern is read up to leading zeros.
+    matches, so the pattern is read up to leading zeros.  The automaton is
+    closed under leading zeros (``automata.zero_pad_closure``) before it is
+    restricted to valid words.
     """
-    raw = _regex_dfa(pattern)
-    restricted = automata.product(raw, pell.valid_tracks(1), "and")
-    closed = automata.zero_pad_closure(automata.zero_saturate(restricted))
-    return env.with_callable(name, closed, ("w",))
+    # the order may change: valid words stay valid as leading zeros come and go
+    closed = automata.zero_pad_closure(_regex_dfa(pattern))
+    restricted = automata.product(closed, pell.valid_tracks(1), "and")
+    return env.with_callable(name, restricted, ("w",))
 
 
 # ---------------------------------------------------------------------------

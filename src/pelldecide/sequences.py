@@ -155,8 +155,8 @@ def _c_alpha() -> Dfao:
 
 @cache
 def _word_table(blocks, size: int) -> np.ndarray:
-    """Table word[0..max(size, 4096)-1] for a replacement word."""
-    return _replace(sturmian_prefix(max(size, 4096)), blocks)
+    """Table word[0..size-1] for a replacement word."""
+    return _replace(sturmian_prefix(size), blocks)
 
 
 _WORD_MAX_LEN = 14  # digit strings learn_word_dfao's equivalence sweep reaches

@@ -561,31 +561,23 @@ def test_product_of_dfaos_compares_outputs():
             assert automata.accepts(same, w) == want
 
 
-def test_zero_saturate_strips_expected_leading_zeros():
-    rng = np.random.default_rng(43)
-    candidates = [exact_word_dfa("0012"), exact_word_dfa("12")] + [
-        random_dfa(rng, n_states=4) for _ in range(10)
-    ]
+def test_zero_pad_closure_adds_and_drops_leading_zeros():
+    rng43, rng47 = np.random.default_rng(43), np.random.default_rng(47)
+    candidates = (
+        [exact_word_dfa("0012"), exact_word_dfa("12")]
+        + [random_dfa(rng43, n_states=4) for _ in range(10)]
+        + [random_dfa(rng47, n_states=4) for _ in range(10)]
+    )
     for a in candidates:
-        sat = automata.zero_saturate(a)
+        closed = automata.zero_pad_closure(a)
         for w in words_up_to(3, 5):
+            # zeros lead the initial state around a cycle within n_states steps
             want = any(
-                automata.accepts(a, (0,) * k + tuple(w)) for k in range(a.n_states + 1)
-            )
-            assert automata.accepts(sat, w) == want
-
-
-def test_zero_pad_closure_adds_leading_zeros():
-    rng = np.random.default_rng(47)
-    candidates = [exact_word_dfa("12")] + [random_dfa(rng, n_states=4) for _ in range(10)]
-    for a in candidates:
-        pad = automata.zero_pad_closure(a)
-        for w in words_up_to(3, 5):
-            want = any(
-                all(s == 0 for s in w[:k]) and automata.accepts(a, w[k:])
+                all(s == 0 for s in w[:k]) and automata.accepts(a, (0,) * j + tuple(w[k:]))
                 for k in range(len(w) + 1)
+                for j in range(a.n_states)
             )
-            assert automata.accepts(pad, w) == want
+            assert automata.accepts(closed, w) == want
 
 
 # --- subset construction ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Predicate parsing and compilation to track automata."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -285,6 +286,17 @@ def test_names_colliding_with_quantifier_letters_are_rejected():
         logic.reg(env, "Empty", "0*")
 
 
+def test_sequences_must_ignore_leading_zeros():
+    # the parity of the representation's length: a leading zero flips it, so
+    # X[1] = @1 on "1" while the padded spellings the compiler reads say 0
+    parity = Dfao(TrackAlphabet(1), np.array([[1, 1, 1], [0, 0, 0]]), np.array([0, 1]), 0)
+    assert automata.dfao_eval(parity, [1]) == 1
+    with pytest.raises(CompileError, match="leading zeros"):
+        logic.Environment().with_sequence("X", parity)
+    with pytest.raises(CompileError, match="with outputs"):
+        logic.Environment().with_sequence("X", pell.canonical_recognizer())
+
+
 def test_environment_is_persistent_style():
     base = logic.Environment()
     one = logic.define(base, "one", "?msd_pell x = 1")
@@ -297,7 +309,11 @@ def test_environment_is_persistent_style():
 
 
 @pytest.mark.parametrize(
-    "pattern", ["0*110000*", "0*", "1(0|1)*", "(10)*", "20*", "012", "2|1"]
+    "pattern",
+    [
+        "0*110000*", "0*", "1(0|1)*", "(10)*", "20*", "012", "2|1",
+        "", "|", "(1?)*", "((01)+|2*)*0?", "2(0(1|2)*)?",
+    ],
 )
 def test_reg_matches_padded_spellings(pattern):
     env = logic.reg(logic.Environment(), "t", pattern)
@@ -311,6 +327,23 @@ def test_reg_matches_padded_spellings(pattern):
         if any(re.fullmatch(pattern, "0" * k + pell.encode(v)) for k in range(pad))
     ]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "0*110000*", "0*", "1(0|1)*", "(10)*", "20*", "012", "2|1",
+        "", "()", "|", "1|", "(1?)*", "((01)+|2*)*0?", "2(0(1|2)*)?",
+        "(0|1)*2+", "1+0?1*", "(2?1?)+0",
+    ],
+)
+def test_pattern_automaton_matches_re(pattern):
+    dfa = logic._regex_dfa(pattern)
+    for length in range(7):
+        for word in itertools.product("012", repeat=length):
+            text = "".join(word)
+            got = automata.accepts(dfa, [int(c) for c in text])
+            assert got == bool(re.fullmatch(pattern, text)), text
 
 
 def test_reg_specifics():
