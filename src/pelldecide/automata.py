@@ -2,7 +2,8 @@
 
 Words are read most-significant digit first.  A symbol of a k-track automaton
 is a tuple of k digits from {0, 1, 2}; the symbol index packs the tuple in
-row-major order (track 0 varies slowest).  All automata are complete: every
+row-major order (track 0 varies slowest), as ``TrackAlphabet.pack`` and
+``unpack`` do for whole digit arrays.  All automata are complete: every
 state has a transition on every symbol, with rejection routed through ordinary
 dead states instead of missing entries.  That keeps complementation a pure
 accepting-set flip.
@@ -66,7 +67,39 @@ class TrackAlphabet:
     def size(self) -> int:
         return DIGITS**self.n_tracks
 
+    def pack(self, tracks) -> np.ndarray:
+        """Symbols of equally shaped digit arrays, one per track, track 0
+        first (or one array whose first axis runs over the tracks): the sum
+        of d_t * 3^(n_tracks - 1 - t), in a type that holds every symbol."""
+        tracks = np.asarray(tracks)
+        if len(tracks) != self.n_tracks:
+            raise ValueError(f"expected {self.n_tracks} tracks, got {len(tracks)}")
+        # with no track, np.asarray(()) is float
+        dtype = np.min_scalar_type(-self.size)
+        if len(tracks):
+            dtype = np.promote_types(tracks.dtype, dtype)
+        symbols = np.zeros(tracks.shape[1:], dtype=dtype)
+        for d in tracks:
+            symbols *= DIGITS
+            symbols += d
+        return symbols
+
+    def unpack(self, symbols) -> tuple:
+        """The digits of an integer array of symbols (or of one int), track
+        0 first, each in the symbols' shape and type: the inverse of
+        ``pack``.  All but track 0 cost one floor division by 3, which numpy
+        does far faster than % on small integers."""
+        digits = []
+        for _ in range(self.n_tracks - 1):
+            q = symbols // DIGITS
+            digits.append(symbols - DIGITS * q)
+            symbols = q
+        if self.n_tracks:
+            digits.append(symbols)
+        return tuple(reversed(digits))
+
     def index(self, digits: Sequence[int]) -> int:
+        """``pack`` of one digit tuple, in plain ints."""
         if len(digits) != self.n_tracks:
             raise ValueError(f"expected {self.n_tracks} digits, got {len(digits)}")
         idx = 0
@@ -77,13 +110,10 @@ class TrackAlphabet:
         return idx
 
     def digits(self, index: int) -> tuple[int, ...]:
+        """``unpack`` of one symbol."""
         if not 0 <= index < self.size:
             raise ValueError(f"symbol index out of range: {index}")
-        out = []
-        for _ in range(self.n_tracks):
-            out.append(index % DIGITS)
-            index //= DIGITS
-        return tuple(reversed(out))
+        return self.unpack(int(index))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -789,28 +819,71 @@ def cylindrify(a: Dfa | Dfao, positions: Sequence[int], total: int) -> Dfa | Dfa
 # enumeration
 
 
+_WALK_CHUNK = 2_000_000  # most words one piece of _radix_walk holds
+
+
+def _grown(digits, states, keep, delta, symbols, step):
+    """The prefixes given as ``digits`` (one row per position, one column per
+    prefix) and ``states``, each followed by every symbol that ``keep``
+    allows in its state, in radix order and in the same form: in blocks
+    grown from ``step`` prefixes at a time."""
+    for lo in range(0, len(states), step):
+        block = states[lo : lo + step]
+        mask = keep[block]
+        counts = mask.sum(axis=1)
+        grown = np.empty((len(digits) + 1, counts.sum()), dtype=digits.dtype)
+        grown[:-1] = np.repeat(digits[:, lo : lo + step], counts, axis=1)
+        grown[-1] = np.broadcast_to(symbols, mask.shape)[mask]
+        yield grown, delta[block][mask]
+
+
+def _radix_walk(delta: np.ndarray, initial: int, accepting: np.ndarray, max_len: int):
+    """Every word of length <= max_len that leads the table ``delta`` from
+    ``initial`` into the mask ``accepting``, with the state it ends in, in
+    radix order.
+
+    Yields (words, states) pieces of at most ``_WALK_CHUNK`` words, one
+    length after another.  Per length, the walk keeps only the prefixes from
+    which acceptance is still in reach by length max_len: those of length L
+    are the kept ones of length L-1, each followed by every symbol that keeps
+    it, so their states are one gather from the length below.  A length is
+    grown from at most ``_WALK_CHUNK // m`` prefixes at a time (m symbols),
+    and only the lengths below max_len are kept whole.  A piece's ``words``
+    is a read-only array of the smallest signed type; it is column-major, so
+    that per-position slices are contiguous.  ``states`` has the table's type.
+    """
+    m = delta.shape[1]
+    ahead = _distance_to(delta, accepting)
+    # no word leads these states to acceptance, at any max_len
+    ahead[ahead > len(delta)] = max_len + 1
+    symbols = np.arange(m, dtype=np.min_scalar_type(-m))
+    step = max(1, _WALK_CHUNK // m)  # prefixes grown at once
+    # a length's prefixes in blocks, each with one row per position and one
+    # column per prefix (the transpose of the words) and their states
+    blocks = [(np.zeros((0, 1), dtype=symbols.dtype), np.array([initial], dtype=delta.dtype))]
+    for length in range(max_len + 1):
+        kept = []
+        for digits, states in blocks:
+            rows = np.flatnonzero(accepting[states])
+            for lo in range(0, len(rows), _WALK_CHUNK):
+                piece = rows[lo : lo + _WALK_CHUNK]
+                words = np.take(digits, piece, axis=1).T
+                words.flags.writeable = False
+                yield words, states[piece]
+            if length < max_len:
+                kept.append((digits, states))
+        if not kept:  # the last length, or no prefix left
+            return
+        digits = np.concatenate([d for d, _ in kept], axis=1)
+        states = np.concatenate([s for _, s in kept])
+        keep = ahead[delta] <= max_len - length - 1
+        blocks = _grown(digits, states, keep, delta, symbols, step)
+
+
 def enumerate_words(a: Dfa, max_len: int) -> list[tuple[int, ...]]:
     """Accepted words of length <= max_len as symbol-index tuples, radix order."""
-    dist = _distance_to(a.delta, a.accepting)
-    # states that no word leads to acceptance are pruned at every max_len
-    dist[dist > a.n_states] = max_len + 1
-    out: list[tuple[int, ...]] = []
-    m = a.alphabet.size
-
-    def walk(state: int, word: tuple[int, ...]) -> None:
-        if a.accepting[state]:
-            out.append(word)
-        if len(word) == max_len:
-            return
-        for s in range(m):
-            t = int(a.delta[state, s])
-            if dist[t] <= max_len - len(word) - 1:
-                walk(t, word + (s,))
-
-    if dist[a.initial] <= max_len:
-        walk(a.initial, ())
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    pieces = _radix_walk(a.delta, a.initial, a.accepting, max_len)
+    return [tuple(w) for words, _ in pieces for w in words.tolist()]
 
 
 # ---------------------------------------------------------------------------

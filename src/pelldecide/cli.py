@@ -192,8 +192,8 @@ def cmd_reg(session: Session, ns) -> int:
         return 2
     session.env = logic.reg(session.env, ns.name, pattern)
     stored = session.env.stored(ns.name)
-    session.save_definition(ns.name, stored.dfa, stored.params)
-    print(f"{ns.name}: automaton over ({', '.join(stored.params)}), "
+    session.save_definition(ns.name, stored.dfa, stored.tracks)
+    print(f"{ns.name}: automaton over ({', '.join(stored.tracks)}), "
           f"{stored.dfa.n_states} states")
     return 0
 
@@ -356,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="balanced-word optimality search")
     p.add_argument("--alphabet", type=int, default=5)
     p.add_argument("--bound", default="3/2")
-    p.add_argument("--strict", dest="strict", action="store_true", default=True)
-    p.add_argument("--no-strict", dest="strict", action="store_false")
+    p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--limit-depth", type=int, default=None)
     _add_session(p)
 

@@ -199,94 +199,26 @@ def _alphabet(n_symbols: int) -> TrackAlphabet:
 # bounded equivalence testing
 
 
-_EXHAUSTIVE_CHUNK = 2_000_000  # most words the oracle is handed at once
 _MAX_LEVEL = 27**6  # words of the longest level bounded_equiv sweeps
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
-def _pairs(hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int) -> tuple[np.ndarray, int]:
+def _pairs(hypothesis: Dfa | Dfao, domain: Dfa) -> tuple[np.ndarray, int]:
     """The product of ``hypothesis`` and ``domain``, whose state h * n + d
     pairs hypothesis state h with domain state d (n the domain's state count):
     its transition table, in the smallest unsigned type, and initial state."""
     n = domain.n_states
-    delta = hypothesis.delta[:, None, :n_symbols] * n + domain.delta
-    pair_type = np.min_scalar_type(len(delta) * n - 1)
-    return delta.reshape(-1, n_symbols).astype(pair_type), hypothesis.initial * n + domain.initial
+    delta = hypothesis.delta[:, None, :] * n + domain.delta
+    delta = delta.reshape(len(delta) * n, -1).astype(np.min_scalar_type(len(delta) * n - 1))
+    return delta, hypothesis.initial * n + domain.initial
 
 
-def _grown(digits, pairs, keep, delta, symbols, step):
-    """The prefixes given as ``digits`` (one row per position, one column per
-    prefix) and product states ``pairs``, each followed by every symbol that
-    ``keep`` allows in its state, in radix order and in the same form: in
-    blocks grown from ``step`` prefixes at a time."""
-    for lo in range(0, len(pairs), step):
-        block = pairs[lo : lo + step]
-        mask = keep[block]
-        counts = mask.sum(axis=1)
-        grown = np.empty((len(digits) + 1, counts.sum()), dtype=digits.dtype)
-        grown[:-1] = np.repeat(digits[:, lo : lo + step], counts, axis=1)
-        grown[-1] = np.broadcast_to(symbols, mask.shape)[mask]
-        yield grown, delta[block][mask]
-
-
-def _domain_pieces(hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int, max_len: int):
-    """Every word of length <= max_len that ``domain`` accepts, with its
-    hypothesis state, in radix order.
-
-    Yields (words, states) pieces of at most ``_EXHAUSTIVE_CHUNK`` words, one
-    length after another.  Per length, the walk keeps only the prefixes from
-    which the domain can still reach acceptance by length max_len, in radix
-    order: those of length L are the kept ones of length L-1, each followed
-    by every symbol that keeps it, so their product states are one gather
-    from the length below.  A length is grown from at most
-    ``_EXHAUSTIVE_CHUNK // n_symbols`` prefixes at a time, and only the
-    lengths below max_len are kept whole.  A piece's ``words`` is a
-    read-only array of the smallest signed type; it is column-major, so that
-    the oracles' per-position slices are contiguous.
-    """
-    delta, initial = _pairs(hypothesis, domain, n_symbols)
-    n_hyp = hypothesis.n_states
-    state_of = (np.arange(len(delta)) // domain.n_states).astype(np.min_scalar_type(n_hyp - 1))
-    accepted = np.tile(domain.accepting, n_hyp)
-    # the fewest steps from each product state to one the domain accepts
-    ahead = np.tile(automata._distance_to(domain.delta, domain.accepting), n_hyp)
-    symbols = np.arange(n_symbols, dtype=np.min_scalar_type(-n_symbols))
-    step = max(1, _EXHAUSTIVE_CHUNK // n_symbols)  # prefixes grown at once
-    # a length's prefixes in blocks, each with one row per position and one
-    # column per prefix (the transpose of the words) and the product states
-    blocks = [(np.zeros((0, 1), dtype=symbols.dtype), np.array([initial], dtype=delta.dtype))]
-    for length in range(max_len + 1):
-        kept = []
-        for digits, pairs in blocks:
-            rows = np.flatnonzero(accepted[pairs])
-            for lo in range(0, len(rows), _EXHAUSTIVE_CHUNK):
-                piece = rows[lo : lo + _EXHAUSTIVE_CHUNK]
-                yield _read_only(np.take(digits, piece, axis=1).T), state_of[pairs[piece]]
-            if length < max_len:
-                kept.append((digits, pairs))
-        if not kept:  # the last length, or no prefix left
-            return
-        digits = np.concatenate([d for d, _ in kept], axis=1)
-        pairs = np.concatenate([p for _, p in kept])
-        keep = ahead[delta] <= max_len - length - 1
-        blocks = _grown(digits, pairs, keep, delta, symbols, step)
-
-
-def _least_off_domain(
-    hypothesis: Dfa | Dfao, domain: Dfa, n_symbols: int, max_len: int
-) -> Optional[Word]:
-    """The radix-least word of length <= max_len that ``domain`` rejects and
-    ``hypothesis`` labels nonzero, or None; read off their product, so no
-    word is run."""
-    delta, initial = _pairs(hypothesis, domain, n_symbols)
-    # exact[r]: the product states from which some word of length exactly r
-    # ends off the domain on a nonzero label
-    exact = [((hypothesis.labels != 0)[:, None] & ~domain.accepting).ravel()]
+def _least_word(delta: np.ndarray, initial: int, targets: np.ndarray,
+                max_len: int) -> Optional[Word]:
+    """The radix-least word of length <= max_len that leads the table
+    ``delta`` from ``initial`` into the mask ``targets``, or None; read off
+    the table, so no word is run."""
+    # exact[r]: the states from which some word of length exactly r ends in targets
+    exact = [targets]
     for _ in range(max_len):
         exact.append(exact[-1][delta].any(axis=1))
     for length, reach in enumerate(exact):
@@ -304,7 +236,6 @@ def _least_off_domain(
 def bounded_equiv(
     hypothesis: Dfa | Dfao,
     oracle: Callable[[np.ndarray], np.ndarray],
-    n_symbols: int,
     max_len: int = 6,
     *,
     domain: Dfa,
@@ -317,28 +248,35 @@ def bounded_equiv(
     swept: ``oracle`` receives them as (n_words, length) arrays of symbol
     indices, int8 for up to 128 symbols, and returns one value per row.
     Each array is read-only.  The other words are checked exactly, on the
-    product of hypothesis and domain, and never asked.  A None answer is
-    evidence, not proof; final soundness comes from the inductive
-    verification downstream.  Raises ValueError, before any oracle call, for
-    a negative ``max_len``, a longest level of more than 27^6 words or a
-    domain over another number of symbols, and for an answer that is not one
-    value per row.
+    product of hypothesis and domain, and never asked; the sweep walks the
+    same product table.  A None answer is evidence, not proof; final
+    soundness comes from the inductive verification downstream.  Raises
+    ValueError, before any oracle call, for a negative ``max_len``, a
+    hypothesis and domain over different alphabets or a longest level of
+    more than 27^6 words, and for an answer that is not one value per row.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    if n_symbols**max_len > _MAX_LEVEL:
+    if hypothesis.alphabet != domain.alphabet:
         raise ValueError(
-            f"a sweep to length {max_len} over {n_symbols} symbols has more than "
+            f"the hypothesis reads {hypothesis.alphabet.n_tracks} tracks, "
+            f"the domain {domain.alphabet.n_tracks}"
+        )
+    m = domain.alphabet.size
+    if m**max_len > _MAX_LEVEL:
+        raise ValueError(
+            f"a sweep to length {max_len} over {m} symbols has more than "
             f"27^6 words in its last level"
         )
-    if domain.alphabet.size != n_symbols:
-        raise ValueError(f"the domain reads {domain.alphabet.size} symbols, not {n_symbols}")
-    off = _least_off_domain(hypothesis, domain, n_symbols, max_len)
+    delta, initial = _pairs(hypothesis, domain)
+    # pair h * n + d: inside the domain as d is, labelled as h is
+    inside = np.tile(domain.accepting, hypothesis.n_states)
+    labels = np.repeat(hypothesis.labels, domain.n_states)
+    off = _least_word(delta, initial, (labels != 0) & ~inside, max_len)
     # a word longer than the off-domain one cannot come before it
     last = max_len if off is None else len(off)
-    values = hypothesis.labels
-    for words, states in _domain_pieces(hypothesis, domain, n_symbols, last):
-        mismatch = values[states] != _ask(oracle, words)
+    for words, states in automata._radix_walk(delta, initial, inside, last):
+        mismatch = labels[states] != _ask(oracle, words)
         if mismatch.any():
             found = tuple(map(int, words[mismatch.argmax()]))
             return found if off is None else min(found, off, key=lambda w: (len(w), w))
@@ -351,13 +289,6 @@ def bounded_equiv(
 _ADDER_ALPHABET = TrackAlphabet(3)
 
 
-def _split_tracks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # two floor divisions by a constant: numpy's % on small ints is far slower
-    q = words // 3
-    dx = q // 3
-    return dx, q - 3 * dx, words - 3 * q
-
-
 def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
     """Membership oracle of the addition relation on each row of an
     (n_words, length) signed integer array: padded canonical tracks with
@@ -365,7 +296,7 @@ def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
     words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("expected a (n_words, length) array")
-    dx, dy, dz = _split_tracks(words)
+    dx, dy, dz = _ADDER_ALPHABET.unpack(words)
     ok = (
         pell.valid_digits_batch(dx)
         & pell.valid_digits_batch(dy)
@@ -380,7 +311,7 @@ def learn_adder(max_len: int = 6) -> Dfa:
     """L*-learned minimal DFA of the addition relation."""
 
     def equivalence(hyp: Dfa) -> Optional[Word]:
-        return bounded_equiv(hyp, adder_oracle_batch, 27, max_len, domain=pell.valid_tracks(3))
+        return bounded_equiv(hyp, adder_oracle_batch, max_len, domain=pell.valid_tracks(3))
 
     return lstar(adder_oracle_batch, 27, equivalence)
 
@@ -404,6 +335,9 @@ def direct_adder() -> Dfa:
     pending = [start]
     rows: list[list[int]] = []
     dead = None  # key for the overflow/dead sink
+    # x + y - z digit difference of each symbol
+    dx, dy, dz = _ADDER_ALPHABET.unpack(np.arange(_ADDER_ALPHABET.size))
+    differences = (dx + dy - dz).tolist()
 
     def intern(key) -> int:
         if key not in ids:
@@ -413,14 +347,13 @@ def direct_adder() -> Dfa:
 
     while pending:
         state = pending.pop(0)
+        if state is dead:
+            rows.append([ids[dead]] * len(differences))
+            continue
+        c1, c0 = state
         row = []
-        for sym in range(27):
-            if state is dead:
-                row.append(ids[dead])
-                continue
-            c1, c0 = state
-            dx, dy, dz = sym // 9, (sym // 3) % 3, sym % 3
-            n1, n0 = 2 * c1 + c0 + dx + dy - dz, c1
+        for d in differences:
+            n1, n0 = 2 * c1 + c0 + d, c1
             key = (n1, n0) if max(abs(n1), abs(n0)) <= _CAP else dead
             row.append(intern(key))
         rows.append(row)

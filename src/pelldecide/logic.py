@@ -18,6 +18,7 @@ negation around projection.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -102,7 +103,6 @@ class PSeqConst:
     name: str
     index: Term
     value: int
-    negated: bool
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class PSeqPair:
     left_index: Term
     right_name: str
     right_index: Term
-    negated: bool
 
 
 @dataclass(frozen=True)
@@ -344,12 +343,14 @@ class _Parser:
             if kind != "number":
                 raise PredicateSyntaxError(f"found {value or kind!r}", line, col, ("output digit",))
             self.next()
-            return PSeqConst(name, index, int(value), negated)
-        other = self.expect_name()
-        self.expect_op("[")
-        other_index = self.parse_term()
-        self.expect_op("]")
-        return PSeqPair(name, index, other, other_index, negated)
+            atom: Predicate = PSeqConst(name, index, int(value))
+        else:
+            other = self.expect_name()
+            self.expect_op("[")
+            other_index = self.parse_term()
+            self.expect_op("]")
+            atom = PSeqPair(name, index, other, other_index)
+        return PNot(atom) if negated else atom
 
     def parse_comparison(self) -> Predicate:
         left = self.parse_term()
@@ -431,12 +432,10 @@ def unparse(p: Predicate) -> str:
     if isinstance(p, PCmp):
         return f"{unparse_term(p.left)} {p.op} {unparse_term(p.right)}"
     if isinstance(p, PSeqConst):
-        op = "!=" if p.negated else "="
-        return f"{p.name}[{unparse_term(p.index)}] {op} @{p.value}"
+        return f"{p.name}[{unparse_term(p.index)}] = @{p.value}"
     if isinstance(p, PSeqPair):
-        op = "!=" if p.negated else "="
         return (
-            f"{p.left_name}[{unparse_term(p.left_index)}] {op} "
+            f"{p.left_name}[{unparse_term(p.left_index)}] = "
             f"{p.right_name}[{unparse_term(p.right_index)}]"
         )
     if isinstance(p, PCall):
@@ -488,10 +487,10 @@ class Relation:
 def _comparison(op: str) -> Dfa:
     """2-track relation for one comparison; numeric order is lexicographic
     order of equal-length padded canonical representations."""
-    delta = np.empty((3, 9), dtype=np.int32)
-    for sym in range(9):
-        a, b = sym // 3, sym % 3
-        delta[0, sym] = 0 if a == b else (1 if a < b else 2)
+    alphabet = TrackAlphabet(2)
+    a, b = alphabet.unpack(np.arange(alphabet.size))
+    delta = np.empty((3, alphabet.size), dtype=np.int32)
+    delta[0] = np.where(a == b, 0, np.where(a < b, 1, 2))
     delta[1, :] = 1
     delta[2, :] = 2
     accept_sets = {
@@ -504,7 +503,7 @@ def _comparison(op: str) -> Dfa:
     }
     accepting = np.zeros(3, dtype=bool)
     accepting[list(accept_sets[op])] = True
-    core = Dfa(TrackAlphabet(2), delta, accepting, 0)
+    core = Dfa(alphabet, delta, accepting, 0)
     return automata.product(core, pell.valid_tracks(2), "and")
 
 
@@ -595,12 +594,6 @@ def _eliminate(constraints: list[Relation], temps: list[str]) -> Relation:
 # environment
 
 
-@dataclass(frozen=True)
-class _Stored:
-    dfa: Dfa
-    params: tuple[str, ...]
-
-
 def _check_name(name: str) -> str:
     if not re.fullmatch(r"[A-Za-z_]\w*", name):
         raise CompileError(f"invalid name {name!r}")
@@ -617,17 +610,14 @@ class Environment:
     Definitions and regular-expression automata share one callable namespace
     (both are invoked as $name(...)); sequences live in their own namespace.
     ``adder`` overrides the addition relation, which exists so tests can
-    inject broken adders and watch proofs fail.
+    inject broken adders and watch proofs fail.  ``with_sequence`` and
+    ``with_callable`` are the only ways to bind a name, so every sequence
+    passes the check of ``with_sequence``.
     """
 
-    def __init__(
-        self,
-        sequences: Optional[Mapping[str, Dfao]] = None,
-        callables: Optional[Mapping[str, _Stored]] = None,
-        adder: Optional[Dfa] = None,
-    ):
-        self._sequences = dict(sequences or {})
-        self._callables = dict(callables or {})
+    def __init__(self, *, adder: Optional[Dfa] = None):
+        self._sequences: dict[str, Dfao] = {}
+        self._callables: dict[str, Relation] = {}
         self._adder = adder
 
     def with_sequence(self, name: str, m: Dfao) -> "Environment":
@@ -638,23 +628,23 @@ class Environment:
         canon = automata.minimize(m)
         if canon.delta[canon.initial, 0] != canon.initial:
             raise CompileError(f"the output of sequence {name!r} depends on leading zeros")
-        new = dict(self._sequences)
-        new[_check_name(name)] = m
-        return Environment(new, self._callables, self._adder)
+        env = copy.copy(self)
+        env._sequences = {**self._sequences, _check_name(name): m}
+        return env
 
     def with_callable(self, name: str, dfa: Dfa, params: tuple[str, ...]) -> "Environment":
         if name in self._callables:
             raise CompileError(f"name {name!r} is already defined")
-        new = dict(self._callables)
-        new[_check_name(name)] = _Stored(dfa, params)
-        return Environment(self._sequences, new, self._adder)
+        env = copy.copy(self)
+        env._callables = {**self._callables, _check_name(name): Relation(dfa, tuple(params))}
+        return env
 
     def sequence(self, name: str) -> Dfao:
         if name not in self._sequences:
             raise CompileError(f"unknown sequence {name!r}")
         return self._sequences[name]
 
-    def stored(self, name: str) -> _Stored:
+    def stored(self, name: str) -> Relation:
         if name not in self._callables:
             raise CompileError(f"unknown definition {name!r}")
         return self._callables[name]
@@ -763,10 +753,9 @@ def _rebind(p: Predicate, name: str, anchor: str) -> Predicate:
         return reduce(TAdd, _summands(index)[1:]) if name in _term_vars(index) else index
 
     if isinstance(p, PSeqConst):
-        return PSeqConst(p.name, shift(p.index), p.value, p.negated)
+        return PSeqConst(p.name, shift(p.index), p.value)
     if isinstance(p, PSeqPair):
-        return PSeqPair(p.left_name, shift(p.left_index), p.right_name, shift(p.right_index),
-                        p.negated)
+        return PSeqPair(p.left_name, shift(p.left_index), p.right_name, shift(p.right_index))
     if isinstance(p, PNot):
         return PNot(_rebind(p.body, name, anchor))
     if isinstance(p, PBin):
@@ -871,34 +860,33 @@ class _Compiler:
         self.adder = env.adder()
         self.counter = 0
 
-    def atom(self, p: Predicate) -> tuple[Dfa, tuple[Term, ...], bool]:
-        """An atom's automaton, the terms on its tracks, and whether it is negated."""
+    def atom(self, p: Predicate) -> tuple[Dfa, tuple[Term, ...]]:
+        """An atom's automaton and the terms on its tracks."""
         if isinstance(p, PCmp):
-            return _comparison(p.op), (p.left, p.right), False
+            return _comparison(p.op), (p.left, p.right)
         if isinstance(p, PSeqConst):
             m = self.env.sequence(p.name)
             if p.value not in set(map(int, m.outputs)):
                 raise CompileError(
                     f"output @{p.value} is not in the alphabet of sequence {p.name!r}"
                 )
-            return _slice(m, p.value), (p.index,), p.negated
+            return _slice(m, p.value), (p.index,)
         if isinstance(p, PSeqPair):
             pair = _pair_equal(self.env.sequence(p.left_name), self.env.sequence(p.right_name))
-            return pair, (p.left_index, p.right_index), p.negated
+            return pair, (p.left_index, p.right_index)
         stored = self.env.stored(p.name)
-        if len(p.args) != len(stored.params):
+        if len(p.args) != len(stored.tracks):
             raise CompileError(
-                f"${p.name} takes {len(stored.params)} arguments, got {len(p.args)}"
+                f"${p.name} takes {len(stored.tracks)} arguments, got {len(p.args)}"
             )
-        return stored.dfa, p.args, False
+        return stored.dfa, p.args
 
     def compile(self, p: Predicate) -> Relation:
         if isinstance(p, (PCmp, PSeqConst, PSeqPair, PCall)):
-            dfa, terms, negated = self.atom(p)
+            dfa, terms = self.atom(p)
             ctx = _Context(self)
             ctx.add(dfa, tuple(ctx.term(t) for t in terms))
-            out = ctx.finish()
-            return _negate(out) if negated else out
+            return ctx.finish()
         if isinstance(p, PNot):
             return _negate(self.compile(p.body))
         if isinstance(p, PBin):
@@ -1101,18 +1089,10 @@ def relation_accepts(r: Relation, values: Mapping[str, int]) -> bool:
 def relation_accepts_batch(r: Relation, rows: np.ndarray) -> np.ndarray:
     """Vectorized membership for an (n, len(tracks)) array of naturals."""
     rows = np.asarray(rows, dtype=np.int64)
-    if r.tracks:
-        if rows.ndim != 2 or rows.shape[1] != len(r.tracks):
-            raise ValueError(f"expected shape (n, {len(r.tracks)})")
-        digits = [pell.encode_batch(rows[:, i]) for i in range(rows.shape[1])]
-        length = max(d.shape[1] for d in digits)
-        words = np.zeros((len(rows), length), dtype=np.int64)
-        for d in digits:
-            pad = length - d.shape[1]
-            words *= 3
-            if d.shape[1]:
-                words[:, pad:] += d
-    else:
-        words = np.zeros((len(rows), 0), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != len(r.tracks):
+        raise ValueError(f"expected shape (n, {len(r.tracks)})")
+    # one encoding of every value, track after track, pads all to one length
+    digits = pell.encode_batch(rows.T.ravel())
+    words = r.dfa.alphabet.pack(digits.reshape(len(r.tracks), len(rows), digits.shape[1]))
     states = automata.run_batch(r.dfa, words)
     return np.asarray(r.dfa.accepting)[states]

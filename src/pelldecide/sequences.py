@@ -174,7 +174,7 @@ def learn_word_dfao(blocks) -> Dfao:
     batch = _word_oracle(blocks)
 
     def equivalence(hyp: Dfao):
-        return learner.bounded_equiv(hyp, batch, 3, _WORD_MAX_LEN, domain=pell.valid_tracks(1))
+        return learner.bounded_equiv(hyp, batch, _WORD_MAX_LEN, domain=pell.valid_tracks(1))
 
     return learner.lstar_moore(batch, 3, equivalence)
 

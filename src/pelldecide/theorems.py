@@ -39,6 +39,8 @@ from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import _kernels, automata, logic, pell, sequences
 from .automata import Dfa, Dfao
 
@@ -280,10 +282,8 @@ def almost_powers() -> TheoremReport:
 
     pairs = sorted(
         {
-            (
-                pell.decode("".join(str(s // 3) for s in w)),
-                pell.decode("".join(str(s % 3) for s in w)),
-            )
+            tuple(pell.decode("".join(map(str, track.tolist())))
+                  for track in rel.dfa.alphabet.unpack(np.array(w, dtype=np.int64)))
             for w in automata.enumerate_words(rel.dfa, 12)
         }
     )

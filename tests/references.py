@@ -402,10 +402,9 @@ def ref_holds(p, values: dict, words: dict, calls: dict, box: int) -> np.ndarray
     if kind == "PCmp":
         return _CMP[p.op](term(p.left), term(p.right))
     if kind == "PSeqConst":
-        return (words[p.name][term(p.index)] == p.value) != p.negated
+        return words[p.name][term(p.index)] == p.value
     if kind == "PSeqPair":
-        same = words[p.left_name][term(p.left_index)] == words[p.right_name][term(p.right_index)]
-        return same != p.negated
+        return words[p.left_name][term(p.left_index)] == words[p.right_name][term(p.right_index)]
     if kind == "PCall":
         return calls[p.name](*(term(a) for a in p.args))
     if kind == "PNot":

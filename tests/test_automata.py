@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import sys
 from collections import deque
 
 import numpy as np
@@ -62,6 +61,33 @@ def exact_word_dfa(word):
     accepting = np.zeros(n, dtype=bool)
     accepting[len(symbols)] = True
     return Dfa(TrackAlphabet(1), delta, accepting, 0)
+
+
+# --- the track codec ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_tracks", range(6))
+def test_pack_and_unpack_agree_with_index_and_digits(n_tracks):
+    alphabet = TrackAlphabet(n_tracks)
+    size = alphabet.size
+    tracks = np.reshape(alphabet.unpack(np.arange(size)), (n_tracks, size))
+    assert list(map(tuple, tracks.T.tolist())) == [alphabet.digits(s) for s in range(size)]
+    assert alphabet.pack(tracks).tolist() == list(range(size))
+    # int8 (n, L) digit arrays in either memory order; five tracks have 243
+    # symbols, more than int8 holds
+    digits = np.random.default_rng(n_tracks).integers(0, 3, size=(n_tracks, 40, 7), dtype=np.int8)
+    for order in "CF":
+        given = [np.asarray(d, order=order) for d in digits] if n_tracks else digits
+        packed = alphabet.pack(given)
+        assert packed.shape == (40, 7) and packed.dtype == np.min_scalar_type(-size)
+        assert packed.tolist() == [
+            [alphabet.index(digits[:, i, j].tolist()) for j in range(7)] for i in range(40)
+        ]
+        back = alphabet.unpack(np.asarray(packed, order=order))
+        assert len(back) == n_tracks
+        for d, b in zip(digits, back):
+            assert b.dtype == packed.dtype and b.flags[f"{order}_CONTIGUOUS"]
+            assert np.array_equal(b, d)
 
 
 # --- naive counterparts ----------------------------------------------------
@@ -755,22 +781,19 @@ def test_enumeration_orders_and_agrees():
     assert words == brute
 
 
-def test_enumeration_skips_states_that_cannot_accept():
+def test_enumeration_skips_states_that_cannot_accept(monkeypatch):
     # 4 states: "12" leads to acceptance, every other edge to a dead state
     a = exact_word_dfa("12")
-    visited = []
+    kept, grown = [], automata._grown
 
-    def trace(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "walk":
-            visited.append(frame.f_locals["word"])
+    def spy(digits, *rest):
+        kept.extend(map(tuple, digits.T.tolist()))  # one column per prefix
+        return grown(digits, *rest)
 
-    sys.settrace(trace)
-    try:
-        words = automata.enumerate_words(a, 12)
-    finally:
-        sys.settrace(None)
-    assert words == [(1, 2)]
-    assert visited == [(), (1,), (1, 2)]
+    monkeypatch.setattr(automata, "_grown", spy)
+    assert automata.enumerate_words(a, 12) == [(1, 2)]
+    # the prefixes the walk keeps and grows, length after length
+    assert kept == [(), (1,), (1, 2)]
 
 
 def test_enumeration_matches_brute_force_past_the_state_count():

@@ -162,6 +162,14 @@ def test_search_cli(capsys):
     assert code == 0 and out.splitlines()[0] == "max length 28 with 2 words:"
 
 
+@pytest.mark.parametrize(
+    "flags, strict", [((), True), (("--strict",), True), (("--no-strict",), False)],
+    ids=["default", "strict", "no-strict"],
+)
+def test_search_strict_flags(flags, strict):
+    assert cli._build_parser().parse_args(["search", *flags]).strict is strict
+
+
 def test_search_zero_denominator_bound_exits_2(capsys):
     code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--bound", "3/0")
     assert code == 2 and out == ""

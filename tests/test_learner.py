@@ -107,7 +107,7 @@ def learn_digit_sum():
     target = digit_sum()
 
     def equivalence(h):
-        return learner.bounded_equiv(h, oracle_of(target), 3, max_len=8, domain=all_words(3))
+        return learner.bounded_equiv(h, oracle_of(target), max_len=8, domain=all_words(3))
 
     return learner.lstar_moore(oracle_of(target), 3, equivalence)
 
@@ -194,7 +194,7 @@ def test_batched_table_matches_per_word_reference(monkeypatch, learn):
 def test_bounded_equiv_reports_smallest_mismatch():
     target = automata.minimize(pell.canonical_recognizer())
     mutant = R.flip_accepting(target, 1)
-    ce = learner.bounded_equiv(mutant, oracle_of(target), 3, domain=all_words(3))
+    ce = learner.bounded_equiv(mutant, oracle_of(target), domain=all_words(3))
     assert ce is not None
     assert automata.accepts(mutant, ce) != automata.accepts(target, ce)
     # radix order: no shorter or lexicographically earlier mismatch exists
@@ -208,13 +208,13 @@ def test_bounded_equiv_reports_smallest_mismatch():
 def test_bounded_equiv_passes_identical_languages():
     target = automata.minimize(pell.canonical_recognizer())
     same = automata.complement(automata.complement(target))
-    assert learner.bounded_equiv(same, oracle_of(target), 3, domain=all_words(3)) is None
+    assert learner.bounded_equiv(same, oracle_of(target), domain=all_words(3)) is None
 
 
 def test_bounded_equiv_rejects_negative_lengths():
     target = automata.minimize(even_ones())
     with pytest.raises(ValueError):
-        learner.bounded_equiv(target, oracle_of(target), 3, max_len=-1, domain=all_words(3))
+        learner.bounded_equiv(target, oracle_of(target), max_len=-1, domain=all_words(3))
 
 
 class FirstCall(Exception):
@@ -238,11 +238,11 @@ def test_bounded_equiv_refuses_sweeps_past_27_to_the_6(n_symbols, max_len):
     hyp = random_machine(np.random.default_rng(n_symbols), n_symbols, moore=False)
     calls, domain = [], all_words(n_symbols)
     with pytest.raises(ValueError, match="27\\^6"):
-        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len, domain=domain)
+        learner.bounded_equiv(hyp, counting(calls), max_len, domain=domain)
     assert calls == []
     # one length less is within the limit: the sweep starts with the empty word
     with pytest.raises(FirstCall):
-        learner.bounded_equiv(hyp, counting(calls), n_symbols, max_len - 1, domain=domain)
+        learner.bounded_equiv(hyp, counting(calls), max_len - 1, domain=domain)
     assert calls == [(1, 0)]
 
 
@@ -291,7 +291,7 @@ def swept(hypothesis, batch, n_symbols, max_len, chunk, domain=None):
         pieces.append(words.copy())
         return batch(words)
 
-    ce = learner.bounded_equiv(hypothesis, checked, n_symbols, max_len, domain=domain)
+    ce = learner.bounded_equiv(hypothesis, checked, max_len, domain=domain)
     return ce, pieces
 
 
@@ -311,11 +311,11 @@ def domain_words(domain, n_symbols, length):
 MAX_LEN = {1: 8, 3: 6, 9: 4, 27: 3}
 
 
-@pytest.mark.parametrize("chunk", [learner._EXHAUSTIVE_CHUNK, 5], ids=["chunk-default", "chunk-5"])
+@pytest.mark.parametrize("chunk", [automata._WALK_CHUNK, 5], ids=["chunk-default", "chunk-5"])
 @pytest.mark.parametrize("moore", [False, True], ids=["dfa", "dfao"])
 @pytest.mark.parametrize("n_symbols", [1, 3, 9, 27])
 def test_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
-    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    monkeypatch.setattr(automata, "_WALK_CHUNK", chunk)
     rng = np.random.default_rng(1000 * n_symbols + 10 * moore + (chunk == 5))
     max_len = MAX_LEN[n_symbols]
     for _ in range(8):
@@ -360,13 +360,13 @@ def restricted(machine, domain):
     return Dfa(machine.alphabet, delta, labels.astype(bool), initial)
 
 
-@pytest.mark.parametrize("chunk", [learner._EXHAUSTIVE_CHUNK, 5], ids=["chunk-default", "chunk-5"])
+@pytest.mark.parametrize("chunk", [automata._WALK_CHUNK, 5], ids=["chunk-default", "chunk-5"])
 @pytest.mark.parametrize("moore", [False, True], ids=["dfa", "dfao"])
 @pytest.mark.parametrize("n_symbols", [3, 9, 27])
 def test_domain_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
     """Over the padded canonical words, the oracle is asked only on the
     domain, and the answer is still that of a run of every word."""
-    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    monkeypatch.setattr(automata, "_WALK_CHUNK", chunk)
     rng = np.random.default_rng(2000 * n_symbols + 10 * moore + (chunk == 5))
     max_len = MAX_LEN[n_symbols]
     domain = pell.valid_tracks(TRACKS[n_symbols])
@@ -432,28 +432,29 @@ def test_answer_is_the_radix_least_of_asked_and_unasked(accepted, least):
     radix-least of the two."""
     hyp = finite_language(accepted)
     nothing = oracle_of(finite_language([]))
-    ce, _ = swept(hyp, nothing, 3, 6, learner._EXHAUSTIVE_CHUNK, pell.valid_tracks(1))
+    ce, _ = swept(hyp, nothing, 3, 6, automata._WALK_CHUNK, pell.valid_tracks(1))
     assert ce == least == reference_sweep(hyp, nothing, 3, 6)
 
 
 def test_bounded_equiv_rejects_a_domain_over_other_symbols():
     hyp = random_machine(np.random.default_rng(9), 9, moore=False)
     calls = []
-    with pytest.raises(ValueError, match="domain reads 3 symbols, not 9"):
-        learner.bounded_equiv(hyp, counting(calls), 9, 4, domain=pell.valid_tracks(1))
+    with pytest.raises(ValueError, match="the hypothesis reads 2 tracks, the domain 1"):
+        learner.bounded_equiv(hyp, counting(calls), 4, domain=pell.valid_tracks(1))
     assert calls == []
 
 
 @pytest.mark.parametrize(
-    "chunk", [1, 2, 4, 5, 9, learner._EXHAUSTIVE_CHUNK],
+    "chunk", [1, 2, 4, 5, 9, automata._WALK_CHUNK],
     ids=["chunk-1", "chunk-2", "chunk-4", "chunk-5", "chunk-9", "chunk-default"],
 )
 @pytest.mark.parametrize("n_symbols", [1, 3, 9, 27])
 def test_radix_pieces_match_reference(monkeypatch, n_symbols, chunk):
-    """The domain walk hands out the words of the domain and their
-    hypothesis states, as a run of every word finds them, in read-only int8
+    """The radix walk over the product of a hypothesis and a domain, the
+    table bounded_equiv walks, hands out the words of the domain and their
+    product states, as a run of every word finds them, in read-only int8
     column-major pieces of at most chunk words."""
-    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", chunk)
+    monkeypatch.setattr(automata, "_WALK_CHUNK", chunk)
     rng = np.random.default_rng(10 * n_symbols + chunk % 7)
     max_len = MAX_LEN[n_symbols]
     domains = [all_words(n_symbols), pell.valid_tracks(TRACKS[n_symbols])]
@@ -461,19 +462,22 @@ def test_radix_pieces_match_reference(monkeypatch, n_symbols, chunk):
     for moore in (False, True):
         hyp = random_machine(rng, n_symbols, moore)
         for domain in domains:
-            pieces = list(learner._domain_pieces(hyp, domain, n_symbols, max_len))
+            delta, initial = learner._pairs(hyp, domain)
+            inside = np.tile(domain.accepting, hyp.n_states)
+            pieces = list(automata._radix_walk(delta, initial, inside, max_len))
             for words, states in pieces:
                 check_piece(words, domain, chunk)
-                assert len(states) == len(words)
+                assert len(states) == len(words) and states.dtype == delta.dtype
             ref = R.ref_domain_words(hyp, domain, n_symbols, max_len)
             for length, (ref_words, ref_states) in enumerate(ref):
                 at = [(w, st) for w, st in pieces if w.shape[1] == length]
                 words = np.concatenate([w for w, _ in at] or [np.zeros((0, length))])
                 assert np.array_equal(words, ref_words)
-                if at:
-                    states = np.concatenate([st for _, st in at])
-                    assert states.dtype == ref_states.dtype
-                    assert np.array_equal(states, ref_states)
+                states = np.concatenate([st for _, st in at] or [np.zeros(0, delta.dtype)])
+                # pair h * n + d: hypothesis state h, domain state d
+                hyp_states, domain_states = np.divmod(states, domain.n_states)
+                assert np.array_equal(hyp_states, ref_states)
+                assert np.array_equal(domain_states, R.ref_run_batch(domain, ref_words))
 
 
 def answering(shape_of):
@@ -491,7 +495,7 @@ BAD_SHAPES = pytest.mark.parametrize(
 def test_bounded_equiv_rejects_answers_not_one_per_row(shape_of):
     hyp = automata.minimize(even_ones())
     with pytest.raises(ValueError, match=r"one oracle answer per word, shape \(1,\)"):
-        learner.bounded_equiv(hyp, answering(shape_of), 3, max_len=2, domain=all_words(3))
+        learner.bounded_equiv(hyp, answering(shape_of), max_len=2, domain=all_words(3))
 
 
 @BAD_SHAPES
@@ -503,7 +507,7 @@ def test_table_rejects_answers_not_one_per_row(shape_of):
 
 @pytest.mark.parametrize("n_symbols", [3, 27])
 def test_sweep_finds_mismatch_in_last_piece_of_a_level(monkeypatch, n_symbols):
-    monkeypatch.setattr(learner, "_EXHAUSTIVE_CHUNK", 4)
+    monkeypatch.setattr(automata, "_WALK_CHUNK", 4)
     rng = np.random.default_rng(n_symbols)
     max_len = MAX_LEN[n_symbols]
     for moore in (False, True):
@@ -618,7 +622,7 @@ def test_table_asks_each_word_once(monkeypatch):
     monkeypatch.setattr(
         learner,
         "bounded_equiv",
-        lambda hyp, _, n, max_len, domain: sweep(hyp, oracle, n, max_len, domain=domain),
+        lambda hyp, _, max_len, domain: sweep(hyp, oracle, max_len, domain=domain),
     )
     learner.learn_adder(max_len=4)
     assert all(words.ndim == 2 and words.dtype == np.int8 for words in asked)

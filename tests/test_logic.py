@@ -297,6 +297,18 @@ def test_sequences_must_ignore_leading_zeros():
         logic.Environment().with_sequence("X", pell.canonical_recognizer())
 
 
+def test_no_route_binds_a_sequence_past_the_check():
+    # the constructor takes only the adder, so with_sequence is the one way
+    # to bind a sequence, and it refuses the length-parity machine
+    parity = Dfao(TrackAlphabet(1), np.array([[1, 1, 1], [0, 0, 0]]), np.array([0, 1]), 0)
+    with pytest.raises(TypeError):
+        logic.Environment(sequences={"X": parity})
+    with pytest.raises(TypeError):
+        logic.Environment({"X": parity})
+    with pytest.raises(CompileError, match="leading zeros"):
+        logic.Environment(adder=learner.adder()).with_sequence("X", parity)
+
+
 def test_environment_is_persistent_style():
     base = logic.Environment()
     one = logic.define(base, "one", "?msd_pell x = 1")
@@ -422,6 +434,29 @@ def test_relation_accepts_batch_matches_scalar():
     for row, g in zip(rows, got):
         assert logic.relation_accepts(rel, dict(zip(rel.tracks, map(int, row)))) == bool(g)
     assert np.array_equal(got, rows[:, 0] + rows[:, 1] == rows[:, 2])
+
+
+def test_relation_accepts_batch_pads_every_track_to_one_length():
+    rel = logic.compile("?msd_pell x + y = z")
+    # representations of lengths 0, 1 and 8 on one row, in every order
+    rows = np.array([[0, 1, 1], [1, 0, 1], [0, 5000, 5000], [5000, 0, 5000], [2, 5000, 5002],
+                     [5000, 2, 5002], [5000, 2, 5003], [0, 0, 7], [7, 0, 0], [0, 0, 0]])
+    want = rows[:, 0] + rows[:, 1] == rows[:, 2]
+    assert logic.relation_accepts_batch(rel, rows).tolist() == want.tolist()
+    # every value 0: words of length 0
+    assert logic.relation_accepts_batch(rel, np.zeros((3, 3), dtype=np.int64)).all()
+    assert logic.relation_accepts_batch(rel, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("text, truth", [("Ex x = 1", True), ("Ax x = 1", False)])
+def test_relation_accepts_batch_without_tracks(text, truth):
+    closed = logic.compile("?msd_pell " + text)
+    assert closed.tracks == ()
+    got = logic.relation_accepts_batch(closed, np.zeros((4, 0), dtype=np.int64))
+    assert got.tolist() == [truth] * 4
+    assert logic.relation_accepts(closed, {}) is truth
+    with pytest.raises(ValueError, match=r"expected shape \(n, 0\)"):
+        logic.relation_accepts_batch(closed, np.zeros((4, 1), dtype=np.int64))
 
 
 def test_default_environment_uses_the_shared_adder():
