@@ -4,9 +4,10 @@ The main client is the 3-track Pell addition relation: a word over digit
 triples [dx,dy,dz] is in the language iff every track is a (possibly
 zero-padded) canonical representation and the first two decode to values
 summing to the third.  Angluin's L* recovers its minimal DFA from the decode
-oracle alone; an independent construction by carry analysis cross-checks it,
-and the decisive correctness argument is the inductive proof run by the
-theorems module, not the bounded testing here.
+oracle together with the domain automaton ``pell.valid_tracks(3)``, which
+supplies the padded-canonical condition; an independent construction by
+carry analysis cross-checks it, and the decisive correctness argument is the
+inductive proof run by the theorems module, not the bounded testing here.
 """
 
 from __future__ import annotations
@@ -36,17 +37,21 @@ class ObservationTable:
     """Prefix/suffix observation table over symbol indices.
 
     ``prefixes`` stays prefix-closed and ``suffixes`` always contains the
-    empty word.  ``oracle`` takes an (n_words, length) array of symbol
-    indices, int8 for up to 128 symbols, and returns one value per row.  Before the table is read, every
-    missing cell of the prefixes and their one-letter extensions is asked for,
-    one oracle call per word length, and each row is kept and grown by the new
-    columns only, so no word is asked twice.
+    empty word.  ``domain`` is the automaton of the words the target may
+    label nonzero: the oracle is asked only words it accepts, and every other
+    cell gets the zero label (0 or False).  ``oracle`` takes an (n_words,
+    length) array of symbol indices, int8 for up to 128 symbols, and returns
+    one value per row.  Before the table is read, every missing cell of the
+    prefixes and their one-letter extensions is filled, one domain run and at
+    most one oracle call per word length, and each row is kept and grown by
+    the new columns only, so no word is asked twice.
     """
 
-    def __init__(self, oracle: Callable[[np.ndarray], np.ndarray], n_symbols: int):
+    def __init__(self, oracle: Callable[[np.ndarray], np.ndarray], domain: Dfa):
         self._oracle = oracle
-        self.n_symbols = n_symbols
-        self._symbol_type = np.min_scalar_type(-n_symbols)
+        self.domain = domain
+        self.n_symbols = domain.alphabet.size
+        self._symbol_type = np.min_scalar_type(-self.n_symbols)
         self.prefixes: list[Word] = []
         self.suffixes: list[Word] = [()]
         self._values: dict[Word, Hashable] = {}
@@ -77,7 +82,11 @@ class ObservationTable:
                     by_length.setdefault(len(word), {})[word] = None
         for length, words in sorted(by_length.items()):
             batch = np.array(list(words), dtype=self._symbol_type).reshape(len(words), length)
-            self._values.update(zip(words, _ask(self._oracle, batch).tolist()))
+            inside = self.domain.accepting[automata.run_batch(self.domain, batch)]
+            self._values.update(dict.fromkeys(words, 0))
+            if inside.any():
+                asked = [w for w, ok in zip(words, inside.tolist()) if ok]
+                self._values.update(zip(asked, _ask(self._oracle, batch[inside]).tolist()))
         for p, row in stale:
             self._rows[p] = row + tuple(self._values[p + s] for s in self.suffixes[len(row):])
 
@@ -143,8 +152,8 @@ def _ask(oracle: Callable[[np.ndarray], np.ndarray], words: np.ndarray) -> np.nd
     return answers
 
 
-def _lstar_engine(oracle, n_symbols, equivalence, kind):
-    table = ObservationTable(oracle, n_symbols)
+def _lstar_engine(oracle, domain, equivalence, kind):
+    table = ObservationTable(oracle, domain)
     while True:
         ok, ext = table.closed()
         if not ok:
@@ -155,7 +164,7 @@ def _lstar_engine(oracle, n_symbols, equivalence, kind):
             table.add_suffix(suf)
             continue
         delta, values, initial = table.hypothesis()
-        hyp = automata.minimize(kind(_alphabet(n_symbols), delta, np.asarray(values), initial))
+        hyp = automata.minimize(kind(domain.alphabet, delta, np.asarray(values), initial))
         ce = equivalence(hyp)
         if ce is None:
             return hyp
@@ -170,29 +179,22 @@ def _lstar_engine(oracle, n_symbols, equivalence, kind):
 
 def lstar(
     oracle: Callable[[np.ndarray], np.ndarray],
-    n_symbols: int,
+    domain: Dfa,
     equivalence: Callable[[Dfa], Optional[Word]],
 ) -> Dfa:
-    """Learn the minimal DFA of a boolean batch membership oracle."""
-    return _lstar_engine(oracle, n_symbols, equivalence, Dfa)
+    """Learn the minimal DFA of a boolean batch membership oracle that is
+    False off ``domain``; the oracle is asked only words of the domain."""
+    return _lstar_engine(oracle, domain, equivalence, Dfa)
 
 
 def lstar_moore(
     oracle: Callable[[np.ndarray], np.ndarray],
-    n_symbols: int,
+    domain: Dfa,
     equivalence: Callable[[Dfao], Optional[Word]],
 ) -> Dfao:
-    """Learn the minimal Moore machine of an integer-valued batch oracle."""
-    return _lstar_engine(oracle, n_symbols, equivalence, Dfao)
-
-
-def _alphabet(n_symbols: int) -> TrackAlphabet:
-    k = 0
-    while 3**k < n_symbols:
-        k += 1
-    if 3**k != n_symbols:
-        raise ValueError(f"symbol count {n_symbols} is not a power of 3")
-    return TrackAlphabet(k)
+    """Learn the minimal Moore machine of an integer-valued batch oracle
+    that is 0 off ``domain``; the oracle is asked only words of the domain."""
+    return _lstar_engine(oracle, domain, equivalence, Dfao)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +245,10 @@ def bounded_equiv(
     """The radix-least word of length <= max_len where hypothesis and oracle
     disagree, or None.
 
-    ``domain`` accepts the words the oracle is asked on; off it, the oracle
-    promises the zero label (0 or False).  Every word of the domain is
-    swept: ``oracle`` receives them as (n_words, length) arrays of symbol
-    indices, int8 for up to 128 symbols, and returns one value per row.
+    ``domain`` accepts the words the oracle is asked on; off it, the target
+    is zero (0 or False), as in the table L* fills.  Every word of the
+    domain is swept: ``oracle`` receives them as (n_words, length) arrays of
+    symbol indices, int8 for up to 128 symbols, and returns one value per row.
     Each array is read-only.  The other words are checked exactly, on the
     product of hypothesis and domain, and never asked; the sweep walks the
     same product table.  A None answer is evidence, not proof; final
@@ -291,29 +293,26 @@ _ADDER_ALPHABET = TrackAlphabet(3)
 
 def adder_oracle_batch(words: np.ndarray) -> np.ndarray:
     """Membership oracle of the addition relation on each row of an
-    (n_words, length) signed integer array: padded canonical tracks with
-    x + y = z."""
+    (n_words, length) signed integer array of ``pell.valid_tracks(3)``
+    words: x + y = z.  Off that domain the relation is empty, and the
+    learner asks no such word, so the answer there means nothing."""
     words = np.asarray(words)
     if words.ndim != 2:
         raise ValueError("expected a (n_words, length) array")
     dx, dy, dz = _ADDER_ALPHABET.unpack(words)
-    ok = (
-        pell.valid_digits_batch(dx)
-        & pell.valid_digits_batch(dy)
-        & pell.valid_digits_batch(dz)
-    )
-    # decoding is linear in the digits, so one decode gives x + y - z; it is
-    # cheaper on every row than gathering the valid ones first
-    return ok & (pell.decode_batch(dx + dy - dz) == 0)
+    # decoding is linear in the digits, so one decode gives x + y - z
+    return pell.decode_batch(dx + dy - dz) == 0
 
 
 def learn_adder(max_len: int = 6) -> Dfa:
     """L*-learned minimal DFA of the addition relation."""
 
-    def equivalence(hyp: Dfa) -> Optional[Word]:
-        return bounded_equiv(hyp, adder_oracle_batch, max_len, domain=pell.valid_tracks(3))
+    domain = pell.valid_tracks(3)
 
-    return lstar(adder_oracle_batch, 27, equivalence)
+    def equivalence(hyp: Dfa) -> Optional[Word]:
+        return bounded_equiv(hyp, adder_oracle_batch, max_len, domain=domain)
+
+    return lstar(adder_oracle_batch, domain, equivalence)
 
 
 _CAP = 64  # largest carry coefficient direct_adder tracks

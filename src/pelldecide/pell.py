@@ -178,25 +178,14 @@ def decode_batch(digits: np.ndarray) -> np.ndarray:
 
 
 def valid_digits_batch(digits: np.ndarray) -> np.ndarray:
-    """Mask of rows that are 0*-padded canonical representations.
-
-    Mirrors canonical_recognizer: digits in {0, 1, 2}, every 2 followed by 0,
-    and the last digit at most 1.  Leading zeros are fine.  Takes any integer
-    dtype and makes one pass per column, contiguous for column-major input.
+    """Mask of rows that are 0*-padded canonical representations: digits in
+    {0, 1, 2} and accepted by ``valid_tracks(1)``.  Takes any integer dtype;
+    a row of length 0 is valid.
     """
     digits = np.asarray(digits)
-    n, length = digits.shape
-    if length == 0:
-        return np.ones(n, dtype=bool)
-    # Read unsigned, a negative digit is above 2.  A digit d followed by e is
-    # allowed iff d | (e != 0) <= 2: 0 and 1 go before anything, 2 only
-    # before a 0.  The last digit is followed by a virtual 1.
-    if digits.dtype.kind == "i":
-        digits = digits.view(f"u{digits.dtype.itemsize}")
-    worst = digits[:, -1] | 1
-    step = np.empty_like(worst)
-    for col in range(length - 1):
-        np.not_equal(digits[:, col + 1], 0, out=step)
-        step |= digits[:, col]
-        np.maximum(worst, step, out=worst)
-    return worst <= 2
+    in_range = ((digits >= 0) & (digits <= 2)).all(axis=1)
+    # rows with a digit out of range are read as zeros, which keeps the
+    # table lookup in bounds; the mask rejects them anyway
+    symbols = np.where(in_range[:, None], digits, 0).astype(np.int8)
+    rec = valid_tracks(1)
+    return in_range & rec.accepting[automata.run_batch(rec, symbols)]

@@ -100,7 +100,9 @@ def bfs_levels(
     Level d holds every length-d word that is balanced, avoids factor
     exponents >= bound (> bound when strict is false), and is canonical
     under the symmetry reduction: it starts with 0 and introduces new
-    symbols in increasing order.
+    symbols in increasing order.  The bound is taken exactly (a float as
+    its binary value).  Raises ValueError for a bound not above 1, and at
+    the first level whose test would overflow int64 with its terms.
     """
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be at least 2")
@@ -118,6 +120,10 @@ def bfs_levels(
     depth = 1
     yield tables.words
     while limit_depth is None or depth < limit_depth:
+        # extend_mask compares (run + 1 + p) * den with num * p in int64,
+        # where run + 1 + p <= depth + 1 and p <= depth
+        if max((depth + 1) * den, depth * num) >= 1 << 63:
+            raise ValueError(f"the bound's terms are too large to search past depth {depth}")
         level = tables.words
         # candidates in (parent, symbol) order, which is sorted order
         opens = np.arange(alphabet_size) <= level.max(axis=1, keepdims=True) + 1

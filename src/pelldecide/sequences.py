@@ -166,30 +166,29 @@ def learn_word_dfao(blocks) -> Dfao:
     """Learn the Pell-base DFAO of a replacement word from its oracle.
 
     The target function is total: a digit string that is a padded canonical
-    representation of N maps to word[N], anything else to 0.  Each
-    equivalence query covers every digit string up to ``_WORD_MAX_LEN``: the
-    padded canonical ones are asked, and the rest, where the target is 0,
-    are checked exactly on the hypothesis.
+    representation of N maps to word[N], anything else to 0.  The learner
+    asks the oracle only the padded canonical strings, the words of
+    ``pell.valid_tracks(1)``, and gives the rest 0.  Each equivalence query
+    covers every digit string up to ``_WORD_MAX_LEN``: the padded canonical
+    ones are asked, and the rest are checked exactly on the hypothesis.
     """
     batch = _word_oracle(blocks)
+    domain = pell.valid_tracks(1)
 
     def equivalence(hyp: Dfao):
-        return learner.bounded_equiv(hyp, batch, _WORD_MAX_LEN, domain=pell.valid_tracks(1))
+        return learner.bounded_equiv(hyp, batch, _WORD_MAX_LEN, domain=domain)
 
-    return learner.lstar_moore(batch, 3, equivalence)
+    return learner.lstar_moore(batch, domain, equivalence)
 
 
 def _word_oracle(blocks):
-    """Batch oracle of learn_word_dfao's target on digit strings of length
-    up to ``_WORD_MAX_LEN``."""
+    """Batch oracle of learn_word_dfao's target on the padded canonical digit
+    strings of length up to ``_WORD_MAX_LEN``: word[N] for the string of N.
+    Off that domain the target is 0, and the learner asks no such string."""
     table = _word_table(blocks, pell.pell_number(_WORD_MAX_LEN + 2))
 
     def batch(words: np.ndarray) -> np.ndarray:
-        # most digit strings are not canonical, and only the rest are decoded
-        rows = np.flatnonzero(pell.valid_digits_batch(words))
-        out = np.zeros(len(words), dtype=table.dtype)
-        out[rows] = table[pell.decode_batch(words[rows])]
-        return out
+        return table[pell.decode_batch(words)]
 
     return batch
 

@@ -176,6 +176,17 @@ def test_search_zero_denominator_bound_exits_2(capsys):
     assert err.splitlines() == ["error: bound has a zero denominator"]
 
 
+@pytest.mark.parametrize(
+    "bound", ["1e400", "4611686018427387905/4611686018427387904"], ids=["1e400", "2^62"]
+)
+def test_search_bound_terms_past_int64_exit_2(capsys, bound):
+    code, out, err = run_cli(
+        capsys, "search", "--alphabet", "3", "--bound", bound, "--limit-depth", "8"
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: the bound's terms are too large to search past depth 1"]
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_search_limit_depth_below_one_exits_2(capsys, depth):
     code, out, err = run_cli(capsys, "search", "--alphabet", "3", "--limit-depth", depth)

@@ -76,7 +76,7 @@ def oracle_of(machine, changed=()):
 
 
 def learn_exactly(target):
-    return lambda: learner.lstar(oracle_of(target), 3, exact_equivalence(target))
+    return lambda: learner.lstar(oracle_of(target), all_words(3), exact_equivalence(target))
 
 
 def ends_in_two():
@@ -109,7 +109,7 @@ def learn_digit_sum():
     def equivalence(h):
         return learner.bounded_equiv(h, oracle_of(target), max_len=8, domain=all_words(3))
 
-    return learner.lstar_moore(oracle_of(target), 3, equivalence)
+    return learner.lstar_moore(oracle_of(target), all_words(3), equivalence)
 
 
 def test_lstar_moore_recovers_digit_sum():
@@ -130,7 +130,7 @@ def test_lstar_rejects_a_word_the_hypothesis_gets_right(target, learn):
         return ()  # every hypothesis agrees with the table on its empty prefix
 
     with pytest.raises(ValueError, match="not a counterexample"):
-        learn(oracle_of(target), 3, equivalence)
+        learn(oracle_of(target), all_words(3), equivalence)
     assert len(asked) == 1
 
 
@@ -146,16 +146,19 @@ def learned_with_rounds(monkeypatch, learn):
         return hypotheses[-1]
 
     def spy(engine, kind):
-        def run(oracle, n_symbols, equivalence):
+        def run(oracle, domain, equivalence):
             def recorded_equivalence(h):
                 counterexamples.append(equivalence(h))
                 return counterexamples[-1]
 
             def per_word(word):
+                # the target is zero off the domain
+                if not automata.accepts(domain, word):
+                    return 0
                 return oracle(np.array(word, dtype=np.int8).reshape(1, len(word)))[0].item()
 
-            reference.append(R.ref_lstar(per_word, n_symbols, equivalence, kind))
-            return engine(oracle, n_symbols, recorded_equivalence)
+            reference.append(R.ref_lstar(per_word, domain.alphabet.size, equivalence, kind))
+            return engine(oracle, domain, recorded_equivalence)
 
         return run
 
@@ -500,7 +503,7 @@ def test_bounded_equiv_rejects_answers_not_one_per_row(shape_of):
 
 @BAD_SHAPES
 def test_table_rejects_answers_not_one_per_row(shape_of):
-    table = learner.ObservationTable(answering(shape_of), 3)
+    table = learner.ObservationTable(answering(shape_of), all_words(3))
     with pytest.raises(ValueError, match=r"one oracle answer per word, shape \(1,\)"):
         table.closed()
 
@@ -578,7 +581,9 @@ def test_adder_oracle_matches_decode():
             and pell.valid_digits_batch((digits // 3) % 3).item()
             and pell.valid_digits_batch(digits % 3).item()
         )
-        assert learner.adder_oracle_batch(digits).tolist() == [valid and x + y == z]
+        # the learner asks the oracle only words of the domain
+        if valid:
+            assert learner.adder_oracle_batch(digits).tolist() == [x + y == z]
     # a row's value does not depend on the rows asked with it
     batch = rng.integers(0, 27, size=(500, 5))
     got = learner.adder_oracle_batch(batch)
@@ -602,10 +607,13 @@ def batches_to_compare(rng, n_symbols, max_len):
 
 def test_adder_oracle_matches_decode_every_row_reference():
     rng = np.random.default_rng(27)
+    domain = pell.valid_tracks(3)
     for words in batches_to_compare(rng, 27, 4):
         got = learner.adder_oracle_batch(words)
         assert got.dtype == bool
-        assert np.array_equal(got, R.ref_adder_oracle_batch(words))
+        # the learner asks the oracle only words of the domain
+        inside = domain.accepting[automata.run_batch(domain, words)]
+        assert np.array_equal(got[inside], R.ref_adder_oracle_batch(words)[inside])
 
 
 def test_table_asks_each_word_once(monkeypatch):
@@ -629,6 +637,34 @@ def test_table_asks_each_word_once(monkeypatch):
     words = [tuple(w) for batch in asked for w in batch.tolist()]
     assert len(words) == len(set(words))
     assert len(asked) <= 200
+
+
+def recording(oracle, asked):
+    """``oracle``, keeping a copy of every batch it is asked."""
+
+    def answer(words):
+        asked.append(np.array(words))
+        return oracle(words)
+
+    return answer
+
+
+def test_oracles_are_asked_only_domain_words(monkeypatch):
+    """Every row that the table fills and the equivalence sweeps send to an
+    oracle is a word of ``pell.valid_tracks(k)``."""
+    asked = {3: [], 1: []}
+    adder_oracle, word_oracle = learner.adder_oracle_batch, sequences._word_oracle
+    monkeypatch.setattr(learner, "adder_oracle_batch", recording(adder_oracle, asked[3]))
+    monkeypatch.setattr(
+        sequences, "_word_oracle", lambda blocks: recording(word_oracle(blocks), asked[1])
+    )
+    learner.learn_adder(max_len=4)
+    sequences.learn_word_dfao(sequences.X3_BLOCKS)
+    for k, batches in asked.items():
+        domain = pell.valid_tracks(k)
+        assert batches
+        for words in batches:
+            assert domain.accepting[automata.run_batch(domain, words)].all()
 
 
 def test_learned_adder_equals_direct(learned_adder):

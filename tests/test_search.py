@@ -205,6 +205,32 @@ def test_bfs_validates_arguments():
     assert [len(level) for level in search.bfs_levels(3, Fraction(2), limit_depth=1)] == [1]
 
 
+# terms the kernels' int64 products cannot hold: 1e400 overflowed the cast,
+# and 2^62 + 1 over 2^62 wrapped and let the square "11" through
+@pytest.mark.parametrize(
+    "bound", ["1e400", "4611686018427387905/4611686018427387904"], ids=["1e400", "2^62"]
+)
+def test_bfs_rejects_bound_terms_past_int64(bound):
+    with pytest.raises(ValueError, match="too large to search past depth 1$"):
+        list(search.bfs_levels(3, bound, limit_depth=8))
+
+
+def test_bfs_searches_while_bound_terms_fit_int64():
+    # 3 * 2^61 fits, 4 * 2^61 does not: the test at depth 3 would overflow
+    bound = Fraction(2**61 + 1, 2**61)
+    assert search.bfs_optimal(3, bound, limit_depth=3) == (3, ["012"])
+    with pytest.raises(ValueError, match="past depth 3$"):
+        search.bfs_optimal(3, bound, limit_depth=4)
+
+
+def test_bfs_takes_floats_exactly():
+    # Fraction(4/3) has denominator 2^52, so its products fit to depth 1535
+    exact = list(search.bfs_levels(6, Fraction(4, 3), limit_depth=12))
+    as_float = list(search.bfs_levels(6, 4 / 3, limit_depth=12))
+    assert all(np.array_equal(a, b) for a, b in zip(exact, as_float, strict=True))
+    assert search.bfs_optimal(3, 1.1) == search.bfs_optimal(3, Fraction(11, 10)) == (3, ["012"])
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize(
     "k,bound",
