@@ -343,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn-adder", help="learn the addition automaton")
     p.add_argument("--max-len", type=int, default=6,
-                   help="check every word of up to this many digit triples (at most 6): "
-                        "padded canonical words are asked, the rest checked exactly")
+                   help="ask every padded canonical word of up to this many digit "
+                        "triples (at most 6); every hypothesis is false on the other words")
     _add_format(p)
     _add_session(p)
 

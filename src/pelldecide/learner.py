@@ -39,7 +39,8 @@ class ObservationTable:
     ``prefixes`` stays prefix-closed and ``suffixes`` always contains the
     empty word.  ``domain`` is the automaton of the words the target may
     label nonzero: the oracle is asked only words it accepts, and every other
-    cell gets the zero label (0 or False).  ``oracle`` takes an (n_words,
+    cell gets the zero label (0 or False).  L* restricts each hypothesis to
+    the domain, so it too is zero off it, at every length.  ``oracle`` takes an (n_words,
     length) array of symbol indices, int8 for up to 128 symbols, and returns
     one value per row.  Before the table is read, every missing cell of the
     prefixes and their one-letter extensions is filled, one domain run and at
@@ -164,7 +165,12 @@ def _lstar_engine(oracle, domain, equivalence, kind):
             table.add_suffix(suf)
             continue
         delta, values, initial = table.hypothesis()
-        hyp = automata.minimize(kind(domain.alphabet, delta, np.asarray(values), initial))
+        raw = kind(domain.alphabet, delta, np.asarray(values), initial)
+        # zero off the domain at every length, as the table is: the label of a
+        # pair whose domain state rejects is 0
+        delta, initial = _pairs(raw, domain)
+        labels = (raw.labels[:, None] * domain.accepting).ravel()
+        hyp = automata.minimize(kind(domain.alphabet, delta, labels, initial))
         ce = equivalence(hyp)
         if ce is None:
             return hyp
@@ -214,27 +220,6 @@ def _pairs(hypothesis: Dfa | Dfao, domain: Dfa) -> tuple[np.ndarray, int]:
     return delta, hypothesis.initial * n + domain.initial
 
 
-def _least_word(delta: np.ndarray, initial: int, targets: np.ndarray,
-                max_len: int) -> Optional[Word]:
-    """The radix-least word of length <= max_len that leads the table
-    ``delta`` from ``initial`` into the mask ``targets``, or None; read off
-    the table, so no word is run."""
-    # exact[r]: the states from which some word of length exactly r ends in targets
-    exact = [targets]
-    for _ in range(max_len):
-        exact.append(exact[-1][delta].any(axis=1))
-    for length, reach in enumerate(exact):
-        if reach[initial]:
-            word, state = [], initial
-            for r in range(length - 1, -1, -1):
-                # the least symbol that still ends there in r more steps
-                symbol = int(exact[r][delta[state]].argmax())
-                word.append(symbol)
-                state = delta[state, symbol]
-            return tuple(word)
-    return None
-
-
 def bounded_equiv(
     hypothesis: Dfa | Dfao,
     oracle: Callable[[np.ndarray], np.ndarray],
@@ -246,16 +231,17 @@ def bounded_equiv(
     disagree, or None.
 
     ``domain`` accepts the words the oracle is asked on; off it, the target
-    is zero (0 or False), as in the table L* fills.  Every word of the
-    domain is swept: ``oracle`` receives them as (n_words, length) arrays of
-    symbol indices, int8 for up to 128 symbols, and returns one value per row.
-    Each array is read-only.  The other words are checked exactly, on the
-    product of hypothesis and domain, and never asked; the sweep walks the
-    same product table.  A None answer is evidence, not proof; final
-    soundness comes from the inductive verification downstream.  Raises
-    ValueError, before any oracle call, for a negative ``max_len``, a
-    hypothesis and domain over different alphabets or a longest level of
-    more than 27^6 words, and for an answer that is not one value per row.
+    is zero (0 or False), as in the table L* fills, and so must the
+    hypothesis be, as every hypothesis of L* is.  Every word of the domain
+    is swept: ``oracle`` receives them as (n_words, length) arrays of symbol
+    indices, int8 for up to 128 symbols, and returns one value per row.
+    Each array is read-only.  The sweep walks the product of hypothesis and
+    domain.  A None answer is evidence, not proof; final soundness comes
+    from the inductive verification downstream.  Raises ValueError, before
+    any oracle call, for a negative ``max_len``, a hypothesis and domain
+    over different alphabets, a longest level of more than 27^6 words or a
+    hypothesis that is nonzero on some word off the domain, and for an
+    answer that is not one value per row.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -274,15 +260,13 @@ def bounded_equiv(
     # pair h * n + d: inside the domain as d is, labelled as h is
     inside = np.tile(domain.accepting, hypothesis.n_states)
     labels = np.repeat(hypothesis.labels, domain.n_states)
-    off = _least_word(delta, initial, (labels != 0) & ~inside, max_len)
-    # a word longer than the off-domain one cannot come before it
-    last = max_len if off is None else len(off)
-    for words, states in automata._radix_walk(delta, initial, inside, last):
+    if ((labels != 0) & ~inside)[automata._reachable(delta, initial)].any():
+        raise ValueError("the hypothesis is nonzero on a word off the domain")
+    for words, states in automata._radix_walk(delta, initial, inside, max_len):
         mismatch = labels[states] != _ask(oracle, words)
         if mismatch.any():
-            found = tuple(map(int, words[mismatch.argmax()]))
-            return found if off is None else min(found, off, key=lambda w: (len(w), w))
-    return off
+            return tuple(map(int, words[mismatch.argmax()]))
+    return None
 
 
 # ---------------------------------------------------------------------------

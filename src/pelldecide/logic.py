@@ -908,10 +908,17 @@ class _Compiler:
 
 
 def compile(p: Union[str, Predicate], env: Optional[Environment] = None) -> Relation:
-    """Compile a predicate to a relation over its sorted free variables."""
-    if isinstance(p, str):
-        p = parse(p)
-    return _Compiler(env if env is not None else Environment()).compile(p)
+    """Compile a predicate to a relation over its sorted free variables.
+
+    Parsing and compiling recurse once per level of nesting; a predicate
+    nested past Python's recursion limit raises CompileError.
+    """
+    try:
+        if isinstance(p, str):
+            p = parse(p)
+        return _Compiler(env if env is not None else Environment()).compile(p)
+    except RecursionError:
+        raise CompileError("the predicate nests too deeply") from None
 
 
 def eval_closed(p: Union[str, Predicate], env: Optional[Environment] = None) -> bool:

@@ -168,9 +168,9 @@ def learn_word_dfao(blocks) -> Dfao:
     The target function is total: a digit string that is a padded canonical
     representation of N maps to word[N], anything else to 0.  The learner
     asks the oracle only the padded canonical strings, the words of
-    ``pell.valid_tracks(1)``, and gives the rest 0.  Each equivalence query
-    covers every digit string up to ``_WORD_MAX_LEN``: the padded canonical
-    ones are asked, and the rest are checked exactly on the hypothesis.
+    ``pell.valid_tracks(1)``, and gives the rest 0.  Every hypothesis is 0
+    off that domain at every length, and each equivalence query asks every
+    padded canonical string up to ``_WORD_MAX_LEN`` digits.
     """
     batch = _word_oracle(blocks)
     domain = pell.valid_tracks(1)

@@ -740,13 +740,29 @@ class _RefObservationTable:
         return delta, values, ids[self.row(())]
 
 
-def ref_lstar(membership, n_symbols: int, equivalence, kind):
+def ref_restricted(machine, domain):
+    """``machine`` with the zero label off ``domain``: the table of every pair
+    of a machine state and a domain state, built cell by cell."""
+    n, m = domain.n_states, domain.alphabet.size
+    delta = np.zeros((machine.n_states * n, m), dtype=np.int32)
+    labels = []
+    for h in range(machine.n_states):
+        for d in range(n):
+            for a in range(m):
+                delta[h * n + d, a] = machine.delta[h, a] * n + domain.delta[d, a]
+            labels.append(machine.labels[h] if domain.accepting[d] else 0)
+    initial = machine.initial * n + domain.initial
+    return type(machine)(machine.alphabet, delta, np.array(labels), initial)
+
+
+def ref_lstar(membership, domain, equivalence, kind):
     """L* over a per-word ``membership`` oracle; ``kind`` is Dfa or Dfao.
+    Each hypothesis is restricted to ``domain`` before the equivalence query.
 
     Returns the learned machine and the rounds, each the table's hypothesis
     (delta, values, initial) and the equivalence query's answer.
     """
-    alphabet = TrackAlphabet(round(math.log(n_symbols, 3)))
+    n_symbols = domain.alphabet.size
     table = _RefObservationTable(membership, n_symbols)
     rounds = []
     while True:
@@ -761,7 +777,8 @@ def ref_lstar(membership, n_symbols: int, equivalence, kind):
                 continue
             break
         delta, values, initial = table.hypothesis()
-        hyp = automata.minimize(kind(alphabet, delta, np.asarray(values), initial))
+        raw = kind(domain.alphabet, delta, np.asarray(values), initial)
+        hyp = automata.minimize(ref_restricted(raw, domain))
         ce = equivalence(hyp)
         rounds.append(((delta, values, initial), ce))
         if ce is None:

@@ -64,6 +64,16 @@ def test_eval_syntax_error_exits_2(capsys):
     assert err.startswith("error:") and "column" in err
 
 
+@pytest.mark.parametrize(
+    "predicate", ["(" * 3000 + "x = 0" + ")" * 3000, "~" * 3000 + "x = 0"],
+    ids=["parentheses", "negations"],
+)
+def test_eval_of_a_deeply_nested_predicate_exits_2(capsys, predicate):
+    code, out, err = run_cli(capsys, "eval", predicate)
+    assert (code, out) == (2, "")
+    assert err == "error: the predicate nests too deeply\n"
+
+
 def test_eval_named_relation_persists(capsys, tmp_path):
     sess = str(tmp_path)
     code, out, _ = run_cli(

@@ -157,7 +157,7 @@ def learned_with_rounds(monkeypatch, learn):
                     return 0
                 return oracle(np.array(word, dtype=np.int8).reshape(1, len(word)))[0].item()
 
-            reference.append(R.ref_lstar(per_word, domain.alphabet.size, equivalence, kind))
+            reference.append(R.ref_lstar(per_word, domain, equivalence, kind))
             return engine(oracle, domain, recorded_equivalence)
 
         return run
@@ -352,54 +352,42 @@ def on_domain(batch, domain):
     return answer
 
 
-def restricted(machine, domain):
-    """``machine`` with the zero label off ``domain``: their product."""
-    n = domain.n_states
-    delta = (machine.delta[:, None, :] * n + domain.delta).reshape(-1, domain.alphabet.size)
-    labels = (values_of(machine)[:, None] * domain.accepting).ravel()
-    initial = machine.initial * n + domain.initial
-    if isinstance(machine, Dfao):
-        return Dfao(machine.alphabet, delta, labels.astype(np.int32), initial)
-    return Dfa(machine.alphabet, delta, labels.astype(bool), initial)
-
-
 @pytest.mark.parametrize("chunk", [automata._WALK_CHUNK, 5], ids=["chunk-default", "chunk-5"])
 @pytest.mark.parametrize("moore", [False, True], ids=["dfa", "dfao"])
 @pytest.mark.parametrize("n_symbols", [3, 9, 27])
 def test_domain_sweep_matches_reference(monkeypatch, n_symbols, moore, chunk):
-    """Over the padded canonical words, the oracle is asked only on the
-    domain, and the answer is still that of a run of every word."""
+    """Over the padded canonical words, a hypothesis that is zero off the
+    domain is asked only on the domain, and the answer is still that of a
+    run of every word."""
     monkeypatch.setattr(automata, "_WALK_CHUNK", chunk)
     rng = np.random.default_rng(2000 * n_symbols + 10 * moore + (chunk == 5))
     max_len = MAX_LEN[n_symbols]
     domain = pell.valid_tracks(TRACKS[n_symbols])
     inside = [domain_words(domain, n_symbols, length) for length in range(max_len + 1)]
     found = set()
-    for _ in range(8):
-        hyp = random_machine(rng, n_symbols, moore)
-        # one hypothesis with and one without nonzero labels off the domain
-        for h in (hyp, restricted(hyp, domain)):
-            lengths = rng.integers(0, max_len + 1, size=int(rng.integers(1, 5)))
-            changed = [tuple(int(s) for s in rng.integers(0, n_symbols, size=k)) for k in lengths]
-            changed += [
-                tuple(int(s) for s in inside[k][rng.integers(0, len(inside[k]))])
-                for k in lengths if len(inside[k])
-            ]
-            targets = [
-                on_domain(oracle_of(random_machine(rng, n_symbols, moore)), domain),
-                on_domain(oracle_of(h), domain),
-                on_domain(oracle_of(h, changed), domain),
-            ]
-            for batch in targets:
-                ce, pieces = swept(h, batch, n_symbols, max_len, chunk, domain)
-                assert ce == reference_sweep(h, batch, n_symbols, max_len)
-                found.add(None if ce is None else automata.accepts(domain, ce))
-                if ce is None:
-                    # every word of the domain was handed out, in radix order
-                    for length, words in enumerate(by_length(pieces, max_len)):
-                        assert np.array_equal(words, inside[length])
-    # counterexamples on and off the domain both came up, and None did too
-    assert found == {None, True, False}
+    for _ in range(16):
+        h = R.ref_restricted(random_machine(rng, n_symbols, moore), domain)
+        lengths = rng.integers(0, max_len + 1, size=int(rng.integers(1, 5)))
+        changed = [tuple(int(s) for s in rng.integers(0, n_symbols, size=k)) for k in lengths]
+        changed += [
+            tuple(int(s) for s in inside[k][rng.integers(0, len(inside[k]))])
+            for k in lengths if len(inside[k])
+        ]
+        targets = [
+            on_domain(oracle_of(random_machine(rng, n_symbols, moore)), domain),
+            on_domain(oracle_of(h), domain),
+            on_domain(oracle_of(h, changed), domain),
+        ]
+        for batch in targets:
+            ce, pieces = swept(h, batch, n_symbols, max_len, chunk, domain)
+            assert ce == reference_sweep(h, batch, n_symbols, max_len)
+            found.add(None if ce is None else automata.accepts(domain, ce))
+            if ce is None:
+                # every word of the domain was handed out, in radix order
+                for length, words in enumerate(by_length(pieces, max_len)):
+                    assert np.array_equal(words, inside[length])
+    # counterexamples came up, all on the domain, and None did too
+    assert found == {None, True}
 
 
 def finite_language(words):
@@ -418,25 +406,14 @@ def finite_language(words):
     return Dfa(TrackAlphabet(1), delta, accepting)
 
 
-@pytest.mark.parametrize(
-    "accepted, least",
-    [
-        ([(2, 1)], (2, 1)),
-        ([(1,), (0, 2)], (1,)),
-        ([(1, 0), (0, 2)], (0, 2)),
-        ([(0, 1), (0, 2)], (0, 1)),
-    ],
-    ids=["only-unasked", "shorter-asked", "same-length-unasked", "same-length-asked"],
-)
-def test_answer_is_the_radix_least_of_asked_and_unasked(accepted, least):
-    """Against the empty language, a hypothesis accepting 21 or 02, which no
-    track may spell, gets that word back, and the oracle never sees it (swept
-    checks every piece); one that also accepts a canonical word gets the
-    radix-least of the two."""
-    hyp = finite_language(accepted)
-    nothing = oracle_of(finite_language([]))
-    ce, _ = swept(hyp, nothing, 3, 6, automata._WALK_CHUNK, pell.valid_tracks(1))
-    assert ce == least == reference_sweep(hyp, nothing, 3, 6)
+def test_bounded_equiv_rejects_a_hypothesis_nonzero_off_the_domain():
+    """A hypothesis that accepts 21, which no track may spell, is refused
+    before the oracle is asked anything."""
+    calls = []
+    with pytest.raises(ValueError, match="nonzero on a word off the domain"):
+        learner.bounded_equiv(finite_language([(2, 1)]), counting(calls), 6,
+                              domain=pell.valid_tracks(1))
+    assert calls == []
 
 
 def test_bounded_equiv_rejects_a_domain_over_other_symbols():
@@ -665,6 +642,25 @@ def test_oracles_are_asked_only_domain_words(monkeypatch):
         assert batches
         for words in batches:
             assert domain.accepting[automata.run_batch(domain, words)].all()
+
+
+def test_every_hypothesis_is_empty_off_the_domain(monkeypatch):
+    """Each hypothesis L* hands its equivalence query, the learned machine
+    last, is zero on every word off its domain, at every length."""
+    handed, sweep = [], learner.bounded_equiv
+
+    def recorded(hyp, oracle, max_len, *, domain):
+        handed.append((hyp, domain))
+        return sweep(hyp, oracle, max_len, domain=domain)
+
+    monkeypatch.setattr(learner, "bounded_equiv", recorded)
+    learner.learn_adder(max_len=4)
+    sequences.learn_word_dfao(sequences.X5_BLOCKS)
+    sequences.learn_word_dfao(sequences.X3_BLOCKS)
+    assert {domain.alphabet.n_tracks for _, domain in handed} == {1, 3}
+    for hyp, domain in handed:
+        nonzero = Dfa(hyp.alphabet, hyp.delta, hyp.labels != 0, hyp.initial)
+        assert automata.is_empty(automata.product(nonzero, automata.complement(domain)))
 
 
 def test_learned_adder_equals_direct(learned_adder):
