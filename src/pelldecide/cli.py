@@ -149,6 +149,8 @@ def cmd_eval(session: Session, ns) -> int:
         verdict = "TRUE" if rel.is_true else "FALSE"
         prefix = f"{ns.name} = " if ns.name else ""
         print(f"{prefix}{verdict}")
+        if ns.out:
+            _write_automaton(rel.dfa, ns.format, ns.out, session)
         if ns.expect and verdict != ns.expect:
             print(f"error: expected {ns.expect}, got {verdict}", file=sys.stderr)
             return 1
@@ -211,8 +213,9 @@ def cmd_seq(session: Session, ns) -> int:
     m = _sequence_by_name(session, ns.name)
     if ns.dump:
         path = session.resolve(ns.dump)
-        automata.save_text(m, path)
+        # bind first: a name the session refuses leaves no dump behind
         session.register_sequence(path.stem, m)
+        automata.save_text(m, path)
         print(f"wrote {path}")
         return 0
     lo = ns.start if ns.start is not None else 0

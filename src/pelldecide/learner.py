@@ -5,7 +5,10 @@ triples [dx,dy,dz] is in the language iff every track is a (possibly
 zero-padded) canonical representation and the first two decode to values
 summing to the third.  Angluin's L* recovers its minimal DFA from the decode
 oracle together with the domain automaton ``pell.valid_tracks(3)``, which
-supplies the padded-canonical condition; an independent construction by
+supplies the padded-canonical condition.  As Maler and Pnueli do, L* adds
+every suffix of a counterexample to the table as a column, so the table's
+prefix rows are pairwise distinct and each is one state of the hypothesis;
+no consistency check is needed.  An independent construction by
 carry analysis cross-checks it, and the decisive correctness argument is the
 inductive proof run by the theorems module, not the bounded testing here.
 """
@@ -36,11 +39,13 @@ Word = tuple[int, ...]
 class ObservationTable:
     """Prefix/suffix observation table over symbol indices.
 
-    ``prefixes`` stays prefix-closed and ``suffixes`` always contains the
-    empty word.  ``domain`` is the automaton of the words the target may
-    label nonzero: the oracle is asked only words it accepts, and every other
-    cell gets the zero label (0 or False).  L* restricts each hypothesis to
-    the domain, so it too is zero off it, at every length.  ``oracle`` takes an (n_words,
+    The rows of ``prefixes`` are pairwise distinct: a prefix enters only when
+    ``closed`` finds a one-letter extension with a new row, and a new column
+    never makes two rows equal.  ``suffixes`` always contains the empty word.
+    ``domain`` is the automaton of the words the target may label nonzero:
+    the oracle is asked only words it accepts, and every other cell gets the
+    zero label (0 or False).  L* restricts each hypothesis to the domain, so
+    it too is zero off it, at every length.  ``oracle`` takes an (n_words,
     length) array of symbol indices, int8 for up to 128 symbols, and returns
     one value per row.  Before the table is read, every missing cell of the
     prefixes and their one-letter extensions is filled, one domain run and at
@@ -60,13 +65,9 @@ class ObservationTable:
         self.add_prefix(())
 
     def add_prefix(self, prefix: Word) -> None:
-        for cut in range(len(prefix) + 1):
-            p = prefix[:cut]
-            if p in self.prefixes:
-                continue
-            self.prefixes.append(p)
-            for q in [p] + [p + (a,) for a in range(self.n_symbols)]:
-                self._rows.setdefault(q, ())
+        self.prefixes.append(prefix)
+        for q in [prefix] + [prefix + (a,) for a in range(self.n_symbols)]:
+            self._rows.setdefault(q, ())
 
     def add_suffix(self, suffix: Word) -> None:
         if suffix not in self.suffixes:
@@ -107,39 +108,16 @@ class ObservationTable:
                     return False, p + (a,)
         return True, None
 
-    def consistent(self) -> tuple[bool, Optional[Word]]:
-        """Second item: a distinguishing suffix to add."""
-        self._fill()
-        by_row: dict[tuple, Word] = {}
-        for p in self.prefixes:
-            r = self._rows[p]
-            if r not in by_row:
-                by_row[r] = p
-                continue
-            q = by_row[r]
-            for a in range(self.n_symbols):
-                ra, rb = self._rows[q + (a,)], self._rows[p + (a,)]
-                if ra != rb:
-                    at = next(i for i in range(len(ra)) if ra[i] != rb[i])
-                    return False, (a,) + self.suffixes[at]
-        return True, None
-
     def hypothesis(self) -> tuple[np.ndarray, list, int]:
-        """Transition table, per-state values, initial state index."""
+        """Transition table, per-state values, initial state index: state i
+        is ``prefixes[i]``, so the initial state is 0."""
         self._fill()
-        ids: dict[tuple, int] = {}
-        values: list = []
-        for p in self.prefixes:
-            r = self._rows[p]
-            if r not in ids:
-                ids[r] = len(values)
-                values.append(r[0])
-        delta = np.zeros((len(values), self.n_symbols), dtype=np.int32)
-        for p in self.prefixes:
-            q = ids[self._rows[p]]
-            for a in range(self.n_symbols):
-                delta[q, a] = ids[self._rows[p + (a,)]]
-        return delta, values, ids[self._rows[()]]
+        ids = {self._rows[p]: i for i, p in enumerate(self.prefixes)}
+        delta = np.array(
+            [[ids[self._rows[p + (a,)]] for a in range(self.n_symbols)] for p in self.prefixes],
+            dtype=np.int32,
+        )
+        return delta, [self._rows[p][0] for p in self.prefixes], 0
 
 
 def _ask(oracle: Callable[[np.ndarray], np.ndarray], words: np.ndarray) -> np.ndarray:
@@ -160,10 +138,6 @@ def _lstar_engine(oracle, domain, equivalence, kind):
         if not ok:
             table.add_prefix(ext)
             continue
-        ok, suf = table.consistent()
-        if not ok:
-            table.add_suffix(suf)
-            continue
         delta, values, initial = table.hypothesis()
         raw = kind(domain.alphabet, delta, np.asarray(values), initial)
         # zero off the domain at every length, as the table is: the label of a
@@ -174,12 +148,14 @@ def _lstar_engine(oracle, domain, equivalence, kind):
         ce = equivalence(hyp)
         if ce is None:
             return hyp
-        # Angluin-style counterexample processing: absorb every prefix.
+        # Maler-Pnueli counterexample processing: every suffix becomes a
+        # column, so the prefixes' rows stay pairwise distinct
         ce = tuple(ce)
-        table.add_prefix(ce)
-        # a word the hypothesis already gets right would leave the table as it
+        for i in range(len(ce)):
+            table.add_suffix(ce[i:])
+        # a word the hypothesis already gets right may leave the table as it
         # was, and L* would ask the same equivalence query forever
-        if table.row(ce)[0] == hyp.labels[automata.run(hyp, ce)]:
+        if table.row(())[table.suffixes.index(ce)] == hyp.labels[automata.run(hyp, ce)]:
             raise ValueError(f"{ce} is not a counterexample: the hypothesis agrees there")
 
 

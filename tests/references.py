@@ -692,10 +692,7 @@ class _RefObservationTable:
         return tuple(self.cell(prefix, s) for s in self.suffixes)
 
     def add_prefix(self, prefix: tuple) -> None:
-        for cut in range(len(prefix) + 1):
-            p = prefix[:cut]
-            if p not in self.prefixes:
-                self.prefixes.append(p)
+        self.prefixes.append(prefix)
 
     def add_suffix(self, suffix: tuple) -> None:
         if suffix not in self.suffixes:
@@ -707,21 +704,6 @@ class _RefObservationTable:
             for a in range(self.n_symbols):
                 if self.row(p + (a,)) not in rows:
                     return False, p + (a,)
-        return True, None
-
-    def consistent(self):
-        by_row: dict[tuple, tuple] = {}
-        for p in self.prefixes:
-            r = self.row(p)
-            if r not in by_row:
-                by_row[r] = p
-                continue
-            q = by_row[r]
-            for a in range(self.n_symbols):
-                ra, rb = self.row(q + (a,)), self.row(p + (a,))
-                if ra != rb:
-                    at = next(i for i in range(len(ra)) if ra[i] != rb[i])
-                    return False, (a,) + self.suffixes[at]
         return True, None
 
     def hypothesis(self):
@@ -766,16 +748,10 @@ def ref_lstar(membership, domain, equivalence, kind):
     table = _RefObservationTable(membership, n_symbols)
     rounds = []
     while True:
-        while True:
+        ok, ext = table.closed()
+        while not ok:
+            table.add_prefix(ext)
             ok, ext = table.closed()
-            if not ok:
-                table.add_prefix(ext)
-                continue
-            ok, suf = table.consistent()
-            if not ok:
-                table.add_suffix(suf)
-                continue
-            break
         delta, values, initial = table.hypothesis()
         raw = kind(domain.alphabet, delta, np.asarray(values), initial)
         hyp = automata.minimize(ref_restricted(raw, domain))
@@ -783,7 +759,8 @@ def ref_lstar(membership, domain, equivalence, kind):
         rounds.append(((delta, values, initial), ce))
         if ce is None:
             return hyp, rounds
-        table.add_prefix(tuple(ce))
+        for i in range(len(ce)):
+            table.add_suffix(tuple(ce[i:]))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,21 @@ def test_eval_expectations(capsys):
     assert code == 2 and "closed" in err
 
 
+@pytest.mark.parametrize("fmt", ["txt", "dot"])
+def test_eval_closed_predicate_writes_its_automaton(capsys, tmp_path, fmt):
+    out_file = tmp_path / "closed.out"
+    code, out, err = run_cli(
+        capsys, "eval", "?msd_pell Ex x = 1", "--out", str(out_file), "--format", fmt
+    )
+    assert (code, out, err) == (0, "TRUE\n", "")
+    if fmt == "dot":
+        assert out_file.read_text().startswith("digraph")
+        return
+    closed = automata.load_text(out_file)
+    assert closed.alphabet.n_tracks == 0
+    assert closed.accepting[closed.initial]
+
+
 def test_eval_syntax_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "x + = 1")
     assert code == 2
@@ -146,6 +161,15 @@ def test_seq_prints_windows(capsys):
 def test_seq_unknown_name(capsys):
     code, _, err = run_cli(capsys, "seq", "mystery")
     assert code == 2 and "mystery" in err
+
+
+def test_seq_dump_under_an_invalid_name_writes_nothing(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "seq", "x5", "--dump", "bad-name.txt", "--session", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: invalid name 'bad-name'\n"
+    assert not (tmp_path / "bad-name.txt").exists()
 
 
 def test_seq_dump_registers_sequence(capsys, tmp_path):

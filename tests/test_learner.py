@@ -663,6 +663,27 @@ def test_every_hypothesis_is_empty_off_the_domain(monkeypatch):
         assert automata.is_empty(automata.product(nonzero, automata.complement(domain)))
 
 
+def test_every_table_prefix_is_one_hypothesis_state(monkeypatch):
+    """A counterexample enters the table as suffix columns, so at every
+    hypothesis the prefixes' rows are pairwise distinct and each prefix is
+    one state of the hypothesis."""
+    seen, hypothesis = [], learner.ObservationTable.hypothesis
+
+    def recorded(table):
+        delta, values, initial = hypothesis(table)
+        rows = {table.row(p) for p in table.prefixes}
+        seen.append((table.n_symbols, len(table.prefixes), len(rows), len(delta), len(values)))
+        return delta, values, initial
+
+    monkeypatch.setattr(learner.ObservationTable, "hypothesis", recorded)
+    learner.learn_adder(max_len=4)
+    sequences.learn_word_dfao(sequences.X5_BLOCKS)
+    sequences.learn_word_dfao(sequences.X3_BLOCKS)
+    assert {n_symbols for n_symbols, *_ in seen} == {3, 27}
+    for _, n_prefixes, n_rows, n_states, n_values in seen:
+        assert n_prefixes == n_rows == n_states == n_values
+
+
 def test_learned_adder_equals_direct(learned_adder):
     direct = learner.direct_adder()
     assert R.same_automaton(
