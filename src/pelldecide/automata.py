@@ -30,6 +30,10 @@ import numpy as np
 
 DIGITS = 3
 
+MAX_TRACKS = 11
+"""Most tracks an alphabet may have: 3^11 = 177,147 symbols, so one row of
+a transition table takes 692 KiB."""
+
 __all__ = [
     "TrackAlphabet",
     "Dfa",
@@ -53,15 +57,26 @@ __all__ = [
 ]
 
 
+class TrackBudgetError(ValueError):
+    """An alphabet would have more than MAX_TRACKS tracks."""
+
+
 @dataclass(frozen=True)
 class TrackAlphabet:
-    """Alphabet of digit tuples for a fixed number of tracks."""
+    """Alphabet of digit tuples for a fixed number of tracks, at most
+    MAX_TRACKS: an operation makes a table's alphabet before the table, so
+    a table past the budget raises TrackBudgetError unallocated."""
 
     n_tracks: int
 
     def __post_init__(self) -> None:
         if self.n_tracks < 0:
             raise ValueError("track count must be >= 0")
+        if self.n_tracks > MAX_TRACKS:
+            raise TrackBudgetError(
+                f"{self.n_tracks} tracks ({DIGITS}^{self.n_tracks} symbols) pass the "
+                f"budget of {MAX_TRACKS}; the formula is too large"
+            )
 
     @property
     def size(self) -> int:
@@ -618,8 +633,11 @@ def _live_rows(delta3: np.ndarray, accepting: np.ndarray, bits: int) -> tuple:
     keyed.sort(axis=1)
     keep = ~sink[keyed & ((1 << bits) - 1)]
     keep[:, 1:] &= keyed[:, 1:] != keyed[:, :-1]
-    lengths = keep.sum(axis=1)
-    return sink, (keyed[keep], lengths.cumsum() - lengths, lengths)
+    # key positions in int32, which makes _expand's gather faster, unless a
+    # batch (at most _BATCH_KEYS keys and one subset's) could outgrow it
+    fits = keep.size + _BATCH_KEYS <= _INT32_MAX
+    lengths = keep.sum(axis=1, dtype=np.int32 if fits else np.int64)
+    return sink, (keyed[keep], lengths.cumsum(dtype=lengths.dtype) - lengths, lengths)
 
 
 def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int) -> np.ndarray:
@@ -630,12 +648,13 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int) -
     out = np.full((b - a) * m, -1, dtype=np.int32)
     members = subsets.members[off[a] : off[b]]
     lens = row_len[members]
-    ends = lens.cumsum()
+    ends = lens.cumsum(dtype=lens.dtype)
     if not ends[-1]:  # every symbol leads every subset to the dead row
         return out.reshape(b - a, m)
     # each member's live keys, back to back: key = candidate << bits | target,
     # where candidate = subset * m + symbol
-    keys = flat[np.arange(ends[-1]) + (row_start[members] - (ends - lens)).repeat(lens)]
+    at = np.arange(ends[-1], dtype=lens.dtype)
+    keys = flat[at + (row_start[members] - (ends - lens)).repeat(lens)]
     if (b - a) * m << bits > _INT32_MAX:
         keys = keys.astype(np.int64)
     subset_base = np.arange(b - a, dtype=keys.dtype) * m << bits
@@ -805,14 +824,15 @@ def cylindrify(a: Dfa | Dfao, positions: Sequence[int], total: int) -> Dfa | Dfa
     distinct = set(positions)
     if len(positions) != k or len(distinct) != k or not distinct <= set(range(total)):
         raise ValueError(f"cannot place {k} tracks at {tuple(positions)} among {total}")
+    alphabet = TrackAlphabet(total)  # the track budget, before the table
     n = a.n_states
     # the old tracks in the order of their new positions, then the free ones
     shaped = a.delta.reshape((n,) + (DIGITS,) * k)
     shaped = shaped.transpose((0,) + tuple(1 + int(i) for i in np.argsort(positions)))
     free = tuple(1 + p for p in range(total) if p not in distinct)
-    delta = np.empty((n, DIGITS**total), dtype=np.int32)
+    delta = np.empty((n, alphabet.size), dtype=np.int32)
     delta.reshape((n,) + (DIGITS,) * total)[...] = np.expand_dims(shaped, free)
-    return type(a)(TrackAlphabet(total), _freeze(delta), a.labels, a.initial)
+    return type(a)(alphabet, _freeze(delta), a.labels, a.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -663,7 +663,9 @@ class Environment:
 # start i in every index.  Projecting j out of the relation over (i, j, n, p)
 # is the costliest step of the paper's sentences; over the position k = i + j
 # the same relation, Ak (k >= i) => ((k + p < n + i) => X[k] = X[k + p]),
-# projects through far fewer subsets.
+# projects through far fewer subsets.  Fewer still once the sum n + i is
+# named outside k's quantifier, Ee (e = n + i) & (Ak (k >= i) => ((k + p < e)
+# => X[k] = X[k + p])): the body that loses k then carries no sum.
 
 
 def _nodes(p: Predicate):
@@ -732,9 +734,23 @@ def _anchor(name: str, body: Predicate) -> Optional[str]:
     return anchors[0]
 
 
-def _rebind(p: Predicate, name: str, anchor: str) -> Predicate:
+def _crossed(body: Predicate, name: str, anchor: str) -> list[Term]:
+    """The comparison sides, each once, that ``_rebind`` moves the anchor to."""
+    sides: list[Term] = []
+    for p in _nodes(body):
+        if isinstance(p, PCmp):
+            near, far = (p.left, p.right) if name in _term_vars(p.left) else (p.right, p.left)
+            crosses = name in _term_vars(near) and TVar(anchor) not in _summands(near)
+            if crosses and far not in sides:
+                sides.append(far)
+    return sides
+
+
+def _rebind(p: Predicate, name: str, anchor: str, ends: Mapping[Term, str]) -> Predicate:
     """Substitute name - anchor for name: the anchor leaves every index
-    t + name + u, and crosses every comparison that mentions the name."""
+    t + name + u, and crosses every comparison that mentions the name.  A
+    side v it crosses to becomes the variable ends[v] if there is one, else
+    v + t."""
     t = TVar(anchor)
     if isinstance(p, PCmp):
         sides = [p.left, p.right]
@@ -745,7 +761,8 @@ def _rebind(p: Predicate, name: str, anchor: str) -> Predicate:
                     own.remove(t)
                     sides[k] = reduce(TAdd, own)
                 else:
-                    sides[1 - k] = TAdd(sides[1 - k], t)
+                    v = sides[1 - k]
+                    sides[1 - k] = TVar(ends[v]) if v in ends else TAdd(v, t)
                 return PCmp(p.op, *sides)
         return p
 
@@ -757,11 +774,11 @@ def _rebind(p: Predicate, name: str, anchor: str) -> Predicate:
     if isinstance(p, PSeqPair):
         return PSeqPair(p.left_name, shift(p.left_index), p.right_name, shift(p.right_index))
     if isinstance(p, PNot):
-        return PNot(_rebind(p.body, name, anchor))
+        return PNot(_rebind(p.body, name, anchor, ends))
     if isinstance(p, PBin):
-        return PBin(p.op, _rebind(p.left, name, anchor), _rebind(p.right, name, anchor))
+        return PBin(p.op, _rebind(p.left, name, anchor, ends), _rebind(p.right, name, anchor, ends))
     if isinstance(p, PQuant):
-        return PQuant(p.kind, p.names, _rebind(p.body, name, anchor))
+        return PQuant(p.kind, p.names, _rebind(p.body, name, anchor, ends))
     return p
 
 
@@ -771,6 +788,12 @@ def _positions(q: PQuant) -> PQuant:
     ``Qx,y φ`` is ``Qx Qy φ``; each name, innermost first, becomes
     ``Qj (j >= t) op φ'`` (op ``=>`` for A, ``&`` for E) when ``_anchor``
     finds its t.  Names that do not move stay together, in their order.
+
+    A side v that t crosses to is named outside the moved quantifier, as
+    ``E%j0 (%j0 = v + t) & Qj ...``, when that takes every variable of v
+    but t out of φ': v has such a variable, none is bound inside φ, and
+    each occurs in φ' only within sides equal to v.  So the moved body
+    never gains a track.  Otherwise the side reads v + t.
     """
     body, held = q.body, ()
     for name in reversed(q.names):
@@ -779,9 +802,21 @@ def _positions(q: PQuant) -> PQuant:
         if anchor is None:
             held = (name,) + held
             continue
+        bound = {n for p in _nodes(inner) if isinstance(p, PQuant) for n in p.names}
+        ends: dict[Term, str] = {}
+        for v in _crossed(inner, name, anchor):
+            own = _term_vars(v) - {anchor}
+            # what stays free once v is named ("%" is a stand-in)
+            left = free_variables(_rebind(inner, name, anchor, {v: "%"}))
+            if own and not own & (bound | left):
+                ends[v] = f"%{name}{len(ends)}"
         guard = PCmp(">=", TVar(name), TVar(anchor))
-        moved = PBin("=>" if q.kind == "A" else "&", guard, _rebind(inner, name, anchor))
+        moved = PBin("=>" if q.kind == "A" else "&", guard, _rebind(inner, name, anchor, ends))
         body, held = PQuant(q.kind, (name,), moved), ()
+        if ends:
+            named = [PCmp("=", TVar(e), TAdd(v, TVar(anchor))) for v, e in ends.items()]
+            conj = reduce(lambda a, b: PBin("&", a, b), named + [body])
+            body = PQuant("E", tuple(ends.values()), conj)
     return PQuant(q.kind, held, body) if held else body
 
 
@@ -882,6 +917,9 @@ class _Compiler:
         return stored.dfa, p.args
 
     def compile(self, p: Predicate) -> Relation:
+        # the relation's tracks are the free variables: past the track
+        # budget, fail before any part of it builds a table
+        TrackAlphabet(len(free_variables(p)))
         if isinstance(p, (PCmp, PSeqConst, PSeqPair, PCall)):
             dfa, terms = self.atom(p)
             ctx = _Context(self)

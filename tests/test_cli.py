@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -401,6 +402,26 @@ def test_subset_budget_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "2 subsets" in err
     assert len(err.splitlines()) == 1
+
+
+def test_track_budget_exits_2(capsys):
+    # 40 free variables are 3^40 symbols; the compiler refuses the formula
+    # before it builds any table, where numpy once ran out of memory
+    formula = " & ".join(f"x{k} = {k}" for k in range(40))
+    cli.main(["eval", "x0 = 0"])  # the adder and the comparisons, built outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "40 tracks" in err
+    assert len(err.splitlines()) == 1
+    assert peak < 1 << 20
+    with pytest.raises(automata.TrackBudgetError):
+        automata.cylindrify(pell.valid_tracks(1), [0], automata.MAX_TRACKS + 1)
 
 
 class HalfWriter:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references as R
@@ -22,6 +22,7 @@ from pelldecide.logic import (
     PBin,
     PCmp,
     PQuant,
+    PSeqPair,
     PredicateSyntaxError,
     TAdd,
     TConst,
@@ -478,15 +479,42 @@ def test_compiled_relations_match_brute_force(soundness_grids):
 TAIL = "Aj (j + p < n) => X[i + j] = X[i + j + p]"
 
 
+def _named_end(side, bound, atom):
+    """``E%j0 (%j0 = side + i) & (Aj (j >= i) => ((bound) => atom))``, built
+    directly: a compiler name like %j0 does not parse."""
+    i, j, end = TVar("i"), TVar("j"), TVar("%j0")
+    moved = PBin("=>", PCmp(">=", j, i), PBin("=>", bound(end), atom))
+    named = PCmp("=", end, TAdd(side, i))
+    return PQuant("E", ("%j0",), PBin("&", named, PQuant("A", ("j",), moved)))
+
+
 def test_offsets_become_positions():
+    j, n, p, q = TVar("j"), TVar("n"), TVar("p"), TVar("q")
+    period = PSeqPair("X", j, "X", TAdd(j, p))
+    named = {
+        # i crosses to n, which occurs nowhere else: n + i is named outside j's quantifier
+        TAIL: _named_end(n, lambda end: PCmp("<", TAdd(j, p), end), period),
+        "Aj (j + p < n + q) => X[i + j] = X[i + j + p]":
+            _named_end(TAdd(n, q), lambda end: PCmp("<", TAdd(j, p), end), period),
+        "Aj (j < 2*n) => X[i + j] = X[i + j + p]":
+            _named_end(TMul(2, n), lambda end: PCmp("<", j, end), period),
+    }
     moved = {
-        TAIL: "Aj (j >= i) => ((j + p < n + i) => X[j] = X[j + p])",
         # i cancels where it meets j; the bound on j is then n itself
         "Ej (i + j < n) & X[i + j + 1] != X[i + j]": "Ej (j >= i) & ((j < n) & X[j + 1] != X[j])",
-        # one name at a time: j moves, n does not (i + j + n is not t + n + u)
+        # one name at a time: j moves, n does not (i + j + n is not t + n + u);
+        # n stays in an index, so n + i is not named
         "En,j (j < n) & X[i + j] = X[i + j + n]":
             "En Ej (j >= i) & ((j < n + i) & X[j] = X[j + n])",
+        # a constant side is not named: that would add a track
+        "Aj (j + 1 < 7) => X[i + j] = X[i + j + 1]":
+            "Aj (j >= i) => ((j + 1 < 7 + i) => X[j] = X[j + 1])",
+        # n is bound inside j's quantifier: its side cannot move out
+        "Aj,n (j < n) => X[i + j] = X[i + j + 1]":
+            "Aj (j >= i) => (An (j < n + i) => X[j] = X[j + 1])",
     }
+    for text, expected in named.items():
+        assert logic._positions(logic.parse(text)) == expected, text
     for text, expected in moved.items():
         assert logic._positions(logic.parse(text)) == logic.parse(expected), text
 
@@ -510,8 +538,10 @@ def test_other_quantifiers_stay_as_written(text):
 
 
 def test_tail_projects_positions_not_offsets(monkeypatch):
-    # projecting the offset determinized 156,877 subsets; the position, about 50k
-    # every product and subset construction hands its table to _quotient
+    # projecting the offset determinized 156,877 subsets; the position with
+    # n + i in the body, 49,954; the position with n + i named outside j's
+    # quantifier, 26,972.  Every product and subset construction hands its
+    # table to _quotient
     sizes = []
     quotient = automata._quotient
 
@@ -523,7 +553,7 @@ def test_tail_projects_positions_not_offsets(monkeypatch):
     monkeypatch.setattr(automata, "_quotient", recording)
     rel = logic.compile(TAIL, env)
     assert rel.tracks == ("i", "n", "p") and rel.dfa.n_states == 309
-    assert max(sizes) < 60_000
+    assert max(sizes) < 30_000
 
 
 _ORDER_SCRIPT = """
@@ -556,22 +586,34 @@ def test_temps_are_projected_in_the_same_order_under_any_hash_seed():
 
 NEAR_MISSES = ("coefficient 2", "offset in a call", "two anchors", "anchor bound inside",
                "one index term")
+# bounds on j, each with the sides that i crosses to and that are named
+# outside j's quantifier: none where i cancels, and none that is constant
+BOUNDS = {"j + {s} < n": ("n",), "1*j + {s} <= n": ("n",), "i + j < n + {s}": (),
+          "j + {s} < i + n": ("i + n",), "j + p < n + q": ("n + q",), "j < 2*n": ("2*n",),
+          "j + {s} < 7": (), "q <= j & j + {s} < n": ("q", "n")}
+# what else keeps a side with n from being named: n in an index, in a call,
+# or bound inside j's quantifier
+SPOILERS = ("index", "call", "bound inside")
 
 
 @st.composite
 def offset_formulas(draw):
-    """(shape, text): a quantifier over an offset j, bounded by a free variable."""
+    """(shape, named, text): a quantifier over an offset j, bounded by a free
+    variable; named counts the sides the anchor crosses to that are named
+    outside j's quantifier."""
     shape = "eligible" if draw(st.booleans()) else draw(st.sampled_from(NEAR_MISSES))
     s, kind = draw(st.sampled_from("CY")), draw(st.sampled_from("AE"))
     slack = draw(st.integers(0, 2))
-    bound = draw(st.sampled_from(
-        [f"j + {slack} < n", f"1*j + {slack} <= n", f"i + j < n + {slack}", f"j + {slack} < i + n"]
-    ))
+    bound, sides = draw(st.sampled_from(sorted(BOUNDS.items())))
+    bound = bound.format(s=slack)
+    spoiler = None if draw(st.booleans()) else draw(st.sampled_from(SPOILERS))
     if shape == "coefficient 2":
         bound = f"2*j + {slack} < n"
     if shape == "anchor bound inside":
         bound = f"j + {slack} < n"  # i is bound only inside
-    shift = draw(st.sampled_from(["1", "2", "p", "p + 1"]))
+    if spoiler == "bound inside":
+        bound = f"En (n < 9) & ({bound})"
+    shift = "n" if spoiler == "index" else draw(st.sampled_from(["1", "2", "p", "p + 1"]))
     first, second = "i + j", ("p" if shape == "two anchors" else "i") + f" + j + {shift}"
     eq = draw(st.sampled_from(["=", "!="]))
     atom = f"{s}[{first}] {eq} {s}[{second}]"
@@ -579,11 +621,12 @@ def offset_formulas(draw):
         atom = f"{s}[{first}] {eq} @{draw(st.integers(0, 1))}"
     if shape == "offset in a call":
         atom = f"($small(j) | {atom})"
-    elif draw(st.booleans()):
+    elif spoiler == "call":
         atom = f"($small(n) | {atom})"
     if shape == "anchor bound inside":
         atom = f"(Ei (i <= p) & {atom})"
-    return shape, f"{kind}j ({bound}) {'=>' if kind == 'A' else '&'} {atom}"
+    named = sum(spoiler is None or "n" not in v for v in sides) if shape == "eligible" else 0
+    return shape, named, f"{kind}j ({bound}) {'=>' if kind == 'A' else '&'} {atom}"
 
 
 def _offset_env():
@@ -600,19 +643,29 @@ def _digest(rel):
 
 
 @given(offset_formulas())
+@example(("eligible", 1, "Aj (j + p < n + q) => Y[i + j] = Y[i + j + p]"))
+@example(("eligible", 1, "Ej (j < 2*n) & C[i + j] != C[i + j + 1]"))
+@example(("eligible", 2, "Aj (q <= j & j + 1 < n) => Y[i + j] = Y[i + j + p]"))
 @settings(max_examples=30)
 def test_positions_compile_to_the_same_relation(drawn):
-    shape, text = drawn
-    ast, env, box = logic.parse(text), _offset_env(), 40
-    assert (logic._positions(ast) != ast) == (shape == "eligible"), text
+    shape, named, text = drawn
+    ast, env = logic.parse(text), _offset_env()
+    moved = logic._positions(ast)
+    assert (moved != ast) == (shape == "eligible"), text
+    quants = [q for q in logic._nodes(moved) if isinstance(q, PQuant)]
+    assert sum(n.startswith("%") for q in quants for n in q.names) == named, text
+    # the quantifier that binds j never gains a track
+    j_body = next(q for q in quants if "j" in q.names).body
+    assert len(logic.free_variables(j_body)) <= len(logic.free_variables(ast.body)), text
     rel = logic.compile(ast, env)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(logic, "_positions", lambda q: q)
         assert _digest(logic.compile(ast, env)) == _digest(rel), text
 
     # and the relation is the predicate's truth on the grid 0..box; j stays
-    # below i + n, and every other bound is at most box + 2
-    reach = 2 * box if "< i + n" in text else box + 2
+    # below i + n, n + q or 2*n, and every other bound is at most box + 2
+    box = 40 if len(rel.tracks) <= 3 else 12
+    reach = 2 * box if re.search(r"< (i \+ n|n \+ q|2\*n)", text) else box + 2
     length = 2 * reach + box + 3
     words = {"C": np.concatenate(([0], R.ref_sturmian_prefix(length - 1))),
              "Y": R.ref_x3_prefix(length)}
