@@ -34,6 +34,11 @@ MAX_TRACKS = 11
 """Most tracks an alphabet may have: 3^11 = 177,147 symbols, so one row of
 a transition table takes 692 KiB."""
 
+MAX_PAIRS = 1 << 24
+"""Most entries of a table indexed by pairs of states: (pair, symbol) rows
+of a product, or the cells and the (pair, symbol) successors of a subset
+construction's inclusion relation."""
+
 __all__ = [
     "TrackAlphabet",
     "Dfa",
@@ -59,6 +64,10 @@ __all__ = [
 
 class TrackBudgetError(ValueError):
     """An alphabet would have more than MAX_TRACKS tracks."""
+
+
+class PairBudgetError(ValueError):
+    """A product's table would have more than MAX_PAIRS entries."""
 
 
 @dataclass(frozen=True)
@@ -501,17 +510,25 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
         raise ValueError(f"unknown boolean op: {op!r}") from None
 
     # pair codes a * nb + b in int64: past 2^31 pairs int32 would wrap
-    nb = b.n_states
+    nb, m = b.n_states, a.alphabet.size
     da = a.delta.astype(np.int64) * nb
     db = b.delta
     start = a.initial * nb + b.initial
     seen = np.zeros(a.n_states * nb, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)
+    reached = 1
     while len(frontier):
+        # every pair found so far gets a row of the table
+        if reached * m > MAX_PAIRS:
+            raise PairBudgetError(
+                f"product passed {MAX_PAIRS} (pair, symbol) entries with {reached} pairs "
+                f"of {m} symbols; the formula is too large"
+            )
         succ = (da[frontier // nb] + db[frontier % nb]).ravel()
         frontier = _sorted_unique(succ[~seen[succ]])
         seen[frontier] = True
+        reached += len(frontier)
     codes = np.flatnonzero(seen)
     qa, qb = np.divmod(codes, nb)
     delta = np.searchsorted(codes, da[qa] + db[qb])
@@ -640,9 +657,112 @@ def _live_rows(delta3: np.ndarray, accepting: np.ndarray, bits: int) -> tuple:
     return sink, (keyed[keep], lengths.cumsum(dtype=lengths.dtype) - lengths, lengths)
 
 
-def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int) -> np.ndarray:
+def _dominators(delta3: np.ndarray, accepting: np.ndarray, sink: np.ndarray):
+    """Who may drop whom from a subset: (count, start, dom), where state x's
+    language is included in that of each of dom[start[x] : start[x] +
+    count[x]]; None if no state has one or the tables would pass MAX_PAIRS.
+
+    The candidate pairs are the fork pairs, the distinct live targets that
+    one (state, symbol) reaches under two choices, closed under successors
+    on the same (symbol, choice); the set is symmetric.  The relation is
+    the greatest fixpoint on them, on a dense n x n table: (x, y) stays
+    while x accepts only if y does and each successor pair stays, is equal,
+    or has a sink on the left (a sink on the right counts as not included).
+    Every kept pair is an inclusion.  Among equal languages only the least
+    index dominates, which leaves no cycle, as the kept pairs are closed
+    under chains within the candidates.
+    """
+    n, m, w = delta3.shape
+    if n * n > MAX_PAIRS:
+        return None
+    # one (n, m) table per choice, and its targets times n for the left
+    # side of a pair code; n * n fits int32 within MAX_PAIRS
+    right = np.ascontiguousarray(np.moveaxis(delta3, 2, 0))
+    left = right * np.int32(n)
+
+    def successors(pairs, c):
+        """The pairs' successor pair codes under choice c, one row a pair."""
+        x, y = np.divmod(pairs, n)
+        return left[c][x] + right[c][y]
+
+    # every (state, symbol)'s choices against each other, both ways round
+    c, d = np.triu_indices(w, 1)
+    x, y = delta3[:, :, c].ravel(), delta3[:, :, d].ravel()
+    keep = (x != y) & ~sink[x] & ~sink[y]
+    x, y = x[keep], y[keep]
+    frontier = _sorted_unique(np.concatenate([x * n + y, y * n + x]))
+    if not len(frontier):
+        return None
+    # 1 marks the pairs found so far and those never asked: equal or a sink
+    table = np.zeros((n, n), dtype=np.int8)
+    table[sink] = table[:, sink] = 1
+    np.fill_diagonal(table, 1)
+    cells = table.reshape(-1)
+    cells[frontier] = 1
+    pairs = []
+    found = len(frontier)
+    while len(frontier):
+        if found * m > MAX_PAIRS:
+            return None
+        pairs.append(frontier)
+        fresh = (successors(frontier, c) for c in range(w))
+        fresh = np.concatenate([code[cells.take(code) == 0] for code in fresh])
+        frontier = _sorted_unique(fresh)
+        cells[frontier] = 1
+        found += len(frontier)
+    pairs = np.concatenate(pairs)
+
+    # now 1 marks the pairs in the relation
+    x, y = np.divmod(pairs, n)
+    table[:, sink] = 0
+    table[sink] = 1
+    kept = accepting[y] | ~accepting[x]
+    cells[pairs[~kept]] = 0
+    pairs = pairs[kept]
+    # a pair that fails one choice goes at once, so the rounds shrink
+    while True:
+        before = len(pairs)
+        for c in range(w):
+            holds = cells.take(successors(pairs, c)).all(axis=1)
+            cells[pairs[~holds]] = 0
+            pairs = pairs[holds]
+        if len(pairs) == before:
+            break
+    x, y = np.divmod(pairs, n)
+    strict = (table[y, x] == 0) | (y < x)
+    if not strict.any():
+        return None
+    x, y = np.divmod(np.sort(pairs[strict]), n)
+    count = np.bincount(x, minlength=n).astype(np.int32)
+    return count, count.cumsum(dtype=np.int32) - count, y
+
+
+def _prune(keys: np.ndarray, bits: int, dominators: tuple | None) -> np.ndarray:
+    """Sorted distinct ``candidate << bits | target`` keys without those
+    whose target another target of the same candidate dominates."""
+    if dominators is None:
+        return keys
+    count, start, dom = dominators
+    at = np.flatnonzero(count[keys & ((1 << bits) - 1)])
+    if not len(at):
+        return keys
+    tg = keys[at] & ((1 << bits) - 1)
+    lens = count[tg]
+    ends = lens.cumsum()
+    # each key with a dominator asks for (its candidate, that dominator)
+    wanted = dom[np.arange(ends[-1]) + (start[tg] - (ends - lens)).repeat(lens)]
+    wanted = wanted + (keys[at] - tg).repeat(lens)
+    found = keys.take(np.searchsorted(keys, wanted), mode="clip") == wanted
+    drop = np.zeros(len(keys), dtype=bool)
+    drop[at.repeat(lens)[found]] = True
+    return keys[~drop]
+
+
+def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
+            dominators: tuple | None) -> np.ndarray:
     """Transition rows of subsets a..b-1; successors not seen yet are stored,
-    and a symbol that leads to no live state gets -1."""
+    and a symbol that leads to no live state gets -1.  A successor drops
+    each member that ``dominators`` (if any) lets another drop."""
     flat, row_start, row_len = live
     off = subsets.offsets
     out = np.full((b - a) * m, -1, dtype=np.int32)
@@ -663,7 +783,7 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int) -
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = keys.compress(keep)
+    keys = _prune(keys.compress(keep), bits, dominators)
     cand = keys >> bits
     tg = (keys & ((1 << bits) - 1)).astype(np.int32, copy=False)
     # one run of keys per candidate with a live target; the others own none
@@ -733,6 +853,15 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     successor as a sorted run of members; hashes find the runs already
     stored, and a comparison of members confirms each match.  Raises
     SubsetBudgetError when a level starts past MAX_SUBSETS subsets.
+
+    Subsets are pruned by language inclusion once the construction is
+    large: at the first level that needs more than one batch, the relation
+    of ``_dominators`` is built, and if it relates any states the walk
+    starts again from the initial subset.  From then on the initial subset
+    and every successor drop each member whose language another member's
+    includes, keeping the least index among equal languages.  Every subset
+    keeps its language, so the quotient is the same canonical automaton.
+    Constructions that fit one batch a level never build the relation.
     """
     n, m, w = delta3.shape
     bits = max(n - 1, 1).bit_length()
@@ -740,22 +869,36 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     row_len = live[2]
     widest = int(row_len.max())
 
-    subsets = _Subsets(_zobrist_keys(n), accepting)
     init = _sorted_unique(initial_set).astype(np.int32)
     init = init[~sink[init]]
-    if len(init):
-        size = np.array([len(init)])
-        subsets.add(init, size, subsets.digest(init, np.zeros(1, dtype=np.int64), size))
-    rows = []
-    done = 0
+
+    def start(dominators):
+        subsets = _Subsets(_zobrist_keys(n), accepting)
+        first = _prune(init, bits, dominators)
+        if len(first):
+            size = np.array([len(first)])
+            subsets.add(first, size, subsets.digest(first, np.zeros(1, dtype=np.int64), size))
+        return subsets, [], 0
+
+    dominators, built = None, False
+    subsets, rows, done = start(None)
     while done < subsets.count:
         level_end = subsets.count
         if level_end > MAX_SUBSETS:
             raise SubsetBudgetError(
                 f"subset construction passed {MAX_SUBSETS} subsets; the formula is too large"
             )
-        for a, b in _batches(subsets, done, level_end, row_len, widest):
-            rows.append(_expand(subsets, a, b, live, bits, m))
+        runs = _batches(subsets, done, level_end, row_len, widest)
+        if len(runs) > 1 and not built:
+            # the first level past one batch: walk again, pruned, if the
+            # relation drops anything
+            built = True
+            dominators = _dominators(delta3, accepting, sink)
+            if dominators is not None:
+                subsets, rows, done = start(dominators)
+                continue
+        for a, b in runs:
+            rows.append(_expand(subsets, a, b, live, bits, m, dominators))
         done = level_end
     # the dead row, last; it stays only if some symbol leads there or the
     # empty initial set leaves it the only state, so every state is reachable

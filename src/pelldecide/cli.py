@@ -15,8 +15,9 @@ between invocations; within one ``run``, later commands see everything
 earlier commands created.  Exit codes: 0 on success (an eval printing FALSE
 is still a success), 1 when a proof or expectation fails, 2 on usage or
 syntax errors, unreadable or malformed files, subset constructions that
-outgrow ``automata.MAX_SUBSETS``, and formulas whose relations would have
-more than ``automata.MAX_TRACKS`` tracks; each error is one ``error:`` line.
+outgrow ``automata.MAX_SUBSETS``, products that outgrow
+``automata.MAX_PAIRS``, and formulas whose relations would have more than
+``automata.MAX_TRACKS`` tracks; each error is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -385,7 +386,7 @@ _HANDLERS = {
 }
 
 
-# syntax and compile errors, the subset and track budgets, bad files and unreadable paths
+# syntax and compile errors, the subset, pair and track budgets, bad files and unreadable paths
 _USER_ERRORS = (ValueError, OSError)
 
 

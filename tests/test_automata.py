@@ -692,6 +692,31 @@ def edge_nfas(rng, n_tracks, width):
     acc = np.append(accepting, True)
     acc[0] |= n == 1
     yield no_sink, initial, acc
+    # the pruning's relation below: a fork (state, symbol) reaches a pair
+    # of new states under its first two choices, and the initial set holds
+    # both; here the second of the pair is a copy of a random state, so the
+    # two have one language and only the index keeps one
+    acc = np.append(accepting, [False, False])
+    q, s, t = rng.integers(0, n), rng.integers(0, m), rng.integers(0, n)
+    twins = np.concatenate([with_sinks, with_sinks[t : t + 1]])
+    twins[twins == t] = rng.choice([t, n + 2], size=int((twins == t).sum()))
+    twins[q, s, :2] = [t, n + 2][:width]
+    yield twins, np.append(initial, [t, n + 2]), np.append(acc, acc[t])
+    # a rejecting state 0 whose every choice is a sink, but not itself a
+    # sink: its language is empty, and it comes first
+    empty = np.concatenate([np.full((1, m, width), n + 1), with_sinks + 1])
+    empty[1 + q, s, 0] = 0
+    empty[1 + rng.integers(0, n, size=4), rng.integers(0, m, size=4), 0] = 0
+    yield empty, np.append(initial + 1, 0), np.append(False, acc)
+    # the new state accepts the empty word and reads like a random one
+    # otherwise, so their languages strictly nest; on another symbol the
+    # fork state reaches only the smaller
+    nested = np.concatenate([with_sinks, with_sinks[t : t + 1]])
+    nested[q, (s + 1) % m] = t
+    nested[q, s, :2] = [t, n + 2][:width]
+    acc = acc.copy()
+    acc[t] = False
+    yield nested, np.append(initial, q), np.append(acc, True)
 
 
 @pytest.mark.parametrize("batch_keys", [1 << 22, 40])
@@ -704,7 +729,7 @@ def test_determinize_matches_frozenset_construction(monkeypatch, n_tracks, width
     alphabet = TrackAlphabet(n_tracks)
     cases = [random_nfa(rng, n_tracks, width) for _ in range(12)]
     edges = list(edge_nfas(rng, n_tracks, width))
-    assert [sinks_of(d, a).any() for d, _, a in edges] == [True, True, True, False]
+    assert [sinks_of(d, a).any() for d, _, a in edges] == [True, True, True, False, True, True, True]
     for delta3, initial, accepting in cases + edges:
         got = automata._determinize(delta3, initial, accepting, alphabet)
         assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
@@ -725,6 +750,57 @@ def test_determinize_survives_hash_collisions(monkeypatch):
         assert got == expected
         assert got == frozenset_determinize(delta3, initial, accepting, TrackAlphabet(1))
     assert [automata.project(adder, t) for t in range(3)] == want_proj
+
+
+def sinky_dfa(rng, n_tracks):
+    """Random DFA of at most 12 states whose last state is a sink that about
+    half the edges enter, with a copy of one state among the others."""
+    n = int(rng.integers(2, 12))
+    delta = rng.integers(0, n, size=(n, 3**n_tracks))
+    delta[rng.random(delta.shape) < 0.5] = n - 1
+    delta[n - 1] = n - 1
+    accepting = rng.random(n) < 0.3
+    accepting[n - 1] = False
+    twin = int(rng.integers(0, n))
+    delta = np.vstack([delta, delta[twin]])
+    delta[(delta == twin) & (rng.random(delta.shape) < 0.5)] = n
+    return Dfa(TrackAlphabet(n_tracks), delta, np.append(accepting, accepting[twin]), 0)
+
+
+def test_dominators_are_inclusions():
+    # the DFA's last track is the choice; a reported pair (x, y) must be an
+    # inclusion of the DFA languages from x and from y, which bound the NFA's
+    rng = np.random.default_rng(67)
+    reported = 0
+    for _ in range(300):
+        a = sinky_dfa(rng, int(rng.integers(1, 3)))
+        n = a.n_states
+        delta3 = a.delta.reshape(n, -1, 3)
+        found = automata._dominators(delta3, a.accepting, sinks_of(delta3, a.accepting))
+        if found is None:
+            continue
+        count, start, dom = found
+        pairs = set(zip(np.repeat(np.arange(n), count).tolist(), dom.tolist()))
+        for x, y in pairs:
+            assert (y, x) not in pairs
+            from_x, from_y = (Dfa(a.alphabet, a.delta, a.accepting, q) for q in (x, y))
+            assert automata.is_empty(automata.product(from_x, from_y, "andnot"))
+        assert all(dom[start[x] : start[x] + count[x]].tolist() == sorted(
+            y for p, y in pairs if p == x) for x in range(n))
+        reported += len(pairs)
+    assert reported > 300
+
+
+def test_relation_past_the_pair_budget_leaves_the_construction_unpruned(monkeypatch):
+    monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
+    alphabet = TrackAlphabet(2)
+    delta3, initial, accepting = list(edge_nfas(np.random.default_rng(71), 2, 2))[4]  # twins
+    sink = sinks_of(delta3, accepting)
+    want = frozenset_determinize(delta3, initial, accepting, alphabet)
+    assert automata._dominators(delta3, accepting, sink) is not None
+    monkeypatch.setattr(automata, "MAX_PAIRS", len(delta3) ** 2 - 1)
+    assert automata._dominators(delta3, accepting, sink) is None
+    assert automata._determinize(delta3, initial, accepting, alphabet) == want
 
 
 def test_subset_budget(monkeypatch):

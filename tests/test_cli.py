@@ -424,6 +424,25 @@ def test_track_budget_exits_2(capsys):
         automata.cylindrify(pell.valid_tracks(1), [0], automata.MAX_TRACKS + 1)
 
 
+def test_pair_budget_exits_2(capsys, monkeypatch):
+    # a product counts its reachable pairs level by level and stops before
+    # its tables pass the budget; a 10-variable sum once reached 4.4 GB
+    cli.main(["eval", "x0 = 0"])  # the adder and the comparisons, built outside the trace
+    capsys.readouterr()
+    monkeypatch.setattr(automata, "MAX_PAIRS", 1 << 12)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", "x + y = z & y + z = w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{1 << 12} (pair, symbol) entries" in err
+    assert len(err.splitlines()) == 1
+    assert peak < 1 << 20
+    assert issubclass(automata.PairBudgetError, ValueError)
+
+
 class HalfWriter:
     """A new file that takes the first half of a text, then fails."""
 
