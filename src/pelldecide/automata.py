@@ -37,7 +37,9 @@ a transition table takes 692 KiB."""
 MAX_PAIRS = 1 << 24
 """Most entries of a table indexed by pairs of states: (pair, symbol) rows
 of a product, or the cells and the (pair, symbol) successors of a subset
-construction's inclusion relation."""
+construction's inclusion relation.  It bounds the (state, symbol) entries
+of a cylindrified table too, since a product of it reaches at least as many
+pairs as it has states."""
 
 __all__ = [
     "TrackAlphabet",
@@ -67,7 +69,8 @@ class TrackBudgetError(ValueError):
 
 
 class PairBudgetError(ValueError):
-    """A product's table would have more than MAX_PAIRS entries."""
+    """A product's table, or a table cylindrified for one, would have more
+    than MAX_PAIRS entries."""
 
 
 @dataclass(frozen=True)
@@ -969,6 +972,11 @@ def cylindrify(a: Dfa | Dfao, positions: Sequence[int], total: int) -> Dfa | Dfa
         raise ValueError(f"cannot place {k} tracks at {tuple(positions)} among {total}")
     alphabet = TrackAlphabet(total)  # the track budget, before the table
     n = a.n_states
+    if n * alphabet.size > MAX_PAIRS:
+        raise PairBudgetError(
+            f"cylindrify passed {MAX_PAIRS} (state, symbol) entries with {n} states "
+            f"of {alphabet.size} symbols; the formula is too large"
+        )
     # the old tracks in the order of their new positions, then the free ones
     shaped = a.delta.reshape((n,) + (DIGITS,) * k)
     shaped = shaped.transpose((0,) + tuple(1 + int(i) for i in np.argsort(positions)))

@@ -15,9 +15,10 @@ between invocations; within one ``run``, later commands see everything
 earlier commands created.  Exit codes: 0 on success (an eval printing FALSE
 is still a success), 1 when a proof or expectation fails, 2 on usage or
 syntax errors, unreadable or malformed files, subset constructions that
-outgrow ``automata.MAX_SUBSETS``, products that outgrow
-``automata.MAX_PAIRS``, and formulas whose relations would have more than
-``automata.MAX_TRACKS`` tracks; each error is one ``error:`` line.
+outgrow ``automata.MAX_SUBSETS``, products and the tables cylindrified for
+them that outgrow ``automata.MAX_PAIRS``, and formulas whose relations would
+have more than ``automata.MAX_TRACKS`` tracks; each error is one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -107,6 +108,14 @@ class Session:
             json.dumps({"params": list(params), "automaton": automata.to_text(dfa)}),
         )
 
+    def bind(self, name: str, env: logic.Environment) -> None:
+        """Adopt ``env``, which binds the relation ``name`` anew: save the
+        relation in the session directory and print its line."""
+        self.env = env
+        rel = env.stored(name)
+        self.save_definition(name, rel.dfa, rel.tracks)
+        _print_relation(name, rel)
+
     def register_sequence(self, name: str, m) -> None:
         self.env = self.env.with_sequence(name, m)
         # persist the binding so a reloaded session sees the same sequences
@@ -114,6 +123,10 @@ class Session:
             seq_dir = self.directory / "sequences"
             seq_dir.mkdir(parents=True, exist_ok=True)
             automata.save_text(m, seq_dir / f"{name}.txt")
+
+
+def _print_relation(label: str, rel: logic.Relation) -> None:
+    print(f"{label}: automaton over ({', '.join(rel.tracks)}), {rel.dfa.n_states} states")
 
 
 def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
@@ -161,12 +174,10 @@ def cmd_eval(session: Session, ns) -> int:
         print("error: => expectations apply only to closed predicates",
               file=sys.stderr)
         return 2
-    label = ns.name or "result"
     if ns.name:
-        session.env = session.env.with_callable(ns.name, rel.dfa, rel.tracks)
-        session.save_definition(ns.name, rel.dfa, rel.tracks)
-    print(f"{label}: automaton over ({', '.join(rel.tracks)}), "
-          f"{rel.dfa.n_states} states")
+        session.bind(ns.name, session.env.with_callable(ns.name, rel.dfa, rel.tracks))
+    else:
+        _print_relation("result", rel)
     if ns.out:
         _write_automaton(rel.dfa, ns.format, ns.out, session)
     return 0
@@ -174,11 +185,7 @@ def cmd_eval(session: Session, ns) -> int:
 
 def cmd_def(session: Session, ns) -> int:
     session.ensure_sequences(ns.predicate)
-    rel = logic.compile(ns.predicate, session.env)
-    session.env = session.env.with_callable(ns.name, rel.dfa, rel.tracks)
-    session.save_definition(ns.name, rel.dfa, rel.tracks)
-    print(f"{ns.name}: automaton over ({', '.join(rel.tracks)}), "
-          f"{rel.dfa.n_states} states")
+    session.bind(ns.name, logic.define(session.env, ns.name, ns.predicate))
     return 0
 
 
@@ -194,11 +201,7 @@ def cmd_reg(session: Session, ns) -> int:
         print("error: reg takes a name, an optional numeration, and a pattern",
               file=sys.stderr)
         return 2
-    session.env = logic.reg(session.env, ns.name, pattern)
-    stored = session.env.stored(ns.name)
-    session.save_definition(ns.name, stored.dfa, stored.tracks)
-    print(f"{ns.name}: automaton over ({', '.join(stored.tracks)}), "
-          f"{stored.dfa.n_states} states")
+    session.bind(ns.name, logic.reg(session.env, ns.name, pattern))
     return 0
 
 

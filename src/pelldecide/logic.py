@@ -33,7 +33,6 @@ __all__ = [
     "PredicateSyntaxError",
     "CompileError",
     "parse",
-    "unparse",
     "free_variables",
     "Relation",
     "Environment",
@@ -408,43 +407,6 @@ def parse(text: str) -> Predicate:
     ast = _Parser(text).parse()
     _check_bindings(ast, frozenset())
     return ast
-
-
-def unparse_term(t: Term) -> str:
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TConst):
-        return str(t.value)
-    if isinstance(t, TAdd):
-        return f"{unparse_term(t.left)} + {unparse_term(t.right)}"
-    return f"{t.factor} * {unparse_term(t.term)}"
-
-
-def unparse(p: Predicate) -> str:
-    """Render an AST back to parseable text (parse(unparse(x)) == x)."""
-
-    def wrap(q: Predicate) -> str:
-        text = unparse(q)
-        if isinstance(q, (PBin, PQuant)):
-            return f"({text})"
-        return text
-
-    if isinstance(p, PCmp):
-        return f"{unparse_term(p.left)} {p.op} {unparse_term(p.right)}"
-    if isinstance(p, PSeqConst):
-        return f"{p.name}[{unparse_term(p.index)}] = @{p.value}"
-    if isinstance(p, PSeqPair):
-        return (
-            f"{p.left_name}[{unparse_term(p.left_index)}] = "
-            f"{p.right_name}[{unparse_term(p.right_index)}]"
-        )
-    if isinstance(p, PCall):
-        return f"${p.name}({', '.join(unparse_term(a) for a in p.args)})"
-    if isinstance(p, PNot):
-        return f"~{wrap(p.body)}"
-    if isinstance(p, PBin):
-        return f"{wrap(p.left)} {p.op} {wrap(p.right)}"
-    return f"{p.kind}{','.join(p.names)} {unparse(p.body)}"
 
 
 # ---------------------------------------------------------------------------

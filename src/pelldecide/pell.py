@@ -22,12 +22,10 @@ __all__ = [
     "pell_number",
     "encode",
     "decode",
-    "is_canonical",
     "canonical_recognizer",
     "valid_tracks",
     "encode_batch",
     "decode_batch",
-    "valid_digits_batch",
 ]
 
 _PELL = [0, 1, 2]
@@ -70,19 +68,6 @@ def decode(s: str) -> int:
             raise ValueError(f"digit out of range: {c!r}")
         total += d * pell_number(length - j)
     return total
-
-
-def is_canonical(s: str) -> bool:
-    """True iff ``s`` is the canonical representation of some natural."""
-    if s == "":
-        return True
-    if any(c not in "012" for c in s):
-        return False
-    if s[0] == "0":
-        return False
-    if s[-1] == "2":
-        return False
-    return all(s[j + 1] == "0" for j in range(len(s) - 1) if s[j] == "2")
 
 
 def canonical_recognizer() -> Dfa:
@@ -176,16 +161,3 @@ def decode_batch(digits: np.ndarray) -> np.ndarray:
     weights = _pell_array(length + 1)[length:0:-1]  # P_length .. P_1
     return np.einsum("ij,j->i", digits, weights)
 
-
-def valid_digits_batch(digits: np.ndarray) -> np.ndarray:
-    """Mask of rows that are 0*-padded canonical representations: digits in
-    {0, 1, 2} and accepted by ``valid_tracks(1)``.  Takes any integer dtype;
-    a row of length 0 is valid.
-    """
-    digits = np.asarray(digits)
-    in_range = ((digits >= 0) & (digits <= 2)).all(axis=1)
-    # rows with a digit out of range are read as zeros, which keeps the
-    # table lookup in bounds; the mask rejects them anyway
-    symbols = np.where(in_range[:, None], digits, 0).astype(np.int8)
-    rec = valid_tracks(1)
-    return in_range & rec.accepting[automata.run_batch(rec, symbols)]

@@ -1,5 +1,5 @@
 """The Sturmian word c_alpha for alpha = sqrt(2)-1 and the balanced words
-x5 and x3 derived from it, as exact integer oracles and as Pell-base DFAOs.
+x5 and x3 derived from it, as exact integer prefixes and as Pell-base DFAOs.
 
 c_alpha[n] = floor((n+1)*alpha) - floor(n*alpha), indexed from 1.  x5 (indexed
 from 0) replaces the 0s of c_alpha by successive symbols of (0102)^w and the
@@ -11,7 +11,6 @@ a float square root only as a first guess, which integer comparisons correct.
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt
 
 import numpy as np
 
@@ -19,12 +18,8 @@ from . import learner, pell
 from .automata import Dfao, TrackAlphabet
 
 __all__ = [
-    "sturmian",
     "sturmian_prefix",
-    "floor_alpha",
     "c_alpha_dfao",
-    "x5_oracle",
-    "x3_oracle",
     "x5_prefix",
     "x3_prefix",
     "x5_dfao",
@@ -36,22 +31,8 @@ X5_BLOCKS = ((0, 1, 0, 2), (3, 4))
 X3_BLOCKS = ((0, 1), (2,))
 
 
-def floor_alpha(m: int) -> int:
-    """floor(m * (sqrt(2)-1)) via exact integer square root."""
-    if m < 0:
-        raise ValueError("m must be a natural number")
-    return isqrt(2 * m * m) - m
-
-
-def sturmian(n: int) -> int:
-    """c_alpha[n] for n >= 1."""
-    if n < 1:
-        raise ValueError("c_alpha is indexed from 1")
-    return floor_alpha(n + 1) - floor_alpha(n)
-
-
 def _floor_alpha_batch(m: np.ndarray) -> np.ndarray:
-    """floor_alpha of an int64 array with 2m^2 in int64.
+    """floor(m * alpha) of an int64 array m with 2m^2 in int64.
 
     A float square root of 2m^2 is off by at most one, so it is corrected
     once each way with exact integer comparisons.
@@ -94,28 +75,6 @@ def x5_prefix(n: int) -> np.ndarray:
 def x3_prefix(n: int) -> np.ndarray:
     """x3[0..n-1]."""
     return _replace(sturmian_prefix(n), X3_BLOCKS)
-
-
-def _replacement_oracle(i: int, blocks) -> int:
-    if i < 0:
-        raise ValueError("the word is indexed from 0")
-    zeros_block, ones_block = blocks
-    c = sturmian(i + 1)
-    if c == 0:
-        zeros_seen = (i + 1) - floor_alpha(i + 2)
-        return zeros_block[(zeros_seen - 1) % len(zeros_block)]
-    ones_seen = floor_alpha(i + 2)
-    return ones_block[(ones_seen - 1) % len(ones_block)]
-
-
-def x5_oracle(i: int) -> int:
-    """x5[i] from exact arithmetic alone."""
-    return _replacement_oracle(i, X5_BLOCKS)
-
-
-def x3_oracle(i: int) -> int:
-    """x3[i] from exact arithmetic alone."""
-    return _replacement_oracle(i, X3_BLOCKS)
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,28 @@ def ref_decode(digits: str) -> int:
     return sum(int(ch) * ps[len(digits) - k] for k, ch in enumerate(digits))
 
 
+def ref_is_canonical(s: str) -> bool:
+    """True iff ``s`` is the canonical representation of some natural: digits
+    in {0, 1, 2}, no leading zero, no trailing 2, and a 0 after every 2."""
+    if s == "":
+        return True
+    if any(c not in "012" for c in s):
+        return False
+    if s[0] == "0":
+        return False
+    if s[-1] == "2":
+        return False
+    return all(s[j + 1] == "0" for j in range(len(s) - 1) if s[j] == "2")
+
+
+def ref_floor_alpha(m: int) -> int:
+    """floor(m * a) for a = sqrt(2) - 1, via exact isqrt."""
+    return math.isqrt(2 * m * m) - m
+
+
 def ref_sturmian(n: int) -> int:
-    """floor((n+1)a) - floor(na) for a = sqrt(2) - 1, via exact isqrt."""
-
-    def fl(m: int) -> int:
-        return math.isqrt(2 * m * m) - m
-
-    return fl(n + 1) - fl(n)
+    """floor((n+1)a) - floor(na) for a = sqrt(2) - 1."""
+    return ref_floor_alpha(n + 1) - ref_floor_alpha(n)
 
 
 def _floor_sqrt(v: np.ndarray) -> np.ndarray:
@@ -781,8 +796,9 @@ def ref_domain_words(hypothesis, domain, n_symbols: int, max_len: int):
     return out
 
 
-def _ref_valid_digits(digits: np.ndarray) -> np.ndarray:
-    # digits are taken to be in {0, 1, 2}
+def ref_valid_digits(digits: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a digit array, digits in {0, 1, 2} and msd first,
+    that are 0*-padded canonical representations; a row of length 0 is."""
     if digits.shape[1] == 0:
         return np.ones(len(digits), dtype=bool)
     ok = (digits[:, :-1] != 2) | (digits[:, 1:] == 0)
@@ -795,7 +811,7 @@ def ref_adder_oracle_batch(words: np.ndarray) -> np.ndarray:
     q = words // 3
     dx = q // 3
     dy, dz = q - 3 * dx, words - 3 * q
-    ok = _ref_valid_digits(dx) & _ref_valid_digits(dy) & _ref_valid_digits(dz)
+    ok = ref_valid_digits(dx) & ref_valid_digits(dy) & ref_valid_digits(dz)
     return ok & (pell.decode_batch(dx + dy - dz) == 0)
 
 
@@ -804,7 +820,7 @@ def ref_word_oracle(word: np.ndarray):
     0..2 and ``word`` long enough for every value they spell."""
 
     def batch(words: np.ndarray) -> np.ndarray:
-        valid = _ref_valid_digits(words)
+        valid = ref_valid_digits(words)
         values = pell.decode_batch(words)
         return np.where(valid, word[values], 0)
 

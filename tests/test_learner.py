@@ -554,9 +554,9 @@ def test_adder_oracle_matches_decode():
         y = pell.decode("".join(str((s // 3) % 3) for s in word))
         z = pell.decode("".join(str(s % 3) for s in word))
         valid = (
-            pell.valid_digits_batch(digits // 9).item()
-            and pell.valid_digits_batch((digits // 3) % 3).item()
-            and pell.valid_digits_batch(digits % 3).item()
+            R.ref_valid_digits(digits // 9).item()
+            and R.ref_valid_digits((digits // 3) % 3).item()
+            and R.ref_valid_digits(digits % 3).item()
         )
         # the learner asks the oracle only words of the domain
         if valid:

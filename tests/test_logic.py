@@ -58,12 +58,6 @@ def grid(rel, box, chunk=2_000_000):
 # --- parsing -----------------------------------------------------------------
 
 
-def test_unparse_parse_fixpoint():
-    for text in CORPUS:
-        ast = logic.parse(text)
-        assert logic.parse(logic.unparse(ast)) == ast
-
-
 def test_precedence_shapes():
     ast = logic.parse("x = 0 | x = 1 & x = 2")
     assert isinstance(ast, PBin) and ast.op == "|"
