@@ -303,18 +303,26 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _reachable(delta: np.ndarray, initial: int) -> np.ndarray:
-    """Sorted array of states reachable from the initial state."""
-    n = len(delta)
-    seen = np.zeros(n, dtype=bool)
-    seen[initial] = True
-    frontier = np.array([initial], dtype=np.int64)
+def _bfs_order(delta: np.ndarray, initial: int) -> np.ndarray:
+    """Breadth-first number of every state from ``initial``, edges taken in
+    symbol order; -1 for states it does not reach.  The one forward walk:
+    ``>= 0`` is the reachable mask."""
+    order = np.full(len(delta), -1, dtype=np.int32)
+    order[initial] = 0
+    count = 1
+    frontier = np.array([initial])
+    first = np.empty(len(delta), dtype=np.intp)
     while len(frontier):
-        nxt = _sorted_unique(delta[frontier])
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
-    return np.flatnonzero(seen)
+        targets = delta[frontier].ravel()
+        targets = targets[order[targets] < 0]
+        # scattered in reverse, the last write to each target is its first
+        # occurrence in reading order
+        at = np.arange(len(targets))
+        first[targets[::-1]] = at[::-1]
+        frontier = targets[first[targets] == at]
+        order[frontier] = np.arange(count, count + len(frontier))
+        count += len(frontier)
+    return order
 
 
 def _distance_to(delta: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -334,13 +342,12 @@ def _distance_to(delta: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _useful(a: Dfa) -> np.ndarray:
     """Mask of the states that are reachable and can still reach acceptance."""
-    reach = np.zeros(a.n_states, dtype=bool)
-    reach[_reachable(a.delta, a.initial)] = True
+    reach = _bfs_order(a.delta, a.initial) >= 0
     return reach & (_distance_to(a.delta, a.accepting) <= a.n_states)
 
 
 def is_empty(a: Dfa) -> bool:
-    return not a.accepting[_reachable(a.delta, a.initial)].any()
+    return not a.accepting[_bfs_order(a.delta, a.initial) >= 0].any()
 
 
 def live_state_count(a: Dfa) -> int:
@@ -418,53 +425,23 @@ def _refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return classes
 
 
-def _bfs_order(qdelta: np.ndarray, initial: int) -> np.ndarray:
-    """Breadth-first number of every state from ``initial``, edges taken in
-    symbol order; -1 for states it does not reach."""
-    order = np.full(len(qdelta), -1, dtype=np.int32)
-    order[initial] = 0
-    count = 1
-    frontier = np.array([initial])
-    first = np.empty(len(qdelta), dtype=np.intp)
-    while len(frontier):
-        targets = qdelta[frontier].ravel()
-        targets = targets[order[targets] < 0]
-        # scattered in reverse, the last write to each target is its first
-        # occurrence in reading order
-        at = np.arange(len(targets))
-        first[targets[::-1]] = at[::-1]
-        frontier = targets[first[targets] == at]
-        order[frontier] = np.arange(count, count + len(frontier))
-        count += len(frontier)
-    return order
-
-
 def minimize(a: Dfa | Dfao) -> Dfa | Dfao:
     """Minimal automaton with canonical breadth-first state numbering.
 
-    Takes a Dfa or a Dfao and returns the same type.  The states that the
-    initial state does not reach are trimmed, then ``_quotient`` merges the
-    rest.
+    Takes a Dfa or a Dfao and returns the same type: ``_quotient`` of its
+    table, which drops the states that the initial state does not reach.
     """
-    labels, delta, initial = a.labels, a.delta, a.initial
-    reach = _reachable(delta, initial)
-    if len(reach) < a.n_states:
-        remap = np.full(a.n_states, -1, dtype=np.int32)
-        remap[reach] = np.arange(len(reach))
-        delta = remap[delta[reach]]
-        labels = labels[reach]
-        initial = int(remap[initial])
-    return _quotient(type(a), a.alphabet, delta, labels, initial)
+    return _quotient(type(a), a.alphabet, a.delta, a.labels, a.initial)
 
 
 def _quotient(kind: type, alphabet: TrackAlphabet, delta: np.ndarray, labels: np.ndarray,
               initial: int) -> Dfa | Dfao:
-    """Minimal ``kind`` (Dfa or Dfao) of a raw table whose every state the
-    initial state reaches, canonically numbered.
+    """Minimal ``kind`` (Dfa or Dfao) of a raw table, canonically numbered.
 
     States start out apart by their accepting flag or their output; the
-    refinement and the renumbering are shared.  ``product`` and
-    ``_determinize`` build all-reachable tables and call this directly.
+    refinement and the renumbering are shared.  The renumbering is the one
+    forward walk: the classes it does not reach are dropped.  ``product``
+    and ``_determinize`` build all-reachable tables and call this directly.
     """
     # a flag is a class number as it stands; outputs are ranked
     classes = labels if labels.dtype == bool else np.unique(labels, return_inverse=True)[1]
@@ -477,9 +454,10 @@ def _quotient(kind: type, alphabet: TrackAlphabet, delta: np.ndarray, labels: np
     qdelta = classes[delta[reps]]
     qlabels = labels[reps]
 
-    # canonical renumbering; every class is reachable, as every state is
+    # canonical renumbering; the classes it does not reach (-1) sort first
+    # and are dropped
     order = _bfs_order(qdelta, int(classes[initial]))
-    inv = np.argsort(order)
+    inv = np.argsort(order)[np.count_nonzero(order < 0):]
     return kind(alphabet, _freeze(order[qdelta[inv]]), _freeze(qlabels[inv]), 0)
 
 
@@ -939,7 +917,8 @@ def zero_pad_closure(a: Dfa) -> Dfa:
     delta3[n, :, 1] = a.delta[a.initial]
     delta3[n, 0, 0] = n
     accepting = np.concatenate([a.accepting, a.accepting[a.initial : a.initial + 1]])
-    return _determinize(delta3, _reachable(delta3[:, 0, :], n), accepting, a.alphabet)
+    init = np.flatnonzero(_bfs_order(delta3[:, 0, :], n) >= 0)
+    return _determinize(delta3, init, accepting, a.alphabet)
 
 
 def project(a: Dfa, track: int) -> Dfa:
@@ -959,7 +938,7 @@ def project(a: Dfa, track: int) -> Dfa:
     delta3 = np.ascontiguousarray(delta3)
 
     # zero closure at the NFA level: remaining digits 0, erased digit free
-    init = _reachable(delta3[:, 0, :], a.initial)
+    init = np.flatnonzero(_bfs_order(delta3[:, 0, :], a.initial) >= 0)
     return _determinize(delta3, init, a.accepting, TrackAlphabet(k - 1))
 
 

@@ -171,9 +171,7 @@ def cmd_eval(session: Session, ns) -> int:
             return 1
         return 0
     if ns.expect:
-        print("error: => expectations apply only to closed predicates",
-              file=sys.stderr)
-        return 2
+        raise ValueError("=> expectations apply only to closed predicates")
     if ns.name:
         session.bind(ns.name, session.env.with_callable(ns.name, rel.dfa, rel.tracks))
     else:
@@ -195,12 +193,9 @@ def cmd_reg(session: Session, ns) -> int:
     elif len(ns.rest) == 2:
         numeration, pattern = ns.rest
         if numeration != "msd_pell":
-            print(f"error: unsupported numeration {numeration!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unsupported numeration {numeration!r}")
     else:
-        print("error: reg takes a name, an optional numeration, and a pattern",
-              file=sys.stderr)
-        return 2
+        raise ValueError("reg takes a name, an optional numeration, and a pattern")
     session.bind(ns.name, logic.reg(session.env, ns.name, pattern))
     return 0
 
@@ -248,9 +243,7 @@ def cmd_prove(session: Session, ns) -> int:
         names = [ns.theorem]
     else:
         known = ", ".join(theorems.THEOREMS)
-        print(f"error: unknown theorem {ns.theorem!r} (known: {known}, all)",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown theorem {ns.theorem!r} (known: {known}, all)")
     failed = False
     for name in names:
         report = theorems.THEOREMS[name]()
@@ -389,7 +382,8 @@ _HANDLERS = {
 }
 
 
-# syntax and compile errors, the subset, pair and track budgets, bad files and unreadable paths
+# syntax and compile errors, the subset, pair and track budgets, bad files and
+# unreadable paths, and the handlers' own usage errors
 _USER_ERRORS = (ValueError, OSError)
 
 

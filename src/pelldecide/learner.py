@@ -236,7 +236,7 @@ def bounded_equiv(
     # pair h * n + d: inside the domain as d is, labelled as h is
     inside = np.tile(domain.accepting, hypothesis.n_states)
     labels = np.repeat(hypothesis.labels, domain.n_states)
-    if ((labels != 0) & ~inside)[automata._reachable(delta, initial)].any():
+    if ((labels != 0) & ~inside)[automata._bfs_order(delta, initial) >= 0].any():
         raise ValueError("the hypothesis is nonzero on a word off the domain")
     for words, states in automata._radix_walk(delta, initial, inside, max_len):
         mismatch = labels[states] != _ask(oracle, words)

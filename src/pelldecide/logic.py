@@ -211,10 +211,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# binding power of each connective; "=>" groups to the right, the others to
+# the left
+_PRECEDENCE = {"<=>": 1, "=>": 2, "|": 3, "&": 4}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.bound: frozenset[str] = frozenset()  # names the enclosing quantifiers bind
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -249,39 +255,23 @@ class _Parser:
                 raise PredicateSyntaxError(
                     f"unsupported numeration {value!r}", line, col, ("msd_pell",)
                 )
-        p = self.parse_iff()
+        p = self.parse_binary()
         kind, value, line, col = self.peek()
         if kind != "end":
             raise PredicateSyntaxError(f"trailing input {value!r}", line, col, ("end of input",))
         return p
 
-    def parse_iff(self) -> Predicate:
-        p = self.parse_implies()
-        while self.at_op("<=>"):
-            self.next()
-            p = PBin("<=>", p, self.parse_implies())
-        return p
-
-    def parse_implies(self) -> Predicate:
-        p = self.parse_or()
-        if self.at_op("=>"):
-            self.next()
-            return PBin("=>", p, self.parse_implies())
-        return p
-
-    def parse_or(self) -> Predicate:
-        p = self.parse_and()
-        while self.at_op("|"):
-            self.next()
-            p = PBin("|", p, self.parse_and())
-        return p
-
-    def parse_and(self) -> Predicate:
+    def parse_binary(self, floor: int = 1) -> Predicate:
+        """Precedence climbing: a chain of connectives that bind at least
+        as tightly as ``floor``."""
         p = self.parse_unary()
-        while self.at_op("&"):
+        while True:
+            value = self.peek()[1]  # only an op token spells a connective
+            power = _PRECEDENCE.get(value, 0)
+            if power < floor:
+                return p
             self.next()
-            p = PBin("&", p, self.parse_unary())
-        return p
+            p = PBin(value, p, self.parse_binary(power if value == "=>" else power + 1))
 
     def parse_unary(self) -> Predicate:
         kind, value, line, col = self.peek()
@@ -290,25 +280,40 @@ class _Parser:
             return PNot(self.parse_unary())
         if kind == "quant":
             self.next()
-            names = []
-            if self.peek()[0] == "name":
-                names.append(self.expect_name())
-                while self.at_op(","):
-                    self.next()
-                    names.append(self.expect_name())
-            if not names:
-                raise PredicateSyntaxError(
-                    "quantifier without variables", line, col, ("variable name",)
-                )
-            # a quantifier swallows everything to its right
-            return PQuant(value, tuple(names), self.parse_iff())
+            return self.parse_quantifier(value, line, col)
         return self.parse_atom()
+
+    def parse_quantifier(self, kind: str, line: int, col: int) -> Predicate:
+        """The names and body after ``A`` or ``E``.  A name that an enclosing
+        quantifier binds, or that this one repeats, is an error at the name."""
+        if self.peek()[0] != "name":
+            raise PredicateSyntaxError(
+                "quantifier without variables", line, col, ("variable name",)
+            )
+        outer = self.bound
+        names: list[str] = []
+        while True:
+            _, _, at_line, at_col = self.peek()
+            name = self.expect_name()
+            if name in outer:
+                raise PredicateSyntaxError(f"variable {name!r} is bound twice", at_line, at_col)
+            if name in names:
+                raise PredicateSyntaxError("quantifier repeats a variable", at_line, at_col)
+            names.append(name)
+            if not self.at_op(","):
+                break
+            self.next()
+        # a quantifier swallows everything to its right
+        self.bound = outer.union(names)
+        body = self.parse_binary()
+        self.bound = outer
+        return PQuant(kind, tuple(names), body)
 
     def parse_atom(self) -> Predicate:
         kind, value, line, col = self.peek()
         if kind == "op" and value == "(":
             self.next()
-            p = self.parse_iff()
+            p = self.parse_binary()
             self.expect_op(")")
             return p
         if kind == "call":
@@ -385,28 +390,9 @@ class _Parser:
         )
 
 
-def _check_bindings(p: Predicate, bound: frozenset[str]) -> None:
-    if isinstance(p, PQuant):
-        clash = bound.intersection(p.names)
-        if clash:
-            raise PredicateSyntaxError(
-                f"variable {sorted(clash)[0]!r} is bound twice", 1, 1
-            )
-        if len(set(p.names)) != len(p.names):
-            raise PredicateSyntaxError("quantifier repeats a variable", 1, 1)
-        _check_bindings(p.body, bound | set(p.names))
-    elif isinstance(p, PNot):
-        _check_bindings(p.body, bound)
-    elif isinstance(p, PBin):
-        _check_bindings(p.left, bound)
-        _check_bindings(p.right, bound)
-
-
 def parse(text: str) -> Predicate:
     """Parse predicate text (optionally headed by "?msd_pell") to an AST."""
-    ast = _Parser(text).parse()
-    _check_bindings(ast, frozenset())
-    return ast
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here is deliberately naive: integer arithmetic straight from the
 definitions, explicit window scans, regular expressions over digit strings.
 The goal is that a bug in the package and a bug here would have to coincide
 to slip through.  The only nontrivial package import is pell.encode_batch,
-which the representation tests pin down exhaustively on its own.  The
+which the representation tests pin down exhaustively on its own; the
+earlier parser reuses logic's tokenizer and node types, nothing more.  The
 ``ref_`` versions of package functions that were since rewritten for speed
 are the earlier code, kept so that the rewrites are checked against it.
 """
@@ -19,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from pelldecide import automata, pell
+from pelldecide import logic as L
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 # ---------------------------------------------------------------------------
@@ -436,6 +438,208 @@ def ref_holds(p, values: dict, words: dict, calls: dict, box: int) -> np.ndarray
         got = ref_holds(body, {**values, name: np.full(shape, v)}, words, calls, box)
         out = out & got if p.kind == "A" else out | got
     return out
+
+
+# ---------------------------------------------------------------------------
+# the earlier predicate parser: one method per precedence level, and the
+# bindings checked by a second walk over the finished tree; it shares the
+# package's tokenizer and node types, so equal ASTs compare equal
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.tokens = L._tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at_op(self, *ops: str) -> bool:
+        kind, value, _, _ = self.peek()
+        return kind == "op" and value in ops
+
+    def expect_op(self, op: str) -> None:
+        kind, value, line, col = self.peek()
+        if kind != "op" or value != op:
+            raise L.PredicateSyntaxError(f"found {value or kind!r}", line, col, (repr(op),))
+        self.pos += 1
+
+    def expect_name(self) -> str:
+        kind, value, line, col = self.peek()
+        if kind != "name":
+            raise L.PredicateSyntaxError(f"found {value or kind!r}", line, col, ("variable name",))
+        self.pos += 1
+        return value
+
+    def parse(self):
+        if self.at_op("?"):
+            self.next()
+            kind, value, line, col = self.next()
+            if kind != "name" or value != "msd_pell":
+                raise L.PredicateSyntaxError(
+                    f"unsupported numeration {value!r}", line, col, ("msd_pell",)
+                )
+        p = self.parse_iff()
+        kind, value, line, col = self.peek()
+        if kind != "end":
+            raise L.PredicateSyntaxError(f"trailing input {value!r}", line, col, ("end of input",))
+        return p
+
+    def parse_iff(self):
+        p = self.parse_implies()
+        while self.at_op("<=>"):
+            self.next()
+            p = L.PBin("<=>", p, self.parse_implies())
+        return p
+
+    def parse_implies(self):
+        p = self.parse_or()
+        if self.at_op("=>"):
+            self.next()
+            return L.PBin("=>", p, self.parse_implies())
+        return p
+
+    def parse_or(self):
+        p = self.parse_and()
+        while self.at_op("|"):
+            self.next()
+            p = L.PBin("|", p, self.parse_and())
+        return p
+
+    def parse_and(self):
+        p = self.parse_unary()
+        while self.at_op("&"):
+            self.next()
+            p = L.PBin("&", p, self.parse_unary())
+        return p
+
+    def parse_unary(self):
+        kind, value, line, col = self.peek()
+        if kind == "op" and value == "~":
+            self.next()
+            return L.PNot(self.parse_unary())
+        if kind == "quant":
+            self.next()
+            names = []
+            if self.peek()[0] == "name":
+                names.append(self.expect_name())
+                while self.at_op(","):
+                    self.next()
+                    names.append(self.expect_name())
+            if not names:
+                raise L.PredicateSyntaxError(
+                    "quantifier without variables", line, col, ("variable name",)
+                )
+            return L.PQuant(value, tuple(names), self.parse_iff())
+        return self.parse_atom()
+
+    def parse_atom(self):
+        kind, value, line, col = self.peek()
+        if kind == "op" and value == "(":
+            self.next()
+            p = self.parse_iff()
+            self.expect_op(")")
+            return p
+        if kind == "call":
+            self.next()
+            self.expect_op("(")
+            args = [self.parse_term()]
+            while self.at_op(","):
+                self.next()
+                args.append(self.parse_term())
+            self.expect_op(")")
+            return L.PCall(value[1:], tuple(args))
+        if kind == "name" and self.tokens[self.pos + 1][:2] == ("op", "["):
+            return self.parse_sequence_atom()
+        return self.parse_comparison()
+
+    def parse_sequence_atom(self):
+        name = self.expect_name()
+        self.expect_op("[")
+        index = self.parse_term()
+        self.expect_op("]")
+        kind, value, line, col = self.peek()
+        if kind != "op" or value not in ("=", "!="):
+            raise L.PredicateSyntaxError(f"found {value or kind!r}", line, col, ("'='", "'!='"))
+        self.next()
+        negated = value == "!="
+        kind, value, line, col = self.peek()
+        if kind == "op" and value == "@":
+            self.next()
+            kind, value, line, col = self.peek()
+            if kind != "number":
+                raise L.PredicateSyntaxError(
+                    f"found {value or kind!r}", line, col, ("output digit",)
+                )
+            self.next()
+            atom = L.PSeqConst(name, index, int(value))
+        else:
+            other = self.expect_name()
+            self.expect_op("[")
+            other_index = self.parse_term()
+            self.expect_op("]")
+            atom = L.PSeqPair(name, index, other, other_index)
+        return L.PNot(atom) if negated else atom
+
+    def parse_comparison(self):
+        left = self.parse_term()
+        kind, value, line, col = self.peek()
+        if kind != "op" or value not in ("=", "!=", "<", "<=", ">", ">="):
+            raise L.PredicateSyntaxError(
+                f"found {value or kind!r}", line, col, ("comparison operator",)
+            )
+        self.next()
+        return L.PCmp(value, left, self.parse_term())
+
+    def parse_term(self):
+        t = self.parse_factor()
+        while self.at_op("+"):
+            self.next()
+            t = L.TAdd(t, self.parse_factor())
+        return t
+
+    def parse_factor(self):
+        kind, value, line, col = self.peek()
+        if kind == "number":
+            self.next()
+            if self.at_op("*"):
+                self.next()
+                return L.TMul(int(value), self.parse_factor())
+            return L.TConst(int(value))
+        if kind == "name":
+            self.next()
+            return L.TVar(value)
+        raise L.PredicateSyntaxError(
+            f"found {value or kind!r}", line, col, ("number", "variable name")
+        )
+
+
+def _ref_check_bindings(p, bound: frozenset) -> None:
+    if isinstance(p, L.PQuant):
+        clash = bound.intersection(p.names)
+        if clash:
+            raise L.PredicateSyntaxError(f"variable {sorted(clash)[0]!r} is bound twice", 1, 1)
+        if len(set(p.names)) != len(p.names):
+            raise L.PredicateSyntaxError("quantifier repeats a variable", 1, 1)
+        _ref_check_bindings(p.body, bound | set(p.names))
+    elif isinstance(p, L.PNot):
+        _ref_check_bindings(p.body, bound)
+    elif isinstance(p, L.PBin):
+        _ref_check_bindings(p.left, bound)
+        _ref_check_bindings(p.right, bound)
+
+
+def ref_parse(text: str):
+    """The AST of ``text``, or PredicateSyntaxError; binding errors are
+    placed at line 1, column 1, as the earlier parser placed them."""
+    ast = _RefParser(text).parse()
+    _ref_check_bindings(ast, frozenset())
+    return ast
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def minimize_cases():
 def test_minimize_matches_round_robin_reference():
     cases = minimize_cases()
     assert any(automata.minimize(a).n_states == 1 for a in cases)
-    assert any(len(automata._reachable(a.delta, a.initial)) < a.n_states for a in cases)
+    assert any((automata._bfs_order(a.delta, a.initial) < 0).any() for a in cases)
     for a in cases:
         got = automata.minimize(a)
         assert automata.to_text(got) == automata.to_text(R.ref_minimize(a))
@@ -462,7 +462,7 @@ def test_live_state_count_matches_naive():
 
 
 def test_walks_match_the_earlier_walks():
-    # _reachable and _distance_to against the single-purpose walks kept in
+    # _bfs_order and _distance_to against the single-purpose walks kept in
     # references: the zero orbit, project's initial closure, and distances
     # to acceptance
     rng = np.random.default_rng(67)
@@ -472,12 +472,12 @@ def test_walks_match_the_earlier_walks():
         accepting = rng.random(n) < rng.choice([0.0, 0.2, 0.5])
         a = Dfa(TrackAlphabet(k), rng.integers(0, n, size=(n, 3**k)), accepting,
                 int(rng.integers(0, n)))
-        got = automata._reachable(a.delta[:, :1], a.initial)
+        got = np.flatnonzero(automata._bfs_order(a.delta[:, :1], a.initial) >= 0)
         assert np.array_equal(got, R.ref_zero_orbit(a.delta, a.initial))
         shaped = a.delta.reshape((n,) + (3,) * k)
         for track in range(k):
             delta3 = np.moveaxis(shaped, 1 + track, k).reshape(n, 3 ** (k - 1), 3)
-            got = automata._reachable(delta3[:, 0, :], a.initial)
+            got = np.flatnonzero(automata._bfs_order(delta3[:, 0, :], a.initial) >= 0)
             assert np.array_equal(got, R.ref_project_closure(delta3, a.initial))
         got = automata._distance_to(a.delta, a.accepting)
         assert np.array_equal(got, R.ref_distance_to_accepting(a))

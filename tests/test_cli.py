@@ -1,18 +1,23 @@
 """End-to-end exercises of the command-line front end."""
 
+import io
 import json
 import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import references as R
+import strategies
 from pelldecide import automata, cli, pell, sequences
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
@@ -88,6 +93,30 @@ def test_eval_of_a_deeply_nested_predicate_exits_2(capsys, predicate):
     code, out, err = run_cli(capsys, "eval", predicate)
     assert (code, out) == (2, "")
     assert err == "error: the predicate nests too deeply\n"
+
+
+def test_eval_of_250_nested_parentheses_exits_0(capsys):
+    # the parser spends three frames a level, so this depth parses even
+    # under pytest's own stack
+    assert run_cli(capsys, "eval", "(" * 250 + "0 = 0" + ")" * 250) == (0, "TRUE\n", "")
+
+
+@given(strategies.predicate_texts(), st.sampled_from([None, "TRUE", "FALSE"]))
+@settings(max_examples=150)
+def test_eval_exits_by_the_documented_codes(text, expect):
+    argv = ["eval", text] + (["--expect", expect] if expect else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), text
+    if code == 0:
+        assert lines == [], text
+    elif code == 1:
+        assert expect is not None, text
+        assert len(lines) == 1 and lines[0].startswith("error: expected"), text
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error:"), text
 
 
 def test_eval_named_relation_persists(capsys, tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import references as R
+import strategies
 from pelldecide import automata, learner, logic, pell, sequences, theorems
 from pelldecide.automata import Dfao, TrackAlphabet
 from pelldecide.logic import (
@@ -116,11 +117,33 @@ def test_syntax_errors_carry_positions():
 
 
 def test_rebinding_a_variable_is_rejected():
-    for text in ["Ex (Ex x = x)", "Ax Ex x < x", "Ex, x x = x", "Ax (Ey (Ex x = y))"]:
-        with pytest.raises(PredicateSyntaxError):
+    # the error points at the name at fault
+    cases = [("Ex (Ex x = x)", 6), ("Ax Ex x < x", 5), ("Ex, x x = x", 5),
+             ("Ax (Ey (Ex x = y))", 10), ("Ax,y Ey x < y", 7)]
+    for text, column in cases:
+        with pytest.raises(PredicateSyntaxError) as err:
             logic.parse(text)
+        assert (err.value.line, err.value.column) == (1, column), text
     # sibling binders may reuse a name; only nesting is banned
     assert logic.eval_closed("?msd_pell (Ex x = 1) & (Ex x = 2)") is True
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except PredicateSyntaxError:
+        return "rejected"
+
+
+@given(strategies.predicate_texts())
+@example("x = 0 <=> x = 1 => x = 2 | x = 3 & ~x = 4 => x = 5 <=> x = 6")
+@example("Ex x = 0 & (Ey y = x) | (Ey y = 1) => Ez,x z = x")
+@example("Ex (Ex x = x) & 1 = ")
+@settings(max_examples=400)
+def test_parse_matches_the_earlier_parser(text):
+    # precedence climbing against the earlier one-method-a-level parser with
+    # its separate binding walk: the same tree, or both reject the text
+    assert _parsed(logic.parse, text) == _parsed(R.ref_parse, text), text
 
 
 def test_free_variables():
