@@ -231,31 +231,29 @@ class Dfao(_Machine):
 
 
 def coerce_word(a: Dfa | Dfao, word) -> np.ndarray:
-    """Normalize a word to an array of symbol indices.
+    """Normalize a word to an array of symbol indices of ``a``'s alphabet.
 
     Accepts a digit string (1-track only), an iterable of digit tuples, or an
-    iterable of symbol indices.
+    iterable of symbol indices; a symbol outside the alphabet is a
+    ValueError.
     """
-    k = a.alphabet.n_tracks
-    if isinstance(word, str):
-        if k != 1:
-            raise ValueError("digit strings only describe 1-track words")
-        return np.array([int(c) for c in word], dtype=np.int64)
+    if isinstance(word, str) and a.alphabet.n_tracks != 1:
+        raise ValueError("digit strings only describe 1-track words")
     items = list(word)
-    if not items:
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(items[0], (tuple, list, np.ndarray)):
-        return np.array([a.alphabet.index(tuple(map(int, t))) for t in items], dtype=np.int64)
-    return np.array([int(s) for s in items], dtype=np.int64)
+    if items and isinstance(items[0], (tuple, list, np.ndarray)):
+        items = [a.alphabet.index(tuple(map(int, t))) for t in items]
+    symbols = np.array([int(s) for s in items], dtype=np.int64)
+    outside = (symbols < 0) | (symbols >= a.alphabet.size)
+    if outside.any():
+        raise ValueError(
+            f"symbol {symbols[outside][0]} is outside the alphabet of {a.alphabet.size} symbols"
+        )
+    return symbols
 
 
 def run(a: Dfa | Dfao, word) -> int:
     """Final state after reading the word from the initial state."""
-    state = a.initial
-    delta = a.delta
-    for s in coerce_word(a, word):
-        state = int(delta[state, s])
-    return state
+    return int(run_batch(a, coerce_word(a, word)[None, :])[0])
 
 
 def accepts(a: Dfa, word) -> bool:

@@ -53,19 +53,6 @@ def _session_file(path: Path):
         raise ValueError(f"{path}: {e}") from e
 
 
-def _checked_definition(dfa, params: tuple[str, ...]):
-    """A stored relation must hold only valid tracks and ignore padding, as
-    every relation the compiler builds does."""
-    k = len(params)
-    if not isinstance(dfa, automata.Dfa) or dfa.alphabet.n_tracks != k:
-        raise ValueError(f"a definition with {k} parameters must be a {k}-track automaton")
-    if not automata.equivalent(dfa, automata.product(dfa, pell.valid_tracks(k), "and")):
-        raise ValueError("the definition accepts a track that is not a canonical representation")
-    if not automata.equivalent(dfa, automata.zero_pad_closure(dfa)):
-        raise ValueError("the definition depends on leading zeros")
-    return dfa
-
-
 class Session:
     """Environment plus optional persistence directory."""
 
@@ -82,9 +69,8 @@ class Session:
         for path in sorted(self.directory.glob("definitions/*.json")):
             with _session_file(path):
                 data = json.loads(path.read_text())
-                params = tuple(data["params"])
-                dfa = _checked_definition(automata.from_text(data["automaton"]), params)
-                self.env = self.env.with_callable(path.stem, dfa, params)
+                dfa = automata.from_text(data["automaton"])
+                self.env = self.env.with_callable(path.stem, dfa, tuple(data["params"]))
 
     def ensure_sequences(self, text: str) -> None:
         """Materialize built-in sequences the predicate indexes into."""

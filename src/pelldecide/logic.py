@@ -391,8 +391,14 @@ class _Parser:
 
 
 def parse(text: str) -> Predicate:
-    """Parse predicate text (optionally headed by "?msd_pell") to an AST."""
-    return _Parser(text).parse()
+    """Parse predicate text (optionally headed by "?msd_pell") to an AST;
+    nesting past Python's recursion limit is a PredicateSyntaxError."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, _, line, col = parser.peek()
+        raise PredicateSyntaxError("the predicate nests too deeply", line, col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +558,13 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _pads_freely(m: Dfa | Dfao) -> bool:
+    """A leading zero changes no word's label: the minimal machine's initial
+    state loops on the all-zero symbol."""
+    canon = automata.minimize(m)
+    return bool(canon.delta[canon.initial, 0] == canon.initial)
+
+
 class Environment:
     """Immutable snapshot of named sequences, definitions and patterns.
 
@@ -559,8 +572,8 @@ class Environment:
     (both are invoked as $name(...)); sequences live in their own namespace.
     ``adder`` overrides the addition relation, which exists so tests can
     inject broken adders and watch proofs fail.  ``with_sequence`` and
-    ``with_callable`` are the only ways to bind a name, so every sequence
-    passes the check of ``with_sequence``.
+    ``with_callable`` are the only ways to bind a name, and each checks what
+    it binds against what the compiled relations assume.
     """
 
     def __init__(self, *, adder: Optional[Dfa] = None):
@@ -573,16 +586,27 @@ class Environment:
         ignores leading zeros, as the compiled relations assume."""
         if not isinstance(m, Dfao) or m.alphabet.n_tracks != 1:
             raise CompileError(f"sequence {name!r} must be a one-track automaton with outputs")
-        canon = automata.minimize(m)
-        if canon.delta[canon.initial, 0] != canon.initial:
+        if not _pads_freely(m):
             raise CompileError(f"the output of sequence {name!r} depends on leading zeros")
         env = copy.copy(self)
         env._sequences = {**self._sequences, _check_name(name): m}
         return env
 
     def with_callable(self, name: str, dfa: Dfa, params: tuple[str, ...]) -> "Environment":
+        """Bind a relation called as $name(...): an automaton with one track
+        per parameter that accepts only padded canonical tracks and ignores
+        leading zeros, as every relation the compiler builds does."""
         if name in self._callables:
             raise CompileError(f"name {name!r} is already defined")
+        k = len(params)
+        if not isinstance(dfa, Dfa) or dfa.alphabet.n_tracks != k:
+            raise CompileError(f"a definition with {k} parameters must be a {k}-track automaton")
+        if not automata.is_empty(automata.product(dfa, pell.valid_tracks(k), "andnot")):
+            raise CompileError(
+                "the definition accepts a track that is not a canonical representation"
+            )
+        if not _pads_freely(dfa):
+            raise CompileError("the definition depends on leading zeros")
         env = copy.copy(self)
         env._callables = {**self._callables, _check_name(name): Relation(dfa, tuple(params))}
         return env
@@ -815,6 +839,9 @@ class _Context:
             self.add(self.compiler.adder, (a, b, s))
             return s
         if t.factor == 0:
+            # 0*t is 0, but the variables of t keep their tracks
+            for name in sorted(_term_vars(t.term)):
+                self.add(pell.valid_tracks(1), (name,))
             v = self.fresh()
             self.add(_const_dfa(0), (v,))
             return v
@@ -894,14 +921,11 @@ class _Compiler:
 
 
 def compile(p: Union[str, Predicate], env: Optional[Environment] = None) -> Relation:
-    """Compile a predicate to a relation over its sorted free variables.
-
-    Parsing and compiling recurse once per level of nesting; a predicate
-    nested past Python's recursion limit raises CompileError.
-    """
+    """Compile a predicate to a relation over its sorted free variables; an
+    AST nested past Python's recursion limit raises CompileError."""
+    if isinstance(p, str):
+        p = parse(p)
     try:
-        if isinstance(p, str):
-            p = parse(p)
         return _Compiler(env if env is not None else Environment()).compile(p)
     except RecursionError:
         raise CompileError("the predicate nests too deeply") from None
@@ -1037,7 +1061,10 @@ def _regex_dfa(pattern: str) -> Dfa:
             return False, {len(digit) - 1}, {len(digit) - 1}
         raise error(f"unexpected pattern character {ch!r}")
 
-    empty, first, last = parse_alt()
+    try:
+        empty, first, last = parse_alt()
+    except RecursionError:
+        raise error("the pattern nests too deeply") from None
     if pos != len(pattern):
         raise error(f"unexpected pattern character {pattern[pos]!r}")
     follow[0] = first

@@ -13,7 +13,6 @@ Exponents are exact rationals throughout; comparisons cross-multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -22,70 +21,50 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "FiniteWord",
     "is_balanced",
     "max_exponent",
     "bfs_levels",
     "bfs_optimal",
 ]
 
-WordLike = Union["FiniteWord", str, Sequence[int], np.ndarray]
+WordLike = Union[str, Sequence[int], np.ndarray]
 
 
-@dataclass(frozen=True)
-class FiniteWord:
-    """Symbols over {0..k-1}, read-only, with the alphabet size."""
+def _symbols(word: WordLike) -> np.ndarray:
+    """The word's symbols as naturals in int8.
 
-    symbols: np.ndarray
-    alphabet_size: int
-
-    @staticmethod
-    def make(word: WordLike, alphabet_size: Optional[int] = None) -> "FiniteWord":
-        if isinstance(word, FiniteWord):
-            return word
-        if isinstance(word, str):
-            # letters map to 0,1,2,.. in order of first appearance, so plain
-            # text like "alfalfa" works alongside digit strings
-            if word and all(c in "0123456789" for c in word):
-                symbols = np.array([int(c) for c in word], dtype=np.int8)
-            else:
-                seen: dict[str, int] = {}
-                symbols = np.array(
-                    [seen.setdefault(c, len(seen)) for c in word], dtype=np.int8
-                )
+    A digit string reads digit by digit; other text maps its letters to
+    0, 1, 2, .. in order of first appearance, so "alfalfa" works alongside
+    "0120".
+    """
+    if isinstance(word, str):
+        if word and all(c in "0123456789" for c in word):
+            word = [int(c) for c in word]
         else:
-            symbols = np.array(word, dtype=np.int8)
-        if symbols.size and symbols.min() < 0:
-            raise ValueError("symbols must be naturals")
-        k = alphabet_size if alphabet_size is not None else (
-            int(symbols.max()) + 1 if symbols.size else 1
-        )
-        if symbols.size and symbols.max() >= k:
-            raise ValueError(f"symbol {symbols.max()} is outside an alphabet of size {k}")
-        symbols.setflags(write=False)
-        return FiniteWord(symbols, k)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return "".join(str(int(s)) for s in self.symbols)
+            seen: dict[str, int] = {}
+            word = [seen.setdefault(c, len(seen)) for c in word]
+    symbols = np.asarray(word)
+    if symbols.size and (symbols.min() < 0 or symbols.max() > np.iinfo(np.int8).max):
+        raise ValueError("symbols must be naturals below 128")
+    return symbols.astype(np.int8)
 
 
 def is_balanced(word: WordLike) -> bool:
     """True iff equal-length factors never differ by 2 in any symbol count."""
-    w = FiniteWord.make(word)
-    if len(w) == 0:
+    symbols = _symbols(word)
+    if len(symbols) == 0:
         return True
-    return bool(_kernels.balanced_scan(w.symbols, w.alphabet_size))
+    # a letter absent from the word is balanced in it, so the word's own
+    # letters are the alphabet
+    return bool(_kernels.balanced_scan(symbols, int(symbols.max()) + 1))
 
 
 def max_exponent(word: WordLike) -> Fraction:
     """Largest n/p over factors of length n having period p."""
-    w = FiniteWord.make(word)
-    if len(w) == 0:
+    symbols = _symbols(word)
+    if len(symbols) == 0:
         raise ValueError("the empty word has no factors")
-    n, p = _kernels.exponent_scan(w.symbols)
+    n, p = _kernels.exponent_scan(symbols)
     return Fraction(int(n), int(p))
 
 

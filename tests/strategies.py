@@ -1,10 +1,12 @@
 """Hypothesis strategies for predicate text, valid or not.
 
 ``predicates`` writes text that the grammar accepts, save that a quantifier
-may rebind a name that an enclosing one binds; ``mutants`` breaks such a text
+may rebind a name that an enclosing one binds; ``bounded_predicates`` writes
+text that a search of a small box decides; ``mutants`` breaks such a text
 by one edit of one token; ``token_soup`` strings grammar tokens together at
-random.  Every draw is small: the variables x, y and z, constants up to 12,
-and at most four levels of nesting.
+random; ``patterns`` writes digit patterns, well formed or not.  Every draw
+is small: the variables x, y and z, constants up to 12, and at most four
+levels of nesting.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ VOCABULARY = (
 
 
 @st.composite
-def terms(draw, depth: int = 2) -> str:
+def terms(draw, depth: int = 2, max_factor: int = 12) -> str:
     if depth == 0 or draw(st.booleans()):
         return draw(st.one_of(st.sampled_from(VARS), st.integers(0, 12).map(str)))
     if draw(st.booleans()):
-        return f"{draw(terms(depth - 1))} + {draw(terms(depth - 1))}"
-    return f"{draw(st.integers(0, 12))}*{draw(terms(depth - 1))}"
+        left, right = draw(terms(depth - 1, max_factor)), draw(terms(depth - 1, max_factor))
+        return f"{left} + {right}"
+    return f"{draw(st.integers(0, max_factor))}*{draw(terms(depth - 1, max_factor))}"
 
 
 @st.composite
@@ -52,6 +55,32 @@ def predicates(draw, depth: int = 4) -> str:
         return f"{draw(st.sampled_from('AE'))}{','.join(names)} {draw(predicates(depth - 1))}"
     left, right = draw(predicates(depth - 1)), draw(predicates(depth - 1))
     return f"{left} {draw(st.sampled_from(CONNECTIVES))} {right}"
+
+
+QUANTIFIER_BOUND = 4
+
+
+@st.composite
+def bounded_predicates(draw, depth: int = 3, bound: tuple[str, ...] = ()) -> str:
+    """A predicate whose every quantified variable is at most
+    QUANTIFIER_BOUND, as ``Ex (x <= 4) & ...`` or ``Ax (x <= 4) => ...``, so a
+    search of 0..QUANTIFIER_BOUND decides it; products take the constants
+    0 to 3, and every compound part is parenthesized."""
+    shape = draw(st.integers(0, 3 if depth else 0))
+    if shape == 0:
+        left, right = draw(terms(max_factor=3)), draw(terms(max_factor=3))
+        return f"{left} {draw(st.sampled_from(RELATIONS))} {right}"
+    if shape == 1:
+        return f"~({draw(bounded_predicates(depth - 1, bound))})"
+    unbound = [v for v in VARS if v not in bound]
+    if shape == 2 and unbound:
+        name, kind = draw(st.sampled_from(unbound)), draw(st.sampled_from("AE"))
+        body = draw(bounded_predicates(depth - 1, bound + (name,)))
+        guard = f"({name} <= {QUANTIFIER_BOUND}) {'=>' if kind == 'A' else '&'}"
+        return f"({kind}{name} {guard} ({body}))"
+    left = draw(bounded_predicates(depth - 1, bound))
+    right = draw(bounded_predicates(depth - 1, bound))
+    return f"({left}) {draw(st.sampled_from(CONNECTIVES))} ({right})"
 
 
 @st.composite
@@ -80,3 +109,8 @@ def predicate_texts() -> st.SearchStrategy[str]:
         st.sampled_from(["", "?msd_pell "]),
         st.one_of(predicates(), mutants(), token_soup()),
     ).map("".join)
+
+
+def patterns() -> st.SearchStrategy[str]:
+    """Digit patterns of up to 8 characters, well formed or not."""
+    return st.text(alphabet="012()|*+?", max_size=8)

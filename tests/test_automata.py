@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import references as R
-from pelldecide import automata, pell, sequences
+from pelldecide import automata, learner, pell, sequences
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 
@@ -823,7 +823,24 @@ def test_run_batch_matches_run():
     words = rng.integers(0, 3, size=(200, 6))
     states = automata.run_batch(a, words)
     for row, s in zip(words, states):
-        assert automata.run(a, row) == s
+        state = a.initial  # one symbol at a time
+        for symbol in row:
+            state = a.delta[state, symbol]
+        assert automata.run(a, row) == s == state
+
+
+def test_words_outside_the_alphabet_are_a_value_error():
+    rec, x5 = pell.canonical_recognizer(), sequences.x5_dfao()
+    for word in ([-1], [3], "13", [0, 1, 2, 1 << 40]):
+        with pytest.raises(ValueError, match="outside"):
+            automata.accepts(rec, word)
+    with pytest.raises(ValueError, match="symbol -1 is outside the alphabet of 3 symbols"):
+        automata.dfao_eval(x5, [1, -1])
+    adder = learner.direct_adder()
+    with pytest.raises(ValueError, match="symbol 27 is outside"):
+        automata.run(adder, [0, 27])
+    assert automata.run(adder, [(0, 0, 0), (2, 0, 2)]) == automata.run(adder, [0, 20])
+    assert automata.accepts(rec, "201100") and automata.accepts(rec, [])
 
 
 def test_run_batch_matches_the_2d_index():

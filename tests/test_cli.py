@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -92,7 +93,8 @@ def test_eval_syntax_error_exits_2(capsys):
 def test_eval_of_a_deeply_nested_predicate_exits_2(capsys, predicate):
     code, out, err = run_cli(capsys, "eval", predicate)
     assert (code, out) == (2, "")
-    assert err == "error: the predicate nests too deeply\n"
+    # the parser stops at the token it had reached when the stack ran out
+    assert re.fullmatch(r"error: the predicate nests too deeply at line 1, column \d+\n", err)
 
 
 def test_eval_of_250_nested_parentheses_exits_0(capsys):
@@ -117,6 +119,67 @@ def test_eval_exits_by_the_documented_codes(text, expect):
         assert len(lines) == 1 and lines[0].startswith("error: expected"), text
     else:
         assert len(lines) == 1 and lines[0].startswith("error:"), text
+
+
+def _main_quietly(argv):
+    """Exit code and stderr lines of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _assert_documented_exit(code, lines, checks, case):
+    """Exit 0 writes nothing to stderr.  Exit 1 comes only where ``checks``
+    (a script or --expect) and then writes only failed expectations.  Exit 2
+    writes one line besides those, and that line starts with error:."""
+    failed = [line for line in lines if line.startswith("error: expected")]
+    others = [line for line in lines if not line.startswith("error: expected")]
+    assert code in (0, 1, 2), case
+    assert checks or not failed, case
+    if code == 0:
+        assert lines == [], case
+    elif code == 1:
+        assert checks and failed and not others, case
+    else:
+        assert len(others) == 1 and others[0].startswith("error:"), case
+
+
+@given(st.sampled_from(["f", "g_2", "Ab", "1x", "E"]), strategies.predicate_texts())
+@settings(max_examples=100)
+def test_def_exits_by_the_documented_codes(name, text):
+    code, lines = _main_quietly(["def", name, text])
+    _assert_documented_exit(code, lines, False, (name, text))
+
+
+@given(st.sampled_from([[], ["msd_pell"], ["msd_fib"], ["msd_pell", "1"]]), strategies.patterns())
+@settings(max_examples=150)
+def test_reg_exits_by_the_documented_codes(numeration, pattern):
+    code, lines = _main_quietly(["reg", "r", *numeration, pattern])
+    _assert_documented_exit(code, lines, False, (numeration, pattern))
+
+
+@st.composite
+def script_lines(draw):
+    """One eval (perhaps with an expectation), def or reg line."""
+    kind = draw(st.sampled_from(["eval", "def", "reg"]))
+    if kind == "eval":
+        expect = draw(st.sampled_from(["", " => TRUE", " => FALSE"]))
+        return f'eval "{draw(strategies.predicate_texts())}"{expect}'
+    name = draw(st.sampled_from(["f", "r"]))
+    if kind == "def":
+        return f'def {name} "{draw(strategies.predicate_texts())}"'
+    return f'reg {name} "{draw(strategies.patterns())}"'
+
+
+@given(st.lists(script_lines(), min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_run_exits_by_the_documented_codes(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp) / "drawn.walnutish"
+        script.write_text("\n".join(lines) + "\n")
+        code, err = _main_quietly(["run", str(script)])
+    _assert_documented_exit(code, err, True, lines)
 
 
 def test_eval_named_relation_persists(capsys, tmp_path):
@@ -173,6 +236,12 @@ def test_reg_forms(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "reg", "bad", "(01")
     assert code == 2 and err.startswith("error:")
+
+
+def test_reg_of_a_deeply_nested_pattern_exits_2(capsys):
+    code, out, err = run_cli(capsys, "reg", "r", "(" * 3000 + "1" + ")" * 3000)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: the pattern nests too deeply at line 1, column \d+\n", err)
 
 
 # --- seq ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import references as R
 import strategies
 from pelldecide import automata, learner, logic, pell, sequences, theorems
-from pelldecide.automata import Dfao, TrackAlphabet
+from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 from pelldecide.logic import (
     CompileError,
     PBin,
@@ -116,6 +116,17 @@ def test_syntax_errors_carry_positions():
         assert re.search(r"line \d+, column \d+", str(err.value))
 
 
+@pytest.mark.parametrize(
+    "text", ["(" * 3000 + "x = 0" + ")" * 3000, "~" * 3000 + "x = 0"],
+    ids=["parentheses", "negations"],
+)
+def test_parse_of_a_deeply_nested_predicate_is_a_syntax_error(text):
+    with pytest.raises(PredicateSyntaxError, match="the predicate nests too deeply") as info:
+        logic.parse(text)
+    # the position is the token the parser had reached, inside the nesting
+    assert info.value.line == 1 and 1 < info.value.column < 3000
+
+
 def test_rebinding_a_variable_is_rejected():
     # the error points at the name at fault
     cases = [("Ex (Ex x = x)", 6), ("Ax Ex x < x", 5), ("Ex, x x = x", 5),
@@ -182,10 +193,10 @@ def test_constant_multiplication():
     x, y = np.indices((box + 1, box + 1))
     assert np.array_equal(grid(logic.compile("?msd_pell 3*x = y"), box), 3 * x == y)
     assert np.array_equal(grid(logic.compile("?msd_pell 7*x = y"), box), 7 * x == y)
-    # a zero coefficient erases its variable from the relation entirely
+    # a zero coefficient leaves its variable a track that nothing constrains
     rel = logic.compile("?msd_pell 0*x = y")
-    assert rel.tracks == ("y",)
-    assert [v for v in range(40) if logic.relation_accepts(rel, {"y": v})] == [0]
+    assert rel.tracks == ("x", "y")
+    assert np.array_equal(grid(rel, 39), np.broadcast_to(np.arange(40) == 0, (40, 40)))
     assert logic.eval_closed("?msd_pell Ax,y (0*x = y) <=> (y = 0)") is True
 
 
@@ -327,6 +338,44 @@ def test_no_route_binds_a_sequence_past_the_check():
         logic.Environment(adder=learner.adder()).with_sequence("X", parity)
 
 
+def _zeros_then_21():
+    """1-track DFA of 0*21: a 2 followed by a 1, which no canonical
+    representation holds, however many zeros pad it."""
+    delta = np.full((4, 3), 3, dtype=np.int32)
+    delta[0, 0], delta[0, 2], delta[1, 1] = 0, 1, 2
+    return Dfa(TrackAlphabet(1), delta, np.array([False, False, True, False]), 0)
+
+
+def test_callables_must_hold_valid_tracks_and_ignore_leading_zeros():
+    env = logic.Environment()
+    with pytest.raises(CompileError, match="not a canonical representation"):
+        env.with_callable("bad", _zeros_then_21(), ("x",))
+    # the length-parity language: a leading zero flips whether 1 is accepted
+    parity = Dfa(TrackAlphabet(1), np.array([[1, 1, 1], [0, 0, 0]]), np.array([False, True]), 0)
+    padded = automata.product(parity, pell.valid_tracks(1), "and")
+    with pytest.raises(CompileError, match="depends on leading zeros"):
+        env.with_callable("bad", padded, ("x",))
+    dbl = logic.compile("?msd_pell y = 2*x")
+    with pytest.raises(CompileError, match="3 parameters must be a 3-track automaton"):
+        env.with_callable("bad", dbl.dfa, ("x", "y", "z"))
+    with pytest.raises(CompileError, match="1 parameters must be a 1-track automaton"):
+        env.with_callable("bad", sequences.x5_dfao(), ("x",))
+    bound = env.with_callable("dbl", dbl.dfa, dbl.tracks)
+    assert logic.eval_closed("Ex $dbl(x, 6)", bound)
+
+
+def test_define_binds_through_the_check():
+    # an adder that accepts every triple of digits leaks junk tracks into
+    # x + y = z, and define refuses to store the result
+    junk = Dfa(TrackAlphabet(3), np.zeros((1, 27), dtype=np.int32), np.array([True]), 0)
+    env = logic.Environment(adder=junk)
+    assert not automata.is_empty(
+        automata.product(logic.compile("x + y = z", env).dfa, pell.valid_tracks(3), "andnot")
+    )
+    with pytest.raises(CompileError, match="not a canonical representation"):
+        logic.define(env, "sum", "x + y = z")
+
+
 def test_environment_is_persistent_style():
     base = logic.Environment()
     one = logic.define(base, "one", "?msd_pell x = 1")
@@ -420,6 +469,19 @@ def test_quantifying_an_absent_variable():
     rel = logic.compile("Eq x = x")
     assert rel.tracks == ("x",)
     assert grid(rel, 50).all()
+
+
+def test_a_variable_only_under_zero_times_keeps_its_track():
+    assert logic.compile("?msd_pell 0*x = 0").tracks == ("x",)
+    rel = logic.compile("x + 0*y = x")
+    assert rel.tracks == ("x", "y")
+    assert grid(rel, 20).all()
+    with pytest.raises(CompileError, match="free variables x"):
+        logic.eval_closed("0*x = 0")
+    env = logic.define(logic.Environment(), "f", "?msd_pell 0*x = 0")
+    assert logic.eval_closed("Ax $f(x)", env) is True
+    assert logic.eval_closed("Ex 0*x = 1") is False
+    assert logic.eval_closed("Ax 0*x = 0") is True
 
 
 def test_eval_closed_rejects_free_variables():
@@ -691,4 +753,20 @@ def test_positions_compile_to_the_same_relation(drawn):
     values = dict(zip(rel.tracks, axes))
     truth = R.ref_holds(ast, values, words, {"small": lambda x: x < 7}, reach)
     got = logic.relation_accepts_batch(rel, axes.T)
+    assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text
+
+
+@given(strategies.bounded_predicates())
+@example("0*x <= y")
+@example("(Ex (x <= 4) & (0*y = x)) | (z < 3)")
+@settings(max_examples=150)
+def test_compiled_relations_match_integer_arithmetic(text):
+    # every quantifier is bounded by QUANTIFIER_BOUND, so searching 0..that
+    # bound is the predicate's truth on the grid of free values 0..12
+    ast = logic.parse(text)
+    rel = logic.compile(ast)
+    assert rel.tracks == tuple(sorted(logic.free_variables(ast))), text
+    rows = np.array(list(itertools.product(range(13), repeat=len(rel.tracks))), dtype=np.int64)
+    truth = R.ref_holds(ast, dict(zip(rel.tracks, rows.T)), {}, {}, strategies.QUANTIFIER_BOUND)
+    got = logic.relation_accepts_batch(rel, rows)
     assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text

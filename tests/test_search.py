@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import references as R
 from pelldecide import _kernels, search, sequences
-from pelldecide.search import FiniteWord
 
 FIVE_OPTIMAL = [
     "01203104120130410213014021031401203104120130",
@@ -21,40 +20,42 @@ FIVE_OPTIMAL = [
 ]
 
 
-# --- FiniteWord -----------------------------------------------------------------
+# --- words as given ---------------------------------------------------------------
 
 
 def test_finite_word_from_letters():
-    w = FiniteWord.make("abacaba")
-    assert w.alphabet_size == 3
-    assert list(w.symbols) == [0, 1, 0, 2, 0, 1, 0]
+    # letters map to 0, 1, 2, .. in order of first appearance
+    assert search.max_exponent("abacaba") == Fraction(7, 4)
+    assert search.is_balanced("abacaba")
+    assert search.max_exponent("baa") == 2
+    assert not search.is_balanced("abcc")
 
 
 def test_finite_word_from_digits_and_arrays():
-    w = FiniteWord.make("0120")
-    assert list(w.symbols) == [0, 1, 2, 0]
-    v = FiniteWord.make(np.array([0, 4, 4], dtype=np.int8), alphabet_size=5)
-    assert v.alphabet_size == 5
+    for word in ("0102010", [0, 1, 0, 2, 0, 1, 0],
+                 np.array([0, 1, 0, 2, 0, 1, 0], dtype=np.int64)):
+        assert search.max_exponent(word) == Fraction(7, 4)
+        assert search.is_balanced(word)
+    assert search.max_exponent(np.array([0, 4, 4], dtype=np.int8)) == 2
 
 
-def test_finite_word_leaves_the_callers_array_writeable():
+def test_scans_leave_the_callers_array_as_it_is():
     w = np.array([0, 1, 0, 2], dtype=np.int8)
     assert search.max_exponent(w) == Fraction(3, 2)
     assert search.is_balanced(w)
-    fw = FiniteWord.make(w)
-    assert not fw.symbols.flags.writeable
-    w[0] = 1
-    assert list(w) == [1, 1, 0, 2]
-    assert list(fw.symbols) == [0, 1, 0, 2]  # a snapshot, not a view
+    assert w.flags.writeable
+    assert list(w) == [0, 1, 0, 2]
 
 
-def test_finite_word_rejects_symbols_outside_its_alphabet():
-    # 0122 is unbalanced in symbol 2, which a scan over {0, 1} never reads
+def test_symbols_must_be_naturals_that_fit_int8():
+    # 0122 is unbalanced in symbol 2: the word's own letters are the alphabet
     assert not search.is_balanced("0122")
-    with pytest.raises(ValueError, match="outside an alphabet of size 2"):
-        search.is_balanced(FiniteWord.make("0122", 2))
-    with pytest.raises(ValueError, match="outside"):
-        FiniteWord.make(np.array([0, 5], dtype=np.int8), alphabet_size=5)
+    for word in ([300, 1], np.array([0, 128]), [-1, 0], np.array([0, -2], dtype=np.int8)):
+        with pytest.raises(ValueError, match="naturals below 128"):
+            search.max_exponent(word)
+        with pytest.raises(ValueError, match="naturals below 128"):
+            search.is_balanced(word)
+    assert search.max_exponent(np.array([127, 0, 127])) == Fraction(3, 2)
 
 
 def test_empty_word_edges():
@@ -270,7 +271,7 @@ def test_bfs_six_letter_level_counts():
 def test_tables_along_one_word_past_int8(word, k, bound, strict):
     # tables of words of length 127 and up are int16: check extend_mask
     # against the full rescan on either side of the switch
-    word = FiniteWord.make(word, k).symbols
+    word = search._symbols(word)
     assert _kernels._count_type(126) == np.int8 and _kernels._count_type(127) == np.int16
     tables = _kernels.LevelTables.root(k)
     for length in range(2, len(word) + 1):
