@@ -1,14 +1,15 @@
 """Command-line front end: predicate evaluation, definitions, proofs, search.
 
 Commands mirror the library: ``eval``/``def``/``reg`` compile predicates in a
-session environment, ``prove`` runs the theorem scripts, ``seq`` prints or
-dumps the built-in sequences, ``search`` runs the balanced-word optimality
-search, and ``run`` executes a script of these commands (one per line, ``#``
-comments, double-quoted predicates, and an optional trailing
-``=> TRUE``/``=> FALSE`` expectation on eval lines).  Scripts are read by
-``logic.script_commands``, the reader ``theorems`` uses too: ``prove`` takes
-its sentences by name from the bundled walkthrough ``data/paper.walnutish``,
-so that script is the text to edit when a sentence changes.
+session environment, ``prove`` runs the theorems, ``seq`` prints or dumps the
+built-in sequences, ``search`` runs the balanced-word optimality search, and
+``run`` executes a script of these commands (one per line, ``#`` comments,
+double-quoted predicates, and an optional trailing ``=> TRUE``/``=> FALSE``
+expectation on eval lines).  Scripts are read by ``logic.script_commands``.
+The bundled walkthrough ``data/paper.walnutish`` is the paper's proof: its
+``theorem NAME`` lines open the sections that ``prove NAME`` runs
+(``theorems``), and ``run`` prints such a line as a heading and does nothing
+else.  So that script is the text to edit when a sentence changes.
 
 A session directory (``--session``) persists definitions and sequence dumps
 between invocations; within one ``run``, later commands see everything
@@ -25,23 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
 from . import automata, learner, logic, pell, search, sequences, theorems
-
-_BUILTIN_SEQUENCES = {
-    "C": sequences.c_alpha_dfao,
-    "X": sequences.x5_dfao,
-    "c_alpha": sequences.c_alpha_dfao,
-    "x5": sequences.x5_dfao,
-    "x3": sequences.x3_dfao,
-}
-
-_SEQ_ATOM = re.compile(r"([A-Za-z_]\w*)\s*\[")
 
 
 @contextmanager
@@ -74,9 +64,7 @@ class Session:
 
     def ensure_sequences(self, text: str) -> None:
         """Materialize built-in sequences the predicate indexes into."""
-        for name in sorted(set(_SEQ_ATOM.findall(text))):
-            if name in _BUILTIN_SEQUENCES and name not in self.env.sequence_names():
-                self.env = self.env.with_sequence(name, _BUILTIN_SEQUENCES[name]())
+        self.env = sequences.with_builtins(self.env, text)
 
     def resolve(self, path: str) -> Path:
         p = Path(path)
@@ -126,8 +114,8 @@ def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
 def _sequence_by_name(session: Session, name: str):
     if name in session.env.sequence_names():
         return session.env.sequence(name)
-    if name in _BUILTIN_SEQUENCES:
-        return _BUILTIN_SEQUENCES[name]()
+    if name in sequences.BUILTIN:
+        return sequences.BUILTIN[name]()
     raise logic.CompileError(f"unknown sequence {name!r}")
 
 
@@ -224,15 +212,14 @@ def cmd_learn_adder(session: Session, ns) -> int:
 
 def cmd_prove(session: Session, ns) -> int:
     if ns.theorem == "all":
-        names = list(theorems.THEOREMS)
+        reports = theorems.run_all()
     elif ns.theorem in theorems.THEOREMS:
-        names = [ns.theorem]
+        reports = {ns.theorem: theorems.prove(ns.theorem)}
     else:
         known = ", ".join(theorems.THEOREMS)
         raise ValueError(f"unknown theorem {ns.theorem!r} (known: {known}, all)")
     failed = False
-    for name in names:
-        report = theorems.THEOREMS[name]()
+    for name, report in reports.items():
         print(report.summary())
         failed = failed or not report.passed
         if ns.emit_automata:
@@ -254,17 +241,18 @@ def cmd_search(session: Session, ns) -> int:
 
 
 def cmd_run(session: Session, ns) -> int:
-    parser = _build_parser()
+    parser = _build_parser(_ScriptParser)
     worst = 0
     for tokens in logic.script_commands(Path(ns.script).read_text()):
         if not tokens:
             continue
         print(f"> {' '.join(tokens)}")
-        try:
-            sub = parser.parse_args(tokens)
-        except SystemExit:
-            return 2
-        code = _dispatch(session, sub)
+        if tokens[0] == "theorem":
+            # a section heading, which only prove reads
+            if len(tokens) != 2:
+                raise ValueError("a theorem line names one section")
+            continue
+        code = _dispatch(session, parser.parse_args(tokens))
         if code == 2:
             return 2
         worst = max(worst, code)
@@ -284,8 +272,19 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the automaton to this file")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ScriptParser(argparse.ArgumentParser):
+    """The parser of ``run``'s lines: a line it refuses is a ValueError, so
+    ``run`` reports it as one ``error:`` line, not as argparse's usage text."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+    def exit(self, status=0, message=None):
+        raise ValueError(f"{self.prog}: a script line cannot ask for help")
+
+
+def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="pelldecide",
         description="decide first-order predicates over Pell representations",
     )

@@ -10,12 +10,17 @@ a float square root only as a first guess, which integer comparisons correct.
 
 from __future__ import annotations
 
+import re
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import learner, pell
 from .automata import Dfao, TrackAlphabet
+
+if TYPE_CHECKING:
+    from .logic import Environment
 
 __all__ = [
     "sturmian_prefix",
@@ -25,6 +30,8 @@ __all__ = [
     "x5_dfao",
     "x3_dfao",
     "learn_word_dfao",
+    "BUILTIN",
+    "with_builtins",
 ]
 
 X5_BLOCKS = ((0, 1, 0, 2), (3, 4))
@@ -165,3 +172,25 @@ def x3_dfao() -> Dfao:
 @cache
 def _learned_dfao(blocks) -> Dfao:
     return learn_word_dfao(blocks)
+
+
+# The built-in words by the names a script or a session may give them; C and
+# X are the symbols of the paper's sentences.
+BUILTIN = {
+    "C": c_alpha_dfao,
+    "X": x5_dfao,
+    "c_alpha": c_alpha_dfao,
+    "x5": x5_dfao,
+    "x3": x3_dfao,
+}
+
+_SEQ_ATOM = re.compile(r"([A-Za-z_]\w*)\s*\[")
+
+
+def with_builtins(env: Environment, text: str) -> Environment:
+    """``env`` with each built-in word that the predicate ``text`` indexes
+    into, and ``env`` does not bind yet, bound under its name."""
+    for name in sorted(set(_SEQ_ATOM.findall(text))):
+        if name in BUILTIN and name not in env.sequence_names():
+            env = env.with_sequence(name, BUILTIN[name]())
+    return env

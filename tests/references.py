@@ -35,6 +35,13 @@ def ref_pell_list(count: int) -> list[int]:
     return vals[:count]
 
 
+def exponent_of_m(m: int) -> Fraction:
+    """Exponent of the maximal power with period P_m + P_{m-1} in the
+    three-letter word: (P_{m+1} + P_m + P_{m-1} - 2) / (P_m + P_{m-1})."""
+    ps = ref_pell_list(m + 2)
+    return Fraction(ps[m + 1] + ps[m] + ps[m - 1] - 2, ps[m] + ps[m - 1])
+
+
 def ref_decode(digits: str) -> int:
     """Sum d_i * P_{i+1} with digit d_0 written rightmost."""
     ps = ref_pell_list(len(digits) + 2)

@@ -110,7 +110,7 @@ def test_04_construction_verification():
             rel = logic.compile(theorems.VERIFICATION_PREDICATES[name], env)
             assert rel.tracks == ()
             assert rel.is_true, name
-        report = theorems.verify_x5()
+        report = theorems.prove("verify_x5")
         assert report.passed
         assert sorted(c.name for c in report.checks) == sorted(names)
 
@@ -132,10 +132,11 @@ def test_06_corollary_period_four(theorem_reports):
                       "the factor at 23 is 403240"):
         report = theorem_reports["corollary_cex5"]
         assert report.passed
-        assert by_name(report, "every occurrence has period 4").ok
-        assert by_name(report, "(i, p) = (23, 4) accepted").ok
-        factor = by_name(report, "factor at 23 of length 6")
-        assert factor.ok and factor.obtained == "403240"
+        assert by_name(report, "cex5_period_4").ok
+        assert by_name(report, "cex5_at_23_period_4").ok
+        # the sentence X[23] = @4 & X[24] = @0 & ... & X[28] = @0
+        factor = by_name(report, "factor_at_23")
+        assert factor.ok and factor.obtained is True
         assert "".join(str(s) for s in sequences.x5_prefix(29)[23:29]) == "403240"
 
 
@@ -156,19 +157,20 @@ def test_08_three_letter_analysis(theorem_reports):
                       "run lengths check out, exponents increase below 2 + sqrt(2)/2"):
         report = theorem_reports["x3_analysis"]
         assert report.passed
-        assert by_name(report, "periods of high powers are exactly 0*110000*").ok
+        assert by_name(report, "php_matches_pows").ok
+        # n = P_{m+1} - 2 for every period P_m + P_{m-1}, and every such
+        # period has a highest power
+        assert by_name(report, "highest_power_run_lengths").ok
+        assert by_name(report, "highest_power_for_every_period").ok
         pells = R.ref_pell_list(12)
         w3 = sequences.x3_prefix(6000)
         for m in range(5, 9):
             p = pells[m] + pells[m - 1]
             n = pells[m + 1] - 2
-            assert by_name(
-                report, f"highest power for period {p} has run length {n}"
-            ).ok
-            assert by_name(report, f"brute-force maximal run for period {p}").ok
+            assert by_name(report, f"highest_power_{p}").ok
             # independent scan of the actual prefix
             assert int(R._exact_run_lengths(w3, p).max()) == n
-        exponents = [theorems.exponent_of_m(m) for m in range(5, 61)]
+        exponents = [R.exponent_of_m(m) for m in range(5, 61)]
         assert exponents[0] == Fraction(109, 41)
         assert all(a < b for a, b in zip(exponents, exponents[1:]))
         for e in exponents:
@@ -208,25 +210,32 @@ def test_09_logic_soundness(soundness_grids):
 def test_10_mutation_sensitivity():
     with criterion(10, "four single-point mutations and a second sum each make a proof fail"):
         healthy = learner.direct_adder()
+
+        def verify_adder(adder):
+            return theorems.prove("verify_adder", logic.Environment(adder=adder))
+
+        def verify_x5(name, word):
+            return theorems.prove("verify_x5", logic.Environment().with_sequence(name, word))
+
         flipped = R.flip_accepting(healthy, healthy.initial)
-        assert not theorems.verify_adder(flipped).passed
+        assert not verify_adder(flipped).passed
         rerouted = R.reroute(healthy, healthy.initial, 1, healthy.initial)
-        assert not theorems.verify_adder(rerouted).passed
+        assert not verify_adder(rerouted).passed
         # also accepts 0 + y = z for every z < y, such as 0 + 5 = 2: no step
         # from y = 0 reaches those triples, so only uniqueness fails
         second_sum = automata.minimize(automata.product(
             healthy, logic.compile("?msd_pell x = 0 & z < y").dfa, "or"))
-        report = theorems.verify_adder(second_sum)
+        report = verify_adder(second_sum)
         assert [c.name for c in report.checks if not c.ok] == ["uniqueness_proof"]
-        assert theorems.verify_adder(healthy).passed
+        assert verify_adder(healthy).passed
 
         # each failing check names a defining predicate of the x5 word
         x_bad = R.mutated_at_word(sequences.x5_dfao(), "2001")
-        report = theorems.verify_x5(x=x_bad)
+        report = verify_x5("X", x_bad)
         assert not report.passed
         assert [c.name for c in report.checks if not c.ok] == ["alternate_3_4_for_1s"]
         c_bad = R.mutated_at_word(sequences.c_alpha_dfao(), "1")
-        report = theorems.verify_x5(c=c_bad)
+        report = verify_x5("C", c_bad)
         assert not report.passed
         assert [c.name for c in report.checks if not c.ok][0] == "first_0_to_0"
-        assert theorems.verify_x5().passed
+        assert theorems.prove("verify_x5").passed

@@ -159,10 +159,27 @@ def test_reg_exits_by_the_documented_codes(numeration, pattern):
     _assert_documented_exit(code, lines, False, (numeration, pattern))
 
 
+# lines that no command parses: argparse refuses the first four, and run the
+# malformed theorem lines
+REFUSED_LINES = [
+    "eval",
+    'def f "x = 1" => TRUE',
+    'frob f "x = 1"',
+    "eval --help",
+    "theorem",
+    "theorem a b",
+]
+
+
 @st.composite
 def script_lines(draw):
-    """One eval (perhaps with an expectation), def or reg line."""
-    kind = draw(st.sampled_from(["eval", "def", "reg"]))
+    """One eval (perhaps with an expectation), def, reg or theorem line, or
+    a line that no command parses."""
+    kind = draw(st.sampled_from(["eval", "def", "reg", "theorem", "refused"]))
+    if kind == "theorem":
+        return "theorem drawn"
+    if kind == "refused":
+        return draw(st.sampled_from(REFUSED_LINES))
     if kind == "eval":
         expect = draw(st.sampled_from(["", " => TRUE", " => FALSE"]))
         return f'eval "{draw(strategies.predicate_texts())}"{expect}'
@@ -180,6 +197,62 @@ def test_run_exits_by_the_documented_codes(lines):
         script.write_text("\n".join(lines) + "\n")
         code, err = _main_quietly(["run", str(script)])
     _assert_documented_exit(code, err, True, lines)
+
+
+@pytest.mark.parametrize("line", REFUSED_LINES)
+def test_run_refuses_a_line_with_one_error_line(capsys, tmp_path, line):
+    script = tmp_path / "refused.walnutish"
+    script.write_text(f'eval first "1 = 1"\n{line}\neval never "1 = 1"\n')
+    code, out, err = run_cli(capsys, "run", str(script))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "first = TRUE" in out and "never" not in out
+    assert "usage:" not in err
+
+
+def test_run_prints_a_theorem_line_as_a_heading(capsys, tmp_path):
+    script = tmp_path / "sections.walnutish"
+    script.write_text('theorem one\neval fine "1 = 1" => TRUE\n')
+    code, out, err = run_cli(capsys, "run", str(script))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["> theorem one", "> eval fine 1 = 1 --expect TRUE", "fine = TRUE"]
+
+
+NAMES = st.text("abcxyz_05", max_size=8)
+
+
+@st.composite
+def command_argvs(draw):
+    """argv that the top-level parser accepts for prove, seq, dump, convert
+    or search; a search stops by depth 8 over at most 4 letters."""
+    kind = draw(st.sampled_from(["prove", "seq", "dump", "convert", "search"]))
+    if kind == "prove":
+        return ["prove", draw(st.one_of(st.just("verify_adder"), NAMES.filter(lambda s: s != "all")))]
+    sequence = draw(st.one_of(st.sampled_from(["C", "X", "c_alpha", "x5", "x3"]), NAMES))
+    if kind == "seq":
+        bounds = draw(st.lists(st.sampled_from(["--from", "--to"]), unique=True))
+        return ["seq", sequence, *(f"{flag}={draw(st.integers(-3, 40))}" for flag in bounds)]
+    if kind == "dump":
+        return ["dump", sequence, f"--format={draw(st.sampled_from(['txt', 'dot']))}"]
+    if kind == "convert":
+        decode = ["--decode"] if draw(st.booleans()) else []
+        # after --, a value that starts with - is not read as an option
+        return ["convert", *decode, "--", draw(st.text("0123456789- ab", max_size=12))]
+    bound = draw(st.sampled_from(["3/2", "4/3", "2", "1", "0", "1/0", "-3/2", "7/5", "1.5", "x", ""]))
+    return [
+        "search",
+        f"--alphabet={draw(st.integers(-1, 4))}",
+        f"--limit-depth={draw(st.integers(-1, 8))}",
+        f"--bound={bound}",
+        draw(st.sampled_from(["--strict", "--no-strict"])),
+    ]
+
+
+@given(command_argvs())
+@settings(max_examples=60, deadline=None)
+def test_other_commands_exit_by_the_documented_codes(argv):
+    code, lines = _main_quietly(argv)
+    _assert_documented_exit(code, lines, argv[0] == "prove", argv)
 
 
 def test_eval_named_relation_persists(capsys, tmp_path):
@@ -335,6 +408,18 @@ def test_verify_adder_cli(capsys):
     assert code == 0
     assert re.match(r"verify_adder: PASS \(\d+\.\ds\)", out)
     assert "ok base_proof" in out.replace("  ", " ")
+
+
+def test_prove_a_later_section_alone(capsys):
+    # corollary_cex5 calls $fac, which the section before it binds
+    code, out, _ = run_cli(capsys, "prove", "corollary_cex5")
+    assert code == 0
+    lines = out.splitlines()
+    assert re.match(r"corollary_cex5: PASS \(\d+\.\ds\)", lines[0])
+    assert all(line.startswith("  ok ") for line in lines[1:])
+    assert [line.split(":")[0].split()[-1] for line in lines[1:]] == [
+        "cex5_period_4", "cex5_at_23_period_4", "cex5_at_23_period_5", "factor_at_23"
+    ]
 
 
 def test_prove_unknown_theorem(capsys):
@@ -613,7 +698,7 @@ def test_failed_writes_keep_the_previous_file(capsys, tmp_path, monkeypatch):
     assert [p.read_bytes() for p in files] == before
 
 
-def test_run_bundled_walkthrough(capsys, tmp_path):
+def test_run_bundled_walkthrough(capsys, tmp_path, theorem_reports):
     script = resources.files("pelldecide") / "data" / "paper.walnutish"
     code, out, err = run_cli(capsys, "run", str(script), "--session", str(tmp_path))
     assert code == 0, err
@@ -623,6 +708,14 @@ def test_run_bundled_walkthrough(capsys, tmp_path):
     assert "fac_high_exponent_2 = FALSE" in out
     assert "php_matches_pows = TRUE" in out
     assert "highest_power_577 = TRUE" in out
+    # the two front ends agree: each verdict run prints for a closed eval
+    # with a trailer is the check of the same name in the theorems' reports,
+    # and run passes the section headings in the same order
+    printed = dict(re.findall(r"^(\w+) = (TRUE|FALSE)$", out, flags=re.M))
+    checks = {c.name: c.obtained for r in theorem_reports.values() for c in r.checks}
+    assert len(checks) == 26
+    assert printed == {name: "TRUE" if verdict else "FALSE" for name, verdict in checks.items()}
+    assert re.findall(r"^> theorem (\w+)$", out, flags=re.M) == list(theorem_reports)
 
 
 # --- process-level wiring -----------------------------------------------------------------

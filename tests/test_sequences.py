@@ -105,7 +105,7 @@ def test_high_letters_align_with_sturmian_ones():
 
 def test_verification_predicates_all_hold():
     assert len(theorems.VERIFICATION_PREDICATES) == 5
-    report = theorems.verify_x5()
+    report = theorems.prove("verify_x5")
     assert report.passed
     assert [(c.name, c.expected, c.obtained) for c in report.checks] == [
         (name, True, True) for name in theorems.VERIFICATION_PREDICATES
@@ -123,18 +123,23 @@ def failing(report):
     return [c.name for c in report.checks if not c.ok]
 
 
+def verify_x5(name, word):
+    """verify_x5's report with the word ``name`` (C or X) bound to ``word``."""
+    return theorems.prove("verify_x5", logic.Environment().with_sequence(name, word))
+
+
 def test_verify_x5_catches_mutants():
     good_c = sequences.c_alpha_dfao()
     good_x = sequences.x5_dfao()
-    assert failing(theorems.verify_x5(x=R.mutated_at_word(good_x, "2001"))) == [
+    assert failing(verify_x5("X", R.mutated_at_word(good_x, "2001"))) == [
         "alternate_3_4_for_1s"
     ]
     # the C mutation flips a 0 state so both letters stay in the alphabet
-    assert failing(theorems.verify_x5(c=R.mutated_at_word(good_c, "1"))) == [
+    assert failing(verify_x5("C", R.mutated_at_word(good_c, "1"))) == [
         "first_0_to_0", "second_0_to_1", "alternate_3_4_for_1s"
     ]
     # the originals were not disturbed
-    assert theorems.verify_x5().passed
+    assert theorems.prove("verify_x5").passed
 
 
 def test_dfaos_are_shared_instances():
