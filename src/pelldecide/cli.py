@@ -1,15 +1,15 @@
 """Command-line front end: predicate evaluation, definitions, proofs, search.
 
-Commands mirror the library: ``eval``/``def``/``reg`` compile predicates in a
-session environment, ``prove`` runs the theorems, ``seq`` prints or dumps the
-built-in sequences, ``search`` runs the balanced-word optimality search, and
-``run`` executes a script of these commands (one per line, ``#`` comments,
-double-quoted predicates, and an optional trailing ``=> TRUE``/``=> FALSE``
-expectation on eval lines).  Scripts are read by ``logic.script_commands``.
-The bundled walkthrough ``data/paper.walnutish`` is the paper's proof: its
-``theorem NAME`` lines open the sections that ``prove NAME`` runs
-(``theorems``), and ``run`` prints such a line as a heading and does nothing
-else.  So that script is the text to edit when a sentence changes.
+``eval``, ``def``, ``reg`` and ``seq --dump`` each hand their line to
+``theorems.step``, the one interpreter of the script language, as ``run``
+does for each line of a script (read by ``logic.script_commands``: one
+command per line, ``#`` comments, double-quoted predicates, an optional
+``=> TRUE``/``=> FALSE`` trailer on an eval, and ``theorem NAME`` headings)
+and as ``prove`` does for the sections of the bundled walkthrough
+``data/paper.walnutish``, which is the paper's proof.  A script line outside
+that language (another command, ``seq`` without ``--dump``, or an option
+such as ``--out``) is an error.  ``seq`` also prints windows, ``dump`` writes
+a stored automaton, and ``search`` runs the balanced-word optimality search.
 
 A session directory (``--session``) persists definitions and sequence dumps
 between invocations; within one ``run``, later commands see everything
@@ -62,45 +62,17 @@ class Session:
                 dfa = automata.from_text(data["automaton"])
                 self.env = self.env.with_callable(path.stem, dfa, tuple(data["params"]))
 
-    def ensure_sequences(self, text: str) -> None:
-        """Materialize built-in sequences the predicate indexes into."""
-        self.env = sequences.with_builtins(self.env, text)
-
     def resolve(self, path: str) -> Path:
         p = Path(path)
         if self.directory is not None and not p.is_absolute():
             return self.directory / p
         return p
 
-    def save_definition(self, name: str, dfa, params) -> None:
-        if self.directory is None:
-            return
-        def_dir = self.directory / "definitions"
-        def_dir.mkdir(parents=True, exist_ok=True)
-        automata.write_text_atomic(
-            def_dir / f"{name}.json",
-            json.dumps({"params": list(params), "automaton": automata.to_text(dfa)}),
-        )
-
-    def bind(self, name: str, env: logic.Environment) -> None:
-        """Adopt ``env``, which binds the relation ``name`` anew: save the
-        relation in the session directory and print its line."""
-        self.env = env
-        rel = env.stored(name)
-        self.save_definition(name, rel.dfa, rel.tracks)
-        _print_relation(name, rel)
-
-    def register_sequence(self, name: str, m) -> None:
-        self.env = self.env.with_sequence(name, m)
-        # persist the binding so a reloaded session sees the same sequences
+    def save(self, path: str, text: str) -> None:
+        """Keep ``text`` at ``path`` in the session directory, if there is one."""
         if self.directory is not None:
-            seq_dir = self.directory / "sequences"
-            seq_dir.mkdir(parents=True, exist_ok=True)
-            automata.save_text(m, seq_dir / f"{name}.txt")
-
-
-def _print_relation(label: str, rel: logic.Relation) -> None:
-    print(f"{label}: automaton over ({', '.join(rel.tracks)}), {rel.dfa.n_states} states")
+            (self.directory / path).parent.mkdir(parents=True, exist_ok=True)
+            automata.write_text_atomic(self.directory / path, text)
 
 
 def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
@@ -111,12 +83,32 @@ def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
         print(text, end="")
 
 
-def _sequence_by_name(session: Session, name: str):
-    if name in session.env.sequence_names():
-        return session.env.sequence(name)
-    if name in sequences.BUILTIN:
-        return sequences.BUILTIN[name]()
-    raise logic.CompileError(f"unknown sequence {name!r}")
+def _execute(session: Session, tokens: list[str]) -> tuple[int, theorems.Outcome]:
+    """Run one line of the script language in the session, keep what it
+    bound, and print what it produced; exit code 1 when a closed eval's
+    verdict is not its trailer."""
+    session.env, out = theorems.step(session.env, tokens)
+    if out.sequence is not None:
+        # a seq line's last token is the dump's file
+        path = session.resolve(tokens[-1])
+        session.save(f"sequences/{out.name}.txt", automata.to_text(out.sequence))
+        automata.save_text(out.sequence, path)
+        print(f"wrote {path}")
+    elif out.verdict is not None:
+        verdict = "TRUE" if out.verdict else "FALSE"
+        print(f"{out.name} = {verdict}" if out.name else verdict)
+        if out.expect is not None and out.expect != out.verdict:
+            print(f"error: expected {'TRUE' if out.expect else 'FALSE'}, got {verdict}",
+                  file=sys.stderr)
+            return 1, out
+    elif out.relation is not None:
+        rel = out.relation
+        if out.name is not None:
+            data = {"params": list(rel.tracks), "automaton": automata.to_text(rel.dfa)}
+            session.save(f"definitions/{out.name}.json", json.dumps(data))
+        print(f"{out.name or 'result'}: automaton over ({', '.join(rel.tracks)}), "
+              f"{rel.dfa.n_states} states")
+    return 0, out
 
 
 # ---------------------------------------------------------------------------
@@ -126,72 +118,43 @@ def _sequence_by_name(session: Session, name: str):
 def cmd_convert(session: Session, ns) -> int:
     if ns.decode:
         print(pell.decode(ns.value))
-    else:
+    elif ns.value.isascii() and ns.value.isdigit():
         print(pell.encode(int(ns.value)) or "0")
+    else:
+        raise ValueError(f"not a decimal number: {ns.value!r}")
     return 0
 
 
 def cmd_eval(session: Session, ns) -> int:
-    session.ensure_sequences(ns.predicate)
-    rel = logic.compile(ns.predicate, session.env)
-    if not rel.tracks:
-        verdict = "TRUE" if rel.is_true else "FALSE"
-        prefix = f"{ns.name} = " if ns.name else ""
-        print(f"{prefix}{verdict}")
-        if ns.out:
-            _write_automaton(rel.dfa, ns.format, ns.out, session)
-        if ns.expect and verdict != ns.expect:
-            print(f"error: expected {ns.expect}, got {verdict}", file=sys.stderr)
-            return 1
-        return 0
-    if ns.expect:
-        raise ValueError("=> expectations apply only to closed predicates")
-    if ns.name:
-        session.bind(ns.name, session.env.with_callable(ns.name, rel.dfa, rel.tracks))
-    else:
-        _print_relation("result", rel)
+    label = [ns.name] if ns.name else []
+    trailer = ["--expect", ns.expect] if ns.expect else []
+    code, out = _execute(session, ["eval", *label, ns.predicate, *trailer])
     if ns.out:
-        _write_automaton(rel.dfa, ns.format, ns.out, session)
-    return 0
+        _write_automaton(out.relation.dfa, ns.format, ns.out, session)
+    return code
 
 
 def cmd_def(session: Session, ns) -> int:
-    session.ensure_sequences(ns.predicate)
-    session.bind(ns.name, logic.define(session.env, ns.name, ns.predicate))
-    return 0
+    return _execute(session, ["def", ns.name, ns.predicate])[0]
 
 
 def cmd_reg(session: Session, ns) -> int:
-    if len(ns.rest) == 1:
-        pattern = ns.rest[0]
-    elif len(ns.rest) == 2:
-        numeration, pattern = ns.rest
-        if numeration != "msd_pell":
-            raise ValueError(f"unsupported numeration {numeration!r}")
-    else:
-        raise ValueError("reg takes a name, an optional numeration, and a pattern")
-    session.bind(ns.name, logic.reg(session.env, ns.name, pattern))
-    return 0
+    return _execute(session, ["reg", ns.name, *ns.rest])[0]
 
 
 def cmd_dump(session: Session, ns) -> int:
     try:
         target = session.env.stored(ns.name).dfa
     except logic.CompileError:
-        target = _sequence_by_name(session, ns.name)
+        target = sequences.named(session.env, ns.name)
     _write_automaton(target, ns.format, ns.out, session)
     return 0
 
 
 def cmd_seq(session: Session, ns) -> int:
-    m = _sequence_by_name(session, ns.name)
     if ns.dump:
-        path = session.resolve(ns.dump)
-        # bind first: a name the session refuses leaves no dump behind
-        session.register_sequence(path.stem, m)
-        automata.save_text(m, path)
-        print(f"wrote {path}")
-        return 0
+        return _execute(session, ["seq", ns.name, "--dump", ns.dump])[0]
+    m = sequences.named(session.env, ns.name)
     lo = ns.start if ns.start is not None else 0
     hi = ns.stop if ns.stop is not None else lo + 28
     print("".join(str(automata.dfao_eval(m, i)) for i in range(lo, hi + 1)))
@@ -241,21 +204,10 @@ def cmd_search(session: Session, ns) -> int:
 
 
 def cmd_run(session: Session, ns) -> int:
-    parser = _build_parser(_ScriptParser)
     worst = 0
     for tokens in logic.script_commands(Path(ns.script).read_text()):
-        if not tokens:
-            continue
         print(f"> {' '.join(tokens)}")
-        if tokens[0] == "theorem":
-            # a section heading, which only prove reads
-            if len(tokens) != 2:
-                raise ValueError("a theorem line names one section")
-            continue
-        code = _dispatch(session, parser.parse_args(tokens))
-        if code == 2:
-            return 2
-        worst = max(worst, code)
+        worst = max(worst, _execute(session, tokens)[0])
     return worst
 
 
@@ -272,19 +224,8 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the automaton to this file")
 
 
-class _ScriptParser(argparse.ArgumentParser):
-    """The parser of ``run``'s lines: a line it refuses is a ValueError, so
-    ``run`` reports it as one ``error:`` line, not as argparse's usage text."""
-
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
-
-    def exit(self, status=0, message=None):
-        raise ValueError(f"{self.prog}: a script line cannot ask for help")
-
-
-def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser = parser_class(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="pelldecide",
         description="decide first-order predicates over Pell representations",
     )
@@ -337,14 +278,12 @@ def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentPars
     p = sub.add_parser("prove", help="run theorem scripts")
     p.add_argument("theorem")
     p.add_argument("--emit-automata", help="directory for intermediate automata")
-    _add_session(p)
 
     p = sub.add_parser("search", help="balanced-word optimality search")
     p.add_argument("--alphabet", type=int, default=5)
     p.add_argument("--bound", default="3/2")
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--limit-depth", type=int, default=None)
-    _add_session(p)
 
     p = sub.add_parser("run", help="execute a command script")
     p.add_argument("script")

@@ -60,14 +60,9 @@ def encode(n: int) -> str:
 
 def decode(s: str) -> int:
     """Value of any digit string over {0,1,2}, canonical or not."""
-    total = 0
-    length = len(s)
-    for j, c in enumerate(s):
-        d = int(c)
-        if not 0 <= d <= 2:
-            raise ValueError(f"digit out of range: {c!r}")
-        total += d * pell_number(length - j)
-    return total
+    if s.strip("012"):
+        raise ValueError(f"not a string of Pell digits 0, 1 and 2: {s!r}")
+    return sum(int(c) * pell_number(len(s) - j) for j, c in enumerate(s))
 
 
 def canonical_recognizer() -> Dfa:

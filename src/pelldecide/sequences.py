@@ -32,6 +32,7 @@ __all__ = [
     "learn_word_dfao",
     "BUILTIN",
     "with_builtins",
+    "named",
 ]
 
 X5_BLOCKS = ((0, 1, 0, 2), (3, 4))
@@ -194,3 +195,10 @@ def with_builtins(env: Environment, text: str) -> Environment:
         if name in BUILTIN and name not in env.sequence_names():
             env = env.with_sequence(name, BUILTIN[name]())
     return env
+
+
+def named(env: Environment, name: str) -> Dfao:
+    """The sequence ``env`` binds to ``name``, else the built-in word of that name."""
+    if name in BUILTIN and name not in env.sequence_names():
+        return BUILTIN[name]()
+    return env.sequence(name)

@@ -1,15 +1,17 @@
-"""The paper's proof: the sections of the bundled script, each run to a
-machine-checkable report.
+"""The script language's one interpreter, and the paper's proof: the
+sections of the bundled script, each run to a machine-checkable report.
 
-The bundled command script ``data/paper.walnutish``, which ``pelldecide run``
-walks through, is the proof.  A ``theorem NAME`` line opens each of its
-sections (``THEOREMS``): verify_adder, verify_x5, prove_e_x5, corollary_cex5,
-almost_powers and x3_analysis.  In a section, each closed ``eval NAME "..."
-=> TRUE|FALSE`` is one check of the report, named by the eval; each ``def``,
-named open ``eval`` and ``reg`` binds a relation that the report keeps under
-the same name; and ``seq SRC --dump F.txt`` binds F to the built-in sequence
-SRC (it writes no file).  Any other command is a ``ValueError``, so no line
-of the script goes unrun.
+``step`` runs one line of the language (``theorem``, ``def``, ``eval``,
+``reg`` and ``seq SRC --dump F.txt``) in an environment.  The section runner
+here, ``pelldecide run`` and the CLI's single commands all call it, so a
+line means the same in each; they differ only in what they do with the
+result.  The bundled script ``data/paper.walnutish`` is the proof.  A
+``theorem NAME`` line opens each of its sections (``THEOREMS``):
+verify_adder, verify_x5, prove_e_x5, corollary_cex5, almost_powers and
+x3_analysis.  In a section, each eval is named; a closed one carries a
+``=> TRUE|FALSE`` trailer and is one check of the report, and each relation
+that a line binds is kept in the report under its name.  The runner writes
+no file.
 
 One environment runs through the sections in order, as in ``run``; ``prove
 NAME`` runs the bindings (not the checks) of the sections before NAME first.
@@ -25,12 +27,15 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import logic, sequences
-from .automata import Dfa
+from .automata import Dfa, Dfao
 
-__all__ = ["Check", "TheoremReport", "VERIFICATION_PREDICATES", "THEOREMS", "prove", "run_all"]
+__all__ = [
+    "Check", "TheoremReport", "Outcome", "step", "VERIFICATION_PREDICATES", "THEOREMS", "prove",
+    "run_all",
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,20 @@ class TheoremReport:
             for c in self.checks])
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What one line produced: the ``relation`` a ``def``, ``reg`` or
+    ``eval`` compiled, bound as ``name`` unless it has a ``verdict`` (a
+    closed eval, whose ``name`` is a label and ``expect`` its trailer); the
+    ``sequence`` a ``seq`` bound as ``name``; or a ``theorem`` line's name."""
+
+    name: Optional[str] = None
+    relation: Optional[logic.Relation] = None
+    verdict: Optional[bool] = None
+    expect: Optional[bool] = None
+    sequence: Optional[Dfao] = None
+
+
 @cache
 def _sections() -> dict[str, list[list[str]]]:
     """The bundled script's commands, by section, in order."""
@@ -92,30 +111,59 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _step(env: logic.Environment, tokens: list[str],
-          report: Optional[TheoremReport]) -> logic.Environment:
-    """Run one command of a section and return the environment after it.  A
-    closed check goes into ``report``, and is skipped when there is none."""
-    match tokens:
-        case ["seq", source, "--dump", path] if source in sequences.BUILTIN:
-            return env.with_sequence(Path(path).stem, sequences.BUILTIN[source]())
-        case ["eval", name, text, "--expect", "TRUE" | "FALSE" as verdict]:
-            if report is not None:
-                obtained = logic.eval_closed(text, sequences.with_builtins(env, text))
-                report.add(name, verdict == "TRUE", obtained)
-            return env
-        case ["reg", name, "msd_pell", pattern]:
+def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environment, Outcome]:
+    """Run one line of the script language in ``env``; return the environment
+    after it and what it produced.  The lines are ``theorem NAME``, ``def NAME
+    "p"``, ``eval [NAME] "p" [--expect TRUE|FALSE]`` (a script's ``=> TRUE``
+    or ``=> FALSE``), ``reg NAME [msd_pell] PATTERN`` and ``seq SRC --dump
+    F.txt``, which binds F to SRC (``env``'s sequence, else the built-in) and
+    writes no file.  Any other line is a ValueError."""
+    match list(tokens):
+        case ["theorem", name]:
+            return env, Outcome(name)
+        case ["def", name, text]:
+            env = logic.define(sequences.with_builtins(env, text), name, text)
+            return env, Outcome(name, env.stored(name))
+        case ["reg", name, pattern] | ["reg", name, "msd_pell", pattern]:
             env = logic.reg(env, name, pattern)
-        case ["def" | "eval", name, text]:
+            return env, Outcome(name, env.stored(name))
+        case ["reg", _, numeration, _]:
+            raise ValueError(f"unsupported numeration {numeration!r}")
+        case ["seq", source, "--dump", path]:
+            m, name = sequences.named(env, source), Path(path).stem
+            return env.with_sequence(name, m), Outcome(name, sequence=m)
+        # the label is at most one name, and no option
+        case ["eval", *label, text, "--expect", "TRUE" | "FALSE"] | ["eval", *label, text] if (
+                len(label) < 2 and not any(a.startswith("-") for a in label)):
+            expect = tokens[-1] == "TRUE" if tokens[-2] == "--expect" else None
+            name = label[0] if label else None
             env = sequences.with_builtins(env, text)
             rel = logic.compile(text, env)
-            if not rel.tracks:
-                raise ValueError(f"{name} is closed, so it needs a => TRUE/FALSE trailer")
-            env = env.with_callable(name, rel.dfa, rel.tracks)
-        case _:
-            raise ValueError(f"a theorem section cannot run: {' '.join(tokens)}")
-    if report is not None:
-        report.automata[name] = env.stored(name).dfa
+            if rel.tracks and expect is not None:
+                raise ValueError("=> expectations apply only to closed predicates")
+            if rel.tracks and name is not None:
+                env = env.with_callable(name, rel.dfa, rel.tracks)
+            return env, Outcome(name, rel, None if rel.tracks else rel.is_true, expect)
+    raise ValueError(f"not a line of the script language: {' '.join(tokens)}")
+
+
+def _run_section(env: logic.Environment, commands: list[list[str]],
+                 report: Optional[TheoremReport]) -> logic.Environment:
+    """Run a section's commands and return the environment after them.  Each
+    eval is named, and a closed one is a check, so it carries a trailer; the
+    checks go into ``report``, and are skipped when there is none."""
+    for tokens in commands:
+        if report is None and "--expect" in tokens:
+            continue
+        env, out = step(env, tokens)
+        if out.relation is not None and out.name is None:
+            raise ValueError(f"a theorem section names each eval: {' '.join(tokens)}")
+        if out.verdict is not None and out.expect is None:
+            raise ValueError(f"{out.name} is closed, so it needs a => TRUE/FALSE trailer")
+        if report is not None and out.verdict is not None:
+            report.add(out.name, out.expect, out.verdict)
+        elif report is not None and out.relation is not None:
+            report.automata[out.name] = out.relation.dfa
     return env
 
 
@@ -126,8 +174,7 @@ def _run(names: tuple[str, ...], env: Optional[logic.Environment]) -> dict[str, 
     for name, commands in _sections().items():
         t0 = time.perf_counter()
         report = TheoremReport(name) if name in names else None
-        for tokens in commands:
-            env = _step(env, tokens, report)
+        env = _run_section(env, commands, report)
         if report is not None:
             report.duration = time.perf_counter() - t0
             reports[name] = report

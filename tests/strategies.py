@@ -2,7 +2,8 @@
 
 ``predicates`` writes text that the grammar accepts, save that a quantifier
 may rebind a name that an enclosing one binds; ``bounded_predicates`` writes
-text that a search of a small box decides; ``mutants`` breaks such a text
+text that a search of a small box decides, over the words C and X and the
+two-place definition f; ``mutants`` breaks such a text
 by one edit of one token; ``token_soup`` strings grammar tokens together at
 random; ``patterns`` writes digit patterns, well formed or not.  Every draw
 is small: the variables x, y and z, constants up to 12, and at most four
@@ -61,6 +62,23 @@ QUANTIFIER_BOUND = 4
 
 
 @st.composite
+def bounded_atoms(draw) -> str:
+    """A comparison of two terms, ``C[t] = @d``, ``X[t] = @d``, ``X[t] =
+    X[u]`` or ``$f(t, u)``; an index or argument is at most 36 when every
+    variable is at most 12."""
+    kind = draw(st.sampled_from(["cmp", "cmp", "C", "X", "XX", "f"]))
+    if kind == "cmp":
+        left, right = draw(terms(max_factor=3)), draw(terms(max_factor=3))
+        return f"{left} {draw(st.sampled_from(RELATIONS))} {right}"
+    t, u = draw(terms(1, max_factor=3)), draw(terms(1, max_factor=3))
+    if kind == "C":
+        return f"C[{t}] = @{draw(st.integers(0, 1))}"
+    if kind == "X":
+        return f"X[{t}] = @{draw(st.integers(0, 4))}"
+    return f"X[{t}] = X[{u}]" if kind == "XX" else f"$f({t}, {u})"
+
+
+@st.composite
 def bounded_predicates(draw, depth: int = 3, bound: tuple[str, ...] = ()) -> str:
     """A predicate whose every quantified variable is at most
     QUANTIFIER_BOUND, as ``Ex (x <= 4) & ...`` or ``Ax (x <= 4) => ...``, so a
@@ -68,8 +86,7 @@ def bounded_predicates(draw, depth: int = 3, bound: tuple[str, ...] = ()) -> str
     0 to 3, and every compound part is parenthesized."""
     shape = draw(st.integers(0, 3 if depth else 0))
     if shape == 0:
-        left, right = draw(terms(max_factor=3)), draw(terms(max_factor=3))
-        return f"{left} {draw(st.sampled_from(RELATIONS))} {right}"
+        return draw(bounded_atoms())
     if shape == 1:
         return f"~({draw(bounded_predicates(depth - 1, bound))})"
     unbound = [v for v in VARS if v not in bound]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import references as R
 import strategies
-from pelldecide import automata, cli, pell, sequences
+from pelldecide import automata, cli, logic, pell, sequences, theorems
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 
@@ -40,8 +40,21 @@ def test_convert_both_directions(capsys):
 
 
 def test_convert_rejects_bad_digits(capsys):
-    code, out, err = run_cli(capsys, "convert", "9", "--decode")
-    assert code == 2 and out == "" and err.startswith("error:")
+    # only ASCII decimal digits encode, and only 0, 1 and 2 decode; each
+    # refusal is one error line that names the whole value
+    for argv, value in [
+        (["9", "--decode"], "9"),
+        (["--decode", "١٢"], "١٢"),
+        (["--decode", "--", "-12"], "-12"),
+        (["٣"], "٣"),
+        ([" 7"], " 7"),
+        (["1_0"], "1_0"),
+        (["--", "-3"], "-3"),
+    ]:
+        code, out, err = run_cli(capsys, "convert", *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), argv
+        assert err.rstrip().endswith(repr(value)), argv
 
 
 # --- eval ------------------------------------------------------------------------
@@ -159,8 +172,8 @@ def test_reg_exits_by_the_documented_codes(numeration, pattern):
     _assert_documented_exit(code, lines, False, (numeration, pattern))
 
 
-# lines that no command parses: argparse refuses the first four, and run the
-# malformed theorem lines
+# lines outside the script language: malformed lines, the commands that only
+# the command line runs, and options inside a line
 REFUSED_LINES = [
     "eval",
     'def f "x = 1" => TRUE',
@@ -168,6 +181,17 @@ REFUSED_LINES = [
     "eval --help",
     "theorem",
     "theorem a b",
+    "search --alphabet 3",
+    "convert 7",
+    "prove verify_adder",
+    "learn-adder",
+    "dump x5",
+    "run other.walnutish",
+    "seq x5",
+    'eval h "x = 1" --session elsewhere',
+    'eval "1 = 1" --out f.txt',
+    'eval --format dot "1 = 1"',
+    "seq x5 --dump F.txt --session elsewhere",
 ]
 
 
@@ -208,6 +232,41 @@ def test_run_refuses_a_line_with_one_error_line(capsys, tmp_path, line):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "first = TRUE" in out and "never" not in out
     assert "usage:" not in err
+
+
+def _session_relations(directory):
+    """name -> automaton text of each definition a session directory keeps."""
+    return {path.stem: json.loads(path.read_text())["automaton"]
+            for path in sorted(directory.glob("definitions/*.json"))}
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [('reg r "0*1"', ["reg", "r", "0*1"]),
+     ('def f "1 = 1"', ["def", "f", "1 = 1"]),
+     ('eval g "x = 1" => TRUE', ["eval", "g", "x = 1", "--expect", "TRUE"])],
+    ids=["reg", "def", "eval"],
+)
+def test_a_line_means_the_same_in_every_front_end(capsys, tmp_path, line, argv):
+    # a theorem section, run and the single command each bind the same
+    # relation under the same name, or print the same error line
+    report = theorems.TheoremReport("toy")
+    try:
+        theorems._run_section(logic.Environment(), list(logic.script_commands(line)), report)
+        section = {name: automata.to_text(dfa) for name, dfa in report.automata.items()}
+    except ValueError as e:
+        section = f"error: {e}\n"
+    script = tmp_path / "one.walnutish"
+    script.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "run", str(script), "--session", str(tmp_path / "run"))
+    ran = err if code else _session_relations(tmp_path / "run")
+    code, _, err = run_cli(capsys, *argv, "--session", str(tmp_path / "single"))
+    single = err if code else _session_relations(tmp_path / "single")
+    assert section == ran == single
+    if argv[0] == "eval":
+        assert section == "error: => expectations apply only to closed predicates\n"
+    else:
+        assert list(section) == [argv[1]]
 
 
 def test_run_prints_a_theorem_line_as_a_heading(capsys, tmp_path):
@@ -374,6 +433,17 @@ def test_search_cli(capsys):
 )
 def test_search_strict_flags(flags, strict):
     assert cli._build_parser().parse_args(["search", *flags]).strict is strict
+
+
+@pytest.mark.parametrize(
+    "argv", [["prove", "verify_adder"], ["search", "--alphabet", "2"]], ids=["prove", "search"]
+)
+def test_prove_and_search_take_no_session(capsys, tmp_path, argv):
+    # neither reads a session, so neither loads or checks one
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--session", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--session" in capsys.readouterr().err
 
 
 def test_search_zero_denominator_bound_exits_2(capsys):
@@ -670,8 +740,8 @@ class HalfWriter:
 
 def test_failed_writes_keep_the_previous_file(capsys, tmp_path, monkeypatch):
     session = cli.Session(str(tmp_path))
-    session.save_definition("d", pell.canonical_recognizer(), ["x"])
-    session.register_sequence("s", sequences.c_alpha_dfao())
+    session.save("definitions/d.json", automata.to_text(pell.canonical_recognizer()))
+    session.save("sequences/s.txt", automata.to_text(sequences.c_alpha_dfao()))
     out = tmp_path / "x3.txt"
     assert run_cli(capsys, "dump", "x3", "--out", str(out))[0] == 0
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
@@ -679,9 +749,9 @@ def test_failed_writes_keep_the_previous_file(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(automata, "open", HalfWriter, raising=False)
     with pytest.raises(OSError, match="disk full"):
-        session.save_definition("d", sequences.x5_dfao(), ["y"])
+        session.save("definitions/d.json", automata.to_text(sequences.x5_dfao()))
     with pytest.raises(OSError, match="disk full"):
-        session.register_sequence("s", sequences.x5_dfao())
+        session.save("sequences/s.txt", automata.to_text(sequences.x5_dfao()))
     code, _, err = run_cli(capsys, "dump", "x5", "--out", str(out))
     assert code == 2 and "disk full" in err
     monkeypatch.undo()

@@ -756,17 +756,35 @@ def test_positions_compile_to_the_same_relation(drawn):
     assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text
 
 
+def _bounded_env():
+    env = (
+        logic.Environment()
+        .with_sequence("C", sequences.c_alpha_dfao())
+        .with_sequence("X", sequences.x5_dfao())
+    )
+    return logic.define(env, "f", "?msd_pell x + 1 < 2*y")
+
+
+# C is indexed from 1, so its entry 0 is the formula's value there, 0; an
+# index drawn by bounded_predicates is at most 36
+BOUNDED_WORDS = {"C": np.concatenate(([0], R.ref_sturmian_prefix(40))), "X": R.ref_x5_prefix(41)}
+
+
 @given(strategies.bounded_predicates())
 @example("0*x <= y")
 @example("(Ex (x <= 4) & (0*y = x)) | (z < 3)")
+@example("(C[3*x] = @1) | ($f(y + 2, x))")
+@example("(Ex (x <= 4) & (X[y + x] = X[3*z])) & (X[12] = @3)")
 @settings(max_examples=150)
 def test_compiled_relations_match_integer_arithmetic(text):
     # every quantifier is bounded by QUANTIFIER_BOUND, so searching 0..that
     # bound is the predicate's truth on the grid of free values 0..12
     ast = logic.parse(text)
-    rel = logic.compile(ast)
+    rel = logic.compile(ast, _bounded_env())
     assert rel.tracks == tuple(sorted(logic.free_variables(ast))), text
     rows = np.array(list(itertools.product(range(13), repeat=len(rel.tracks))), dtype=np.int64)
-    truth = R.ref_holds(ast, dict(zip(rel.tracks, rows.T)), {}, {}, strategies.QUANTIFIER_BOUND)
+    calls = {"f": lambda x, y: x + 1 < 2 * y}
+    truth = R.ref_holds(ast, dict(zip(rel.tracks, rows.T)), BOUNDED_WORDS, calls,
+                        strategies.QUANTIFIER_BOUND)
     got = logic.relation_accepts_batch(rel, rows)
     assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text

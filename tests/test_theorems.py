@@ -156,7 +156,7 @@ def test_a_section_refuses_a_command_it_would_skip():
     for tokens in (["eval", "closed", "1 = 1"], ["eval", "1 = 1"], ["dump", "x5"],
                    ["seq", "nowhere", "--dump", "Y.txt"], ["eval", "e", "1 = 1", "--expect", "YES"]):
         with pytest.raises(ValueError):
-            theorems._step(env, tokens, theorems.TheoremReport("toy"))
+            theorems._run_section(env, [tokens], theorems.TheoremReport("toy"))
 
 
 def test_exponent_verdicts(theorem_reports):
