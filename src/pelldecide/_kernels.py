@@ -1,11 +1,12 @@
 """Hot inner loops for word combinatorics, vectorized with numpy.
 
 ``extend_mask`` tests a whole batch of candidate words at once (one row
-each), from tables the breadth-first search carries for their parents;
-``exponent_scan`` and ``balanced_scan`` scan a single word, the latter in
-linear time by reducing each symbol's indicator word (desubstitution).  The
-module stays separate from ``search`` so that each kernel call can be timed
-on its own.
+each), from tables the breadth-first search carries for their parents.
+``exponent_scan`` and ``balanced_scan`` scan a single word: the former
+from names of the word's blocks of length 2^k, taking runs only through
+pairs of equal aligned blocks; the latter in linear time by reducing each
+symbol's indicator word (desubstitution).  The module stays separate from
+``search`` so that each kernel call can be timed on its own.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
 # Always False: the kernels are numpy only.  perfbench/worker.py still reads
 # this name and records it with every run.
 NUMBA_ENABLED = False
-
-_SAMPLES = 1 << 18  # most samples that exponent_scan takes at once
 
 
 @dataclass(frozen=True)
@@ -112,53 +111,82 @@ def extend_mask(words: np.ndarray, parent: np.ndarray, tables: LevelTables,
     return ~bad[parent, words[:, -1]]
 
 
-def _longest_run(w: np.ndarray, p: int) -> int:
-    """Longest run of ``w[i] == w[i + p]``, from the gaps between disagreements."""
-    if p >= len(w):
-        return 0
-    # disagreements at -1 and len(w) - p bound the first and last runs
-    differ = np.ones(len(w) - p + 2, dtype=bool)
-    np.not_equal(w[p:], w[:-p], out=differ[1:-1])
-    at = np.flatnonzero(differ)
-    return int((at[1:] - at[:-1]).max()) - 1
+def _block_names(w: np.ndarray) -> list[np.ndarray]:
+    """Names of w's blocks of length 2^k, by doubling (Karp, Miller and Rosenberg).
+
+    ``names[k][i] == names[k][j]`` iff ``w[i:i + 2**k] == w[j:j + 2**k]``, in
+    dense int32 ids, one sort per level.  The top level K is the first whose
+    blocks are all distinct, or else the last that fits in w, so no two
+    positions agree on 2^(K+1) symbols.
+    """
+    ids = np.unique(w, return_inverse=True)[1].astype(np.int32)
+    names = [ids]
+    size = 1
+    while len(ids) > size and ids.max() + 1 < len(ids):
+        pair = ids[:-size].astype(np.int64) * (int(ids.max()) + 1) + ids[size:]
+        ids = np.unique(pair, return_inverse=True)[1].astype(np.int32)
+        names.append(ids)
+        size *= 2
+    return names
+
+
+def _runs(names: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each pair a < b, the longest run of ``w[j] == w[j + b - a]`` through j = a.
+
+    The run is [a - back, a + ahead): the pair's longest common extensions
+    backward and forward, by one binary lifting over the block names from
+    below the least level where no pair agrees on the block after or before a.
+    """
+    ends = np.concatenate([a, a])  # a + ahead, then a - back, so far
+    period = np.concatenate([b - a, b - a])
+    back = np.arange(len(ends)) >= len(a)
+
+    def agree(k: int, at) -> np.ndarray:
+        level = names[k]
+        start = ends[at] - back[at] * (1 << k)
+        stop = start + period[at]
+        same = level.take(start, mode="clip") == level.take(stop, mode="clip")
+        return same & (start >= 0) & (stop < len(level))
+
+    top, at = 0, np.arange(len(ends))
+    while top < len(names) and (at := at[agree(top, at)]).size:
+        top += 1
+    for k in range(top - 1, -1, -1):
+        ends += np.where(back, -1 << k, 1 << k) * agree(k, slice(None))
+    return ends[:len(a)] - ends[len(a):]
 
 
 def exponent_scan(w: np.ndarray) -> tuple[int, int]:
-    """(n, p) maximizing n/p over factors of length n with period p.
+    """(n, p) maximizing n/p over factors of length n with period p; ties keep the least p.
 
-    Ties keep the least p.  Periods go in chunks of doubling size, each
-    bounded by the best (bn, bp) before it.  A run of R agreements at period
-    p beats it only if R >= r = (bn - bp) p // bp + 1, and any r consecutive
-    j hold r // s multiples of s = max(1, r // 4).  One flat pass samples
-    ``w[j] == w[j + p]`` at those j, and only periods with r // s agreeing
-    samples in a row get an exact scan, in increasing p.  The others have
-    n / p <= bn / bp and can neither beat nor tie the running best.  No p
-    with L / p <= n_best / p_best can win, since no factor is longer than L.
+    Periods go in chunks [lo, hi) of doubling size, each bounded by the best
+    (bn, bp) before it.  A run of R agreements ``w[j] == w[j + p]`` beats it
+    only if R >= r = (bn - bp) p // bp + 1 >= r(lo).  Such a run covers a
+    block [a, a + 2^k), a a multiple of 2^k and 2^(k+1) - 1 <= r(lo), equal
+    to the block at a + p.  The runs through these candidate pairs give each
+    period's longest run where it is r(lo) or more, and those periods update
+    the best in increasing p; no other period can beat or tie it.  No p with
+    L/p <= bn/bp can win, since no factor is longer than L.
     """
     length = len(w)
-    best_n, best_p = 1, 1
-    lo = 1
+    names = _block_names(w)
+    best_n, best_p, lo = 1, 1, 1
     while (hi := min(2 * lo, -(-length * best_p // best_n))) > lo:
-        periods = np.arange(lo, hi)
-        need = (best_n - best_p) * periods // best_p + 1
-        step = np.maximum(need // 4, 1)
-        counts = (length - 1 - periods) // step + 1
-        # at most _SAMPLES samples (and at least one period) a chunk, in int32
-        hi = lo + max(1, int(np.searchsorted(np.cumsum(counts), _SAMPLES, side="right")))
-        periods, step, streak, counts = (
-            x[:hi - lo].astype(np.int32) for x in (periods, step, need // step, counts))
-        group = np.repeat(np.arange(hi - lo, dtype=np.int32), counts)
-        stop = np.cumsum(counts, dtype=np.int32)[group]
-        t = np.arange(len(group), dtype=np.int32)
-        j = (t - stop + counts[group]) * step[group]
-        agree = np.insert(np.cumsum(w[j] == w[j + periods[group]], dtype=np.int32), 0, 0)
-        # a streak cut short by the end of its period's samples falls short
-        end = np.minimum(t + streak[group], stop)
-        for p in periods[np.unique(group[agree[end] - agree[t] == streak[group]])].tolist():
-            if length * best_p <= best_n * p:
-                return best_n, best_p
-            n = _longest_run(w, p) + p
-            if n * best_p > best_n * p:
+        need = (best_n - best_p) * lo // best_p + 1
+        k = min((need + 1).bit_length() - 2, len(names) - 1)
+        # level k's positions in (name, position) order, as name * L + position
+        keys = np.sort(names[k].astype(np.int64) * length + np.arange(len(names[k])))
+        at = keys % length
+        starts = keys[(at % (1 << k) == 0) & (at < len(names[k]) - lo)]
+        a = starts % length
+        first = np.searchsorted(keys, starts + lo)
+        counts = np.searchsorted(keys, np.minimum(starts + hi, starts - a + length)) - first
+        b = at[np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)]
+        a = np.repeat(a, counts)
+        longest = np.full(hi - lo, -1)
+        np.maximum.at(longest, b - a - lo, _runs(names, a, b))
+        for p in (np.flatnonzero(longest >= need) + lo).tolist():
+            if (n := int(longest[p - lo]) + p) * best_p > best_n * p:
                 best_n, best_p = n, p
         lo = hi
     return best_n, best_p

@@ -596,7 +596,7 @@ class Environment:
         """Bind a relation called as $name(...): an automaton with one track
         per parameter that accepts only padded canonical tracks and ignores
         leading zeros, as every relation the compiler builds does."""
-        if name in self._callables:
+        if _check_name(name) in self._callables:
             raise CompileError(f"name {name!r} is already defined")
         k = len(params)
         if not isinstance(dfa, Dfa) or dfa.alphabet.n_tracks != k:
@@ -608,7 +608,7 @@ class Environment:
         if not _pads_freely(dfa):
             raise CompileError("the definition depends on leading zeros")
         env = copy.copy(self)
-        env._callables = {**self._callables, _check_name(name): Relation(dfa, tuple(params))}
+        env._callables = {**self._callables, name: Relation(dfa, tuple(params))}
         return env
 
     def sequence(self, name: str) -> Dfao:

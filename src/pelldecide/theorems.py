@@ -122,6 +122,7 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
         case ["theorem", name]:
             return env, Outcome(name)
         case ["def", name, text]:
+            logic._check_name(name)  # before the predicate compiles
             env = logic.define(sequences.with_builtins(env, text), name, text)
             return env, Outcome(name, env.stored(name))
         case ["reg", name, pattern] | ["reg", name, "msd_pell", pattern]:
@@ -136,7 +137,7 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
         case ["eval", *label, text, "--expect", "TRUE" | "FALSE"] | ["eval", *label, text] if (
                 len(label) < 2 and not any(a.startswith("-") for a in label)):
             expect = tokens[-1] == "TRUE" if tokens[-2] == "--expect" else None
-            name = label[0] if label else None
+            name = logic._check_name(label[0]) if label else None
             env = sequences.with_builtins(env, text)
             rel = logic.compile(text, env)
             if rel.tracks and expect is not None:

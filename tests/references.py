@@ -287,6 +287,79 @@ def ref_balanced_scan_by_gap(w: np.ndarray, k: int) -> bool:
     return True
 
 
+def ref_exponent_scan_sampled(w: np.ndarray) -> tuple[int, int]:
+    """(n, p) by the earlier sampled filter: in each chunk of periods, only
+    periods whose samples of ``w[j] == w[j + p]`` hold a long enough streak
+    get an exact run count, in increasing p.
+
+    Periods go in chunks of doubling size, each bounded by the best (bn, bp)
+    before it.  A run of R agreements at period p beats it only if
+    R >= r = (bn - bp) p // bp + 1, and any r consecutive j hold r // s
+    multiples of s = max(1, r // 4).  At most ``samples`` samples (and at
+    least one period) go in a chunk.
+    """
+    samples = 1 << 18
+
+    def longest_run(p: int) -> int:
+        # the gaps between disagreements, with disagreements at -1 and L - p
+        differ = np.ones(len(w) - p + 2, dtype=bool)
+        np.not_equal(w[p:], w[:-p], out=differ[1:-1])
+        at = np.flatnonzero(differ)
+        return int((at[1:] - at[:-1]).max()) - 1
+
+    length = len(w)
+    best_n, best_p = 1, 1
+    lo = 1
+    while (hi := min(2 * lo, -(-length * best_p // best_n))) > lo:
+        periods = np.arange(lo, hi)
+        need = (best_n - best_p) * periods // best_p + 1
+        step = np.maximum(need // 4, 1)
+        counts = (length - 1 - periods) // step + 1
+        hi = lo + max(1, int(np.searchsorted(np.cumsum(counts), samples, side="right")))
+        periods, step, streak, counts = (
+            x[:hi - lo].astype(np.int32) for x in (periods, step, need // step, counts))
+        group = np.repeat(np.arange(hi - lo, dtype=np.int32), counts)
+        stop = np.cumsum(counts, dtype=np.int32)[group]
+        t = np.arange(len(group), dtype=np.int32)
+        j = (t - stop + counts[group]) * step[group]
+        agree = np.insert(np.cumsum(w[j] == w[j + periods[group]], dtype=np.int32), 0, 0)
+        # a streak cut short by the end of its period's samples falls short
+        end = np.minimum(t + streak[group], stop)
+        for p in periods[np.unique(group[agree[end] - agree[t] == streak[group]])].tolist():
+            if length * best_p <= best_n * p:
+                return best_n, best_p
+            n = longest_run(p) + p
+            if n * best_p > best_n * p:
+                best_n, best_p = n, p
+        lo = hi
+    return best_n, best_p
+
+
+def ref_block_names(w: np.ndarray) -> list[np.ndarray]:
+    """names[k][i] for every level with 2^k <= L: the index of the block
+    ``w[i:i + 2**k]`` among the level's distinct blocks, by first occurrence."""
+    names = []
+    size = 1
+    while size <= len(w):
+        seen: dict[bytes, int] = {}
+        names.append(np.array([seen.setdefault(w[i:i + size].tobytes(), len(seen))
+                               for i in range(len(w) - size + 1)], dtype=np.int32))
+        size *= 2
+    return names
+
+
+def ref_common_extensions(w: np.ndarray, a: int, b: int) -> tuple[int, int]:
+    """(backward, forward): how far ``w[j] == w[j + b - a]`` holds from j = a
+    leftward (not counting a) and rightward (counting a), one symbol at a time."""
+    forward = 0
+    while b + forward < len(w) and w[a + forward] == w[b + forward]:
+        forward += 1
+    backward = 0
+    while a - backward - 1 >= 0 and w[a - backward - 1] == w[b - backward - 1]:
+        backward += 1
+    return backward, forward
+
+
 def agreement_runs(w: np.ndarray, p: int) -> np.ndarray:
     """runs[i] = number of consecutive positions t >= i with w[t] == w[t+p].
 

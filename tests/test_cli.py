@@ -277,6 +277,30 @@ def test_run_prints_a_theorem_line_as_a_heading(capsys, tmp_path):
     assert out.splitlines() == ["> theorem one", "> eval fine 1 = 1 --expect TRUE", "fine = TRUE"]
 
 
+def _refuse_to_compile(*args, **kwargs):
+    raise AssertionError("compiled a predicate under a name that cannot be bound")
+
+
+BAD_NAMES = [("1x", "invalid name '1x'"),
+             ("Ab", "name 'Ab' would collide with the quantifier letters A/E")]
+
+
+@pytest.mark.parametrize("name, message", BAD_NAMES, ids=["1x", "Ab"])
+@pytest.mark.parametrize("command", ["def", "eval"])
+def test_a_bad_name_is_refused_before_its_predicate_compiles(
+        capsys, tmp_path, monkeypatch, command, name, message):
+    # a def's name and a closed eval's label alike, on the command line and
+    # as a line of run; the periodicity predicate takes most of a second
+    monkeypatch.setattr(logic, "compile", _refuse_to_compile)
+    predicate = "1 = 1" if command == "eval" else "?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]"
+    code, out, err = run_cli(capsys, command, name, predicate)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    script = tmp_path / "named.walnutish"
+    script.write_text(f'{command} {name} "{predicate}"\n')
+    code, out, err = run_cli(capsys, "run", str(script))
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 NAMES = st.text("abcxyz_05", max_size=8)
 
 

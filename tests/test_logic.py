@@ -362,6 +362,9 @@ def test_callables_must_hold_valid_tracks_and_ignore_leading_zeros():
         env.with_callable("bad", sequences.x5_dfao(), ("x",))
     bound = env.with_callable("dbl", dbl.dfa, dbl.tracks)
     assert logic.eval_closed("Ex $dbl(x, 6)", bound)
+    # the name is checked first, before any of the automaton's checks
+    with pytest.raises(CompileError, match="invalid name '1x'"):
+        env.with_callable("1x", _zeros_then_21(), ("x",))
 
 
 def test_define_binds_through_the_check():

@@ -362,37 +362,87 @@ def test_is_balanced_on_million_symbol_prefixes(prefix):
     assert not search.is_balanced(w)
 
 
-def test_longest_run_counts_agreements():
+def test_runs_are_the_longest_common_extensions():
+    """``_runs`` gives the backward plus the forward extension of each pair,
+    by brute force: every pair of short binary words, and planted
+    extensions of 2^k - 1, 2^k and 2^k + 1 symbols each way, stopped by a
+    differing letter or by either end of the word."""
     rng = np.random.default_rng(93)
-    for _ in range(200):
-        w = rng.integers(0, 2, size=int(rng.integers(1, 40))).astype(np.int8)
-        for p in range(1, len(w) + 2):
-            want = R.ref_longest_true_run(w[p:] == w[:-p]) if p < len(w) else 0
-            assert _kernels._longest_run(w, p) == want
+    for _ in range(60):
+        w = rng.integers(0, 2, size=int(rng.integers(2, 70))).astype(np.int8)
+        a, b = np.triu_indices(len(w), 1)
+        want = [sum(R.ref_common_extensions(w, i, j)) for i, j in zip(a, b)]
+        assert _kernels._runs(_kernels._block_names(w), a, b).tolist() == want
+    lengths = [n for k in range(7) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
+    for back, ahead in itertools.product(lengths, repeat=2):
+        run = [int(x) for x in rng.integers(0, 2, size=back + ahead)]
+        for at_start, at_end in itertools.product([False, True], repeat=2):
+            # [2] run [3] 4 [5] run [6]: the letters around each copy differ
+            w = ([] if at_start else [2]) + run + [3, 4, 5] + run + ([] if at_end else [6])
+            a = back + (not at_start)
+            b = a + len(run) + 3
+            w = np.array(w, dtype=np.int8)
+            assert R.ref_common_extensions(w, a, b) == (back, ahead)
+            got = _kernels._runs(_kernels._block_names(w), np.array([a]), np.array([b]))
+            assert got.tolist() == [back + ahead]
 
 
-# --- the filtered exponent scan and the balance scan by desubstitution -------------
+# --- the exponent scan from block names and the balance scan by desubstitution -----
 
-@pytest.fixture(params=["default", "small"])
-def kernel_sizes(request, monkeypatch):
-    """The kernels as they are, and with a few samples per chunk, so that
-    every chunk of the exponent scan is cut."""
-    if request.param == "small":
-        monkeypatch.setattr(_kernels, "_SAMPLES", 40)
+@pytest.fixture(params=["default", "reference-names"])
+def kernel_names(request, monkeypatch):
+    """The kernels as they are, and with block names from brute force, one
+    level for every 2^k <= L, so that the scan's candidates and runs are
+    checked against names it did not build."""
+    if request.param == "reference-names":
+        monkeypatch.setattr(_kernels, "_block_names", R.ref_block_names)
 
 
-def test_scans_match_the_earlier_kernels(kernel_sizes):
+def test_scans_match_the_earlier_kernels(kernel_names):
     words = scan_words(np.random.default_rng(94), randoms=300, random_len=81,
                        factors=25, factor_len=3001)
     for w, k in words:
-        assert _kernels.exponent_scan(w) == R.ref_exponent_scan_by_period(w)
+        got = _kernels.exponent_scan(w)
+        assert got == R.ref_exponent_scan_sampled(w) == R.ref_exponent_scan_by_period(w)
         assert _kernels.balanced_scan(w, k) == R.ref_balanced_scan_by_gap(w, k)
+
+
+@pytest.mark.parametrize("prefix,seed", [(sequences.x5_prefix, 95), (sequences.x3_prefix, 96)],
+                         ids=["x5", "x3"])
+def test_exponent_scan_matches_the_earlier_kernels_on_the_workload_factors(prefix, seed):
+    """The search workload's exponent jobs: the 10^4-symbol prefix, and
+    10^4-symbol factors at seeded starts."""
+    word = prefix(60_000)
+    rng = np.random.default_rng(seed)
+    for start in [0, *rng.integers(1, len(word) - 10_000, size=2)]:
+        w = word[start:start + 10_000]
+        got = _kernels.exponent_scan(w)
+        assert got == R.ref_exponent_scan_sampled(w) == R.ref_exponent_scan_by_period(w)
+
+
+def test_block_names_name_equal_blocks_alike():
+    """Equal names iff equal blocks, dense ids, and levels up to the first
+    whose blocks are all distinct, or to the longest blocks that fit."""
+    rng = np.random.default_rng(97)
+    words = [rng.integers(0, k, size=n).astype(np.int8)
+             for k in (1, 2, 3) for n in (1, 2, 3, 7, 8, 9, 40, 64, 100)]
+    words += [X5_FACTORS[:500], X3_FACTORS[:300], C_FACTORS[:257]]
+    for w in words:
+        names = _kernels._block_names(w)
+        brute = R.ref_block_names(w)
+        for got, want in zip(names, brute):
+            assert got.dtype == np.int32
+            assert np.array_equal(got[:, None] == got[None, :], want[:, None] == want[None, :])
+            assert set(got.tolist()) == set(range(int(got.max()) + 1))
+        top = len(names) - 1
+        assert len(brute) == top + 1 or len(set(names[top].tolist())) == len(names[top])
+        assert all(len(set(n.tolist())) < len(n) for n in names[:-1])
 
 
 def planted_run(prefix, p, run, pad):
     """``prefix``, ``pad`` fresh letters, then p + run letters of period p
     made of p fresh letters: the only agreements past the prefix are the run
-    of ``run`` at period p."""
+    of ``run`` at period p, starting at ``len(prefix) + pad``."""
     fresh = iter(range(max(prefix) + 1, 128))
     padding = [next(fresh) for _ in range(pad)]
     block = [next(fresh) for _ in range(p)]
@@ -403,13 +453,16 @@ def planted_run(prefix, p, run, pad):
                                           ([0, 1, 2, 0], (4, 3))])
 def test_runs_of_exactly_r_minus_one_and_r_agreements(prefix, bound):
     """At a period p past the prefix's chunks, a run wins iff it has at least
-    r = (bn - bp) p // bp + 1 agreements.  Every alignment of the run's start
-    against the sample step is tried."""
+    r = (bn - bp) p // bp + 1 agreements.  The scan looks for runs of r(lo)
+    or more, lo <= p the chunk's first period, by the aligned blocks of
+    length 2^k, 2^(k+1) - 1 <= r(lo) <= r; every alignment of the run's start
+    against that grid is tried."""
     bn, bp = bound
     assert _kernels.exponent_scan(np.array(prefix, dtype=np.int8)) == bound
     for p in range(4, 61):
         r = (bn - bp) * p // bp + 1
-        for pad in range(max(1, r // 4)):
+        grid = 1 << max(0, (r + 1).bit_length() - 2)
+        for pad in range(grid):
             short = planted_run(prefix, p, r - 1, pad)
             assert _kernels.exponent_scan(short) == bound == R.ref_exponent_scan_by_period(short)
             win = planted_run(prefix, p, r, pad)
@@ -430,13 +483,15 @@ def test_ties_keep_the_least_period():
 
 def test_exponent_scan_skips_most_periods(monkeypatch):
     w = X5_FACTORS[4_000:14_000]
-    scanned = []
-    longest_run = _kernels._longest_run
-    monkeypatch.setattr(_kernels, "_longest_run",
-                        lambda w, p: scanned.append(p) or longest_run(w, p))
+    periods = []
+    runs = _kernels._runs
+    monkeypatch.setattr(_kernels, "_runs",
+                        lambda names, a, b: periods.append(b - a) or runs(names, a, b))
     assert _kernels.exponent_scan(w) == (6, 4)
-    # the scan stops at p = 6,667 (L / p <= 3/2)
-    assert scanned == sorted(scanned) and len(scanned) < 6_667 // 4
+    # the scan stops at p = 6,667 (L / p <= 3/2), and takes the run at
+    # 17,728 candidate pairs, of the 4.4e7 pairs (j, j + p) below that
+    periods = np.concatenate(periods)
+    assert len(periods) < 2 * len(w) and periods.max() < 6_667
 
 
 @st.composite
