@@ -10,13 +10,16 @@ accepting-set flip.
 
 State 0 is the initial state of every automaton produced by ``minimize``
 and by the operations that end in its quotient step (``product``,
-``project``, ``zero_pad_closure``).  The quotient also renumbers states in
-breadth-first order over symbol-sorted edges, so two minimized automata
-accept the same language iff their tables are identical arrays.
+``project`` and the subset construction ``_determinize``).  The quotient
+also renumbers states in breadth-first order over symbol-sorted edges, so
+two minimized automata accept the same language iff their tables are
+identical arrays.
 
-Relations ignore leading-zero padding.  ``zero_pad_closure`` is the one
-closure that makes an automaton over exact strings do so: it both adds and
-drops leading all-zero symbols.
+Relations ignore leading-zero padding.  The subset constructions that
+must add padding start from a zero closure instead of taking a second pass:
+``project`` from every state that symbols zero on the remaining tracks lead
+to, and ``logic.reg`` from every state that leading 0s lead its pattern's
+start to.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "product",
     "complement",
     "project",
-    "zero_pad_closure",
     "minimize",
     "is_empty",
     "is_infinite",
@@ -890,33 +892,6 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     # free the construction's tables before the quotient builds its own
     del rows, subsets, dead
     return _quotient(Dfa, alphabet, delta[:n_states], accepting[:n_states], 0)
-
-
-def zero_pad_closure(a: Dfa) -> Dfa:
-    """Close the language under addition and removal of leading all-zero
-    symbols.
-
-    The result accepts 0^k w for every k >= 0 whenever ``a`` accepts 0^j w
-    for some j >= 0, where 0 is the symbol with every track digit zero, so it
-    turns an automaton over exact strings into one that is indifferent to
-    leading-zero padding.  A fresh state n reads like ``a``'s initial state
-    and also loops on 0; no state enters n, so the loop reads only leading
-    zeros.  The subset construction starts from every state that zeros lead
-    n to.  On a 0 each of those has a predecessor in the set, except n, which
-    keeps itself, so the set is the same after any number of leading zeros.
-    """
-    n = a.n_states
-    m = a.alphabet.size
-    delta3 = np.empty((n + 1, m, 2), dtype=np.int32)
-    delta3[:n, :, 0] = a.delta
-    delta3[:n, :, 1] = a.delta
-    # fresh initial: consume one padding zero and stay, or start the word
-    delta3[n, :, 0] = a.delta[a.initial]
-    delta3[n, :, 1] = a.delta[a.initial]
-    delta3[n, 0, 0] = n
-    accepting = np.concatenate([a.accepting, a.accepting[a.initial : a.initial + 1]])
-    init = np.flatnonzero(_bfs_order(delta3[:, 0, :], n) >= 0)
-    return _determinize(delta3, init, accepting, a.alphabet)
 
 
 def project(a: Dfa, track: int) -> Dfa:

@@ -320,7 +320,7 @@ def direct_adder() -> Dfa:
     delta = np.array(rows, dtype=np.int32)
     accepting = np.array([k is not dead and k[0] == 0 for k in ids], dtype=bool)
     residual = automata.minimize(Dfa(_ADDER_ALPHABET, delta, accepting, 0))
-    return automata.product(residual, pell.valid_tracks(3), "and")
+    return pell.restrict(residual)
 
 
 def adder() -> Dfa:

@@ -12,8 +12,8 @@ Every compiled automaton satisfies two invariants that the operations
 preserve: each track is a leading-zero-padded canonical representation, and
 membership is indifferent to how much padding a word carries.  Negation and
 the implication/iff products therefore re-intersect with the per-track
-validity automaton, and universal quantification is the classic double
-negation around projection.
+validity automaton (``pell.restrict``), and universal quantification is the
+classic double negation around projection.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ def _comparison(op: str) -> Dfa:
     accepting = np.zeros(3, dtype=bool)
     accepting[list(accept_sets[op])] = True
     core = Dfa(alphabet, delta, accepting, 0)
-    return automata.product(core, pell.valid_tracks(2), "and")
+    return pell.restrict(core)
 
 
 @cache
@@ -482,15 +482,14 @@ def _slice(m: Dfao, value: int) -> Dfa:
     """1-track relation: the sequence value at the track's number equals
     ``value``."""
     core = Dfa(m.alphabet, m.delta, np.asarray(m.outputs) == value, m.initial)
-    return automata.product(core, pell.valid_tracks(1), "and")
+    return pell.restrict(core)
 
 
 @cache
 def _pair_equal(a: Dfao, b: Dfao) -> Dfa:
     """2-track relation: a's value at track 0 equals b's value at track 1."""
     at0, at1 = automata.cylindrify(a, (0,), 2), automata.cylindrify(b, (1,), 2)
-    same = automata.product(at0, at1, "iff")
-    return automata.product(same, pell.valid_tracks(2), "and")
+    return pell.restrict(automata.product(at0, at1, "iff"))
 
 
 _OP_NAMES = {"&": "and", "|": "or", "=>": "implies", "<=>": "iff"}
@@ -509,13 +508,12 @@ def _combine(a: Relation, b: Relation, op: str = "&") -> Relation:
         # or/implies/iff can accept junk on tracks the operands did not both
         # constrain (and implies/iff accept whatever both reject), so restrict
         # back to valid representations.
-        prod = automata.product(prod, pell.valid_tracks(len(names)), "and")
+        prod = pell.restrict(prod)
     return Relation(prod, names)
 
 
 def _negate(r: Relation) -> Relation:
-    out = automata.product(automata.complement(r.dfa), pell.valid_tracks(len(r.tracks)), "and")
-    return Relation(out, r.tracks)
+    return Relation(pell.restrict(automata.complement(r.dfa)), r.tracks)
 
 
 def _project_var(r: Relation, name: str) -> Relation:
@@ -596,8 +594,7 @@ class Environment:
         """Bind a relation called as $name(...): an automaton with one track
         per parameter that accepts only padded canonical tracks and ignores
         leading zeros, as every relation the compiler builds does."""
-        if _check_name(name) in self._callables:
-            raise CompileError(f"name {name!r} is already defined")
+        self.unbound(name)
         k = len(params)
         if not isinstance(dfa, Dfa) or dfa.alphabet.n_tracks != k:
             raise CompileError(f"a definition with {k} parameters must be a {k}-track automaton")
@@ -610,6 +607,13 @@ class Environment:
         env = copy.copy(self)
         env._callables = {**self._callables, name: Relation(dfa, tuple(params))}
         return env
+
+    def unbound(self, name: str) -> str:
+        """``name``, if a relation may be bound to it: a valid name that no
+        callable has yet.  Front ends check it before they compile."""
+        if _check_name(name) in self._callables:
+            raise CompileError(f"name {name!r} is already defined")
+        return name
 
     def sequence(self, name: str) -> Dfao:
         if name not in self._sequences:
@@ -955,11 +959,11 @@ def script_commands(text: str) -> Iterator[list[str]]:
     """Each command's tokens, one logical line at a time: ``#`` comments
     stripped, double-quoted text joined across line breaks, and a trailing
     ``=> TRUE``/``=> FALSE`` turned into ``--expect TRUE``/``--expect FALSE``."""
-    pending = ""
+    pending, quoted = "", False
     for raw in text.splitlines():
-        line = _strip_comment(raw) if not pending else raw
+        line, quoted = _strip_comment(raw, quoted)
         pending = f"{pending} {line.strip()}" if pending else line.strip()
-        if pending.count('"') % 2 == 0:
+        if not quoted:
             if pending:
                 yield _line_tokens(pending)
             pending = ""
@@ -967,14 +971,15 @@ def script_commands(text: str) -> Iterator[list[str]]:
         yield _line_tokens(pending)
 
 
-def _strip_comment(line: str) -> str:
-    quoted = False
+def _strip_comment(line: str, quoted: bool) -> tuple[str, bool]:
+    """The line up to a ``#`` outside double quotes, and whether it ends
+    inside them; ``quoted`` says whether it starts inside them."""
     for i, c in enumerate(line):
         if c == '"':
             quoted = not quoted
         elif c == "#" and not quoted:
-            return line[:i]
-    return line
+            return line[:i], quoted
+    return line, quoted
 
 
 def _line_tokens(line: str) -> list[str]:
@@ -995,14 +1000,18 @@ def _line_tokens(line: str) -> list[str]:
 
 def _regex_dfa(pattern: str) -> Dfa:
     """Position automaton (Glushkov; McNaughton and Yamada) of a digit
-    pattern, determinized.
+    pattern, read up to leading zeros and determinized: it accepts 0^i w
+    whenever the pattern matches 0^j w for some j.
 
     State 0 starts, and state i has just read the pattern's i-th digit, so
     there are no empty moves.  Each subpattern yields whether it matches the
     empty string and its first and last positions; concatenation and
-    ``*``/``+`` add follow edges from last positions to first ones.
+    ``*``/``+`` add follow edges from last positions to first ones.  No
+    state enters state 0, so a loop there on 0 reads only leading zeros,
+    and the one subset construction starts from every state that 0s lead
+    state 0 to, as ``automata.project`` starts from its own zero closure.
     """
-    digit = [-1]  # the digit each position reads; state 0 reads none
+    digit = [0]  # the digit each position reads; state 0 reads padding zeros
     follow: list[set[int]] = [set()]
     pos = 0
 
@@ -1067,7 +1076,7 @@ def _regex_dfa(pattern: str) -> Dfa:
         raise error("the pattern nests too deeply") from None
     if pos != len(pattern):
         raise error(f"unexpected pattern character {pattern[pos]!r}")
-    follow[0] = first
+    follow[0] = first | {0}  # the loop on 0
     n = len(digit)
     # a missing digit leads to the sink state n
     targets = [
@@ -1078,7 +1087,8 @@ def _regex_dfa(pattern: str) -> Dfa:
     delta3 = np.array([[ts + ts[:1] * (width - len(ts)) for ts in row] for row in targets])
     accepting = np.isin(np.arange(n + 1), list(last))
     accepting[0] = empty
-    return automata._determinize(delta3, np.array([0]), accepting, TrackAlphabet(1))
+    init = np.flatnonzero(automata._bfs_order(delta3[:, 0, :], 0) >= 0)
+    return automata._determinize(delta3, init, accepting, TrackAlphabet(1))
 
 
 def reg(env: Environment, name: str, pattern: str) -> Environment:
@@ -1086,14 +1096,10 @@ def reg(env: Environment, name: str, pattern: str) -> Environment:
 
     The pattern matches literal digit strings; the stored relation accepts a
     number when some zero-padded spelling of its canonical representation
-    matches, so the pattern is read up to leading zeros.  The automaton is
-    closed under leading zeros (``automata.zero_pad_closure``) before it is
-    restricted to valid words.
+    matches, so the pattern is read up to leading zeros.  Its automaton
+    (``_regex_dfa``, one subset construction) is restricted to the domain.
     """
-    # the order may change: valid words stay valid as leading zeros come and go
-    closed = automata.zero_pad_closure(_regex_dfa(pattern))
-    restricted = automata.product(closed, pell.valid_tracks(1), "and")
-    return env.with_callable(name, restricted, ("w",))
+    return env.with_callable(name, pell.restrict(_regex_dfa(pattern)), ("w",))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "decode",
     "canonical_recognizer",
     "valid_tracks",
+    "restrict",
     "encode_batch",
     "decode_batch",
 ]
@@ -99,6 +100,12 @@ def _valid_tracks(k: int) -> Dfa:
     first = automata.cylindrify(_valid_tracks(k - 1), range(k - 1), k)
     last = automata.cylindrify(canonical_recognizer(), (k - 1,), k)
     return automata.product(first, last, "and")
+
+
+def restrict(a: Dfa) -> Dfa:
+    """``a`` on the domain: the words it accepts whose every track is a
+    padded canonical representation."""
+    return automata.product(a, valid_tracks(a.alphabet.n_tracks), "and")
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,11 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
         case ["theorem", name]:
             return env, Outcome(name)
         case ["def", name, text]:
-            logic._check_name(name)  # before the predicate compiles
+            env.unbound(name)  # before the predicate compiles
             env = logic.define(sequences.with_builtins(env, text), name, text)
             return env, Outcome(name, env.stored(name))
         case ["reg", name, pattern] | ["reg", name, "msd_pell", pattern]:
+            env.unbound(name)  # before the pattern's automaton is built
             env = logic.reg(env, name, pattern)
             return env, Outcome(name, env.stored(name))
         case ["reg", _, numeration, _]:
@@ -138,8 +139,11 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
                 len(label) < 2 and not any(a.startswith("-") for a in label)):
             expect = tokens[-1] == "TRUE" if tokens[-2] == "--expect" else None
             name = logic._check_name(label[0]) if label else None
+            predicate = logic.parse(text)
+            if name is not None and logic.free_variables(predicate):
+                env.unbound(name)  # an open eval binds its label
             env = sequences.with_builtins(env, text)
-            rel = logic.compile(text, env)
+            rel = logic.compile(predicate, env)
             if rel.tracks and expect is not None:
                 raise ValueError("=> expectations apply only to closed predicates")
             if rel.tracks and name is not None:

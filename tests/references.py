@@ -504,12 +504,13 @@ def ref_holds(p, values: dict, words: dict, calls: dict, box: int) -> np.ndarray
         return words[p.left_name][term(p.left_index)] == words[p.right_name][term(p.right_index)]
     if kind == "PCall":
         return calls[p.name](*(term(a) for a in p.args))
+    # a call or comparison of constants gives a Python bool, on which ~ is -1 or -2
     if kind == "PNot":
-        return ~ref_holds(p.body, values, words, calls, box)
+        return np.logical_not(ref_holds(p.body, values, words, calls, box))
     if kind == "PBin":
         a = ref_holds(p.left, values, words, calls, box)
         b = ref_holds(p.right, values, words, calls, box)
-        return {"&": a & b, "|": a | b, "=>": ~a | b, "<=>": a == b}[p.op]
+        return {"&": a & b, "|": a | b, "=>": np.logical_not(a) | b, "<=>": a == b}[p.op]
     shape = np.broadcast(*values.values()).shape if values else ()
     out = np.full(shape, p.kind == "A")
     name, rest = p.names[0], p.names[1:]

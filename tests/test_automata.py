@@ -587,41 +587,6 @@ def test_product_of_dfaos_compares_outputs():
             assert automata.accepts(same, w) == want
 
 
-def test_zero_saturate_strips_expected_leading_zeros():
-    rng = np.random.default_rng(43)
-    candidates = [exact_word_dfa("0012"), exact_word_dfa("12")] + [
-        random_dfa(rng, n_states=4) for _ in range(10)
-    ]
-    for a in candidates:
-        closed = automata.zero_pad_closure(a)
-        for w in words_up_to(3, 5):
-            want = any(
-                automata.accepts(a, (0,) * k + tuple(w)) for k in range(a.n_states + 1)
-            )
-            if want:
-                assert automata.accepts(closed, w)
-            if w[:1] != (0,):
-                # no leading zero to drop: only the zeros a expects count
-                assert automata.accepts(closed, w) == want
-
-
-def test_zero_pad_closure_adds_leading_zeros():
-    rng = np.random.default_rng(47)
-    candidates = [exact_word_dfa("0012"), exact_word_dfa("12")] + [
-        random_dfa(rng, n_states=4) for _ in range(10)
-    ]
-    for a in candidates:
-        closed = automata.zero_pad_closure(a)
-        for w in words_up_to(3, 5):
-            # zeros lead the initial state around a cycle within n_states steps
-            want = any(
-                all(s == 0 for s in w[:k]) and automata.accepts(a, (0,) * j + tuple(w[k:]))
-                for k in range(len(w) + 1)
-                for j in range(a.n_states)
-            )
-            assert automata.accepts(closed, w) == want
-
-
 # --- subset construction ------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -301,6 +302,35 @@ def test_a_bad_name_is_refused_before_its_predicate_compiles(
     assert (code, err) == (2, f"error: {message}\n")
 
 
+def _refuse_to_determinize(*args, **kwargs):
+    raise AssertionError("built an automaton under a name that is already bound")
+
+
+@pytest.mark.parametrize("line", ['def f "x = 2"', 'eval f "y < 3"', 'reg f "0*1"'],
+                         ids=["def", "eval", "reg"])
+def test_a_bound_name_is_refused_before_anything_is_built(capsys, tmp_path, monkeypatch, line):
+    # on the command line and as a line of run, both over a session that binds f
+    sess = str(tmp_path)
+    assert run_cli(capsys, "def", "f", "x = 1", "--session", sess)[0] == 0
+    monkeypatch.setattr(logic, "compile", _refuse_to_compile)
+    monkeypatch.setattr(automata, "_determinize", _refuse_to_determinize)
+    message = "error: name 'f' is already defined\n"
+    code, out, err = run_cli(capsys, *shlex.split(line), "--session", sess)
+    assert (code, out, err) == (2, "", message)
+    script = tmp_path / "again.walnutish"
+    script.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "run", str(script), "--session", sess)
+    assert (code, err) == (2, message)
+
+
+def test_a_closed_eval_labels_a_bound_name(capsys, tmp_path):
+    # the label binds nothing, so it may repeat a bound name
+    sess = str(tmp_path)
+    assert run_cli(capsys, "def", "f", "x = 1", "--session", sess)[0] == 0
+    code, out, err = run_cli(capsys, "eval", "f", "1 = 1", "--session", sess)
+    assert (code, out, err) == (0, "f = TRUE\n", "")
+
+
 NAMES = st.text("abcxyz_05", max_size=8)
 
 
@@ -591,6 +621,23 @@ def test_run_has_no_emit_automata_option(capsys, tmp_path):
     assert exit_info.value.code == 2
     assert "--emit-automata" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+COMMENTED = [
+    'eval p "?msd_pell 1 = 1\n  & 1 = 1" => TRUE  # note\n',
+    'eval p "?msd_pell 1 = 1\n  & 1 = 1" => TRUE  # a "quoted" note\n',
+]
+
+
+@pytest.mark.parametrize("text", COMMENTED, ids=["plain", "quote"])
+def test_a_comment_may_follow_a_multi_line_predicate(capsys, tmp_path, text):
+    assert list(logic.script_commands(text)) == [
+        ["eval", "p", "?msd_pell 1 = 1 & 1 = 1", "--expect", "TRUE"]]
+    script = tmp_path / "commented.walnutish"
+    script.write_text(text + 'eval q "2 = 2" => TRUE  # and "one" more\n')
+    code, out, err = run_cli(capsys, "run", str(script))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1::2] == ["p = TRUE", "q = TRUE"]
 
 
 def test_run_script_expectation_failure_continues(capsys, tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import references as R
@@ -420,12 +420,53 @@ def test_reg_matches_padded_spellings(pattern):
     ],
 )
 def test_pattern_automaton_matches_re(pattern):
+    # the automaton reads the pattern up to leading zeros: a word is in when
+    # the pattern matches it with its leading zeros traded for some others
     dfa = logic._regex_dfa(pattern)
     for length in range(7):
         for word in itertools.product("012", repeat=length):
             text = "".join(word)
             got = automata.accepts(dfa, [int(c) for c in text])
-            assert got == bool(re.fullmatch(pattern, text)), text
+            assert got == _matches_padded(pattern, text), text
+
+
+def _matches_padded(pattern: str, text: str) -> bool:
+    """Some 0^j followed by ``text`` without its leading zeros fullmatches;
+    j < len(pattern) + 2 suffices, as the pattern has fewer positions."""
+    rest = text.lstrip("0")
+    return any(re.fullmatch(pattern, "0" * j + rest) for j in range(len(pattern) + 2))
+
+
+@given(strategies.patterns())
+@settings(max_examples=150, deadline=None)
+def test_reg_is_the_pattern_up_to_leading_zeros_on_the_domain(pattern):
+    # adjacent quantifiers nest in a pattern, but are lazy, possessive or an
+    # error in re
+    assume(not re.search(r"[*+?]{2}", pattern))
+    try:
+        env = logic.reg(logic.Environment(), "t", pattern)
+    except PredicateSyntaxError:
+        return
+    dfa = env.stored("t").dfa
+    for length in range(7):
+        for word in itertools.product("012", repeat=length):
+            text = "".join(word)
+            want = R.ref_is_canonical(text.lstrip("0")) and _matches_padded(pattern, text)
+            assert automata.accepts(dfa, [int(c) for c in text]) == want, text
+
+
+def test_reg_runs_one_subset_construction(monkeypatch):
+    calls = []
+    determinize = automata._determinize
+
+    def counted(*args):
+        calls.append(args)
+        return determinize(*args)
+
+    monkeypatch.setattr(automata, "_determinize", counted)
+    for k, pattern in enumerate(["0*110000*", "0*10*", "", "(1|20)+", "2(0(1|2)*)?"]):
+        logic.reg(logic.Environment(), "t", pattern)
+        assert len(calls) == k + 1, pattern
 
 
 def test_reg_specifics():
@@ -778,6 +819,7 @@ BOUNDED_WORDS = {"C": np.concatenate(([0], R.ref_sturmian_prefix(40))), "X": R.r
 @example("(Ex (x <= 4) & (0*y = x)) | (z < 3)")
 @example("(C[3*x] = @1) | ($f(y + 2, x))")
 @example("(Ex (x <= 4) & (X[y + x] = X[3*z])) & (X[12] = @3)")
+@example("~($f(0, 0*0))")
 @settings(max_examples=150)
 def test_compiled_relations_match_integer_arithmetic(text):
     # every quantifier is bounded by QUANTIFIER_BOUND, so searching 0..that
