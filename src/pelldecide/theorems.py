@@ -140,12 +140,13 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
             expect = tokens[-1] == "TRUE" if tokens[-2] == "--expect" else None
             name = logic._check_name(label[0]) if label else None
             predicate = logic.parse(text)
-            if name is not None and logic.free_variables(predicate):
-                env.unbound(name)  # an open eval binds its label
+            if logic.free_variables(predicate):  # refused before it compiles
+                if expect is not None:
+                    raise ValueError("=> expectations apply only to closed predicates")
+                if name is not None:
+                    env.unbound(name)  # an open eval binds its label
             env = sequences.with_builtins(env, text)
             rel = logic.compile(predicate, env)
-            if rel.tracks and expect is not None:
-                raise ValueError("=> expectations apply only to closed predicates")
             if rel.tracks and name is not None:
                 env = env.with_callable(name, rel.dfa, rel.tracks)
             return env, Outcome(name, rel, None if rel.tracks else rel.is_true, expect)

@@ -323,6 +323,19 @@ def test_a_bound_name_is_refused_before_anything_is_built(capsys, tmp_path, monk
     assert (code, err) == (2, message)
 
 
+def test_an_open_eval_with_an_expectation_is_refused_before_it_compiles(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(logic, "compile", _refuse_to_compile)
+    message = "error: => expectations apply only to closed predicates\n"
+    predicate = "?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]"
+    code, out, err = run_cli(capsys, "eval", predicate, "--expect", "TRUE")
+    assert (code, out, err) == (2, "", message)
+    script = tmp_path / "open.walnutish"
+    script.write_text(f'eval "{predicate}" => TRUE\n')
+    code, out, err = run_cli(capsys, "run", str(script))
+    assert (code, err) == (2, message)
+
+
 def test_a_closed_eval_labels_a_bound_name(capsys, tmp_path):
     # the label binds nothing, so it may repeat a bound name
     sess = str(tmp_path)
@@ -625,7 +638,7 @@ def test_run_has_no_emit_automata_option(capsys, tmp_path):
 
 COMMENTED = [
     'eval p "?msd_pell 1 = 1\n  & 1 = 1" => TRUE  # note\n',
-    'eval p "?msd_pell 1 = 1\n  & 1 = 1" => TRUE  # a "quoted" note\n',
+    'eval p "?msd_pell 1 = 1\n  & 1 = 1" => TRUE  # one " mark\n',
 ]
 
 
