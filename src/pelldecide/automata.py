@@ -325,6 +325,27 @@ def _bfs_order(delta: np.ndarray, initial: int) -> np.ndarray:
     return order
 
 
+def _explore(start, step: Callable, n_symbols: int) -> tuple[np.ndarray, list]:
+    """Breadth-first walk of the hashable states that ``step(state, symbol)``
+    reaches from ``start``, symbols in order: the transition table, ``start``
+    state 0, and the states in their table order.  The one walk that the carry
+    constructions (``learner.direct_adder`` and the words of ``sequences``)
+    build their tables with."""
+    ids = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:  # grows while it is read
+        row = []
+        for symbol in range(n_symbols):
+            target = step(state, symbol)
+            if target not in ids:
+                ids[target] = len(states)
+                states.append(target)
+            row.append(ids[target])
+        rows.append(row)
+    return np.array(rows, dtype=np.int32), states
+
+
 def _distance_to(delta: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Length of a shortest word leading each state into the boolean mask
     ``targets``; len(delta) + 1 for the states that no word leads there."""

@@ -11,6 +11,9 @@ prefix rows are pairwise distinct and each is one state of the hypothesis;
 no consistency check is needed.  An independent construction by
 carry analysis cross-checks it, and the decisive correctness argument is the
 inductive proof run by the theorems module, not the bounded testing here.
+The logic binds the carry-built adder, and ``sequences`` builds the words x5
+and x3 by the same carry walk; L* learns those words too
+(``sequences.learn_word_dfao``), only as their cross-check.
 """
 
 from __future__ import annotations
@@ -289,36 +292,20 @@ def direct_adder() -> Dfa:
     ``_CAP`` cannot return to zero and collapse into a dead state; the cap is
     validated by the equivalence test against the learned automaton.
     """
-    start = (0, 0)
-    ids: dict[tuple[int, int] | None, int] = {start: 0}
-    pending = [start]
-    rows: list[list[int]] = []
-    dead = None  # key for the overflow/dead sink
+    dead = None  # the overflow sink
     # x + y - z digit difference of each symbol
     dx, dy, dz = _ADDER_ALPHABET.unpack(np.arange(_ADDER_ALPHABET.size))
     differences = (dx + dy - dz).tolist()
 
-    def intern(key) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
-            pending.append(key)
-        return ids[key]
-
-    while pending:
-        state = pending.pop(0)
+    def step(state, symbol):
         if state is dead:
-            rows.append([ids[dead]] * len(differences))
-            continue
+            return dead
         c1, c0 = state
-        row = []
-        for d in differences:
-            n1, n0 = 2 * c1 + c0 + d, c1
-            key = (n1, n0) if max(abs(n1), abs(n0)) <= _CAP else dead
-            row.append(intern(key))
-        rows.append(row)
+        n1, n0 = 2 * c1 + c0 + differences[symbol], c1
+        return (n1, n0) if max(abs(n1), abs(n0)) <= _CAP else dead
 
-    delta = np.array(rows, dtype=np.int32)
-    accepting = np.array([k is not dead and k[0] == 0 for k in ids], dtype=bool)
+    delta, states = automata._explore((0, 0), step, _ADDER_ALPHABET.size)
+    accepting = np.array([k is not dead and k[0] == 0 for k in states], dtype=bool)
     residual = automata.minimize(Dfa(_ADDER_ALPHABET, delta, accepting, 0))
     return pell.restrict(residual)
 

@@ -6,17 +6,22 @@ from 0) replaces the 0s of c_alpha by successive symbols of (0102)^w and the
 1s by successive symbols of (34)^w; x3 uses (01)^w and 2^w.  All arithmetic is
 integer-exact: floor(m*alpha) = isqrt(2*m*m) - m.  The vectorized prefix takes
 a float square root only as a first guess, which integer comparisons correct.
+
+The DFAOs of x5 and x3 are built by carry analysis, as ``learner.direct_adder``
+builds the adder (``_word_dfao``); L* learns both words from their prefixes
+too (``learn_word_dfao``), only as a cross-check.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import learner, pell
+from . import automata, learner, pell
 from .automata import Dfao, TrackAlphabet
 
 if TYPE_CHECKING:
@@ -130,7 +135,8 @@ _WORD_MAX_LEN = 14  # digit strings learn_word_dfao's equivalence sweep reaches
 
 
 def learn_word_dfao(blocks) -> Dfao:
-    """Learn the Pell-base DFAO of a replacement word from its oracle.
+    """Learn the Pell-base DFAO of a replacement word from its oracle: the
+    L* cross-check of the carry-built ``x5_dfao`` and ``x3_dfao``.
 
     The target function is total: a digit string that is a padded canonical
     representation of N maps to word[N], anything else to 0.  The learner
@@ -162,17 +168,46 @@ def _word_oracle(blocks):
 
 def x5_dfao() -> Dfao:
     """Pell-base automaton computing x5[N] from the representation of N."""
-    return _learned_dfao(X5_BLOCKS)
+    return _word_dfao(X5_BLOCKS)
 
 
 def x3_dfao() -> Dfao:
     """Pell-base automaton computing x3[N] from the representation of N."""
-    return _learned_dfao(X3_BLOCKS)
+    return _word_dfao(X3_BLOCKS)
 
 
 @cache
-def _learned_dfao(blocks) -> Dfao:
-    return learn_word_dfao(blocks)
+def _word_dfao(blocks) -> Dfao:
+    """The minimal Pell-base DFAO of a replacement word, by carry analysis.
+
+    For n with digits d_{k-1} ... d_0, let v = sum d_i P_{i+1} (n itself) and
+    w = sum d_i P_i (the digits without d_0).  c_alpha[n+1] is d_0, and
+    c_alpha[1..n] holds w 1s, so word[n] is ones_block[w mod len] after a
+    last digit 1 and zeros_block[(v - w) mod len] after a 0.  Reading a digit
+    d maps (v, w) to (2v + w + d, v), ``learner.direct_adder``'s shift, so
+    the state keeps both mod the lcm of the block lengths, with the last
+    digit and the state of ``pell.valid_tracks(1)``; off that domain the
+    output is 0.
+    """
+    zeros_block, ones_block = blocks
+    modulus = math.lcm(len(zeros_block), len(ones_block))
+    domain = pell.valid_tracks(1)
+
+    def step(state, d):
+        v, w, _, valid = state
+        return (2 * v + w + d) % modulus, v, d, int(domain.delta[valid, d])
+
+    def output(state) -> int:
+        v, w, last, valid = state
+        if not domain.accepting[valid]:
+            return 0
+        if last == 1:
+            return ones_block[w % len(ones_block)]
+        return zeros_block[(v - w) % len(zeros_block)]
+
+    delta, states = automata._explore((0, 0, 0, domain.initial), step, domain.alphabet.size)
+    outputs = np.array([output(s) for s in states], dtype=np.int32)
+    return automata.minimize(Dfao(domain.alphabet, delta, outputs, 0))
 
 
 # The built-in words by the names a script or a session may give them; C and

@@ -1122,10 +1122,10 @@ def flip_accepting(a: Dfa, state: int) -> Dfa:
     return Dfa(a.alphabet, a.delta.copy(), acc, a.initial)
 
 
-def reroute(a: Dfa, state: int, symbol: int, target: int) -> Dfa:
+def reroute(a: Dfa | Dfao, state: int, symbol: int, target: int) -> Dfa | Dfao:
     delta = a.delta.copy()
     delta[state, symbol] = target
-    return Dfa(a.alphabet, delta, a.accepting.copy(), a.initial)
+    return type(a)(a.alphabet, delta, a.labels.copy(), a.initial)
 
 
 def flip_output(m: Dfao, state: int) -> Dfao:

@@ -1,5 +1,6 @@
 """The Sturmian word and its five- and three-letter balanced images."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 import pelldecide
 import references as R
 from pelldecide import automata, learner, logic, pell, sequences, theorems
-from pelldecide.automata import Dfao, TrackAlphabet
+from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
 STURMIAN_29 = "01010010100101010010100101010"
 X5_29 = "03140230410324031042301403240"
@@ -171,8 +174,10 @@ def test_no_disk_cache_is_read(tmp_path):
 
 
 def test_learn_word_dfao_is_deterministic():
-    m = sequences.learn_word_dfao(sequences.X3_BLOCKS)
-    assert R.same_automaton(m, sequences.x3_dfao())
+    # L* learns the same machine that carry analysis builds, for both words
+    for blocks, built in ((sequences.X5_BLOCKS, sequences.x5_dfao),
+                          (sequences.X3_BLOCKS, sequences.x3_dfao)):
+        assert automata.to_text(sequences.learn_word_dfao(blocks)) == automata.to_text(built())
 
 
 @pytest.mark.parametrize(
@@ -198,3 +203,86 @@ def test_word_oracle_matches_decode_every_row_reference(blocks, prefix):
             # the learner asks the oracle only words of the domain
             inside = domain.accepting[automata.run_batch(domain, batch)]
             assert np.array_equal(got[inside], reference(batch)[inside])
+
+
+WORD_DIGESTS = {  # sha256 of to_text, as test_canonical_outputs_are_byte_identical pins them
+    "x5": "af67afc4a115ba3c6439d9a1ee5ae52d26bff2b6b3abb9280d22facd632a5fe6",
+    "x3": "2550864df7788f549425a3fb4b27997b8c18de8500a3b30899faf4d4602ddcf4",
+}
+
+
+def test_words_are_built_without_learning(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("x5 and x3 are built by carry analysis, not learned")
+
+    monkeypatch.setattr(learner, "lstar_moore", refuse)
+    monkeypatch.setattr(learner, "bounded_equiv", refuse)
+    sequences._word_dfao.cache_clear()
+    for name, build in (("x5", sequences.x5_dfao), ("x3", sequences.x3_dfao)):
+        text = automata.to_text(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == WORD_DIGESTS[name], name
+
+
+def test_digit_facts_behind_the_carry_construction():
+    """For every n < 10^6: c_alpha[n+1] is the last digit of n's canonical
+    representation, and c_alpha[1..n] holds as many 1s as the value of that
+    representation without its last digit."""
+    n = 10**6
+    c = sequences.sturmian_prefix(n)
+    digits = pell.encode_batch(np.arange(n, dtype=np.int64))
+    assert np.array_equal(digits[:, -1], c)
+    ones_before = np.concatenate([[0], np.cumsum(c, dtype=np.int64)[:-1]])
+    assert np.array_equal(pell.decode_batch(digits[:, :-1]), ones_before)
+
+
+def test_words_are_zero_off_the_domain():
+    domain = pell.valid_tracks(1)
+    for word in (sequences.x5_dfao(), sequences.x3_dfao()):
+        nonzero = Dfa(word.alphabet, word.delta, word.outputs != 0, word.initial)
+        assert automata.is_empty(automata.product(nonzero, automata.complement(domain)))
+
+
+# x3 is pinned by sentences here only: no section of the bundled script states them
+X3_SENTENCES = {
+    "first_0_to_0": "?msd_pell C[1] = @0 & X[0] = @0",
+    "alternate_0_1_for_0s": """?msd_pell Ap,q
+        ((p < q) & (C[p + 1] = @0) & (C[q + 1] = @0) &
+         (Ai ((i > p) & (i < q)) => (C[i + 1] = @1))) =>
+        (((X[p] = @0) & (X[q] = @1)) | ((X[p] = @1) & (X[q] = @0)))""",
+    "2_exactly_at_1s": "?msd_pell Ap (C[p + 1] = @1) <=> (X[p] = @2)",
+}
+
+
+def x3_verdicts(env: logic.Environment) -> dict[str, bool]:
+    return {name: logic.eval_closed(text, env) for name, text in X3_SENTENCES.items()}
+
+
+def with_c_alpha() -> logic.Environment:
+    return logic.Environment().with_sequence("C", sequences.c_alpha_dfao())
+
+
+def test_x3_sentences_hold():
+    env = with_c_alpha().with_sequence("X", sequences.x3_dfao())
+    assert x3_verdicts(env) == dict.fromkeys(X3_SENTENCES, True)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_x3_sentences_catch_transition_mutants(data):
+    """A machine that redirects one transition of x3 and differs from x3 on
+    0..2999 makes at least one sentence FALSE.  A mutant that the binding
+    refuses (its output depends on leading zeros) never reaches them."""
+    x3 = sequences.x3_dfao()
+    state = data.draw(st.integers(0, x3.n_states - 1))
+    symbol = data.draw(st.integers(0, x3.alphabet.size - 1))
+    target = data.draw(st.integers(0, x3.n_states - 1))
+    assume(target != x3.delta[state, symbol])
+    mutant = R.reroute(x3, state, symbol, target)
+    words = pell.encode_batch(np.arange(3000))
+    assume(not np.array_equal(mutant.outputs[automata.run_batch(mutant, words)],
+                              sequences.x3_prefix(3000)))
+    try:
+        env = with_c_alpha().with_sequence("X", mutant)
+    except logic.CompileError:
+        reject()
+    assert not all(x3_verdicts(env).values())
