@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from . import automata, learner, logic, pell, search, sequences, theorems
+from . import automata, learner, logic, pell, search, theorems
 
 
 @contextmanager
@@ -146,7 +146,10 @@ def cmd_dump(session: Session, ns) -> int:
     try:
         target = session.env.stored(ns.name).dfa
     except logic.CompileError:
-        target = sequences.named(session.env, ns.name)
+        try:
+            target = session.env.sequence(ns.name)
+        except logic.CompileError:
+            raise logic.CompileError(f"no definition or sequence named {ns.name!r}") from None
     _write_automaton(target, ns.format, ns.out, session)
     return 0
 
@@ -154,7 +157,7 @@ def cmd_dump(session: Session, ns) -> int:
 def cmd_seq(session: Session, ns) -> int:
     if ns.dump:
         return _execute(session, ["seq", ns.name, "--dump", ns.dump])[0]
-    m = sequences.named(session.env, ns.name)
+    m = session.env.sequence(ns.name)
     lo = ns.start if ns.start is not None else 0
     hi = ns.stop if ns.stop is not None else lo + 28
     print("".join(str(automata.dfao_eval(m, i)) for i in range(lo, hi + 1)))

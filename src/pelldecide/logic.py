@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from . import automata, learner, pell
+from . import automata, learner, pell, sequences
 from .automata import Dfa, Dfao, TrackAlphabet
 
 __all__ = [
@@ -429,7 +429,9 @@ class Relation:
     @property
     def is_true(self) -> bool:
         if self.tracks:
-            raise CompileError(f"relation has free variables {self.tracks}")
+            raise CompileError(
+                f"predicate has free variables {', '.join(self.tracks)}; expected none"
+            )
         return bool(self.dfa.accepting[self.dfa.initial])
 
 
@@ -568,7 +570,10 @@ class Environment:
 
     Definitions and regular-expression automata share one callable namespace
     (both are invoked as $name(...)); sequences live in their own namespace.
-    ``adder`` overrides the addition relation, which exists so tests can
+    ``sequence`` is the one place a word name resolves: to the machine bound
+    to it, else to the built-in word of that name (``sequences.BUILTIN``), so
+    a bound C or X shadows the paper's.  ``adder`` overrides the addition
+    relation, which exists so tests can
     inject broken adders and watch proofs fail.  ``with_sequence`` and
     ``with_callable`` are the only ways to bind a name, and each checks what
     it binds against what the compiled relations assume.
@@ -616,17 +621,16 @@ class Environment:
         return name
 
     def sequence(self, name: str) -> Dfao:
-        if name not in self._sequences:
-            raise CompileError(f"unknown sequence {name!r}")
-        return self._sequences[name]
+        if name in self._sequences:
+            return self._sequences[name]
+        if name in sequences.BUILTIN:
+            return sequences.BUILTIN[name]()
+        raise CompileError(f"unknown sequence {name!r}")
 
     def stored(self, name: str) -> Relation:
         if name not in self._callables:
             raise CompileError(f"unknown definition {name!r}")
         return self._callables[name]
-
-    def sequence_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._sequences))
 
     def adder(self) -> Dfa:
         return self._adder if self._adder is not None else learner.adder()
@@ -910,17 +914,13 @@ class _Compiler:
             return _combine(self.compile(p.left), self.compile(p.right), p.op)
         if isinstance(p, PQuant):
             p = _positions(p)
-            r = self.compile(p.body)
-            if p.kind == "E":
-                for name in p.names:
-                    if name in r.tracks:
-                        r = _project_var(r, name)
-                return r
-            r = _negate(r)
+            # Ax φ is ~Ex ~φ
+            flip = _negate if p.kind == "A" else (lambda r: r)
+            r = flip(self.compile(p.body))
             for name in p.names:
                 if name in r.tracks:
                     r = _project_var(r, name)
-            return _negate(r)
+            return flip(r)
         raise CompileError(f"cannot compile {type(p).__name__}")
 
 
@@ -937,12 +937,7 @@ def compile(p: Union[str, Predicate], env: Optional[Environment] = None) -> Rela
 
 def eval_closed(p: Union[str, Predicate], env: Optional[Environment] = None) -> bool:
     """Truth value of a predicate with no free variables."""
-    r = compile(p, env)
-    if r.tracks:
-        raise CompileError(
-            f"predicate has free variables {', '.join(r.tracks)}; expected none"
-        )
-    return r.is_true
+    return compile(p, env).is_true
 
 
 def define(env: Environment, name: str, p: Union[str, Predicate]) -> Environment:

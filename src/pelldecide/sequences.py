@@ -15,17 +15,12 @@ too (``learn_word_dfao``), only as a cross-check.
 from __future__ import annotations
 
 import math
-import re
 from functools import cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import automata, learner, pell
 from .automata import Dfao, TrackAlphabet
-
-if TYPE_CHECKING:
-    from .logic import Environment
 
 __all__ = [
     "sturmian_prefix",
@@ -36,8 +31,6 @@ __all__ = [
     "x3_dfao",
     "learn_word_dfao",
     "BUILTIN",
-    "with_builtins",
-    "named",
 ]
 
 X5_BLOCKS = ((0, 1, 0, 2), (3, 4))
@@ -219,21 +212,3 @@ BUILTIN = {
     "x5": x5_dfao,
     "x3": x3_dfao,
 }
-
-_SEQ_ATOM = re.compile(r"([A-Za-z_]\w*)\s*\[")
-
-
-def with_builtins(env: Environment, text: str) -> Environment:
-    """``env`` with each built-in word that the predicate ``text`` indexes
-    into, and ``env`` does not bind yet, bound under its name."""
-    for name in sorted(set(_SEQ_ATOM.findall(text))):
-        if name in BUILTIN and name not in env.sequence_names():
-            env = env.with_sequence(name, BUILTIN[name]())
-    return env
-
-
-def named(env: Environment, name: str) -> Dfao:
-    """The sequence ``env`` binds to ``name``, else the built-in word of that name."""
-    if name in BUILTIN and name not in env.sequence_names():
-        return BUILTIN[name]()
-    return env.sequence(name)

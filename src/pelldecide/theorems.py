@@ -15,9 +15,9 @@ no file.
 
 One environment runs through the sections in order, as in ``run``; ``prove
 NAME`` runs the bindings (not the checks) of the sections before NAME first.
-Built-in words are bound on first use, unless the caller's environment binds
-them, which is how a proof runs over a mutant.  The script is read on first
-use, not on import.
+A word the caller's environment binds shadows the built-in of that name,
+which is how a proof runs over a mutant.  The script is read on first use,
+not on import.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import logic, sequences
+from . import logic
 from .automata import Dfa, Dfao
 
 __all__ = [
@@ -123,7 +123,7 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
             return env, Outcome(name)
         case ["def", name, text]:
             env.unbound(name)  # before the predicate compiles
-            env = logic.define(sequences.with_builtins(env, text), name, text)
+            env = logic.define(env, name, text)
             return env, Outcome(name, env.stored(name))
         case ["reg", name, pattern] | ["reg", name, "msd_pell", pattern]:
             env.unbound(name)  # before the pattern's automaton is built
@@ -132,7 +132,7 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
         case ["reg", _, numeration, _]:
             raise ValueError(f"unsupported numeration {numeration!r}")
         case ["seq", source, "--dump", path]:
-            m, name = sequences.named(env, source), Path(path).stem
+            m, name = env.sequence(source), Path(path).stem
             return env.with_sequence(name, m), Outcome(name, sequence=m)
         # the label is at most one name, and no option
         case ["eval", *label, text, "--expect", "TRUE" | "FALSE"] | ["eval", *label, text] if (
@@ -145,7 +145,6 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
                     raise ValueError("=> expectations apply only to closed predicates")
                 if name is not None:
                     env.unbound(name)  # an open eval binds its label
-            env = sequences.with_builtins(env, text)
             rel = logic.compile(predicate, env)
             if rel.tracks and name is not None:
                 env = env.with_callable(name, rel.dfa, rel.tracks)

@@ -859,7 +859,13 @@ def test_enumeration_matches_brute_force_past_the_state_count():
     for _ in range(60):
         a = random_dfa(rng, n_states=int(rng.integers(2, 5)))
         for max_len in (0, 3, a.n_states + 2, 7):
-            brute = [w for w in words_up_to(3, max_len) if automata.accepts(a, w)]
+            # every word of a length runs through one batch, in radix order
+            brute = []
+            for length in range(max_len + 1):
+                words = np.array(list(all_words(3, length)), dtype=np.int64)
+                words = words.reshape(3**length, length)
+                accepted = words[a.accepting[automata.run_batch(a, words)]]
+                brute += [tuple(w) for w in accepted.tolist()]
             assert automata.enumerate_words(a, max_len) == brute
 
 

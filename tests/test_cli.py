@@ -418,7 +418,7 @@ def test_dump_builtin_sequence(capsys):
 
 def test_dump_unknown_name(capsys):
     code, _, err = run_cli(capsys, "dump", "nonesuch")
-    assert code == 2 and "nonesuch" in err
+    assert code == 2 and "no definition or sequence named 'nonesuch'" in err
 
 
 def test_reg_forms(capsys, tmp_path):

@@ -338,6 +338,29 @@ def test_no_route_binds_a_sequence_past_the_check():
         logic.Environment(adder=learner.adder()).with_sequence("X", parity)
 
 
+def test_an_unbound_word_name_resolves_to_the_built_in():
+    bare = logic.compile("?msd_pell X[i] = @3", logic.Environment())
+    assert bare == logic.compile("?msd_pell X[i] = @3", x5_env())
+    with pytest.raises(CompileError, match="unknown sequence 'Z'"):
+        logic.compile("?msd_pell Z[i] = @0", logic.Environment())
+
+
+def test_a_bound_word_shadows_the_built_in():
+    env = logic.Environment().with_sequence("X", sequences.x3_dfao())
+    assert env.sequence("X") == sequences.x3_dfao()
+    # X is x3 here, and x5, bound nowhere, is still the built-in
+    assert logic.eval_closed("?msd_pell X[1] = @2 & x5[1] = @3", env) is True
+    assert logic.eval_closed("?msd_pell X[1] = @2", logic.Environment()) is False
+
+
+def test_every_built_in_word_is_a_bindable_sequence():
+    # what with_sequence checks of a bound word holds of each built-in one
+    for name, build in sequences.BUILTIN.items():
+        m = build()
+        assert isinstance(m, Dfao) and m.alphabet.n_tracks == 1, name
+        assert logic._pads_freely(m), name
+
+
 def _zeros_then_21():
     """1-track DFA of 0*21: a 2 followed by a 1, which no canonical
     representation holds, however many zeros pad it."""
@@ -531,6 +554,9 @@ def test_a_variable_only_under_zero_times_keeps_its_track():
 def test_eval_closed_rejects_free_variables():
     with pytest.raises(CompileError):
         logic.eval_closed("?msd_pell x = x")
+    # the relation itself refuses a truth value, with eval_closed's message
+    with pytest.raises(CompileError, match="^predicate has free variables x; expected none$"):
+        logic.compile("?msd_pell x = x").is_true
 
 
 # --- compiled relation plumbing ----------------------------------------------------
