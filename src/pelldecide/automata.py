@@ -486,7 +486,7 @@ def _quotient(kind: type, alphabet: TrackAlphabet, delta: np.ndarray, labels: np
 # boolean algebra
 
 _OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "and": np.logical_and,
+    "and": lambda p, q: p * (q != 0),
     "or": np.logical_or,
     "xor": np.logical_xor,
     "implies": lambda p, q: np.logical_or(np.logical_not(p), q),
@@ -495,11 +495,13 @@ _OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
-def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
+def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa | Dfao:
     """Boolean combination of two automata over the same alphabet.
 
     The op combines the states' labels: a nonzero output counts as true,
-    except that for two Dfaos ``"iff"`` accepts where the outputs are equal.
+    except that for two Dfaos ``"iff"`` accepts where the outputs are equal,
+    and ``"and"`` keeps ``a``'s label where ``b``'s is nonzero.  Boolean
+    labels give a Dfa and outputs a Dfao, so ``"and"`` of a Dfao is a Dfao.
     Only the pairs reachable from the initial pair are built, walked
     level by level with a visited mask over all ``na * nb`` pair codes, and
     their table goes straight to ``_quotient``.
@@ -534,8 +536,9 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa:
     codes = np.flatnonzero(seen)
     qa, qb = np.divmod(codes, nb)
     delta = np.searchsorted(codes, da[qa] + db[qb])
-    accepting = combine(a.labels[qa], b.labels[qb])
-    return _quotient(Dfa, a.alphabet, delta, accepting, int(np.searchsorted(codes, start)))
+    labels = combine(a.labels[qa], b.labels[qb])
+    kind = Dfa if labels.dtype == bool else Dfao
+    return _quotient(kind, a.alphabet, delta, labels, int(np.searchsorted(codes, start)))
 
 
 def complement(a: Dfa) -> Dfa:
@@ -1091,6 +1094,16 @@ def load_text(path) -> Dfa | Dfao:
         return from_text(fh.read())
 
 
+def _int32(text: str, line: str) -> int:
+    """``text`` as an int32, else a ValueError that names ``line``."""
+    try:
+        if -_INT32_MAX - 1 <= (value := int(text)) <= _INT32_MAX:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"expected a 32-bit integer, got {text.strip()!r} in line {line!r}")
+
+
 def from_text(text: str) -> Dfa | Dfao:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -1112,7 +1125,7 @@ def from_text(text: str) -> Dfa | Dfao:
                     current["accepting"] = True
                     rest = rest[1:]
                 elif rest[0] == "output":
-                    current["output"] = int(rest[1])
+                    current["output"] = _int32("".join(rest[1:2]), ln)
                     rest = rest[2:]
                 else:
                     raise ValueError(f"bad state attribute: {rest[0]!r}")
@@ -1130,7 +1143,7 @@ def from_text(text: str) -> Dfa | Dfao:
                 n_tracks = len(digits)
             elif n_tracks != len(digits):
                 raise ValueError("inconsistent track counts")
-            current["trans"][digits] = int(target)
+            current["trans"][digits] = _int32(target, ln)
     if n_tracks is None:
         n_tracks = 0
     alphabet = TrackAlphabet(n_tracks)

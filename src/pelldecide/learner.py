@@ -5,7 +5,8 @@ triples [dx,dy,dz] is in the language iff every track is a (possibly
 zero-padded) canonical representation and the first two decode to values
 summing to the third.  Angluin's L* recovers its minimal DFA from the decode
 oracle together with the domain automaton ``pell.valid_tracks(3)``, which
-supplies the padded-canonical condition.  As Maler and Pnueli do, L* adds
+supplies the padded-canonical condition: ``automata.product(hypothesis,
+domain)`` puts each hypothesis on it.  As Maler and Pnueli do, L* adds
 every suffix of a counterexample to the table as a column, so the table's
 prefix rows are pairwise distinct and each is one state of the hypothesis;
 no consistency check is needed.  An independent construction by
@@ -142,12 +143,8 @@ def _lstar_engine(oracle, domain, equivalence, kind):
             table.add_prefix(ext)
             continue
         delta, values, initial = table.hypothesis()
-        raw = kind(domain.alphabet, delta, np.asarray(values), initial)
-        # zero off the domain at every length, as the table is: the label of a
-        # pair whose domain state rejects is 0
-        delta, initial = _pairs(raw, domain)
-        labels = (raw.labels[:, None] * domain.accepting).ravel()
-        hyp = automata.minimize(kind(domain.alphabet, delta, labels, initial))
+        # zero off the domain at every length, as the table is
+        hyp = automata.product(kind(domain.alphabet, delta, np.asarray(values), initial), domain)
         ce = equivalence(hyp)
         if ce is None:
             return hyp
@@ -190,9 +187,10 @@ _MAX_LEVEL = 27**6  # words of the longest level bounded_equiv sweeps
 
 
 def _pairs(hypothesis: Dfa | Dfao, domain: Dfa) -> tuple[np.ndarray, int]:
-    """The product of ``hypothesis`` and ``domain``, whose state h * n + d
-    pairs hypothesis state h with domain state d (n the domain's state count):
-    its transition table, in the smallest unsigned type, and initial state."""
+    """The table ``bounded_equiv`` sweeps: the product of ``hypothesis`` and
+    ``domain``, whose state h * n + d pairs hypothesis state h with domain
+    state d (n the domain's state count), in the smallest unsigned type, and
+    its initial state."""
     n = domain.n_states
     delta = hypothesis.delta[:, None, :] * n + domain.delta
     delta = delta.reshape(len(delta) * n, -1).astype(np.min_scalar_type(len(delta) * n - 1))

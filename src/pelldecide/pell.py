@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from . import automata
-from .automata import Dfa, TrackAlphabet, minimize
+from .automata import Dfa, Dfao, TrackAlphabet, minimize
 
 __all__ = [
     "pell_number",
@@ -102,9 +102,9 @@ def _valid_tracks(k: int) -> Dfa:
     return automata.product(first, last, "and")
 
 
-def restrict(a: Dfa) -> Dfa:
-    """``a`` on the domain: the words it accepts whose every track is a
-    padded canonical representation."""
+def restrict(a: Dfa | Dfao) -> Dfa | Dfao:
+    """``a`` on the domain: a Dfa accepts, and a Dfao outputs nonzero, only
+    on words whose every track is a padded canonical representation."""
     return automata.product(a, valid_tracks(a.alphabet.n_tracks), "and")
 
 

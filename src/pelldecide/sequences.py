@@ -8,8 +8,10 @@ integer-exact: floor(m*alpha) = isqrt(2*m*m) - m.  The vectorized prefix takes
 a float square root only as a first guess, which integer comparisons correct.
 
 The DFAOs of x5 and x3 are built by carry analysis, as ``learner.direct_adder``
-builds the adder (``_word_dfao``); L* learns both words from their prefixes
-too (``learn_word_dfao``), only as a cross-check.
+builds the adder (``_word_dfao``), and c_alpha's from its trailing-zero rule;
+``pell.restrict`` makes each output 0 off the padded canonical strings.  L*
+learns x5 and x3 from their prefixes too (``learn_word_dfao``), only as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -91,11 +93,11 @@ def c_alpha_dfao() -> Dfao:
     """Pell-base automaton for c_alpha, built from the trailing-zero rule.
 
     c_alpha[N] = 1 iff the canonical representation of N ends with an odd
-    number of 0 digits, so the machine tracks the parity of the current
-    trailing-zero run.  States: 0 = only padding zeros so far, 1 = even run
-    after a digit (also entered on 1), 2 = odd run, 3 = just read a 2 (must
-    see a 0 next; a word may not stop here), 4 = invalid input.  Outputs on
-    states 3 and 4 are defined (0) but only invalid strings halt there.
+    number of 0 digits, so the core tracks the parity of the current
+    trailing-zero run.  Its states: 0 = only padding zeros so far, 1 = even
+    run after a digit (also entered on 1 and 2), 2 = odd run.
+    ``pell.restrict`` puts it on the domain, which makes the output 0 off
+    the padded canonical strings.
 
     Returns one shared instance.
     """
@@ -104,18 +106,8 @@ def c_alpha_dfao() -> Dfao:
 
 @cache
 def _c_alpha() -> Dfao:
-    delta = np.array(
-        [
-            [0, 1, 3],
-            [2, 1, 3],
-            [1, 1, 3],
-            [2, 4, 4],
-            [4, 4, 4],
-        ],
-        dtype=np.int32,
-    )
-    outputs = np.array([0, 0, 1, 0, 0], dtype=np.int32)
-    return Dfao(TrackAlphabet(1), delta, outputs, 0)
+    delta = np.array([[0, 1, 1], [2, 1, 1], [1, 1, 1]], dtype=np.int32)
+    return pell.restrict(Dfao(TrackAlphabet(1), delta, np.array([0, 0, 1]), 0))
 
 
 @cache
@@ -179,28 +171,24 @@ def _word_dfao(blocks) -> Dfao:
     last digit 1 and zeros_block[(v - w) mod len] after a 0.  Reading a digit
     d maps (v, w) to (2v + w + d, v), ``learner.direct_adder``'s shift, so
     the state keeps both mod the lcm of the block lengths, with the last
-    digit and the state of ``pell.valid_tracks(1)``; off that domain the
-    output is 0.
+    digit; ``pell.restrict`` makes the output 0 off the domain.
     """
     zeros_block, ones_block = blocks
     modulus = math.lcm(len(zeros_block), len(ones_block))
-    domain = pell.valid_tracks(1)
 
     def step(state, d):
-        v, w, _, valid = state
-        return (2 * v + w + d) % modulus, v, d, int(domain.delta[valid, d])
+        v, w, _ = state
+        return (2 * v + w + d) % modulus, v, d
 
     def output(state) -> int:
-        v, w, last, valid = state
-        if not domain.accepting[valid]:
-            return 0
+        v, w, last = state
         if last == 1:
             return ones_block[w % len(ones_block)]
         return zeros_block[(v - w) % len(zeros_block)]
 
-    delta, states = automata._explore((0, 0, 0, domain.initial), step, domain.alphabet.size)
+    delta, states = automata._explore((0, 0, 0), step, automata.DIGITS)
     outputs = np.array([output(s) for s in states], dtype=np.int32)
-    return automata.minimize(Dfao(domain.alphabet, delta, outputs, 0))
+    return pell.restrict(Dfao(TrackAlphabet(1), delta, outputs, 0))
 
 
 # The built-in words by the names a script or a session may give them; C and

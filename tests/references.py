@@ -805,7 +805,7 @@ def ref_minimize(a):
 
 
 _REF_OPS = {
-    "and": lambda p, q: bool(p) and bool(q),
+    "and": lambda p, q: p if q else 0,  # the left label where the right is nonzero
     "or": lambda p, q: bool(p) or bool(q),
     "xor": lambda p, q: bool(p) != bool(q),
     "implies": lambda p, q: not p or bool(q),
@@ -814,9 +814,10 @@ _REF_OPS = {
 }
 
 
-def ref_product(a, b, op: str) -> Dfa:
+def ref_product(a, b, op: str) -> Dfa | Dfao:
     """Boolean combination by a Python breadth-first walk over the reachable
-    state pairs, numbered as found, then ref_minimize."""
+    state pairs, numbered as found, then ref_minimize.  The ``"and"`` of a
+    Dfao keeps its outputs, so it is a Dfao; every other result is a Dfa."""
     combine = _REF_OPS[op]
     pairs = [(a.initial, b.initial)]
     index = {pairs[0]: 0}
@@ -830,8 +831,9 @@ def ref_product(a, b, op: str) -> Dfa:
                 pairs.append(t)
             row.append(index[t])
         rows.append(row)
-    accepting = [combine(a.labels[p].item(), b.labels[q].item()) for p, q in pairs]
-    return ref_minimize(Dfa(a.alphabet, np.array(rows), np.array(accepting), 0))
+    labels = [combine(a.labels[p].item(), b.labels[q].item()) for p, q in pairs]
+    kind = Dfao if op == "and" and isinstance(a, Dfao) else Dfa
+    return ref_minimize(kind(a.alphabet, np.array(rows), np.array(labels), 0))
 
 
 def ref_cylindrify(a, position: int):

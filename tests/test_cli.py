@@ -689,6 +689,20 @@ def test_corrupt_session_definition(capsys, tmp_path):
     bad.write_text('{"params": ["x"]}')
     code, _, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
     assert code == 2 and err.startswith("error:") and "bad.json" in err
+    bad.unlink()
+    # a number that is missing or past int32 in a sequence file
+    (tmp_path / "sequences").mkdir()
+    seq = tmp_path / "sequences" / "S.txt"
+    for label, (head, target) in {
+        "no output": ("state 0 output", "0"),
+        "output past int32": ("state 0 output 2147483648", "0"),
+        "target past int32": ("state 0 output 0", "2147483648"),
+    }.items():
+        seq.write_text(f"msd_pell\n{head}\n[0] -> {target}\n[1] -> 0\n[2] -> 0\n")
+        code, out, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
+        assert code == 2 and out == "", label
+        assert err.startswith("error:") and "S.txt" in err and "in line" in err, label
+        assert len(err.splitlines()) == 1, label
 
 
 def test_tampered_session_definition(capsys, tmp_path):

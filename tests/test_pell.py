@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import references as R
 from pelldecide import automata, pell
+from pelldecide.automata import Dfao, TrackAlphabet
 
 PELL = R.ref_pell_list(40)
 
@@ -92,6 +93,30 @@ def test_canonical_recognizer_equals_digit_conditions():
         states = automata.run_batch(rec, rows)
         want = [R.ref_is_canonical("".join(map(str, r)).lstrip("0")) for r in rows.tolist()]
         assert rec.accepting[states].tolist() == want
+
+
+def test_restrict_puts_a_dfao_on_the_domain():
+    # outputs as the machine's on the words of valid_tracks(k), 0 elsewhere
+    rng = np.random.default_rng(83)
+    nonzero_off_domain = 0
+    for n_tracks in (1, 2):
+        m = 3**n_tracks
+        domain = pell.valid_tracks(n_tracks)
+        for _ in range(6):
+            n = int(rng.integers(1, 8))
+            delta = rng.integers(0, n, size=(n, m))
+            machine = Dfao(TrackAlphabet(n_tracks), delta, rng.integers(0, 4, size=n))
+            got = pell.restrict(machine)
+            assert isinstance(got, Dfao) and automata.minimize(got) == got
+            for length in range(7):
+                # every word of the length, one per row, in radix order
+                words = np.indices((m,) * length, dtype=np.int8).reshape(length, m**length).T
+                inside = domain.accepting[automata.run_batch(domain, words)]
+                outputs = machine.outputs[automata.run_batch(machine, words)]
+                want = np.where(inside, outputs, 0)
+                assert np.array_equal(got.outputs[automata.run_batch(got, words)], want)
+                nonzero_off_domain += np.count_nonzero(outputs[~inside])
+    assert nonzero_off_domain  # restrict had outputs to put to 0
 
 
 @given(st.integers(0, 10**12))
