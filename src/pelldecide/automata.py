@@ -138,12 +138,6 @@ class TrackAlphabet:
             idx = idx * DIGITS + d
         return idx
 
-    def digits(self, index: int) -> tuple[int, ...]:
-        """``unpack`` of one symbol."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"symbol index out of range: {index}")
-        return self.unpack(int(index))
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
@@ -1048,13 +1042,23 @@ def write_text_atomic(path, text: str) -> None:
         with open(tmp, "x", encoding="utf-8") as fh:  # default file mode, unlike mkstemp
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as e:
+        if e.filename is None:
+            raise
+        raise OSError(e.errno, e.strerror, str(path)) from e  # the file asked for
+    finally:
+        if tmp.exists():  # open made it, and os.replace did not move it
+            tmp.unlink()
 
 
 def save_text(a: Dfa | Dfao, path) -> None:
     write_text_atomic(path, to_text(a))
+
+
+def _spellings(alphabet: TrackAlphabet) -> list[str]:
+    """Each symbol of ``alphabet`` as text spells it: its digits, comma-joined, in brackets."""
+    digits = np.reshape(alphabet.unpack(np.arange(alphabet.size)), (-1, alphabet.size))
+    return [f"[{','.join(map(str, d))}]" for d in digits.T.tolist()]
 
 
 def to_text(a: Dfa | Dfao) -> str:
@@ -1064,19 +1068,14 @@ def to_text(a: Dfa | Dfao) -> str:
     by swapping, so every file round-trips.
     """
     a = _initial_first(a)
+    arrows = [f"{s} -> " for s in _spellings(a.alphabet)]
     lines = [HEADER]
-    alphabet = a.alphabet
-    is_dfao = isinstance(a, Dfao)
-    for q, label in enumerate(a.labels.tolist()):
-        head = f"state {q}"
-        if is_dfao:
-            head += f" output {label}"
-        elif label:
-            head += " accepting"
-        lines.append(head)
-        for s in range(alphabet.size):
-            tup = ",".join(map(str, alphabet.digits(s)))
-            lines.append(f"[{tup}] -> {int(a.delta[q, s])}")
+    for q, (label, row) in enumerate(zip(a.labels.tolist(), a.delta.tolist())):
+        if isinstance(a, Dfao):
+            lines.append(f"state {q} output {label}")
+        else:
+            lines.append(f"state {q} accepting" if label else f"state {q}")
+        lines += [arrow + str(t) for arrow, t in zip(arrows, row)]
     return "\n".join(lines) + "\n"
 
 
@@ -1084,83 +1083,77 @@ def _initial_first(a):
     if a.initial == 0:
         return a
     perm = np.arange(a.n_states)
-    perm[[0, a.initial]] = perm[[a.initial, 0]]
-    inv = np.argsort(perm)
-    return type(a)(a.alphabet, inv[a.delta[perm]], a.labels[perm], 0)
+    perm[[0, a.initial]] = perm[[a.initial, 0]]  # a swap, its own inverse
+    return type(a)(a.alphabet, perm[a.delta[perm]], a.labels[perm], 0)
 
 
 def load_text(path) -> Dfa | Dfao:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+    return from_text(Path(path).read_text(encoding="utf-8"))
 
 
 def _int32(text: str, line: str) -> int:
-    """``text`` as an int32, else a ValueError that names ``line``."""
+    """``text`` as ``to_text`` spells an int32, else a ValueError naming ``line``."""
     try:
-        if -_INT32_MAX - 1 <= (value := int(text)) <= _INT32_MAX:
+        if str(value := int(text)) == text and -_INT32_MAX - 1 <= value <= _INT32_MAX:
             return value
     except ValueError:
         pass
     raise ValueError(f"expected a 32-bit integer, got {text.strip()!r} in line {line!r}")
 
 
+def _state_line(line: str, q: int) -> tuple[bool, int]:
+    """Whether the line heading state ``q`` gives an output, and its label."""
+    match line.split(" "):
+        case ["state", sid, *_] if sid != str(q):
+            raise ValueError(f"expected state {q}, got line {line!r}")
+        case ["state", _]:
+            return False, 0
+        case ["state", _, "accepting"]:
+            return False, 1
+        case ["state", _, "output", *value] if len(value) < 2:
+            return True, _int32("".join(value), line)
+    raise ValueError(f"malformed line: {line!r}")
+
+
 def from_text(text: str) -> Dfa | Dfao:
+    """The machine whose ``to_text`` is ``text``, blank and ``#`` lines aside.
+    Every line is checked before any table is built, so a malformed file is
+    one ValueError naming its line or state, whatever size it claims."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != HEADER:
-        raise ValueError(f"expected header {HEADER!r}")
-    states: list[dict] = []
-    current: dict | None = None
-    n_tracks: int | None = None
+    if lines[:1] != [HEADER]:
+        raise ValueError(f"expected header {HEADER!r}, got {(lines or [''])[0]!r}")
+    heads: list[tuple[bool, int]] = []  # whether each state gives an output, and its label
+    rows: list[list[str]] = []  # each state's symbols, in file order
+    targets: list[int] = []
     for ln in lines[1:]:
         if ln.startswith("state "):
-            parts = ln.split()
-            sid = int(parts[1])
-            if sid != len(states):
-                raise ValueError("state blocks must appear in order")
-            current = {"accepting": False, "output": None, "trans": {}}
-            rest = parts[2:]
-            while rest:
-                if rest[0] == "accepting":
-                    current["accepting"] = True
-                    rest = rest[1:]
-                elif rest[0] == "output":
-                    current["output"] = _int32("".join(rest[1:2]), ln)
-                    rest = rest[2:]
-                else:
-                    raise ValueError(f"bad state attribute: {rest[0]!r}")
-            states.append(current)
+            heads.append(_state_line(ln, len(rows)))
+            if heads[-1][0] != heads[0][0]:
+                raise ValueError(f"state {len(rows)} mixes output and plain states")
+            rows.append([])
         else:
-            if current is None or "->" not in ln:
+            symbol, arrow, target = ln.partition(" -> ")
+            if not rows or not arrow:
                 raise ValueError(f"malformed line: {ln!r}")
-            sym_text, target = ln.split("->")
-            sym_text = sym_text.strip()
-            if not (sym_text.startswith("[") and sym_text.endswith("]")):
-                raise ValueError(f"malformed symbol: {sym_text!r}")
-            inner = sym_text[1:-1].strip()
-            digits = tuple(int(p) for p in inner.split(",")) if inner else ()
-            if n_tracks is None:
-                n_tracks = len(digits)
-            elif n_tracks != len(digits):
-                raise ValueError("inconsistent track counts")
-            current["trans"][digits] = _int32(target, ln)
-    if n_tracks is None:
-        n_tracks = 0
+            rows[-1].append(symbol)
+            targets.append(_int32(target, ln))
+    first = next((row[0] for row in rows if row), "[]")
+    n_tracks = first.count(",") + (first != "[]")
+    for q, row in enumerate(rows):
+        if len(row) != DIGITS**n_tracks:
+            raise ValueError(f"state {q} is not complete over {n_tracks} tracks")
     alphabet = TrackAlphabet(n_tracks)
-    n = len(states)
-    delta = np.zeros((n, alphabet.size), dtype=np.int32)
-    for q, st in enumerate(states):
-        if len(st["trans"]) != alphabet.size:
-            raise ValueError(f"state {q} is not complete")
-        for digits, target in st["trans"].items():
-            delta[q, alphabet.index(digits)] = target
-    outputs = [st["output"] for st in states]
-    if any(o is not None for o in outputs):
-        if any(o is None for o in outputs):
-            raise ValueError("mixed output and plain states")
-        return Dfao(alphabet, delta, np.array(outputs, dtype=np.int32), 0)
-    accepting = np.array([st["accepting"] for st in states], dtype=bool)
-    return Dfa(alphabet, delta, accepting, 0)
+    # every state is complete, so there are no more spellings than lines
+    column = {s: i for i, s in enumerate(_spellings(alphabet))}
+    for q, row in enumerate(rows):
+        if set(row) != column.keys():
+            raise ValueError(f"state {q} does not give each {n_tracks}-track symbol once")
+    cells = [column[s] for row in rows for s in row]
+    delta = np.empty((len(rows), alphabet.size), dtype=np.int32)
+    delta[np.repeat(np.arange(len(rows)), alphabet.size), cells] = targets
+    machine = Dfao if heads and heads[0][0] else Dfa
+    return machine(alphabet, delta, np.array([label for _, label in heads]), 0)
 
 
 def to_dot(a: Dfa | Dfao, name: str = "automaton") -> str:
@@ -1172,12 +1165,11 @@ def to_dot(a: Dfa | Dfao, name: str = "automaton") -> str:
         text = f"{q}/{label}" if is_dfao else str(q)
         lines.append(f'  q{q} [shape={shape} label="{text}"];')
     lines.append(f"  hidden -> q{a.initial};")
+    spelled = _spellings(a.alphabet)
     groups: dict[tuple[int, int], list[str]] = {}
-    for q in range(a.n_states):
-        for s in range(a.alphabet.size):
-            t = int(a.delta[q, s])
-            sym = ",".join(map(str, a.alphabet.digits(s)))
-            groups.setdefault((q, t), []).append(f"[{sym}]")
+    for q, row in enumerate(a.delta.tolist()):
+        for symbol, t in zip(spelled, row):
+            groups.setdefault((q, t), []).append(symbol)
     for (q, t), syms in sorted(groups.items()):
         label = " ".join(syms)
         lines.append(f'  q{q} -> q{t} [label="{label}"];')

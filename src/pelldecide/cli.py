@@ -63,8 +63,10 @@ class Session:
                 self.env = self.env.with_callable(path.stem, dfa, tuple(data["params"]))
 
     def resolve(self, path: str) -> Path:
+        """``path`` in the session directory, made if need be, unless absolute."""
         p = Path(path)
         if self.directory is not None and not p.is_absolute():
+            self.directory.mkdir(parents=True, exist_ok=True)
             return self.directory / p
         return p
 
@@ -83,16 +85,22 @@ def _write_automaton(a, fmt: str, out: Optional[str], session: Session) -> None:
         print(text, end="")
 
 
-def _execute(session: Session, tokens: list[str]) -> tuple[int, theorems.Outcome]:
-    """Run one line of the script language in the session, keep what it
-    bound, and print what it produced; exit code 1 when a closed eval's
-    verdict is not its trailer."""
-    session.env, out = theorems.step(session.env, tokens)
+def _execute(session: Session, tokens: list[str], dest: Optional[str] = None,
+             fmt: str = "txt") -> int:
+    """Run one line of the script language in the session, write its files
+    (an eval's relation to ``dest``) before keeping what it bound, so a failed
+    write leaves the session as it was, and print what it produced; exit code
+    1 when a closed eval's verdict is not its trailer."""
+    env, out = theorems.step(session.env, tokens)
+    code = 0
+    if dest:
+        _write_automaton(out.relation.dfa, fmt, dest, session)
     if out.sequence is not None:
         # a seq line's last token is the dump's file
         path = session.resolve(tokens[-1])
-        session.save(f"sequences/{out.name}.txt", automata.to_text(out.sequence))
-        automata.save_text(out.sequence, path)
+        text = automata.to_text(out.sequence)
+        automata.write_text_atomic(path, text)
+        session.save(f"sequences/{out.name}.txt", text)
         print(f"wrote {path}")
     elif out.verdict is not None:
         verdict = "TRUE" if out.verdict else "FALSE"
@@ -100,7 +108,7 @@ def _execute(session: Session, tokens: list[str]) -> tuple[int, theorems.Outcome
         if out.expect is not None and out.expect != out.verdict:
             print(f"error: expected {'TRUE' if out.expect else 'FALSE'}, got {verdict}",
                   file=sys.stderr)
-            return 1, out
+            code = 1
     elif out.relation is not None:
         rel = out.relation
         if out.name is not None:
@@ -108,7 +116,8 @@ def _execute(session: Session, tokens: list[str]) -> tuple[int, theorems.Outcome
             session.save(f"definitions/{out.name}.json", json.dumps(data))
         print(f"{out.name or 'result'}: automaton over ({', '.join(rel.tracks)}), "
               f"{rel.dfa.n_states} states")
-    return 0, out
+    session.env = env
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +137,15 @@ def cmd_convert(session: Session, ns) -> int:
 def cmd_eval(session: Session, ns) -> int:
     label = [ns.name] if ns.name else []
     trailer = ["--expect", ns.expect] if ns.expect else []
-    code, out = _execute(session, ["eval", *label, ns.predicate, *trailer])
-    if ns.out:
-        _write_automaton(out.relation.dfa, ns.format, ns.out, session)
-    return code
+    return _execute(session, ["eval", *label, ns.predicate, *trailer], ns.out, ns.format)
 
 
 def cmd_def(session: Session, ns) -> int:
-    return _execute(session, ["def", ns.name, ns.predicate])[0]
+    return _execute(session, ["def", ns.name, ns.predicate])
 
 
 def cmd_reg(session: Session, ns) -> int:
-    return _execute(session, ["reg", ns.name, *ns.rest])[0]
+    return _execute(session, ["reg", ns.name, *ns.rest])
 
 
 def cmd_dump(session: Session, ns) -> int:
@@ -156,7 +162,7 @@ def cmd_dump(session: Session, ns) -> int:
 
 def cmd_seq(session: Session, ns) -> int:
     if ns.dump:
-        return _execute(session, ["seq", ns.name, "--dump", ns.dump])[0]
+        return _execute(session, ["seq", ns.name, "--dump", ns.dump])
     m = session.env.sequence(ns.name)
     lo = ns.start if ns.start is not None else 0
     hi = ns.stop if ns.stop is not None else lo + 28
@@ -210,7 +216,7 @@ def cmd_run(session: Session, ns) -> int:
     worst = 0
     for tokens in logic.script_commands(Path(ns.script).read_text()):
         print(f"> {' '.join(tokens)}")
-        worst = max(worst, _execute(session, tokens)[0])
+        worst = max(worst, _execute(session, tokens))
     return worst
 
 

@@ -82,7 +82,9 @@ def test_pack_and_unpack_agree_with_index_and_digits(n_tracks):
     alphabet = TrackAlphabet(n_tracks)
     size = alphabet.size
     tracks = np.reshape(alphabet.unpack(np.arange(size)), (n_tracks, size))
-    assert list(map(tuple, tracks.T.tolist())) == [alphabet.digits(s) for s in range(size)]
+    # symbols count in radix order, track 0 slowest
+    radix_order = itertools.product(range(3), repeat=n_tracks)
+    assert list(map(tuple, tracks.T.tolist())) == list(radix_order)
     assert alphabet.pack(tracks).tolist() == list(range(size))
     # int8 (n, L) digit arrays in either memory order; five tracks have 243
     # symbols, more than int8 holds
@@ -885,12 +887,40 @@ def test_enumeration_matches_brute_force_past_the_state_count():
 # --- serialization -------------------------------------------------------------
 
 
+INT32 = np.iinfo(np.int32)
+
+
+def arithmetic_table(n, n_tracks):
+    return (np.arange(n * 3**n_tracks).reshape(n, -1) * 7 + 3) % n
+
+
+# the edges of the text form: no track and three tracks, an initial state
+# other than 0, and outputs at both ends of int32
+EDGE_MACHINES = [
+    Dfa(TrackAlphabet(0), arithmetic_table(3, 0), np.array([False, True, False]), 2),
+    Dfa(TrackAlphabet(3), arithmetic_table(4, 3), np.array([True, False, False, True]), 1),
+    Dfao(TrackAlphabet(0), arithmetic_table(2, 0), np.array([INT32.min, INT32.max]), 1),
+    Dfao(TrackAlphabet(3), arithmetic_table(5, 3), np.array([INT32.max, 0, -7, INT32.min, 3]), 3),
+]
+
+
+def assert_text_round_trip(a):
+    """from_text(to_text(a)) is ``a`` with states 0 and ``a.initial`` swapped."""
+    b = automata.from_text(automata.to_text(a))
+    swap = np.arange(a.n_states)
+    swap[[0, a.initial]] = [a.initial, 0]
+    assert type(b) is type(a) and b.alphabet == a.alphabet and b.initial == 0
+    assert np.array_equal(b.delta[swap], swap[a.delta])
+    assert np.array_equal(b.labels[swap], a.labels)
+
+
 def test_text_round_trip_dfa(tmp_path):
     rng = np.random.default_rng(59)
-    for a in (pell.canonical_recognizer(), random_dfa(rng), random_dfa(rng, n_tracks=2)):
-        b = automata.from_text(automata.to_text(a))
-        assert isinstance(b, Dfa)
-        assert R.same_automaton(a, b)
+    cases = [pell.canonical_recognizer(), random_dfa(rng), random_dfa(rng, n_tracks=2),
+             random_dfa(rng, n_tracks=0), random_dfa(rng, n_tracks=3)]
+    cases.append(Dfa(cases[1].alphabet, cases[1].delta, cases[1].accepting, cases[1].n_states - 1))
+    for a in cases + [e for e in EDGE_MACHINES if isinstance(e, Dfa)]:
+        assert_text_round_trip(a)
     path = tmp_path / "rec.txt"
     automata.save_text(pell.canonical_recognizer(), path)
     assert R.same_automaton(automata.load_text(path), pell.canonical_recognizer())
@@ -898,9 +928,10 @@ def test_text_round_trip_dfa(tmp_path):
 
 def test_text_round_trip_dfao(tmp_path):
     m = sequences.x5_dfao()
-    b = automata.from_text(automata.to_text(m))
-    assert isinstance(b, Dfao)
-    assert R.same_automaton(m, b)
+    rng = np.random.default_rng(60)
+    cases = [m, sequences.x3_dfao(), random_dfao(rng), permuted(random_dfao(rng), rng)]
+    for a in cases + [e for e in EDGE_MACHINES if isinstance(e, Dfao)]:
+        assert_text_round_trip(a)
     path = tmp_path / "x5.txt"
     automata.save_text(m, path)
     assert R.same_automaton(automata.load_text(path), m)
@@ -909,3 +940,63 @@ def test_text_round_trip_dfao(tmp_path):
 def test_to_dot_smoke():
     text = automata.to_dot(pell.canonical_recognizer(), name="rec")
     assert "digraph" in text and "rec" in text
+
+
+def test_to_dot_is_pinned():
+    # sha256 of to_dot, taken before its symbols were spelled from one table
+    machines = [(pell.canonical_recognizer(), "rec"), (sequences.x5_dfao(), "automaton"),
+                (pell.valid_tracks(2), "automaton")] + [(m, "automaton") for m in EDGE_MACHINES]
+    digests = [hashlib.sha256(automata.to_dot(m, name=name).encode()).hexdigest()
+               for m, name in machines]
+    assert digests == [
+        "d8755c1804340aa261f149942f3f3c5348a34fe14ae4977555649aa7b59f0dbf",
+        "22556abafde63d796fe6b426ed240249e0f4a9f4d6d4c48dd6e2cbd42a7b4f39",
+        "61fd02f0ef27f2caeb432c746f8d61becc864699338e574cfe63873f10547de8",
+        "9514c4a0c2376437dcba60acb0d8e8b36c1a61af1bd22bdc682da472b3dfdeba",
+        "6df1388f5cb01400b7935454461384466a830aea9a48f0ac9810c7497d082413",
+        "7b87bf75cbcfc3f0ef9640a9f366fea508e45babfb9e04ba214f3f232fc7cf63",
+        "2dbdb65dc40a5b354e68b83e219dc4a06864bca058caa499aba4fc1b312f0990",
+    ]
+
+
+GOOD_TEXT = ("msd_pell\nstate 0 accepting\n[0] -> 0\n[1] -> 1\n[2] -> 1\n"
+             "state 1\n[0] -> 1\n[1] -> 1\n[2] -> 1\n")
+TWO_TRACKS = automata.to_text(pell.valid_tracks(2))
+
+
+def edited(old, new, text=GOOD_TEXT):
+    return text.replace(old, new, 1)
+
+
+# a line that to_text never writes, and what the refusal names
+REFUSED_TEXTS = {
+    "symbol with a space": (edited("[0,1] ->", "[0, 1] ->", TWO_TRACKS), "state 0"),
+    "two attributes": (edited("state 0 accepting", "state 0 accepting output 1"),
+                       "'state 0 accepting output 1'"),
+    "output with no value": (edited("state 0 accepting", "state 0 output"), "'state 0 output'"),
+    "unknown attribute": (edited("state 0 accepting", "state 0 final"), "'state 0 final'"),
+    "transition before a state": (edited("msd_pell\n", "msd_pell\n[0] -> 0\n"), "'[0] -> 0'"),
+    "states out of order": (edited("state 1", "state 2"), "'state 2'"),
+    "missing symbol": (edited("[2] -> 1\nstate 1", "state 1"), "state 0"),
+    "symbol of another track count": (
+        edited("state 1\n[0] -> 1\n[1] -> 1\n[2] -> 1",
+               "state 1\n[0,0] -> 1\n[1,0] -> 1\n[2,0] -> 1"),
+        "state 1",
+    ),
+    "output and plain states": (edited("state 0 accepting", "state 0 output 4"), "state 1"),
+    "number past int32": (edited("[1] -> 1", "[1] -> 2147483648"), "'[1] -> 2147483648'"),
+    "missing header": (edited("msd_pell\n", ""), "'state 0 accepting'"),
+}
+
+
+def test_from_text_reads_the_good_text():
+    a = automata.from_text(GOOD_TEXT)
+    assert automata.to_text(a) == GOOD_TEXT
+    assert R.same_automaton(automata.from_text(TWO_TRACKS), pell.valid_tracks(2))
+
+
+@pytest.mark.parametrize("text,named", REFUSED_TEXTS.values(), ids=REFUSED_TEXTS.keys())
+def test_from_text_refuses_lines_to_text_never_writes(text, named):
+    with pytest.raises(ValueError) as refused:
+        automata.from_text(text)
+    assert type(refused.value) is ValueError and named in str(refused.value)

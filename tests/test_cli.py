@@ -705,6 +705,59 @@ def test_corrupt_session_definition(capsys, tmp_path):
         assert len(err.splitlines()) == 1, label
 
 
+def test_a_session_file_is_checked_before_its_table_is_built(capsys, tmp_path):
+    # 100,000 states and one 11-track symbol claim a table of 100,000 x 3^11
+    # entries (66 GiB); the reader refuses the file from its lines alone
+    (tmp_path / "sequences").mkdir()
+    heads = [f"state {q} output 0" for q in range(100_000)]
+    lines = ["msd_pell", heads[0], "[" + ",".join("0" * 11) + "] -> 0", *heads[1:]]
+    (tmp_path / "sequences" / "S.txt").write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "eval", "1 = 1", "--session", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "S.txt" in err and "state 0" in err
+    assert len(err.splitlines()) == 1
+
+
+def session_files(directory):
+    return {p.relative_to(directory): p.is_file() and p.read_bytes()
+            for p in directory.rglob("*")}
+
+
+def test_a_failed_write_leaves_the_session_as_it_was(capsys, tmp_path):
+    session = tmp_path / "s"
+    assert run_cli(capsys, "def", "d", "x = 1", "--session", str(session))[0] == 0
+    before = session_files(session)
+    lines = {  # a line whose own file cannot be written, and the same line with a good path
+        "seq": (["seq", "x3", "--dump", "nodir/y.txt"], ["seq", "x3", "--dump", "y.txt"]),
+        "eval": (["eval", "e", "?msd_pell x < y", "--out", str(tmp_path / "nodir" / "e.txt")],
+                 ["eval", "e", "?msd_pell x < y", "--out", str(tmp_path / "e.txt")]),
+    }
+    for label, (bad, good) in lines.items():
+        code, out, err = run_cli(capsys, *bad, "--session", str(session))
+        assert code == 2 and out == "", label
+        given = str(session / bad[-1]) if label == "seq" else bad[-1]
+        assert err.startswith("error:") and repr(given) in err and ".tmp" not in err, label
+        assert len(err.splitlines()) == 1, label
+        assert session_files(session) == before, label
+    for label, (bad, good) in lines.items():
+        assert run_cli(capsys, *good, "--session", str(session))[0] == 0, label
+    assert (session / "sequences" / "y.txt").is_file() and (session / "y.txt").is_file()
+    assert (session / "definitions" / "e.json").is_file() and (tmp_path / "e.txt").is_file()
+
+
+def test_a_new_session_directory_takes_the_first_files(capsys, tmp_path):
+    # a line's own file is written before the session keeps its binding, so
+    # the session directory is made for it
+    for argv, written in [
+        (["seq", "x3", "--dump", "y.txt"], ["y.txt", "sequences/y.txt"]),
+        (["eval", "e", "?msd_pell x < y", "--out", "e.txt"], ["e.txt", "definitions/e.json"]),
+        (["dump", "x5", "--out", "x5.txt"], ["x5.txt"]),
+    ]:
+        session = tmp_path / argv[0]
+        assert run_cli(capsys, *argv, "--session", str(session))[0] == 0, argv
+        assert all((session / name).is_file() for name in written), argv
+
+
 def test_tampered_session_definition(capsys, tmp_path):
     run_cli(capsys, "def", "dbl", "y = 2*x", "--session", str(tmp_path))
     path = tmp_path / "definitions" / "dbl.json"
