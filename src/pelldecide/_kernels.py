@@ -37,6 +37,10 @@ class LevelTables:
     - ``counts[:, j, a]``: the count of symbol a in the last j symbols, j = 0..L;
     - ``lo[:, ell-1, a]`` and ``hi[:, ell-1, a]``: the least and greatest count
       of a over the windows of length ell, for ell = 1..L.
+
+    All but ``words`` are in ``_count_type(L)`` and in C order, so a word's
+    counts over every window length are one contiguous block, which
+    ``extend_mask`` reduces in halves.
     """
 
     words: np.ndarray
@@ -54,19 +58,23 @@ class LevelTables:
                            counts, counts[:, 1:].copy(), counts[:, 1:].copy())
 
     def children(self, words: np.ndarray, parent: np.ndarray) -> "LevelTables":
-        """Tables for ``words``, each row ``self.words[parent]`` plus one symbol."""
-        length = self.words.shape[1]
+        """Tables for ``words``, each row ``self.words[parent]`` plus one symbol.
+
+        The parents' suffix counts go into one preallocated table after its
+        zero row, and the new symbol into them by one indexed increment.
+        """
+        n, length, k = len(words), self.words.shape[1], self.counts.shape[2]
         dtype = _count_type(length + 1)
         s = words[:, -1]
         agree = self.words[parent, ::-1] == s[:, None]
-        runs = np.zeros((len(words), length + 1), dtype=dtype)
+        runs = np.zeros((n, length + 1), dtype=dtype)
         runs[:, :length] = np.where(agree, self.runs[parent] + 1, 0)
         # windows ending at the new symbol: the parent's suffixes plus s
-        suffix = self.counts[parent].astype(dtype, copy=False)
-        suffix += np.eye(self.counts.shape[2], dtype=dtype)[s][:, None, :]
-        counts = np.concatenate([np.zeros_like(suffix[:, :1]), suffix], axis=1)
-        lo = suffix.copy()
-        hi = suffix
+        counts = np.zeros((n, length + 2, k), dtype=dtype)
+        counts[:, 1:] = self.counts[parent]
+        counts[np.arange(n), 1:, s] += 1
+        lo = counts[:, 1:].copy()
+        hi = counts[:, 1:].copy()
         np.minimum(lo[:, :length], self.lo[parent], out=lo[:, :length])
         np.maximum(hi[:, :length], self.hi[parent], out=hi[:, :length])
         return LevelTables(words, runs, counts, lo, hi)
@@ -75,8 +83,8 @@ class LevelTables:
 def _count_type(length: int) -> np.dtype:
     """Least signed integer type for the tables of words of this length.
 
-    It holds every count up to length + 1 and down to -2, so ``extend_mask``
-    can shift the bounds by 1 or 2 in that type.
+    It holds every count up to length + 1 and the difference of any two
+    counts of the level, so ``extend_mask`` subtracts in that type.
     """
     return np.min_scalar_type(-(length + 2))
 
@@ -90,25 +98,51 @@ def extend_mask(words: np.ndarray, parent: np.ndarray, tables: LevelTables,
     is tested, once per parent and next symbol.  A row fails if some suffix
     is a repetition of exponent >= num/den (> when not strict), or some
     pair of equal-length windows differs by 2 in a symbol count.
+
+    Both tests compare in the tables' own type.  The balance test comes down
+    to two maxima over the window lengths, a parent and symbol, which
+    ``_max_over_lengths`` takes in contiguous passes.
     """
     w = tables.words
     n, length = w.shape
     k = tables.counts.shape[2]
-    # appending s = w[L-p] extends the trailing run at period p by one
+    # appending s = w[L-p] extends the trailing run at period p by one, to
+    # the exponent (run + 1 + p) / p, which fails once the run reaches
+    # least[p-1]; no run reaches L + 1
     p = np.arange(1, length + 1)
-    factor = (tables.runs + 1 + p) * den
-    rep = (factor >= num * p) if strict else (factor > num * p)
+    least = (-(-num * p // den) - 1 - p) if strict else (num * p // den - p)
+    rep = tables.runs >= np.minimum(least, length + 1).astype(tables.runs.dtype)
     bad = np.zeros((n, k), dtype=bool)
     rows, cols = np.nonzero(rep)
     bad[rows, w[rows, length - 1 - cols]] = True
     # the new window of length ell holds c = the count in the last ell - 1
-    # symbols, plus one for a == s; it must stay within [hi - 1, lo + 1]
+    # symbols, plus one for a == s; it must stay within [hi - 1, lo + 1] at
+    # every ell: c - lo <= 1 and hi - c <= 1 for a != s (keep), and c - lo
+    # <= 0 and hi - c <= 2 for a == s (keep_plus)
     c = tables.counts[:, :length]
-    keep = ((c >= tables.hi - 1) & (c <= tables.lo + 1)).all(axis=1)
-    keep_plus = ((c >= tables.hi - 2) & (c <= tables.lo)).all(axis=1)
+    above = _max_over_lengths(c - tables.lo)
+    below = _max_over_lengths(tables.hi - c)
+    keep = (above <= 1) & (below <= 1)
+    keep_plus = (above <= 0) & (below <= 2)
     others_fail = (~keep).sum(axis=1, keepdims=True) - ~keep
     bad |= ~keep_plus | (others_fail > 0)
     return ~bad[parent, words[:, -1]]
+
+
+def _max_over_lengths(d: np.ndarray) -> np.ndarray:
+    """``d.max(axis=1)`` of an (n, L, k) array, which it overwrites.
+
+    Each step folds the last half of the window lengths onto the first, so
+    numpy's inner loop runs over a contiguous block of (L / 2) k elements a
+    row, where ``max(axis=1)`` and ``all(axis=1)`` run one of k.  The result
+    is a copy, so that d is freed when the caller drops it.
+    """
+    length = d.shape[1]
+    while length > 1:
+        half = length // 2
+        np.maximum(d[:, :half], d[:, length - half:length], out=d[:, :half])
+        length -= half
+    return d[:, 0].copy()
 
 
 def _block_names(w: np.ndarray) -> list[np.ndarray]:

@@ -1125,7 +1125,7 @@ def from_text(text: str) -> Dfa | Dfao:
         raise ValueError(f"expected header {HEADER!r}, got {(lines or [''])[0]!r}")
     heads: list[tuple[bool, int]] = []  # whether each state gives an output, and its label
     rows: list[list[str]] = []  # each state's symbols, in file order
-    targets: list[int] = []
+    targets: list[tuple[int, str]] = []  # each transition's target, with its line
     for ln in lines[1:]:
         if ln.startswith("state "):
             heads.append(_state_line(ln, len(rows)))
@@ -1137,7 +1137,12 @@ def from_text(text: str) -> Dfa | Dfao:
             if not rows or not arrow:
                 raise ValueError(f"malformed line: {ln!r}")
             rows[-1].append(symbol)
-            targets.append(_int32(target, ln))
+            targets.append((_int32(target, ln), ln))
+    if not rows:
+        raise ValueError("expected state 0 after the header, got no state line")
+    for target, ln in targets:
+        if not 0 <= target < len(rows):
+            raise ValueError(f"expected a state in 0..{len(rows) - 1}, got {target} in line {ln!r}")
     first = next((row[0] for row in rows if row), "[]")
     n_tracks = first.count(",") + (first != "[]")
     for q, row in enumerate(rows):
@@ -1151,8 +1156,8 @@ def from_text(text: str) -> Dfa | Dfao:
             raise ValueError(f"state {q} does not give each {n_tracks}-track symbol once")
     cells = [column[s] for row in rows for s in row]
     delta = np.empty((len(rows), alphabet.size), dtype=np.int32)
-    delta[np.repeat(np.arange(len(rows)), alphabet.size), cells] = targets
-    machine = Dfao if heads and heads[0][0] else Dfa
+    delta[np.repeat(np.arange(len(rows)), alphabet.size), cells] = [t for t, _ in targets]
+    machine = Dfao if heads[0][0] else Dfa
     return machine(alphabet, delta, np.array([label for _, label in heads]), 0)
 
 

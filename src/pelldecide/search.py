@@ -99,8 +99,9 @@ def bfs_levels(
     depth = 1
     yield tables.words
     while limit_depth is None or depth < limit_depth:
-        # extend_mask compares (run + 1 + p) * den with num * p in int64,
-        # where run + 1 + p <= depth + 1 and p <= depth
+        # the exponent test's terms (run + 1 + p) * den and num * p, where
+        # run + 1 + p <= depth + 1 and p <= depth, must fit int64;
+        # extend_mask takes num * p // den in int64
         if max((depth + 1) * den, depth * num) >= 1 << 63:
             raise ValueError(f"the bound's terms are too large to search past depth {depth}")
         level = tables.words

@@ -5,7 +5,8 @@ definitions, explicit window scans, regular expressions over digit strings.
 The goal is that a bug in the package and a bug here would have to coincide
 to slip through.  The only nontrivial package import is pell.encode_batch,
 which the representation tests pin down exhaustively on its own; the
-earlier parser reuses logic's tokenizer and node types, nothing more.  The
+earlier parser reuses logic's tokenizer and node types, and the earlier
+search kernel ``_kernels.LevelTables`` and ``_count_type``, nothing more.  The
 ``ref_`` versions of package functions that were since rewritten for speed
 are the earlier code, kept so that the rewrites are checked against it.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pelldecide import automata, pell
+from pelldecide import _kernels, automata, pell
 from pelldecide import logic as L
 from pelldecide.automata import Dfa, Dfao, TrackAlphabet
 
@@ -208,6 +209,48 @@ def ref_bfs_levels(k: int, bound: Fraction, strict: bool, limit_depth: int):
             return
         depth += 1
         yield level
+
+
+def ref_children(tables, words: np.ndarray, parent: np.ndarray):
+    """The earlier ``_kernels.LevelTables.children``: gathered suffix counts
+    plus an ``np.eye`` row of the new symbol, joined to a zero row by
+    ``concatenate``."""
+    length = tables.words.shape[1]
+    dtype = _kernels._count_type(length + 1)
+    s = words[:, -1]
+    agree = tables.words[parent, ::-1] == s[:, None]
+    runs = np.zeros((len(words), length + 1), dtype=dtype)
+    runs[:, :length] = np.where(agree, tables.runs[parent] + 1, 0)
+    suffix = tables.counts[parent].astype(dtype, copy=False)
+    suffix += np.eye(tables.counts.shape[2], dtype=dtype)[s][:, None, :]
+    counts = np.concatenate([np.zeros_like(suffix[:, :1]), suffix], axis=1)
+    lo = suffix.copy()
+    hi = suffix
+    np.minimum(lo[:, :length], tables.lo[parent], out=lo[:, :length])
+    np.maximum(hi[:, :length], tables.hi[parent], out=hi[:, :length])
+    return _kernels.LevelTables(words, runs, counts, lo, hi)
+
+
+def ref_table_mask(words: np.ndarray, parent: np.ndarray, tables, num: int, den: int,
+                   strict: bool) -> np.ndarray:
+    """The earlier ``_kernels.extend_mask``: the repetition test as the int64
+    product (run + 1 + p) den against num p, and the balance test as
+    ``.all(axis=1)`` over the window lengths."""
+    w = tables.words
+    n, length = w.shape
+    k = tables.counts.shape[2]
+    p = np.arange(1, length + 1)
+    factor = (tables.runs + 1 + p) * den
+    rep = (factor >= num * p) if strict else (factor > num * p)
+    bad = np.zeros((n, k), dtype=bool)
+    rows, cols = np.nonzero(rep)
+    bad[rows, w[rows, length - 1 - cols]] = True
+    c = tables.counts[:, :length]
+    keep = ((c >= tables.hi - 1) & (c <= tables.lo + 1)).all(axis=1)
+    keep_plus = ((c >= tables.hi - 2) & (c <= tables.lo)).all(axis=1)
+    others_fail = (~keep).sum(axis=1, keepdims=True) - ~keep
+    bad |= ~keep_plus | (others_fail > 0)
+    return ~bad[parent, words[:, -1]]
 
 
 def ref_longest_true_run(eq: np.ndarray) -> int:

@@ -986,6 +986,9 @@ REFUSED_TEXTS = {
     "output and plain states": (edited("state 0 accepting", "state 0 output 4"), "state 1"),
     "number past int32": (edited("[1] -> 1", "[1] -> 2147483648"), "'[1] -> 2147483648'"),
     "missing header": (edited("msd_pell\n", ""), "'state 0 accepting'"),
+    "target past the last state": (edited("[1] -> 1", "[1] -> 2"), "'[1] -> 2'"),
+    "negative target": (edited("[2] -> 1\nstate 1", "[2] -> -1\nstate 1"), "'[2] -> -1'"),
+    "no state": ("msd_pell\n# no states\n", "state 0"),
 }
 
 

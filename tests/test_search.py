@@ -284,6 +284,74 @@ def test_tables_along_one_word_past_int8(word, k, bound, strict):
             assert np.array_equal(got, want)
 
 
+def assert_same_tables(got, want):
+    for name in ("words", "runs", "counts", "lo", "hi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def every_symbol(tables, k):
+    """Each word of ``tables`` with each of the k symbols appended, and its row."""
+    parent, symbol = np.nonzero(np.ones((len(tables.words), k), dtype=bool))
+    words = np.concatenate([tables.words[parent], symbol.astype(np.int8)[:, None]], axis=1)
+    return words, parent
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "k,bound",
+    [(5, Fraction(3, 2)), (3, Fraction(2)), (4, Fraction(7, 4)), (2, Fraction(3)),
+     (2, Fraction(5, 2)), (2, Fraction(2)), (4, Fraction(3, 2))],
+)
+def test_level_kernels_match_the_earlier_ones(k, bound, strict):
+    """On every level of the search, the masks of every next symbol and the
+    children's tables equal the earlier kernel's, byte for byte.  2/1, and
+    3/2 at even p, put num p / den on an integer, where strict matters."""
+    num, den = bound.numerator, bound.denominator
+    tables = _kernels.LevelTables.root(k)
+    for _ in range(24):
+        words, parent = every_symbol(tables, k)
+        mask = _kernels.extend_mask(words, parent, tables, num, den, strict)
+        assert np.array_equal(mask, R.ref_table_mask(words, parent, tables, num, den, strict))
+        # grow only the words bfs_levels keeps: those that introduce symbols in order
+        mask &= words[:, -1] <= tables.words.max(axis=1)[parent] + 1
+        if not mask.any():
+            break
+        got = tables.children(words[mask], parent[mask])
+        assert_same_tables(got, R.ref_children(tables, words[mask], parent[mask]))
+        tables = got
+
+
+@pytest.mark.parametrize("word,k,bound,strict", [
+    ("0" * 300, 2, Fraction(1000), True),
+    (sequences.x5_prefix(300), 5, Fraction(3, 2), False),
+], ids=["unary", "x5"])
+def test_tables_past_int8_match_the_earlier_kernels(word, k, bound, strict):
+    word = search._symbols(word)
+    num, den = bound.numerator, bound.denominator
+    tables = _kernels.LevelTables.root(k)
+    zero = np.zeros(1, dtype=np.intp)
+    for length in range(2, len(word) + 1):
+        got = tables.children(word[None, :length], zero)
+        assert_same_tables(got, R.ref_children(tables, word[None, :length], zero))
+        tables = got
+        words, parent = every_symbol(tables, k)
+        assert np.array_equal(_kernels.extend_mask(words, parent, tables, num, den, strict),
+                              R.ref_table_mask(words, parent, tables, num, den, strict))
+    assert tables.counts.dtype == np.int16
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_max_over_lengths_is_the_max_over_axis_one(dtype):
+    rng = np.random.default_rng(98)
+    info = np.iinfo(dtype)
+    for length in range(1, 71):
+        d = rng.integers(info.min, info.max, size=(5, length, 3), endpoint=True, dtype=dtype)
+        got = _kernels._max_over_lengths(d.copy())
+        assert got.dtype == dtype and np.array_equal(got, d.max(axis=1))
+
+
 # --- kernels ------------------------------------------------------------------------
 
 
