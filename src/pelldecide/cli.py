@@ -2,14 +2,16 @@
 
 ``eval``, ``def``, ``reg`` and ``seq --dump`` each hand their line to
 ``theorems.step``, the one interpreter of the script language, as ``run``
-does for each line of a script (read by ``logic.script_commands``: one
+does for each line of a script (read by ``theorems.script_commands``: one
 command per line, ``#`` comments, double-quoted predicates, an optional
 ``=> TRUE``/``=> FALSE`` trailer on an eval, and ``theorem NAME`` headings)
 and as ``prove`` does for the sections of the bundled walkthrough
-``data/paper.walnutish``, which is the paper's proof.  A script line outside
-that language (another command, ``seq`` without ``--dump``, or an option
-such as ``--out``) is an error.  ``seq`` also prints windows, ``dump`` writes
-a stored automaton, and ``search`` runs the balanced-word optimality search.
+``data/paper.walnutish``, which is the paper's proof.  ``eval --expect X``
+is the command line's spelling of the trailer ``=> X``.  A script line
+outside that language (another command, ``seq`` without ``--dump``, or an
+option such as ``--out`` or ``--expect``) is an error.  ``seq`` also prints
+windows, ``dump`` writes a stored automaton, and ``search`` runs the
+balanced-word optimality search.
 
 A session directory (``--session``) persists definitions and sequence dumps
 between invocations; within one ``run``, later commands see everything
@@ -136,7 +138,7 @@ def cmd_convert(session: Session, ns) -> int:
 
 def cmd_eval(session: Session, ns) -> int:
     label = [ns.name] if ns.name else []
-    trailer = ["--expect", ns.expect] if ns.expect else []
+    trailer = ["=>", ns.expect] if ns.expect else []
     return _execute(session, ["eval", *label, ns.predicate, *trailer], ns.out, ns.format)
 
 
@@ -214,7 +216,7 @@ def cmd_search(session: Session, ns) -> int:
 
 def cmd_run(session: Session, ns) -> int:
     worst = 0
-    for tokens in logic.script_commands(Path(ns.script).read_text()):
+    for tokens in theorems.script_commands(Path(ns.script).read_text()):
         print(f"> {' '.join(tokens)}")
         worst = max(worst, _execute(session, tokens))
     return worst
@@ -320,23 +322,13 @@ _HANDLERS = {
 _USER_ERRORS = (ValueError, OSError)
 
 
-def _dispatch(session: Session, ns) -> int:
-    try:
-        return _HANDLERS[ns.command](session, ns)
-    except _USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        session = Session(getattr(ns, "session", None))
+        return _HANDLERS[ns.command](Session(getattr(ns, "session", None)), ns)
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _dispatch(session, ns)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ preserve: each track is a leading-zero-padded canonical representation, and
 membership is indifferent to how much padding a word carries.  Negation and
 the implication/iff products therefore re-intersect with the per-track
 validity automaton (``pell.restrict``), and universal quantification is the
-classic double negation around projection.
+classic double negation around projection.  This module knows only the
+predicate language: ``theorems`` reads and runs the command scripts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import copy
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "eval_closed",
     "define",
     "reg",
-    "script_commands",
     "relation_accepts",
     "relation_accepts_batch",
 ]
@@ -944,49 +944,6 @@ def define(env: Environment, name: str, p: Union[str, Predicate]) -> Environment
     """Compile a predicate and store it as a callable $name(...)."""
     r = compile(p, env)
     return env.with_callable(name, r.dfa, r.tracks)
-
-
-# ---------------------------------------------------------------------------
-# command scripts: one command per logical line, as `pelldecide run` reads them
-
-
-def script_commands(text: str) -> Iterator[list[str]]:
-    """Each command's tokens, one logical line at a time: ``#`` comments
-    stripped, double-quoted text joined across line breaks, and a trailing
-    ``=> TRUE``/``=> FALSE`` turned into ``--expect TRUE``/``--expect FALSE``."""
-    pending, quoted = "", False
-    for raw in text.splitlines():
-        line, quoted = _strip_comment(raw, quoted)
-        pending = f"{pending} {line.strip()}" if pending else line.strip()
-        if not quoted:
-            if pending:
-                yield _line_tokens(pending)
-            pending = ""
-    if pending:
-        yield _line_tokens(pending)
-
-
-def _strip_comment(line: str, quoted: bool) -> tuple[str, bool]:
-    """The line up to a ``#`` outside double quotes, and whether it ends
-    inside them; ``quoted`` says whether it starts inside them."""
-    for i, c in enumerate(line):
-        if c == '"':
-            quoted = not quoted
-        elif c == "#" and not quoted:
-            return line[:i], quoted
-    return line, quoted
-
-
-def _line_tokens(line: str) -> list[str]:
-    import shlex
-
-    tokens = shlex.split(line, comments=False)
-    if "=>" in tokens:
-        at = tokens.index("=>")
-        if at != len(tokens) - 2:
-            raise ValueError(f"malformed expectation in: {line}")
-        tokens[at : at + 2] = ["--expect", tokens[at + 1]]
-    return tokens
 
 
 # ---------------------------------------------------------------------------

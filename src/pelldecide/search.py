@@ -99,10 +99,10 @@ def bfs_levels(
     depth = 1
     yield tables.words
     while limit_depth is None or depth < limit_depth:
-        # the exponent test's terms (run + 1 + p) * den and num * p, where
-        # run + 1 + p <= depth + 1 and p <= depth, must fit int64;
-        # extend_mask takes num * p // den in int64
-        if max((depth + 1) * den, depth * num) >= 1 << 63:
+        # extend_mask takes the exponent test's num * p // den in int64,
+        # for every period p <= depth; num * depth is the largest product,
+        # and the one term that must fit
+        if depth * num >= 1 << 63:
             raise ValueError(f"the bound's terms are too large to search past depth {depth}")
         level = tables.words
         # candidates in (parent, symbol) order, which is sorted order

@@ -1,17 +1,18 @@
-"""The script language's one interpreter, and the paper's proof: the
-sections of the bundled script, each run to a machine-checkable report.
+"""The script language's one reader and one interpreter, and the paper's
+proof: the sections of the bundled script, each run to a machine-checkable
+report.
 
-``step`` runs one line of the language (``theorem``, ``def``, ``eval``,
-``reg`` and ``seq SRC --dump F.txt``) in an environment.  The section runner
-here, ``pelldecide run`` and the CLI's single commands all call it, so a
-line means the same in each; they differ only in what they do with the
-result.  The bundled script ``data/paper.walnutish`` is the proof.  A
-``theorem NAME`` line opens each of its sections (``THEOREMS``):
-verify_adder, verify_x5, prove_e_x5, corollary_cex5, almost_powers and
-x3_analysis.  In a section, each eval is named; a closed one carries a
-``=> TRUE|FALSE`` trailer and is one check of the report, and each relation
-that a line binds is kept in the report under its name.  The runner writes
-no file.
+``script_commands`` reads a script's lines as written, and ``step`` runs one
+(``theorem NAME``, ``def``, ``eval``, ``reg`` and ``seq SRC --dump F.txt``) in
+an environment.  The section runner here and ``pelldecide run`` read with
+the one and run with the other, as the CLI's single commands run theirs, so a
+line means the same in each.  The bundled script ``data/paper.walnutish`` is
+the proof.  A ``theorem NAME`` line opens each of its sections
+(``THEOREMS``): verify_adder, verify_x5, prove_e_x5, corollary_cex5,
+almost_powers and x3_analysis.  In a section, each eval is named; a closed
+one carries a ``=> TRUE|FALSE`` trailer and is one check of the report, and
+each relation that a line binds is kept in the report under its name.  The
+runner writes no file.
 
 One environment runs through the sections in order, as in ``run``; ``prove
 NAME`` runs the bindings (not the checks) of the sections before NAME first.
@@ -22,19 +23,20 @@ not on import.
 
 from __future__ import annotations
 
+import shlex
 import time
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import logic
 from .automata import Dfa, Dfao
 
 __all__ = [
-    "Check", "TheoremReport", "Outcome", "step", "VERIFICATION_PREDICATES", "THEOREMS", "prove",
-    "run_all",
+    "Check", "TheoremReport", "Outcome", "script_commands", "step", "VERIFICATION_PREDICATES",
+    "THEOREMS", "prove", "run_all",
 ]
 
 
@@ -86,12 +88,39 @@ class Outcome:
     sequence: Optional[Dfao] = None
 
 
+def script_commands(text: str) -> Iterator[list[str]]:
+    """Each command's tokens, one logical line at a time: ``#`` comments
+    stripped, double-quoted text joined across line breaks, and the line
+    split as written (``shlex.split``)."""
+    pending, quoted = "", False
+    for raw in text.splitlines():
+        line, quoted = _strip_comment(raw, quoted)
+        pending = f"{pending} {line.strip()}" if pending else line.strip()
+        if not quoted:
+            if pending:
+                yield shlex.split(pending)
+            pending = ""
+    if pending:
+        yield shlex.split(pending)
+
+
+def _strip_comment(line: str, quoted: bool) -> tuple[str, bool]:
+    """The line up to a ``#`` outside double quotes, and whether it ends
+    inside them; ``quoted`` says whether it starts inside them."""
+    for i, c in enumerate(line):
+        if c == '"':
+            quoted = not quoted
+        elif c == "#" and not quoted:
+            return line[:i], quoted
+    return line, quoted
+
+
 @cache
 def _sections() -> dict[str, list[list[str]]]:
     """The bundled script's commands, by section, in order."""
     text = (resources.files(__package__) / "data" / "paper.walnutish").read_text()
     sections: dict[str, list[list[str]]] = {}
-    for tokens in logic.script_commands(text):
+    for tokens in script_commands(text):
         if tokens[0] == "theorem" and len(tokens) == 2:
             sections[tokens[1]] = []
         elif not sections or tokens[0] == "theorem":
@@ -114,10 +143,10 @@ def __getattr__(name: str):
 def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environment, Outcome]:
     """Run one line of the script language in ``env``; return the environment
     after it and what it produced.  The lines are ``theorem NAME``, ``def NAME
-    "p"``, ``eval [NAME] "p" [--expect TRUE|FALSE]`` (a script's ``=> TRUE``
-    or ``=> FALSE``), ``reg NAME [msd_pell] PATTERN`` and ``seq SRC --dump
-    F.txt``, which binds F to SRC (``env``'s sequence, else the built-in) and
-    writes no file.  Any other line is a ValueError."""
+    "p"``, ``eval [NAME] "p" [=> TRUE|FALSE]``, ``reg NAME [msd_pell]
+    PATTERN`` and ``seq SRC --dump F.txt``, which binds F to SRC (``env``'s
+    sequence, else the built-in) and writes no file.  Any other line is a
+    ValueError."""
     match list(tokens):
         case ["theorem", name]:
             return env, Outcome(name)
@@ -135,9 +164,9 @@ def step(env: logic.Environment, tokens: Sequence[str]) -> tuple[logic.Environme
             m, name = env.sequence(source), Path(path).stem
             return env.with_sequence(name, m), Outcome(name, sequence=m)
         # the label is at most one name, and no option
-        case ["eval", *label, text, "--expect", "TRUE" | "FALSE"] | ["eval", *label, text] if (
+        case ["eval", *label, text, "=>", "TRUE" | "FALSE"] | ["eval", *label, text] if (
                 len(label) < 2 and not any(a.startswith("-") for a in label)):
-            expect = tokens[-1] == "TRUE" if tokens[-2] == "--expect" else None
+            expect = tokens[-1] == "TRUE" if tokens[-2] == "=>" else None
             name = logic._check_name(label[0]) if label else None
             predicate = logic.parse(text)
             if logic.free_variables(predicate):  # refused before it compiles
@@ -158,7 +187,7 @@ def _run_section(env: logic.Environment, commands: list[list[str]],
     eval is named, and a closed one is a check, so it carries a trailer; the
     checks go into ``report``, and are skipped when there is none."""
     for tokens in commands:
-        if report is None and "--expect" in tokens:
+        if report is None and "=>" in tokens:
             continue
         env, out = step(env, tokens)
         if out.relation is not None and out.name is None:

@@ -193,6 +193,7 @@ REFUSED_LINES = [
     'eval "1 = 1" --out f.txt',
     'eval --format dot "1 = 1"',
     "seq x5 --dump F.txt --session elsewhere",
+    'eval "1 = 1" --expect TRUE',
 ]
 
 
@@ -253,7 +254,7 @@ def test_a_line_means_the_same_in_every_front_end(capsys, tmp_path, line, argv):
     # relation under the same name, or print the same error line
     report = theorems.TheoremReport("toy")
     try:
-        theorems._run_section(logic.Environment(), list(logic.script_commands(line)), report)
+        theorems._run_section(logic.Environment(), list(theorems.script_commands(line)), report)
         section = {name: automata.to_text(dfa) for name, dfa in report.automata.items()}
     except ValueError as e:
         section = f"error: {e}\n"
@@ -275,7 +276,7 @@ def test_run_prints_a_theorem_line_as_a_heading(capsys, tmp_path):
     script.write_text('theorem one\neval fine "1 = 1" => TRUE\n')
     code, out, err = run_cli(capsys, "run", str(script))
     assert (code, err) == (0, "")
-    assert out.splitlines() == ["> theorem one", "> eval fine 1 = 1 --expect TRUE", "fine = TRUE"]
+    assert out.splitlines() == ["> theorem one", "> eval fine 1 = 1 => TRUE", "fine = TRUE"]
 
 
 def _refuse_to_compile(*args, **kwargs):
@@ -520,14 +521,16 @@ def test_search_zero_denominator_bound_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "bound", ["1e400", "4611686018427387905/4611686018427387904"], ids=["1e400", "2^62"]
+    "bound, depth", [("1e400", 1), ("4611686018427387905/4611686018427387904", 2)],
+    ids=["1e400", "2^62"]
 )
-def test_search_bound_terms_past_int64_exit_2(capsys, bound):
+def test_search_bound_terms_past_int64_exit_2(capsys, bound, depth):
     code, out, err = run_cli(
         capsys, "search", "--alphabet", "3", "--bound", bound, "--limit-depth", "8"
     )
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: the bound's terms are too large to search past depth 1"]
+    assert err.splitlines() == [
+        f"error: the bound's terms are too large to search past depth {depth}"]
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])
@@ -622,7 +625,7 @@ def test_run_script(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(script), "--session", str(tmp_path))
     assert code == 0
     assert "doubles_exist = TRUE" in out
-    assert out.count("> ") == 3
+    assert sum(line.startswith("> ") for line in out.splitlines()) == 3
 
 
 def test_run_has_no_emit_automata_option(capsys, tmp_path):
@@ -644,8 +647,8 @@ COMMENTED = [
 
 @pytest.mark.parametrize("text", COMMENTED, ids=["plain", "quote"])
 def test_a_comment_may_follow_a_multi_line_predicate(capsys, tmp_path, text):
-    assert list(logic.script_commands(text)) == [
-        ["eval", "p", "?msd_pell 1 = 1 & 1 = 1", "--expect", "TRUE"]]
+    assert list(theorems.script_commands(text)) == [
+        ["eval", "p", "?msd_pell 1 = 1 & 1 = 1", "=>", "TRUE"]]
     script = tmp_path / "commented.walnutish"
     script.write_text(text + 'eval q "2 = 2" => TRUE  # and "one" more\n')
     code, out, err = run_cli(capsys, "run", str(script))
@@ -937,6 +940,45 @@ def test_run_bundled_walkthrough(capsys, tmp_path, theorem_reports):
     assert len(checks) == 26
     assert printed == {name: "TRUE" if verdict else "FALSE" for name, verdict in checks.items()}
     assert re.findall(r"^> theorem (\w+)$", out, flags=re.M) == list(theorem_reports)
+
+
+# --- the README's examples ----------------------------------------------------------------
+
+
+def readme_commands():
+    """(argv, shown lines, comment) for each ``pelldecide`` line of the two
+    text blocks of README's "The command line", in order: the lines under a
+    command, up to the next one, are its output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## The command line\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```text\n(.*?)^```", section, flags=re.M | re.S)
+    assert len(blocks) == 2
+    commands = []
+    for line in "".join(blocks).splitlines():
+        if line.startswith("pelldecide "):
+            command, _, comment = line.partition(" #")
+            commands.append((shlex.split(command)[1:], [], comment.strip()))
+        else:
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_the_readme_examples_print_what_they_show(capsys, tmp_path, monkeypatch):
+    # in a fresh directory and in order, since the session lines build on
+    # each other; a comment TRUE or FALSE is the output, and "exits N" the code
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 9
+    for argv, shown, comment in commands:
+        code, out, err = run_cli(capsys, *argv)
+        exits = re.search(r"exits (\d)", comment)
+        assert code == (int(exits[1]) if exits else 0), argv
+        assert (err == "") == (code == 0), argv
+        verdict = re.match(r"(?:prints )?(TRUE|FALSE)\b", comment)
+        if verdict:
+            assert out == f"{verdict[1]}\n", argv
+        if shown:
+            assert out.splitlines() == shown, argv
 
 
 # --- process-level wiring -----------------------------------------------------------------

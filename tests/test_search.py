@@ -207,21 +207,24 @@ def test_bfs_validates_arguments():
 
 
 # terms the kernels' int64 products cannot hold: 1e400 overflowed the cast,
-# and 2^62 + 1 over 2^62 wrapped and let the square "11" through
+# and 2^62 + 1 over 2^62 wrapped and let the square "11" through; the
+# largest term is depth * num, so 2^62 + 1 fits at depth 1 and not at depth 2
 @pytest.mark.parametrize(
-    "bound", ["1e400", "4611686018427387905/4611686018427387904"], ids=["1e400", "2^62"]
+    "bound, depth", [("1e400", 1), ("4611686018427387905/4611686018427387904", 2)],
+    ids=["1e400", "2^62"]
 )
-def test_bfs_rejects_bound_terms_past_int64(bound):
-    with pytest.raises(ValueError, match="too large to search past depth 1$"):
+def test_bfs_rejects_bound_terms_past_int64(bound, depth):
+    with pytest.raises(ValueError, match=f"too large to search past depth {depth}$"):
         list(search.bfs_levels(3, bound, limit_depth=8))
 
 
 def test_bfs_searches_while_bound_terms_fit_int64():
-    # 3 * 2^61 fits, 4 * 2^61 does not: the test at depth 3 would overflow
+    # 3 * (2^61 + 1) fits, 4 * (2^61 + 1) does not: the test at depth 4 would
+    # overflow.  Three letters die at depth 3, before the guard, so take six
     bound = Fraction(2**61 + 1, 2**61)
-    assert search.bfs_optimal(3, bound, limit_depth=3) == (3, ["012"])
-    with pytest.raises(ValueError, match="past depth 3$"):
-        search.bfs_optimal(3, bound, limit_depth=4)
+    assert search.bfs_optimal(6, bound, limit_depth=4) == (4, ["0123"])
+    with pytest.raises(ValueError, match="past depth 4$"):
+        search.bfs_optimal(6, bound, limit_depth=5)
 
 
 def test_bfs_takes_floats_exactly():

@@ -112,11 +112,11 @@ def script_sections():
     lands under None."""
     text = (resources.files("pelldecide") / "data" / "paper.walnutish").read_text()
     sections, section = {}, None
-    for command, *args in logic.script_commands(text):
+    for command, *args in theorems.script_commands(text):
         if command == "theorem":
             section = args[0]
         elif command in ("def", "eval", "reg"):
-            trailer = args[-1] if "--expect" in args else None
+            trailer = args[-1] if "=>" in args else None
             sections.setdefault(section, []).append((args[0], trailer))
     return sections
 
@@ -154,7 +154,8 @@ def test_importing_theorems_reads_no_file():
 def test_a_section_refuses_a_command_it_would_skip():
     env = logic.Environment()
     for tokens in (["eval", "closed", "1 = 1"], ["eval", "1 = 1"], ["dump", "x5"],
-                   ["seq", "nowhere", "--dump", "Y.txt"], ["eval", "e", "1 = 1", "--expect", "YES"]):
+                   ["seq", "nowhere", "--dump", "Y.txt"], ["eval", "e", "1 = 1", "--expect", "YES"],
+                   ["eval", "e", "1 = 1", "=>", "YES"]):
         with pytest.raises(ValueError):
             theorems._run_section(env, [tokens], theorems.TheoremReport("toy"))
 
@@ -245,7 +246,7 @@ def test_exponent_of_m_values():
 def script_sentence(name):
     """The predicate of the bundled script's eval ``name``."""
     text = (resources.files("pelldecide") / "data" / "paper.walnutish").read_text()
-    return next(args[1] for command, *args in logic.script_commands(text)
+    return next(args[1] for command, *args in theorems.script_commands(text)
                 if command == "eval" and args[0] == name)
 
 
