@@ -113,8 +113,11 @@ def extend_mask(words: np.ndarray, parent: np.ndarray, tables: LevelTables,
     least = (-(-num * p // den) - 1 - p) if strict else (num * p // den - p)
     rep = tables.runs >= np.minimum(least, length + 1).astype(tables.runs.dtype)
     bad = np.zeros((n, k), dtype=bool)
-    rows, cols = np.nonzero(rep)
-    bad[rows, w[rows, length - 1 - cols]] = True
+    # in flat indices: rep's (row, p - 1) is at, and the symbol p back,
+    # w[row, length - p], is at at + length - 1 - 2 (p - 1)
+    at = np.flatnonzero(rep)
+    rows = at // length
+    bad.ravel()[rows * k + w.ravel()[at + length - 1 - 2 * (at - rows * length)]] = True
     # the new window of length ell holds c = the count in the last ell - 1
     # symbols, plus one for a == s; it must stay within [hi - 1, lo + 1] at
     # every ell: c - lo <= 1 and hi - c <= 1 for a != s (keep), and c - lo

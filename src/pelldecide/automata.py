@@ -497,8 +497,13 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa | Dfao:
     and ``"and"`` keeps ``a``'s label where ``b``'s is nonzero.  Boolean
     labels give a Dfa and outputs a Dfao, so ``"and"`` of a Dfao is a Dfao.
     Only the pairs reachable from the initial pair are built, walked
-    level by level with a visited mask over all ``na * nb`` pair codes, and
-    their table goes straight to ``_quotient``.
+    level by level.  The walk numbers the pairs as it finds them, the
+    initial pair first, in a table over all ``na * nb`` pair codes that
+    holds each found pair's row + 1 (0 for one not found yet): it is
+    allocated zeroed, so its pages that no pair touches cost nothing, and
+    the rows' successors come from one gather of it.  The table goes
+    straight to ``_quotient``, whose canonical numbering makes the result
+    independent of the walk's order.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("product requires matching alphabets")
@@ -511,10 +516,11 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa | Dfao:
     nb, m = b.n_states, a.alphabet.size
     da = a.delta.astype(np.int64) * nb
     db = b.delta
-    start = a.initial * nb + b.initial
-    seen = np.zeros(a.n_states * nb, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
+    frontier = np.array([a.initial * nb + b.initial], dtype=np.int64)
+    # row + 1 of each pair found; rows fit int32 within MAX_PAIRS
+    row = np.zeros(a.n_states * nb, dtype=np.int32)
+    row[frontier] = 1
+    found = [frontier]
     reached = 1
     while len(frontier):
         # every pair found so far gets a row of the table
@@ -524,15 +530,15 @@ def product(a: Dfa | Dfao, b: Dfa | Dfao, op: str = "and") -> Dfa | Dfao:
                 f"of {m} symbols; the formula is too large"
             )
         succ = (da[frontier // nb] + db[frontier % nb]).ravel()
-        frontier = _sorted_unique(succ[~seen[succ]])
-        seen[frontier] = True
+        frontier = _sorted_unique(succ[row[succ] == 0])
+        row[frontier] = np.arange(reached + 1, reached + 1 + len(frontier), dtype=np.int32)
+        found.append(frontier)
         reached += len(frontier)
-    codes = np.flatnonzero(seen)
-    qa, qb = np.divmod(codes, nb)
-    delta = np.searchsorted(codes, da[qa] + db[qb])
+    qa, qb = np.divmod(np.concatenate(found), nb)
+    delta = row[da[qa] + db[qb]] - 1
     labels = combine(a.labels[qa], b.labels[qb])
     kind = Dfa if labels.dtype == bool else Dfao
-    return _quotient(kind, a.alphabet, delta, labels, int(np.searchsorted(codes, start)))
+    return _quotient(kind, a.alphabet, delta, labels, 0)
 
 
 def complement(a: Dfa) -> Dfa:
@@ -570,31 +576,29 @@ def _zobrist_keys(n: int) -> np.ndarray:
 
 
 class _Subsets:
-    """Subsets found so far: sorted member runs, back to back, and their
-    hashes in a sorted index.
+    """Sets of NFA states found so far: sorted member runs, back to back, and
+    their hashes in a sorted index.
 
-    A subset hashes to the XOR of its members' Zobrist keys, mixed with its
+    A set hashes to the XOR of its members' Zobrist keys, mixed with its
     size.  Hashes only narrow the search: identity is always decided by
     comparing members.
     """
 
-    def __init__(self, zobrist: np.ndarray, nfa_accepting: np.ndarray):
+    def __init__(self, zobrist: np.ndarray):
         self.zobrist = zobrist
-        self.nfa_accepting = nfa_accepting
         self.members = np.empty(1 << 12, dtype=np.int32)
         self.offsets = np.zeros(1 << 10, dtype=np.int64)
         self.count = 0
         self.hashes = np.empty(0, dtype=np.uint64)
         self.ids = np.empty(0, dtype=np.int64)
-        self.accepting: list[np.ndarray] = []
 
     def digest(self, members: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         mixed = np.bitwise_xor.reduceat(self.zobrist[members], starts)
         return mixed ^ lengths.astype(np.uint64) * _GOLDEN
 
     def add(self, members: np.ndarray, lengths: np.ndarray, hashes: np.ndarray) -> int:
-        """Store new subsets whose members come back to back; returns the
-        first new id."""
+        """Store new sets whose members come back to back; returns the first
+        new id."""
         used = int(self.offsets[self.count])
         need = used + len(members)
         if need > len(self.members):
@@ -603,9 +607,7 @@ class _Subsets:
         first, self.count = self.count, self.count + len(lengths)
         if self.count >= len(self.offsets):
             self.offsets = np.resize(self.offsets, max(self.count + 1, 2 * len(self.offsets)))
-        ends = np.cumsum(lengths)
-        self.offsets[first + 1 : self.count + 1] = used + ends
-        self.accepting.append(np.logical_or.reduceat(self.nfa_accepting[members], ends - lengths))
+        self.offsets[first + 1 : self.count + 1] = used + np.cumsum(lengths)
         # merge the new hashes into the sorted index
         order = np.argsort(hashes)
         at = np.searchsorted(self.hashes, hashes[order]) + np.arange(len(order))
@@ -619,17 +621,36 @@ class _Subsets:
         return first
 
     def find(self, hashes: np.ndarray) -> np.ndarray:
-        """Id of the first stored subset with each hash, or -1."""
-        pos = np.minimum(np.searchsorted(self.hashes, hashes), len(self.hashes) - 1)
+        """Id of the first stored set with each hash, or -1."""
+        if not self.count:
+            return np.full(len(hashes), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.hashes, hashes), self.count - 1)
         return np.where(self.hashes[pos] == hashes, self.ids[pos], -1)
 
     def intern(self, members: np.ndarray, h: np.uint64) -> int:
-        """Id of the subset with exactly these members, stored if new."""
+        """Id of the set with exactly these members, stored if new."""
         lo, hi = np.searchsorted(self.hashes, h, "left"), np.searchsorted(self.hashes, h, "right")
         for sid in self.ids[lo:hi]:
             if np.array_equal(self.members[self.offsets[sid] : self.offsets[sid + 1]], members):
                 return int(sid)
         return self.add(members, np.array([len(members)]), np.array([h]))
+
+
+class _Memo(_Subsets):
+    """The unpruned successor runs seen so far, each with the id of its
+    pruned set among the subsets in ``pruned``, under ``dominators``.  Only
+    a cache: ``_determinize`` starts a new one past MAX_SUBSETS runs."""
+
+    def __init__(self, zobrist: np.ndarray, dominators: tuple):
+        super().__init__(zobrist)
+        self.dominators = dominators
+        self.pruned = np.empty(1 << 10, dtype=np.int32)
+
+    def map(self, runs: np.ndarray, subsets: np.ndarray) -> None:
+        """Record that memo runs ``runs`` prune to subsets ``subsets``."""
+        if self.count > len(self.pruned):
+            self.pruned = np.resize(self.pruned, max(self.count, 2 * len(self.pruned)))
+        self.pruned[runs] = subsets
 
 
 def _live_rows(delta3: np.ndarray, accepting: np.ndarray, bits: int) -> tuple:
@@ -757,11 +778,58 @@ def _prune(keys: np.ndarray, bits: int, dominators: tuple | None) -> np.ndarray:
     return keys[~drop]
 
 
+def _runs(keys: np.ndarray, bits: int) -> tuple:
+    """Sorted, distinct ``candidate << bits | target`` keys as one run of
+    targets a candidate: (each run's candidate, targets, starts, lengths)."""
+    cand = keys >> bits
+    tg = (keys & ((1 << bits) - 1)).astype(np.int32, copy=False)
+    bounds = np.empty(len(cand) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(cand[1:], cand[:-1], out=bounds[1:-1])
+    bounds = bounds.nonzero()[0]
+    starts = bounds[:-1]
+    return cand[starts], tg, starts, bounds[1:] - starts
+
+
+def _intern_runs(index: _Subsets, tg: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """Id in ``index`` of each run ``tg[start : start + length]``, sorted
+    and distinct; the runs not stored yet are stored."""
+    hashes = index.digest(tg, starts, lengths)
+    # one guess per distinct hash: the stored set with that hash, else the
+    # first run with it, stored now
+    order = np.argsort(hashes)
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
+    reps = order[first]
+    guess = index.find(hashes[reps])
+    unseen = guess < 0
+    if unseen.any():
+        is_new = np.zeros(len(starts), dtype=bool)
+        is_new[reps[unseen]] = True
+        first_id = index.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
+        guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
+    ids = np.empty(len(starts), dtype=np.int32)
+    ids[order] = guess[np.cumsum(first) - 1]
+
+    # confirm every guess member by member; settle the rest one by one
+    off = index.offsets
+    same = lengths == off[ids + 1] - off[ids]
+    partner = index.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
+                                 mode="clip")
+    same &= ~np.logical_or.reduceat(tg != partner, starts)
+    for i in np.flatnonzero(~same):
+        ids[i] = index.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
+    return ids
+
+
 def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
-            dominators: tuple | None) -> np.ndarray:
+            memo: _Memo | None) -> np.ndarray:
     """Transition rows of subsets a..b-1; successors not seen yet are stored,
-    and a symbol that leads to no live state gets -1.  A successor drops
-    each member that ``dominators`` (if any) lets another drop."""
+    and a symbol that leads to no live state gets -1.  With a ``memo``, a
+    successor drops each member that its dominators let another drop: each
+    unpruned run is looked up in the memo, and only the runs it has never
+    seen are pruned and looked up among the subsets."""
     flat, row_start, row_len = live
     off = subsets.offsets
     out = np.full((b - a) * m, -1, dtype=np.int32)
@@ -782,43 +850,26 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    keys = _prune(keys.compress(keep), bits, dominators)
-    cand = keys >> bits
-    tg = (keys & ((1 << bits) - 1)).astype(np.int32, copy=False)
+    keys = keys.compress(keep)
     # one run of keys per candidate with a live target; the others own none
-    bounds = np.empty(len(cand) + 1, dtype=bool)
-    bounds[0] = bounds[-1] = True
-    np.not_equal(cand[1:], cand[:-1], out=bounds[1:-1])
-    bounds = bounds.nonzero()[0]
-    starts = bounds[:-1]
-    lengths = bounds[1:] - starts
-    hashes = subsets.digest(tg, starts, lengths)
-
-    # one guess per distinct hash: the stored subset with that hash, else
-    # the first candidate with it, stored now
-    order = np.argsort(hashes)
-    first = np.ones(len(order), dtype=bool)
-    np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
-    reps = order[first]
-    guess = subsets.find(hashes[reps])
-    unseen = guess < 0
-    if unseen.any():
-        is_new = np.zeros(len(starts), dtype=bool)
-        is_new[reps[unseen]] = True
-        first_id = subsets.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
-        guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
-    ids = np.empty(len(starts), dtype=np.int32)
-    ids[order] = guess[np.cumsum(first) - 1]
-
-    # confirm every guess member by member; settle the rest one by one
-    off = subsets.offsets
-    same = lengths == off[ids + 1] - off[ids]
-    partner = subsets.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
-                                   mode="clip")
-    same &= ~np.logical_or.reduceat(tg != partner, starts)
-    for i in np.flatnonzero(~same):
-        ids[i] = subsets.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
-    out[cand[starts]] = ids
+    cand, tg, starts, lengths = _runs(keys, bits)
+    if memo is None:
+        out[cand] = _intern_runs(subsets, tg, starts, lengths)
+        return out.reshape(b - a, m)
+    before = memo.count
+    seen = _intern_runs(memo, tg, starts, lengths)
+    if memo.count > before:
+        # one run of each new memo entry, pruned; no run prunes to nothing,
+        # so the pruned runs come in the same order
+        fresh = np.flatnonzero(seen >= before)
+        one = np.empty(memo.count - before, dtype=np.intp)
+        one[seen[fresh] - before] = fresh
+        chosen = np.zeros(len(starts), dtype=bool)
+        chosen[one] = True
+        pruned = _prune(keys.compress(chosen.repeat(lengths)), bits, memo.dominators)
+        _, tg, starts, lengths = _runs(pruned, bits)
+        memo.map(seen[chosen], _intern_runs(subsets, tg, starts, lengths))
+    out[cand] = memo.pruned[seen]
     return out.reshape(b - a, m)
 
 
@@ -861,6 +912,11 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     includes, keeping the least index among equal languages.  Every subset
     keeps its language, so the quotient is the same canonical automaton.
     Constructions that fit one batch a level never build the relation.
+
+    A pruned walk meets the same unpruned successor runs again and again,
+    so a ``_Memo`` maps each run it has seen to its pruned subset for the
+    rest of the walk, and only the runs it has not seen are pruned.  It is
+    a cache: past MAX_SUBSETS runs it starts again empty.
     """
     n, m, w = delta3.shape
     bits = max(n - 1, 1).bit_length()
@@ -871,16 +927,19 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     init = _sorted_unique(initial_set).astype(np.int32)
     init = init[~sink[init]]
 
+    zobrist = _zobrist_keys(n)
+
     def start(dominators):
-        subsets = _Subsets(_zobrist_keys(n), accepting)
+        subsets = _Subsets(zobrist)
+        memo = None if dominators is None else _Memo(zobrist, dominators)
         first = _prune(init, bits, dominators)
         if len(first):
             size = np.array([len(first)])
             subsets.add(first, size, subsets.digest(first, np.zeros(1, dtype=np.int64), size))
-        return subsets, [], 0
+        return subsets, memo, [], 0
 
-    dominators, built = None, False
-    subsets, rows, done = start(None)
+    built = False
+    subsets, memo, rows, done = start(None)
     while done < subsets.count:
         level_end = subsets.count
         if level_end > MAX_SUBSETS:
@@ -894,10 +953,12 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
             built = True
             dominators = _dominators(delta3, accepting, sink)
             if dominators is not None:
-                subsets, rows, done = start(dominators)
+                subsets, memo, rows, done = start(dominators)
                 continue
         for a, b in runs:
-            rows.append(_expand(subsets, a, b, live, bits, m, dominators))
+            rows.append(_expand(subsets, a, b, live, bits, m, memo))
+            if memo is not None and memo.count > MAX_SUBSETS:
+                memo = _Memo(zobrist, memo.dominators)
         done = level_end
     # the dead row, last; it stays only if some symbol leads there or the
     # empty initial set leaves it the only state, so every state is reachable
@@ -906,9 +967,11 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     dead = delta < 0
     n_states = len(delta) if dead[:-1].any() or len(delta) == 1 else len(delta) - 1
     delta[dead] = len(delta) - 1
-    accepting = np.concatenate(subsets.accepting + [np.zeros(1, dtype=bool)])
+    off = subsets.offsets[: subsets.count + 1]
+    accepting = np.append(np.logical_or.reduceat(accepting[subsets.members[: off[-1]]], off[:-1]),
+                          False)
     # free the construction's tables before the quotient builds its own
-    del rows, subsets, dead
+    del rows, subsets, memo, dead
     return _quotient(Dfa, alphabet, delta[:n_states], accepting[:n_states], 0)
 
 

@@ -187,7 +187,7 @@ def _run_section(env: logic.Environment, commands: list[list[str]],
     eval is named, and a closed one is a check, so it carries a trailer; the
     checks go into ``report``, and are skipped when there is none."""
     for tokens in commands:
-        if report is None and "=>" in tokens:
+        if report is None and tokens[-2:] in (["=>", "TRUE"], ["=>", "FALSE"]):
             continue
         env, out = step(env, tokens)
         if out.relation is not None and out.name is None:

@@ -6,7 +6,8 @@ The goal is that a bug in the package and a bug here would have to coincide
 to slip through.  The only nontrivial package import is pell.encode_batch,
 which the representation tests pin down exhaustively on its own; the
 earlier parser reuses logic's tokenizer and node types, and the earlier
-search kernel ``_kernels.LevelTables`` and ``_count_type``, nothing more.  The
+search kernel ``_kernels.LevelTables`` and ``_count_type``, and the earlier
+subset expansion ``automata._Subsets`` and ``_prune``, nothing more.  The
 ``ref_`` versions of package functions that were since rewritten for speed
 are the earlier code, kept so that the rewrites are checked against it.
 """
@@ -877,6 +878,37 @@ def ref_product(a, b, op: str) -> Dfa | Dfao:
     labels = [combine(a.labels[p].item(), b.labels[q].item()) for p, q in pairs]
     kind = Dfao if op == "and" and isinstance(a, Dfao) else Dfa
     return ref_minimize(kind(a.alphabet, np.array(rows), np.array(labels), 0))
+
+
+def ref_expand(subsets, a: int, b: int, live: tuple, bits: int, m: int, memo) -> np.ndarray:
+    """The earlier ``automata._expand``, which prunes every candidate's run
+    on its own: the memo's dominators only, never its runs.  A drop-in for
+    the package's, so a construction through it builds the same subsets."""
+    dominators = None if memo is None else memo.dominators
+    flat, row_start, row_len = live
+    off = subsets.offsets
+    out = np.full((b - a) * m, -1, dtype=np.int32)
+    members = subsets.members[off[a] : off[b]]
+    lens = row_len[members]
+    ends = lens.cumsum(dtype=lens.dtype)
+    if not ends[-1]:
+        return out.reshape(b - a, m)
+    at = np.arange(ends[-1], dtype=lens.dtype)
+    keys = flat[at + (row_start[members] - (ends - lens)).repeat(lens)].astype(np.int64)
+    keys += (np.arange(b - a, dtype=np.int64) * m << bits).repeat(
+        off[a + 1 : b + 1] - off[a:b]).repeat(lens)
+    keys = automata._prune(np.unique(keys), bits, dominators)
+    cand = keys >> bits
+    tg = (keys & ((1 << bits) - 1)).astype(np.int32)
+    bounds = np.flatnonzero(np.diff(cand, prepend=-1, append=-1))
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts
+    hashes = subsets.digest(tg, starts, lengths)
+    ids = np.empty(len(starts), dtype=np.int32)
+    for i, (s, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        ids[i] = subsets.intern(tg[s : s + n], hashes[i])
+    out[cand[starts]] = ids
+    return out.reshape(b - a, m)
 
 
 def ref_cylindrify(a, position: int):

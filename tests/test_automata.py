@@ -733,6 +733,51 @@ def test_determinize_survives_hash_collisions(monkeypatch):
     assert [automata.project(adder, t) for t in range(3)] == want_proj
 
 
+def raw_rows(monkeypatch) -> list[int]:
+    """From now on, the row count of every raw table that goes to the
+    quotient: in a subset construction, its subsets and the dead row."""
+    rows = []
+    quotient = automata._quotient
+    monkeypatch.setattr(automata, "_quotient", lambda *args: rows.append(len(args[2])) or quotient(*args))
+    return rows
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_memoized_pruning_builds_the_subsets_of_per_candidate_pruning(monkeypatch, collide):
+    # small batches build the relation, and the memo prunes each distinct
+    # run once; the reference prunes every candidate's run on its own.  Both
+    # must store the same subsets, so the raw tables have as many rows
+    monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
+    if collide:  # every set of one size hashes alike
+        monkeypatch.setattr(automata, "_zobrist_keys", lambda n: np.full(n, 77, dtype=np.uint64))
+    assert np.array_equal(automata._Subsets(automata._zobrist_keys(3)).find(
+        np.arange(2, dtype=np.uint64)), [-1, -1])
+    rng = np.random.default_rng(89)
+    cases = []
+    for n_tracks, width in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        nfas = [random_nfa(rng, n_tracks, width) for _ in range(8)]
+        cases += [(*nfa, TrackAlphabet(n_tracks)) for nfa in nfas + list(edge_nfas(rng, n_tracks, width))]
+    rows = raw_rows(monkeypatch)
+    pruned = []
+    prune = automata._prune
+    monkeypatch.setattr(automata, "_prune", lambda keys, *rest: pruned.append(len(keys)) or prune(keys, *rest))
+    expand = automata._expand
+
+    def build(expander):
+        monkeypatch.setattr(automata, "_expand", expander)
+        rows.clear()
+        pruned.clear()
+        machines = [automata._determinize(*case) for case in cases]
+        return machines, list(rows), sum(pruned)
+
+    want, want_rows, want_keys = build(R.ref_expand)
+    got, got_rows, got_keys = build(expand)
+    assert got == want
+    assert got_rows == want_rows
+    # the relation was built and pruned some walks, and the memo saved work
+    assert 0 < got_keys < want_keys
+
+
 def sinky_dfa(rng, n_tracks):
     """Random DFA of at most 12 states whose last state is a sink that about
     half the edges enter, with a copy of one state among the others."""
@@ -793,6 +838,39 @@ def test_subset_budget(monkeypatch):
     with pytest.raises(automata.SubsetBudgetError, match="6 subsets"):
         automata.project(adder, 0)
     assert issubclass(automata.SubsetBudgetError, ValueError)
+
+
+def test_a_memo_past_the_subset_budget_starts_again(monkeypatch):
+    # the x5 factor tail's largest projection has a raw table of 6,805 rows
+    # (6,804 subsets and the dead row) and meets 26,476 distinct unpruned
+    # runs; a budget between the two only clears the memo, which then holds
+    # no more runs than the budget and one batch's
+    from pelldecide import logic
+
+    inputs = []
+    project = automata.project
+    monkeypatch.setattr(automata, "project", lambda a, t: inputs.append((a, t)) or project(a, t))
+    logic.compile(logic.parse("?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]"),
+                  logic.Environment())
+    monkeypatch.setattr(automata, "project", project)
+    a, track = max(inputs, key=lambda i: i[0].n_states)
+    memos = []
+
+    class Memo(automata._Memo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(automata, "_Memo", Memo)
+    rows = raw_rows(monkeypatch)
+    want = automata.project(a, track)
+    assert rows == [6805] and [memo.count for memo in memos] == [26476]
+    budget = 10_000
+    monkeypatch.setattr(automata, "MAX_SUBSETS", budget)
+    memos.clear()
+    assert automata.to_text(automata.project(a, track)) == automata.to_text(want)
+    assert rows == [6805] * 2
+    assert len(memos) >= 3 and max(memo.count for memo in memos) < 2 * budget
 
 
 # --- running and enumeration --------------------------------------------------

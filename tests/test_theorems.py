@@ -160,6 +160,17 @@ def test_a_section_refuses_a_command_it_would_skip():
             theorems._run_section(env, [tokens], theorems.TheoremReport("toy"))
 
 
+def test_a_section_without_a_report_skips_only_well_formed_checks():
+    # an earlier section's checks are skipped unread, so the skip matches
+    # the trailer's whole shape, and a malformed one is refused either way
+    env = logic.Environment()
+    assert theorems._run_section(env, [["eval", "x", "1 = 1", "=>", "TRUE"]], None) is env
+    for tokens in (["eval", "x", "1 = 1", "=>", "MAYBE"], ["eval", "x", "1 = 1", "=>"],
+                   ["eval", "x", "=>", "TRUE", "1 = 1"]):
+        with pytest.raises(ValueError, match="not a line of the script language"):
+            theorems._run_section(logic.Environment(), [tokens], None)
+
+
 def test_exponent_verdicts(theorem_reports):
     report = theorem_reports["prove_e_x5"]
     assert by_name(report, "fac_low_exponent").obtained is True
