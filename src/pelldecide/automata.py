@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -395,9 +396,10 @@ def is_infinite(a: Dfa) -> bool:
 # minimization
 
 
+@cache
 def _row_keys(m: int) -> np.ndarray:
     """Odd int64 keys that hash a state's row: m successor classes, then its class."""
-    return _zobrist_keys(m + 1).view(np.int64) | 1
+    return _freeze(_zobrist_keys(m + 1).view(np.int64) | 1)
 
 
 def _exact_classes(classes: np.ndarray, succ: np.ndarray) -> np.ndarray:
@@ -407,36 +409,49 @@ def _exact_classes(classes: np.ndarray, succ: np.ndarray) -> np.ndarray:
     return new.reshape(-1).astype(np.int32)
 
 
-def _refine_partition(delta: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Coarsest refinement of ``classes`` stable under every symbol.
+def _refine_partition(delta: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Coarsest refinement of the partition ``labels`` stable under every
+    symbol.
 
     Moore's rounds: each round splits the classes by the classes of all
-    successors at once, and stops when a round splits nothing.  A state's
-    row (successor classes, class) hashes to one int64, and one sort of the
-    hashes groups the states.  Every row is then compared with the row of
-    its group's representative, so a hash collision costs an exact round,
-    never a wrong merge.
+    successors at once, and the rounds end at the first one that adds no
+    class.  A state's row (successor classes, class) hashes to one int64,
+    and one sort of the hashes groups the states.  The partition they end
+    on is then checked once: every row must equal the row of its group's
+    representative, and every class must keep to one label.  A hash
+    collision only merges states that exact rounds would split, so a
+    partition that passes is the coarsest stable one; one that fails costs
+    exact rounds from the labels, never a wrong merge.
     """
     n, m = delta.shape
     keys = _row_keys(m)
-    classes = classes.astype(np.int32)
-    n_classes = int(classes.max()) + 1 if n else 0
+    labels = labels.astype(np.int32)
+    n_labels = int(labels.max()) + 1 if n else 0
+    classes, n_classes, exact = labels, n_labels, False
     while n:
         succ = classes[delta]
-        hashes = np.einsum("ij,j->i", succ, keys[:m]) + classes * keys[m]
-        order = np.argsort(hashes)
-        ranked = hashes[order]
-        first = np.ones(n, dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        new = np.empty(n, dtype=np.int32)
-        new[order] = np.cumsum(first) - 1
-        rep = order[first][new]
-        if not (np.array_equal(classes[rep], classes) and np.array_equal(succ[rep], succ)):
+        if exact:
             new = _exact_classes(classes, succ)
+        else:
+            hashes = np.einsum("ij,j->i", succ, keys[:m]) + classes * keys[m]
+            order = np.argsort(hashes)
+            ranked = hashes[order]
+            first = np.ones(n, dtype=bool)
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            new = np.empty(n, dtype=np.int32)
+            new[order] = np.cumsum(first) - 1
         new_count = int(new.max()) + 1
-        if new_count == n_classes:
+        if new_count > n_classes:
+            classes, n_classes = new, new_count
+            continue
+        if exact:
             break
-        classes, n_classes = new, new_count
+        rep = order[first][new]
+        if (np.array_equal(succ[rep], succ) and np.array_equal(classes[rep], classes)
+                and np.array_equal(labels[rep], labels)):
+            break
+        # a collision merged two rows: settle the partition exactly
+        classes, n_classes, exact = labels, n_labels, True
     return classes
 
 

@@ -12,9 +12,12 @@ Every compiled automaton satisfies two invariants that the operations
 preserve: each track is a leading-zero-padded canonical representation, and
 membership is indifferent to how much padding a word carries.  Negation and
 the implication/iff products therefore re-intersect with the per-track
-validity automaton (``pell.restrict``), and universal quantification is the
-classic double negation around projection.  This module knows only the
-predicate language: ``theorems`` reads and runs the command scripts.
+validity automaton (``pell.restrict``).  A quantifier compiles its body's
+conjuncts apart and projects each bound name as soon as the conjuncts that
+mention it are joined (early quantification, as ``_eliminate`` does for the
+temporaries of an atom); Ax φ is ~Ex ~φ, so a universal quantifier splits
+its negated body, and negates once more at the end.  This module knows only
+the predicate language: ``theorems`` reads and runs the command scripts.
 """
 
 from __future__ import annotations
@@ -544,6 +547,18 @@ def _eliminate(constraints: list[Relation], temps: list[str]) -> Relation:
     return reduce(_combine, work)
 
 
+def _conjuncts(p: Predicate, negated: bool = False) -> list[Predicate]:
+    """Predicates whose conjunction is p, or ~p when ``negated``: the
+    negation is pushed through ~, | and =>, and & chains are split."""
+    if isinstance(p, PNot):
+        return _conjuncts(p.body, not negated)
+    if isinstance(p, PBin) and p.op == ("&", "|")[negated]:
+        return _conjuncts(p.left, negated) + _conjuncts(p.right, negated)
+    if isinstance(p, PBin) and p.op == "=>" and negated:
+        return _conjuncts(p.left) + _conjuncts(p.right, True)
+    return [PNot(p)] if negated else [p]
+
+
 # ---------------------------------------------------------------------------
 # environment
 
@@ -913,15 +928,26 @@ class _Compiler:
         if isinstance(p, PBin):
             return _combine(self.compile(p.left), self.compile(p.right), p.op)
         if isinstance(p, PQuant):
-            p = _positions(p)
-            # Ax φ is ~Ex ~φ
-            flip = _negate if p.kind == "A" else (lambda r: r)
-            r = flip(self.compile(p.body))
-            for name in p.names:
-                if name in r.tracks:
-                    r = _project_var(r, name)
-            return flip(r)
+            try:
+                return self.quantifier(_positions(p))
+            except (automata.PairBudgetError, automata.SubsetBudgetError) as e:
+                # the innermost quantifier as written names the error: one
+                # that binds or sees a compiler name ("%") came from _positions
+                free = sorted(free_variables(p))
+                if not hasattr(e, "quantifier") and not any("%" in n for n in p.names + tuple(free)):
+                    over = ", ".join(free) or "no free variables"
+                    e.quantifier = f"{p.kind}{','.join(p.names)} over {over}"
+                    e.args = (f"{e.args[0]} (in {e.quantifier})",)
+                raise
         raise CompileError(f"cannot compile {type(p).__name__}")
+
+    def quantifier(self, q: PQuant) -> Relation:
+        """Ex φ eliminates x from the conjuncts of φ bucket by bucket, and
+        Ax φ is ~Ex ~φ."""
+        parts = [self.compile(c) for c in _conjuncts(q.body, q.kind == "A")]
+        occur = set().union(*(r.tracks for r in parts))
+        r = _eliminate(parts, [n for n in q.names if n in occur])
+        return _negate(r) if q.kind == "A" else r
 
 
 def compile(p: Union[str, Predicate], env: Optional[Environment] = None) -> Relation:

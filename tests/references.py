@@ -7,7 +7,9 @@ to slip through.  The only nontrivial package import is pell.encode_batch,
 which the representation tests pin down exhaustively on its own; the
 earlier parser reuses logic's tokenizer and node types, and the earlier
 search kernel ``_kernels.LevelTables`` and ``_count_type``, and the earlier
-subset expansion ``automata._Subsets`` and ``_prune``, nothing more.  The
+subset expansion ``automata._Subsets`` and ``_prune``, and the earlier
+quantifier branch (``ref_compile_quantifier``) logic's ``_negate`` and
+``_project_var``, nothing more.  The
 ``ref_`` versions of package functions that were since rewritten for speed
 are the earlier code, kept so that the rewrites are checked against it.
 """
@@ -878,6 +880,19 @@ def ref_product(a, b, op: str) -> Dfa | Dfao:
     labels = [combine(a.labels[p].item(), b.labels[q].item()) for p, q in pairs]
     kind = Dfao if op == "and" and isinstance(a, Dfao) else Dfa
     return ref_minimize(kind(a.alphabet, np.array(rows), np.array(labels), 0))
+
+
+def ref_compile_quantifier(compiler, q):
+    """The earlier quantifier branch of ``logic._Compiler``, a drop-in for
+    its ``quantifier`` method, which gets the quantifier as ``_positions``
+    left it: the whole body compiled over every track of the body, then
+    each bound name projected in turn; Ax φ as ~Ex ~φ."""
+    flip = L._negate if q.kind == "A" else (lambda r: r)
+    r = flip(compiler.compile(q.body))
+    for name in q.names:
+        if name in r.tracks:
+            r = L._project_var(r, name)
+    return flip(r)
 
 
 def ref_expand(subsets, a: int, b: int, live: tuple, bits: int, m: int, memo) -> np.ndarray:

@@ -270,7 +270,7 @@ def test_minimize_survives_row_hash_collisions(monkeypatch):
     cases = minimize_cases()
     want = [automata.to_text(automata.minimize(a)) for a in cases]
     exact_rounds = []
-    exact = automata._exact_classes
+    exact, row_keys = automata._exact_classes, automata._row_keys
 
     def counted(classes, succ):
         exact_rounds.append(len(classes))
@@ -285,6 +285,17 @@ def test_minimize_survives_row_hash_collisions(monkeypatch):
         if got.n_states > 1:
             assert len(exact_rounds) > before
     assert len(exact_rounds) > len(cases)
+
+    # keys blind to a state's own class: accepting 1 and rejecting 2 share
+    # their successors, so the hashed rounds settle on a stable partition
+    # that merges them, and only the check of the labels refuses it
+    monkeypatch.setattr(automata, "_row_keys", lambda m: np.append(row_keys(m)[:m], 0))
+    delta = np.array([[1, 2, 3], [3, 4, 4], [3, 4, 4], [3, 3, 3], [4, 4, 4]])
+    merged = Dfa(TrackAlphabet(1), delta, np.array([0, 1, 0, 0, 1], dtype=bool), 0)
+    before = len(exact_rounds)
+    got = automata.minimize(merged)
+    assert got.n_states == 5 and len(exact_rounds) > before
+    assert automata.to_text(got) == automata.to_text(R.ref_minimize(merged))
 
 
 def test_canonical_outputs_are_byte_identical():

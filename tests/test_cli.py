@@ -875,6 +875,29 @@ def test_cylindrify_budget_exits_2(capsys, monkeypatch):
         automata.cylindrify(rec, [1], 3)
 
 
+def test_a_budget_error_names_its_innermost_quantifier(capsys, monkeypatch):
+    # the quantifier as written, not the E%j0 and the moved Aj that the
+    # position rewrite makes of it, and not the Ep,n around it
+    tail = "Aj (j + p < n) => X[i + j] = X[i + j + p]"
+    cli.main(["eval", f"?msd_pell {tail}"])  # X and the atoms, built within the budget
+    capsys.readouterr()
+    monkeypatch.setattr(automata, "MAX_PAIRS", 10_000)
+    code, out, err = run_cli(capsys, "eval", f"?msd_pell Ep,n {tail}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: product passed 10000 (pair, symbol) entries")
+    assert err.endswith("; the formula is too large (in Aj over i, n, p)\n")
+    assert len(err.splitlines()) == 1
+    monkeypatch.setattr(automata, "MAX_PAIRS", 1 << 24)
+    monkeypatch.setattr(automata, "MAX_SUBSETS", 100)
+    code, out, err = run_cli(capsys, "eval", f"?msd_pell Ai,n,p {tail}")
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err == ("error: subset construction passed 100 subsets; the formula is too large"
+                   " (in Aj over i, n, p)\n")
+    monkeypatch.setattr(automata, "MAX_PAIRS", 100)
+    with pytest.raises(automata.PairBudgetError, match=r"large \(in Ex,y over no free variables\)$"):
+        logic.compile("?msd_pell Ex,y x + 2*y = 7")
+
+
 class HalfWriter:
     """A new file that takes the first half of a text, then fails."""
 

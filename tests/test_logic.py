@@ -859,3 +859,117 @@ def test_compiled_relations_match_integer_arithmetic(text):
                         strategies.QUANTIFIER_BOUND)
     got = logic.relation_accepts_batch(rel, rows)
     assert np.array_equal(got, np.broadcast_to(truth, got.shape)), text
+
+
+# --- early quantification --------------------------------------------------------------
+
+
+def _drawn_env():
+    env = logic.Environment().with_sequence("C", sequences.c_alpha_dfao())
+    return logic.define(env, "f", "?msd_pell x + 1 < 2*x")
+
+
+def test_conjuncts_push_the_negation_of_a_universal_body():
+    split = logic._conjuncts(logic.parse("(x = 0 & y = 1) => (z = 2 | x < y)"), True)
+    assert split == [logic.parse(t) for t in ("x = 0", "y = 1", "~z = 2", "~x < y")]
+    split = logic._conjuncts(logic.parse("~(x = 0 => ~y = 1) & (z = 2 <=> x = y)"))
+    assert split == [logic.parse(t) for t in ("x = 0", "y = 1", "z = 2 <=> x = y")]
+
+
+def _compiled(ast, env):
+    """The relation's tracks and text, or the message of its CompileError."""
+    try:
+        rel = logic.compile(ast, env)
+    except CompileError as e:
+        return str(e)
+    return rel.tracks, automata.to_text(rel.dfa)
+
+
+@given(strategies.predicates())
+@example("Ex,y (x + y = z) & ~(Ey y < x) & C[x] = @1")
+@example("Ax (x < y) => (C[x + 1] = @1 | $f(x) | ~(Ez z = x + y))")
+@example("Ay ~(y = 2*x & (Ex,z x + z = y))")
+@example("Ex x = 0 & (Ey y = 1)")
+@settings(max_examples=100)
+def test_early_quantification_compiles_the_same_relation(text):
+    # each quantifier eliminates its names from its body's conjuncts; the
+    # earlier branch compiled the whole body and then projected
+    try:
+        ast = logic.parse(text)
+    except PredicateSyntaxError:
+        assume(False)
+    env = _drawn_env()
+    got = _compiled(ast, env)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic._Compiler, "quantifier", R.ref_compile_quantifier)
+        assert got == _compiled(ast, env), text
+
+
+def _script_relations(compile_text) -> list:
+    """(text, tracks, to_text) of every quantified predicate that the
+    bundled script compiles, in order, each compiled by ``compile_text``."""
+    seen = []
+
+    def recording(p, env=None):
+        rel = compile_text(p, env)
+        ast = logic.parse(p) if isinstance(p, str) else p
+        if any(isinstance(q, PQuant) for q in logic._nodes(ast)):
+            seen.append((str(p), rel.tracks, automata.to_text(rel.dfa)))
+        return rel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "compile", recording)
+        assert all(report.passed for report in theorems.run_all().values())
+    return seen
+
+
+def test_script_sentences_compile_the_same_relation_without_early_quantification(monkeypatch):
+    got = _script_relations(logic.compile)
+    monkeypatch.setattr(logic._Compiler, "quantifier", R.ref_compile_quantifier)
+    want = _script_relations(logic.compile)
+    assert len(got) >= 25
+    for mine, earlier in zip(got, want, strict=True):
+        assert mine == earlier, mine[0]
+
+
+def _count_of_ones():
+    """cnt(k, n): k = floor((n + 1)α) is the number of 1s in C[1..n].  The
+    state is (c1, c0, the previous digit of n): the digits of k trail those
+    of n by one place, and c1, c0 carry the difference of the two values in
+    units of the last two Pell numbers; a difference past 64 is dead."""
+    alphabet = TrackAlphabet(2)
+
+    def step(state, symbol):
+        if state is None:
+            return None
+        c1, c0, prev = state
+        d_k, d_n = (int(t) for t in alphabet.unpack(symbol))
+        c1, c0 = 2 * c1 + c0 + prev - d_k, c1
+        return (c1, c0, d_n) if abs(c1) <= 64 else None
+
+    delta, states = automata._explore((0, 0, 0), step, alphabet.size)
+    accepting = np.array([s is not None and s[0] == 0 for s in states])
+    return pell.restrict(Dfa(alphabet, delta, accepting, 0))
+
+
+def test_a_direct_balance_sentence_compiles_within_the_budgets():
+    # letter 3 of x5: the count of 3s in X[0..n) is ceil(k/2), k the count of
+    # 1s in C[1..n].  Without early quantification both sentences below raise
+    # PairBudgetError: the body of the seven names was one 7-track relation
+    cnt = _count_of_ones()
+    assert cnt.n_states == 7
+    n = np.arange(3000)
+    k = np.array([R.ref_floor_alpha(v + 1) for v in n])
+    rel = logic.Relation(cnt, ("k", "n"))
+    assert logic.relation_accepts_batch(rel, np.column_stack([k, n])).all()
+    assert not logic.relation_accepts_batch(rel, np.column_stack([k + 1, n])).any()
+
+    env = x5_env().with_callable("cnt", cnt, ("k", "n"))
+    env = logic.define(env, "cthree", "?msd_pell Ek $cnt(k, n) & ((2*s = k) | (2*s = k + 1))")
+    assert logic.eval_closed("?msd_pell $cthree(0, 0)", env)
+    assert logic.eval_closed("?msd_pell An,s $cthree(n, s) => ((X[n] = @3 => $cthree(n + 1, s + 1))"
+                             " & (X[n] != @3 => $cthree(n + 1, s)))", env)
+    balance = ("?msd_pell An,i,j,s,t,u,v ($cthree(i, s) & $cthree(i + n, t) & $cthree(j, u)"
+               " & $cthree(j + n, v)) => (t + u <= v + s{})")
+    assert logic.eval_closed(balance.format(" + 1"), env)
+    assert not logic.eval_closed(balance.format(""), env)
