@@ -591,28 +591,72 @@ def _zobrist_keys(n: int) -> np.ndarray:
 
 
 class _Subsets:
-    """Sets of NFA states found so far: sorted member runs, back to back, and
-    their hashes in a sorted index.
+    """Sets of NFA states found so far, each as the bytes of its sorted
+    int32 members: ``ids`` maps those bytes to the set's id, and ``sets``
+    holds them in id order.  Equal bytes are equal sets, so a lookup is
+    exact."""
 
-    A set hashes to the XOR of its members' Zobrist keys, mixed with its
-    size.  Hashes only narrow the search: identity is always decided by
-    comparing members.
+    def __init__(self):
+        self.ids = {}
+        self.sets = []
+
+    @property
+    def count(self) -> int:
+        return len(self.sets)
+
+    def members(self, lo: int, hi: int) -> tuple:
+        """The members of sets lo..hi-1, back to back, and each set's size."""
+        chunk = self.sets[lo:hi]
+        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk)) >> 2
+        return np.frombuffer(b"".join(chunk), dtype=np.int32), sizes
+
+    def intern_runs(self, tg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Id of each run of ``tg`` (int32, sorted and distinct members),
+        the runs back to back from ``starts``; the runs not stored yet are
+        stored."""
+        data = tg.tobytes()
+        bounds = (starts * 4).tolist()
+        bounds.append(len(data))
+        ids, sets = self.ids, self.sets
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            run = data[lo:hi]
+            sid = ids.get(run)
+            if sid is None:
+                sid = ids[run] = len(sets)
+                sets.append(run)
+            out.append(sid)
+        return np.array(out, dtype=np.int32)
+
+
+class _Memo:
+    """The unpruned successor runs seen so far, each with the id of its
+    pruned set among the subsets in ``pruned``, under ``dominators``.  Only
+    a cache: ``_determinize`` starts a new one past MAX_SUBSETS runs.
+
+    The runs are stored as sorted member runs, back to back, and their
+    hashes in a sorted index, so a batch's runs are looked up together.  A
+    run hashes to the XOR of its members' Zobrist keys, mixed with its size.
+    Hashes only narrow the search: identity is always decided by comparing
+    members.
     """
 
-    def __init__(self, zobrist: np.ndarray):
+    def __init__(self, zobrist: np.ndarray, dominators: tuple):
         self.zobrist = zobrist
+        self.dominators = dominators
         self.members = np.empty(1 << 12, dtype=np.int32)
         self.offsets = np.zeros(1 << 10, dtype=np.int64)
         self.count = 0
         self.hashes = np.empty(0, dtype=np.uint64)
         self.ids = np.empty(0, dtype=np.int64)
+        self.pruned = np.empty(1 << 10, dtype=np.int32)
 
     def digest(self, members: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         mixed = np.bitwise_xor.reduceat(self.zobrist[members], starts)
         return mixed ^ lengths.astype(np.uint64) * _GOLDEN
 
     def add(self, members: np.ndarray, lengths: np.ndarray, hashes: np.ndarray) -> int:
-        """Store new sets whose members come back to back; returns the first
+        """Store new runs whose members come back to back; returns the first
         new id."""
         used = int(self.offsets[self.count])
         need = used + len(members)
@@ -636,30 +680,49 @@ class _Subsets:
         return first
 
     def find(self, hashes: np.ndarray) -> np.ndarray:
-        """Id of the first stored set with each hash, or -1."""
+        """Id of the first stored run with each hash, or -1."""
         if not self.count:
             return np.full(len(hashes), -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self.hashes, hashes), self.count - 1)
         return np.where(self.hashes[pos] == hashes, self.ids[pos], -1)
 
     def intern(self, members: np.ndarray, h: np.uint64) -> int:
-        """Id of the set with exactly these members, stored if new."""
+        """Id of the run with exactly these members, stored if new."""
         lo, hi = np.searchsorted(self.hashes, h, "left"), np.searchsorted(self.hashes, h, "right")
         for sid in self.ids[lo:hi]:
             if np.array_equal(self.members[self.offsets[sid] : self.offsets[sid + 1]], members):
                 return int(sid)
         return self.add(members, np.array([len(members)]), np.array([h]))
 
+    def intern_runs(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Id of each run ``tg[start : start + length]``, sorted and
+        distinct; the runs not stored yet are stored."""
+        hashes = self.digest(tg, starts, lengths)
+        # one guess per distinct hash: the stored run with that hash, else
+        # the first run with it, stored now
+        order = np.argsort(hashes)
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
+        reps = order[first]
+        guess = self.find(hashes[reps])
+        unseen = guess < 0
+        if unseen.any():
+            is_new = np.zeros(len(starts), dtype=bool)
+            is_new[reps[unseen]] = True
+            first_id = self.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
+            guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
+        ids = np.empty(len(starts), dtype=np.int32)
+        ids[order] = guess[np.cumsum(first) - 1]
 
-class _Memo(_Subsets):
-    """The unpruned successor runs seen so far, each with the id of its
-    pruned set among the subsets in ``pruned``, under ``dominators``.  Only
-    a cache: ``_determinize`` starts a new one past MAX_SUBSETS runs."""
-
-    def __init__(self, zobrist: np.ndarray, dominators: tuple):
-        super().__init__(zobrist)
-        self.dominators = dominators
-        self.pruned = np.empty(1 << 10, dtype=np.int32)
+        # confirm every guess member by member; settle the rest one by one
+        off = self.offsets
+        same = lengths == off[ids + 1] - off[ids]
+        partner = self.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
+                                    mode="clip")
+        same &= ~np.logical_or.reduceat(tg != partner, starts)
+        for i in np.flatnonzero(~same):
+            ids[i] = self.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
+        return ids
 
     def map(self, runs: np.ndarray, subsets: np.ndarray) -> None:
         """Record that memo runs ``runs`` prune to subsets ``subsets``."""
@@ -806,38 +869,6 @@ def _runs(keys: np.ndarray, bits: int) -> tuple:
     return cand[starts], tg, starts, bounds[1:] - starts
 
 
-def _intern_runs(index: _Subsets, tg: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray) -> np.ndarray:
-    """Id in ``index`` of each run ``tg[start : start + length]``, sorted
-    and distinct; the runs not stored yet are stored."""
-    hashes = index.digest(tg, starts, lengths)
-    # one guess per distinct hash: the stored set with that hash, else the
-    # first run with it, stored now
-    order = np.argsort(hashes)
-    first = np.ones(len(order), dtype=bool)
-    np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
-    reps = order[first]
-    guess = index.find(hashes[reps])
-    unseen = guess < 0
-    if unseen.any():
-        is_new = np.zeros(len(starts), dtype=bool)
-        is_new[reps[unseen]] = True
-        first_id = index.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
-        guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
-    ids = np.empty(len(starts), dtype=np.int32)
-    ids[order] = guess[np.cumsum(first) - 1]
-
-    # confirm every guess member by member; settle the rest one by one
-    off = index.offsets
-    same = lengths == off[ids + 1] - off[ids]
-    partner = index.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
-                                 mode="clip")
-    same &= ~np.logical_or.reduceat(tg != partner, starts)
-    for i in np.flatnonzero(~same):
-        ids[i] = index.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
-    return ids
-
-
 def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
             memo: _Memo | None) -> np.ndarray:
     """Transition rows of subsets a..b-1; successors not seen yet are stored,
@@ -846,21 +877,22 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
     unpruned run is looked up in the memo, and only the runs it has never
     seen are pruned and looked up among the subsets."""
     flat, row_start, row_len = live
-    off = subsets.offsets
     out = np.full((b - a) * m, -1, dtype=np.int32)
-    members = subsets.members[off[a] : off[b]]
+    members, sizes = subsets.members(a, b)
     lens = row_len[members]
     ends = lens.cumsum(dtype=lens.dtype)
     if not ends[-1]:  # every symbol leads every subset to the dead row
         return out.reshape(b - a, m)
     # each member's live keys, back to back: key = candidate << bits | target,
-    # where candidate = subset * m + symbol
-    at = np.arange(ends[-1], dtype=lens.dtype)
-    keys = flat[at + (row_start[members] - (ends - lens)).repeat(lens)]
+    # where candidate = subset * m + symbol; the gather index is built in place
+    at = (row_start[members] - (ends - lens)).repeat(lens)
+    at += np.arange(ends[-1], dtype=lens.dtype)
+    keys = flat[at]
+    del at
     if (b - a) * m << bits > _INT32_MAX:
         keys = keys.astype(np.int64)
     subset_base = np.arange(b - a, dtype=keys.dtype) * m << bits
-    keys += subset_base.repeat(off[a + 1 : b + 1] - off[a:b]).repeat(lens)
+    keys += subset_base.repeat(sizes).repeat(lens)
     keys.sort()
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
@@ -869,10 +901,10 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
     # one run of keys per candidate with a live target; the others own none
     cand, tg, starts, lengths = _runs(keys, bits)
     if memo is None:
-        out[cand] = _intern_runs(subsets, tg, starts, lengths)
+        out[cand] = subsets.intern_runs(tg, starts)
         return out.reshape(b - a, m)
     before = memo.count
-    seen = _intern_runs(memo, tg, starts, lengths)
+    seen = memo.intern_runs(tg, starts, lengths)
     if memo.count > before:
         # one run of each new memo entry, pruned; no run prunes to nothing,
         # so the pruned runs come in the same order
@@ -882,8 +914,8 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
         chosen = np.zeros(len(starts), dtype=bool)
         chosen[one] = True
         pruned = _prune(keys.compress(chosen.repeat(lengths)), bits, memo.dominators)
-        _, tg, starts, lengths = _runs(pruned, bits)
-        memo.map(seen[chosen], _intern_runs(subsets, tg, starts, lengths))
+        _, tg, starts, _ = _runs(pruned, bits)
+        memo.map(seen[chosen], subsets.intern_runs(tg, starts))
     out[cand] = memo.pruned[seen]
     return out.reshape(b - a, m)
 
@@ -892,11 +924,11 @@ def _batches(subsets: _Subsets, lo: int, hi: int, row_len: np.ndarray,
              widest: int) -> list[tuple[int, int]]:
     """Split subsets lo..hi-1 into runs of about _BATCH_KEYS live keys at
     most; ``widest`` bounds the keys of one member."""
-    off = subsets.offsets
-    if (off[hi] - off[lo]) * widest <= _BATCH_KEYS:
+    members, sizes = subsets.members(lo, hi)
+    if len(members) * widest <= _BATCH_KEYS:
         return [(lo, hi)]
-    keys = row_len[subsets.members[off[lo] : off[hi]]].cumsum()
-    batch = keys[off[lo + 1 : hi + 1] - off[lo] - 1] // _BATCH_KEYS
+    keys = row_len[members].cumsum()
+    batch = keys[sizes.cumsum() - 1] // _BATCH_KEYS
     cuts = lo + np.flatnonzero(np.diff(batch, prepend=-1, append=batch[-1] + 1))
     return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
 
@@ -915,9 +947,10 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     breadth-first level is expanded in batches of at most about
     ``_BATCH_KEYS`` live (subset, symbol, target) keys, gathered from the
     members' precomputed key rows.  One sort of a batch's keys yields every
-    successor as a sorted run of members; hashes find the runs already
-    stored, and a comparison of members confirms each match.  Raises
-    SubsetBudgetError when a level starts past MAX_SUBSETS subsets.
+    successor as a sorted run of members, and the run's member bytes look
+    it up among the subsets stored (``_Subsets``), exactly, with no hash.
+    Raises SubsetBudgetError when a level starts past MAX_SUBSETS subsets;
+    the dead row is not a subset and does not count.
 
     Subsets are pruned by language inclusion once the construction is
     large: at the first level that needs more than one batch, the relation
@@ -930,8 +963,10 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
 
     A pruned walk meets the same unpruned successor runs again and again,
     so a ``_Memo`` maps each run it has seen to its pruned subset for the
-    rest of the walk, and only the runs it has not seen are pruned.  It is
-    a cache: past MAX_SUBSETS runs it starts again empty.
+    rest of the walk, and only the runs it has not seen are pruned.  It
+    looks up a batch's runs together, through a hashed index, as it meets
+    many more runs than there are subsets.  It is a cache: past MAX_SUBSETS
+    runs it starts again empty.
     """
     n, m, w = delta3.shape
     bits = max(n - 1, 1).bit_length()
@@ -942,15 +977,12 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     init = _sorted_unique(initial_set).astype(np.int32)
     init = init[~sink[init]]
 
-    zobrist = _zobrist_keys(n)
-
     def start(dominators):
-        subsets = _Subsets(zobrist)
-        memo = None if dominators is None else _Memo(zobrist, dominators)
+        subsets = _Subsets()
+        memo = None if dominators is None else _Memo(_zobrist_keys(n), dominators)
         first = _prune(init, bits, dominators)
         if len(first):
-            size = np.array([len(first)])
-            subsets.add(first, size, subsets.digest(first, np.zeros(1, dtype=np.int64), size))
+            subsets.intern_runs(first, np.zeros(1, dtype=np.int64))
         return subsets, memo, [], 0
 
     built = False
@@ -973,7 +1005,7 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
         for a, b in runs:
             rows.append(_expand(subsets, a, b, live, bits, m, memo))
             if memo is not None and memo.count > MAX_SUBSETS:
-                memo = _Memo(zobrist, memo.dominators)
+                memo = _Memo(memo.zobrist, memo.dominators)
         done = level_end
     # the dead row, last; it stays only if some symbol leads there or the
     # empty initial set leaves it the only state, so every state is reachable
@@ -982,8 +1014,8 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     dead = delta < 0
     n_states = len(delta) if dead[:-1].any() or len(delta) == 1 else len(delta) - 1
     delta[dead] = len(delta) - 1
-    off = subsets.offsets[: subsets.count + 1]
-    accepting = np.append(np.logical_or.reduceat(accepting[subsets.members[: off[-1]]], off[:-1]),
+    members, sizes = subsets.members(0, subsets.count)
+    accepting = np.append(np.logical_or.reduceat(accepting[members], sizes.cumsum() - sizes),
                           False)
     # free the construction's tables before the quotient builds its own
     del rows, subsets, memo, dead

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from . import automata, learner, logic, pell, search, theorems
+from . import automata, pell, search
 
 
 @contextmanager
@@ -49,6 +49,8 @@ class Session:
     """Environment plus optional persistence directory."""
 
     def __init__(self, directory: Optional[str] = None):
+        from . import logic
+
         self.directory = Path(directory) if directory else None
         self.env = logic.Environment()
         if self.directory is not None and self.directory.exists():
@@ -93,6 +95,8 @@ def _execute(session: Session, tokens: list[str], dest: Optional[str] = None,
     (an eval's relation to ``dest``) before keeping what it bound, so a failed
     write leaves the session as it was, and print what it produced; exit code
     1 when a closed eval's verdict is not its trailer."""
+    from . import theorems
+
     env, out = theorems.step(session.env, tokens)
     code = 0
     if dest:
@@ -151,13 +155,15 @@ def cmd_reg(session: Session, ns) -> int:
 
 
 def cmd_dump(session: Session, ns) -> int:
+    from .logic import CompileError
+
     try:
         target = session.env.stored(ns.name).dfa
-    except logic.CompileError:
+    except CompileError:
         try:
             target = session.env.sequence(ns.name)
-        except logic.CompileError:
-            raise logic.CompileError(f"no definition or sequence named {ns.name!r}") from None
+        except CompileError:
+            raise CompileError(f"no definition or sequence named {ns.name!r}") from None
     _write_automaton(target, ns.format, ns.out, session)
     return 0
 
@@ -173,6 +179,8 @@ def cmd_seq(session: Session, ns) -> int:
 
 
 def cmd_learn_adder(session: Session, ns) -> int:
+    from . import learner
+
     learned = learner.learn_adder(max_len=ns.max_len)
     live = automata.live_state_count(learned)
     print(f"learned adder: {learned.n_states} states ({live} live) "
@@ -185,6 +193,8 @@ def cmd_learn_adder(session: Session, ns) -> int:
 
 
 def cmd_prove(session: Session, ns) -> int:
+    from . import theorems
+
     if ns.theorem == "all":
         reports = theorems.run_all()
     elif ns.theorem in theorems.THEOREMS:
@@ -215,9 +225,11 @@ def cmd_search(session: Session, ns) -> int:
 
 
 def cmd_run(session: Session, ns) -> int:
+    from . import theorems
+
     worst = 0
     for tokens in theorems.script_commands(Path(ns.script).read_text()):
-        print(f"> {' '.join(tokens)}")
+        print(f"> {theorems.script_line(tokens)}")
         worst = max(worst, _execute(session, tokens))
     return worst
 
@@ -325,7 +337,10 @@ _USER_ERRORS = (ValueError, OSError)
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[ns.command](Session(getattr(ns, "session", None)), ns)
+        # only the commands that take --session build one, and with it import
+        # the compiler
+        session = Session(ns.session) if hasattr(ns, "session") else None
+        return _HANDLERS[ns.command](session, ns)
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

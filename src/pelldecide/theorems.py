@@ -2,7 +2,8 @@
 proof: the sections of the bundled script, each run to a machine-checkable
 report.
 
-``script_commands`` reads a script's lines as written, and ``step`` runs one
+``script_commands`` reads a script's lines as written (``script_line`` spells
+tokens back as such a line), and ``step`` runs one
 (``theorem NAME``, ``def``, ``eval``, ``reg`` and ``seq SRC --dump F.txt``) in
 an environment.  The section runner here and ``pelldecide run`` read with
 the one and run with the other, as the CLI's single commands run theirs, so a
@@ -35,8 +36,8 @@ from . import logic
 from .automata import Dfa, Dfao
 
 __all__ = [
-    "Check", "TheoremReport", "Outcome", "script_commands", "step", "VERIFICATION_PREDICATES",
-    "THEOREMS", "prove", "run_all",
+    "Check", "TheoremReport", "Outcome", "script_commands", "script_line", "step",
+    "VERIFICATION_PREDICATES", "THEOREMS", "prove", "run_all",
 ]
 
 
@@ -102,6 +103,19 @@ def script_commands(text: str) -> Iterator[list[str]]:
             pending = ""
     if pending:
         yield shlex.split(pending)
+
+
+def script_line(tokens: Sequence[str]) -> str:
+    """``tokens`` as one line that ``shlex.split`` reads back as them.  A
+    word with a space, a quote or a ``#`` goes in double quotes, as scripts
+    write predicates, so ``script_commands`` reads the line back too; one
+    with a double quote or a backslash takes ``shlex.quote``'s quoting, and
+    every other word stays bare."""
+    def spelled(word: str) -> str:
+        if word and not any(c.isspace() or c in "\"'\\#" for c in word):
+            return word
+        return shlex.quote(word) if '"' in word or "\\" in word else f'"{word}"'
+    return " ".join(map(spelled, tokens))
 
 
 def _strip_comment(line: str, quoted: bool) -> tuple[str, bool]:

@@ -901,27 +901,28 @@ def ref_expand(subsets, a: int, b: int, live: tuple, bits: int, m: int, memo) ->
     the package's, so a construction through it builds the same subsets."""
     dominators = None if memo is None else memo.dominators
     flat, row_start, row_len = live
-    off = subsets.offsets
     out = np.full((b - a) * m, -1, dtype=np.int32)
-    members = subsets.members[off[a] : off[b]]
+    members, sizes = subsets.members(a, b)
     lens = row_len[members]
     ends = lens.cumsum(dtype=lens.dtype)
     if not ends[-1]:
         return out.reshape(b - a, m)
     at = np.arange(ends[-1], dtype=lens.dtype)
     keys = flat[at + (row_start[members] - (ends - lens)).repeat(lens)].astype(np.int64)
-    keys += (np.arange(b - a, dtype=np.int64) * m << bits).repeat(
-        off[a + 1 : b + 1] - off[a:b]).repeat(lens)
+    keys += (np.arange(b - a, dtype=np.int64) * m << bits).repeat(sizes).repeat(lens)
     keys = automata._prune(np.unique(keys), bits, dominators)
     cand = keys >> bits
     tg = (keys & ((1 << bits) - 1)).astype(np.int32)
     bounds = np.flatnonzero(np.diff(cand, prepend=-1, append=-1))
     starts = bounds[:-1]
     lengths = bounds[1:] - starts
-    hashes = subsets.digest(tg, starts, lengths)
     ids = np.empty(len(starts), dtype=np.int32)
     for i, (s, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        ids[i] = subsets.intern(tg[s : s + n], hashes[i])
+        run = tg[s : s + n].tobytes()
+        if run not in subsets.ids:
+            subsets.ids[run] = len(subsets.sets)
+            subsets.sets.append(run)
+        ids[i] = subsets.ids[run]
     out[cand[starts]] = ids
     return out.reshape(b - a, m)
 

@@ -743,6 +743,24 @@ def test_determinize_survives_hash_collisions(monkeypatch):
         assert got == frozenset_determinize(delta3, initial, accepting, TrackAlphabet(1))
     assert [automata.project(adder, t) for t in range(3)] == want_proj
 
+    # subsets are looked up by their member bytes, so only a pruned walk's
+    # memo hashes: small batches build the relation, and the memo must
+    # settle the runs whose hashes collide member by member
+    monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
+    settled, pruned = [], []
+    intern = automata._Memo.intern
+    monkeypatch.setattr(automata._Memo, "intern", lambda *args: settled.append(1) or intern(*args))
+    prune = automata._prune
+    monkeypatch.setattr(automata, "_prune", lambda keys, bits, dominators: pruned.append(
+        dominators is not None) or prune(keys, bits, dominators))
+    for n_tracks, width in [(1, 2), (1, 3), (2, 3)]:
+        alphabet = TrackAlphabet(n_tracks)
+        nfas = [random_nfa(rng, n_tracks, width) for _ in range(8)]
+        for delta3, initial, accepting in nfas + list(edge_nfas(rng, n_tracks, width)):
+            got = automata._determinize(delta3, initial, accepting, alphabet)
+            assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
+    assert any(pruned) and settled
+
 
 def raw_rows(monkeypatch) -> list[int]:
     """From now on, the row count of every raw table that goes to the
@@ -761,7 +779,7 @@ def test_memoized_pruning_builds_the_subsets_of_per_candidate_pruning(monkeypatc
     monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
     if collide:  # every set of one size hashes alike
         monkeypatch.setattr(automata, "_zobrist_keys", lambda n: np.full(n, 77, dtype=np.uint64))
-    assert np.array_equal(automata._Subsets(automata._zobrist_keys(3)).find(
+    assert np.array_equal(automata._Memo(automata._zobrist_keys(3), None).find(
         np.arange(2, dtype=np.uint64)), [-1, -1])
     rng = np.random.default_rng(89)
     cases = []

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end."""
 
+import ast
 import io
 import json
 import re
@@ -276,7 +277,22 @@ def test_run_prints_a_theorem_line_as_a_heading(capsys, tmp_path):
     script.write_text('theorem one\neval fine "1 = 1" => TRUE\n')
     code, out, err = run_cli(capsys, "run", str(script))
     assert (code, err) == (0, "")
-    assert out.splitlines() == ["> theorem one", "> eval fine 1 = 1 => TRUE", "fine = TRUE"]
+    assert out.splitlines() == ["> theorem one", '> eval fine "1 = 1" => TRUE', "fine = TRUE"]
+
+
+def test_an_echoed_line_reads_back_as_its_tokens():
+    # every line of the bundled walkthrough, and words that need each kind
+    # of quoting: the reader gets the same tokens back from the echo
+    text = (resources.files("pelldecide") / "data" / "paper.walnutish").read_text()
+    commands = list(theorems.script_commands(text))
+    assert len(commands) == 44
+    odd = [["eval", "x#y", "it's", "", "a\\b", "=>", "TRUE"], ['say', 'a "quoted" word']]
+    for tokens in commands + odd:
+        line = theorems.script_line(tokens)
+        assert shlex.split(line) == tokens, line
+        if not any('"' in t for t in tokens):
+            assert list(theorems.script_commands(line)) == [tokens], line
+    assert theorems.script_line(["eval", "fine", "1 = 1", "=>", "TRUE"]) == 'eval fine "1 = 1" => TRUE'
 
 
 def _refuse_to_compile(*args, **kwargs):
@@ -963,6 +979,9 @@ def test_run_bundled_walkthrough(capsys, tmp_path, theorem_reports):
     assert len(checks) == 26
     assert printed == {name: "TRUE" if verdict else "FALSE" for name, verdict in checks.items()}
     assert re.findall(r"^> theorem (\w+)$", out, flags=re.M) == list(theorem_reports)
+    # each line is echoed as the reader reads it back
+    echoed = [line[2:] for line in out.splitlines() if line.startswith("> ")]
+    assert echoed == [theorems.script_line(t) for t in theorems.script_commands(script.read_text())]
 
 
 # --- the README's examples ----------------------------------------------------------------
@@ -986,6 +1005,15 @@ def readme_commands():
     return commands
 
 
+def readme_block(section: str, language: str) -> str:
+    """The one ``language`` block of README's section ``section``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split(f"\n## {section}\n")[1].split("\n## ")[0]
+    blocks = re.findall(rf"^```{language}\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 def test_the_readme_examples_print_what_they_show(capsys, tmp_path, monkeypatch):
     # in a fresh directory and in order, since the session lines build on
     # each other; a comment TRUE or FALSE is the output, and "exits N" the code
@@ -1003,8 +1031,56 @@ def test_the_readme_examples_print_what_they_show(capsys, tmp_path, monkeypatch)
         if shown:
             assert out.splitlines() == shown, argv
 
+    # the convert block: each "$ pelldecide" line prints the lines under it
+    shell = readme_block("Pell numeration in one paragraph", "text")
+    runs = [line.split("\n") for line in shell.split("$ pelldecide ")[1:]]
+    assert len(runs) == 2
+    for command, *shown in runs:
+        assert run_cli(capsys, *shlex.split(command)) == (0, "".join(f"{s}\n" for s in shown if s), "")
+
+    # the library block, line by line: a comment that reads as a Python
+    # value (up to a ";" or a closing aside in parentheses) is the line's value
+    namespace = {}
+    checked = 0
+    for line in readme_block("The library", "python").splitlines():
+        code, _, comment = line.partition(" #")
+        statement = ast.parse(code).body
+        if not statement:
+            continue
+        if not isinstance(statement[0], ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        shown = re.sub(r" \(.*\)$", "", comment.strip().split(";")[0])
+        if shown == "(44, [five words])":
+            assert (value[0], len(value[1])) == (44, 5)
+        else:
+            try:
+                shown = eval(shown, namespace)
+            except SyntaxError:
+                continue
+            assert value == shown, code
+        checked += 1
+    assert checked == 8
+
 
 # --- process-level wiring -----------------------------------------------------------------
+
+
+def test_search_does_not_import_the_compiler():
+    # a command imports only what it runs: search needs no logic, learner or
+    # theorems, and importing logic alone costs about 0.05 s
+    probe = (
+        "import sys\n"
+        "from pelldecide import cli\n"
+        "code = cli.main(['search', '--alphabet', '5'])\n"
+        "loaded = [m for m in ('logic', 'learner', 'theorems') if f'pelldecide.{m}' in sys.modules]\n"
+        "print(code, loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "max length 44 with 5 words:"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_console_script_entry_point():
