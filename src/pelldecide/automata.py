@@ -573,7 +573,13 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 MAX_SUBSETS = 1_000_000
 """Most subsets one subset construction may build before it gives up."""
 
-_BATCH_KEYS = 1 << 20  # live (subset, symbol, target) keys sorted in one batch
+_BATCH_KEYS = 1 << 17
+"""Most live (subset, symbol, target) keys a subset construction sorts in
+one batch, and about the most pair codes its inclusion relation holds at
+once: the bound on the construction's working memory.  On the x5 factor
+tail's largest projection the traced peak is 9.5 MB, against 11.2 MB at
+1 << 18 and 16.0 MB at 1 << 20 with the relation in whole arrays, and the
+projection takes as long."""
 _INT32_MAX = np.iinfo(np.int32).max
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -638,7 +644,8 @@ class _Memo:
     hashes in a sorted index, so a batch's runs are looked up together.  A
     run hashes to the XOR of its members' Zobrist keys, mixed with its size.
     Hashes only narrow the search: identity is always decided by comparing
-    members.
+    members, and a run that is not the stored run its hash guesses is
+    settled by its member bytes (``settle``).
     """
 
     def __init__(self, zobrist: np.ndarray, dominators: tuple):
@@ -649,6 +656,7 @@ class _Memo:
         self.count = 0
         self.hashes = np.empty(0, dtype=np.uint64)
         self.ids = np.empty(0, dtype=np.int64)
+        self.groups = {}
         self.pruned = np.empty(1 << 10, dtype=np.int32)
 
     def digest(self, members: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -686,13 +694,34 @@ class _Memo:
         pos = np.minimum(np.searchsorted(self.hashes, hashes), self.count - 1)
         return np.where(self.hashes[pos] == hashes, self.ids[pos], -1)
 
-    def intern(self, members: np.ndarray, h: np.uint64) -> int:
-        """Id of the run with exactly these members, stored if new."""
-        lo, hi = np.searchsorted(self.hashes, h, "left"), np.searchsorted(self.hashes, h, "right")
-        for sid in self.ids[lo:hi]:
-            if np.array_equal(self.members[self.offsets[sid] : self.offsets[sid + 1]], members):
-                return int(sid)
-        return self.add(members, np.array([len(members)]), np.array([h]))
+    def settle(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               hashes: np.ndarray, rows: np.ndarray) -> list[int]:
+        """Ids of the runs ``rows`` of ``intern_runs``, by their member
+        bytes; the runs not stored yet are stored.  The stored runs of a hash
+        go into a dict the first time one of its runs is settled, and from
+        then on every new run of that hash is stored here (the hash is in
+        the index, so ``intern_runs`` never finds it new), so no run is read
+        twice."""
+        groups, off = self.groups, self.offsets
+        new, ids = [], []
+        for i in rows.tolist():
+            h = hashes[i]
+            group = groups.get(h)
+            if group is None:
+                lo, hi = (np.searchsorted(self.hashes, h, side) for side in ("left", "right"))
+                group = groups[h] = {self.members[off[sid] : off[sid + 1]].tobytes(): sid
+                                     for sid in self.ids[lo:hi].tolist()}
+            run = tg[starts[i] : starts[i] + lengths[i]].tobytes()
+            sid = group.get(run)
+            if sid is None:
+                sid = group[run] = self.count + len(new)
+                new.append(i)
+            ids.append(sid)
+        if new:
+            chosen = np.zeros(len(starts), dtype=bool)
+            chosen[new] = True
+            self.add(tg.compress(chosen.repeat(lengths)), lengths[chosen], hashes[chosen])
+        return ids
 
     def intern_runs(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Id of each run ``tg[start : start + length]``, sorted and
@@ -714,14 +743,15 @@ class _Memo:
         ids = np.empty(len(starts), dtype=np.int32)
         ids[order] = guess[np.cumsum(first) - 1]
 
-        # confirm every guess member by member; settle the rest one by one
+        # confirm every guess member by member; settle the rest by bytes
         off = self.offsets
         same = lengths == off[ids + 1] - off[ids]
         partner = self.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
                                     mode="clip")
         same &= ~np.logical_or.reduceat(tg != partner, starts)
-        for i in np.flatnonzero(~same):
-            ids[i] = self.intern(tg[starts[i] : starts[i] + lengths[i]], hashes[i])
+        unsure = np.flatnonzero(~same)
+        if len(unsure):
+            ids[unsure] = self.settle(tg, starts, lengths, hashes, unsure)
         return ids
 
     def map(self, runs: np.ndarray, subsets: np.ndarray) -> None:
@@ -769,44 +799,63 @@ def _dominators(delta3: np.ndarray, accepting: np.ndarray, sink: np.ndarray):
     Every kept pair is an inclusion.  Among equal languages only the least
     index dominates, which leaves no cycle, as the kept pairs are closed
     under chains within the candidates.
+
+    Beside the table and the candidate pairs, the work holds about
+    ``_BATCH_KEYS`` pair codes at most at once: the fork pairs are found a
+    chunk of states and one choice pair at a time, and the closure and each
+    fixpoint round take the successors of a chunk of pairs under one
+    choice at a time.
     """
     n, m, w = delta3.shape
     if n * n > MAX_PAIRS:
         return None
-    # one (n, m) table per choice, and its targets times n for the left
-    # side of a pair code; n * n fits int32 within MAX_PAIRS
-    right = np.ascontiguousarray(np.moveaxis(delta3, 2, 0))
-    left = right * np.int32(n)
+    # one (n, m) table per choice; n * n fits int32 within MAX_PAIRS
+    targets = np.ascontiguousarray(np.moveaxis(delta3, 2, 0), dtype=np.int32)
+    step = max(_BATCH_KEYS // m, 1)  # states or pairs a chunk, m codes each
 
     def successors(pairs, c):
-        """The pairs' successor pair codes under choice c, one row a pair."""
-        x, y = np.divmod(pairs, n)
-        return left[c][x] + right[c][y]
+        """Chunks of the pairs, each with its successor pair codes under
+        choice c, one row a pair."""
+        for lo in range(0, len(pairs), step):
+            chunk = pairs[lo : lo + step]
+            x, y = np.divmod(chunk, n)
+            codes = targets[c][x]
+            codes *= n
+            codes += targets[c][y]
+            yield chunk, codes
 
-    # every (state, symbol)'s choices against each other, both ways round
-    c, d = np.triu_indices(w, 1)
-    x, y = delta3[:, :, c].ravel(), delta3[:, :, d].ravel()
-    keep = (x != y) & ~sink[x] & ~sink[y]
-    x, y = x[keep], y[keep]
-    frontier = _sorted_unique(np.concatenate([x * n + y, y * n + x]))
-    if not len(frontier):
-        return None
     # 1 marks the pairs found so far and those never asked: equal or a sink
     table = np.zeros((n, n), dtype=np.int8)
     table[sink] = table[:, sink] = 1
     np.fill_diagonal(table, 1)
     cells = table.reshape(-1)
-    cells[frontier] = 1
+
+    def fresh(codes):
+        """The distinct codes not marked yet, now marked."""
+        codes = _sorted_unique(codes[cells.take(codes) == 0])
+        cells[codes] = 1
+        return codes
+
+    # every (state, symbol)'s choices against each other, both ways round
+    frontier = [np.empty(0, dtype=np.int32)]
+    for lo in range(0, n, step):
+        rows = delta3[lo : lo + step]
+        for c, d in zip(*np.triu_indices(w, 1)):
+            x, y = rows[:, :, c].ravel(), rows[:, :, d].ravel()
+            keep = (x != y) & ~sink[x] & ~sink[y]
+            x, y = x[keep], y[keep]
+            frontier += [fresh(x * n + y), fresh(y * n + x)]
+    frontier = np.concatenate(frontier)
+    if not len(frontier):
+        return None
     pairs = []
     found = len(frontier)
     while len(frontier):
         if found * m > MAX_PAIRS:
             return None
         pairs.append(frontier)
-        fresh = (successors(frontier, c) for c in range(w))
-        fresh = np.concatenate([code[cells.take(code) == 0] for code in fresh])
-        frontier = _sorted_unique(fresh)
-        cells[frontier] = 1
+        frontier = np.concatenate([fresh(codes) for c in range(w)
+                                   for _, codes in successors(frontier, c)])
         found += len(frontier)
     pairs = np.concatenate(pairs)
 
@@ -821,9 +870,12 @@ def _dominators(delta3: np.ndarray, accepting: np.ndarray, sink: np.ndarray):
     while True:
         before = len(pairs)
         for c in range(w):
-            holds = cells.take(successors(pairs, c)).all(axis=1)
-            cells[pairs[~holds]] = 0
-            pairs = pairs[holds]
+            held = [pairs[:0]]
+            for chunk, codes in successors(pairs, c):
+                holds = cells.take(codes).all(axis=1)
+                cells[chunk[~holds]] = 0
+                held.append(chunk[holds])
+            pairs = np.concatenate(held)
         if len(pairs) == before:
             break
     x, y = np.divmod(pairs, n)
@@ -959,7 +1011,9 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     and every successor drop each member whose language another member's
     includes, keeping the least index among equal languages.  Every subset
     keeps its language, so the quotient is the same canonical automaton.
-    Constructions that fit one batch a level never build the relation.
+    Constructions that fit one batch a level never ask for the relation,
+    and one whose n x n table would pass MAX_PAIRS gets None at once and
+    runs unpruned, as x3's 6,179-state construction in ``theorems`` does.
 
     A pruned walk meets the same unpruned successor runs again and again,
     so a ``_Memo`` maps each run it has seen to its pruned subset for the

@@ -927,6 +927,69 @@ def ref_expand(subsets, a: int, b: int, live: tuple, bits: int, m: int, memo) ->
     return out.reshape(b - a, m)
 
 
+def ref_dominators(delta3: np.ndarray, accepting: np.ndarray, sink: np.ndarray):
+    """The earlier ``automata._dominators``, which takes the fork pairs of
+    every choice pair, and the successors of every pair under a choice, in
+    one (pairs, symbols) array each.  Reads ``automata.MAX_PAIRS`` when it
+    runs, as the package's does."""
+    n, m, w = delta3.shape
+    if n * n > automata.MAX_PAIRS:
+        return None
+    right = np.ascontiguousarray(np.moveaxis(delta3, 2, 0))
+    left = right * np.int32(n)
+
+    def successors(pairs, c):
+        x, y = np.divmod(pairs, n)
+        return left[c][x] + right[c][y]
+
+    c, d = np.triu_indices(w, 1)
+    x, y = delta3[:, :, c].ravel(), delta3[:, :, d].ravel()
+    keep = (x != y) & ~sink[x] & ~sink[y]
+    x, y = x[keep], y[keep]
+    frontier = np.unique(np.concatenate([x * n + y, y * n + x]))
+    if not len(frontier):
+        return None
+    table = np.zeros((n, n), dtype=np.int8)
+    table[sink] = table[:, sink] = 1
+    np.fill_diagonal(table, 1)
+    cells = table.reshape(-1)
+    cells[frontier] = 1
+    pairs = []
+    found = len(frontier)
+    while len(frontier):
+        if found * m > automata.MAX_PAIRS:
+            return None
+        pairs.append(frontier)
+        fresh = (successors(frontier, c) for c in range(w))
+        fresh = np.concatenate([code[cells.take(code) == 0] for code in fresh])
+        frontier = np.unique(fresh)
+        cells[frontier] = 1
+        found += len(frontier)
+    pairs = np.concatenate(pairs)
+
+    x, y = np.divmod(pairs, n)
+    table[:, sink] = 0
+    table[sink] = 1
+    kept = accepting[y] | ~accepting[x]
+    cells[pairs[~kept]] = 0
+    pairs = pairs[kept]
+    while True:
+        before = len(pairs)
+        for c in range(w):
+            holds = cells.take(successors(pairs, c)).all(axis=1)
+            cells[pairs[~holds]] = 0
+            pairs = pairs[holds]
+        if len(pairs) == before:
+            break
+    x, y = np.divmod(pairs, n)
+    strict = (table[y, x] == 0) | (y < x)
+    if not strict.any():
+        return None
+    x, y = np.divmod(np.sort(pairs[strict]), n)
+    count = np.bincount(x, minlength=n).astype(np.int32)
+    return count, count.cumsum(dtype=np.int32) - count, y
+
+
 def ref_cylindrify(a, position: int):
     """Insert one free track at ``position``."""
     k = a.alphabet.n_tracks

@@ -1,7 +1,9 @@
 """Automaton algebra checked against naive set-theoretic constructions."""
 
+import functools
 import hashlib
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -745,15 +747,15 @@ def test_determinize_survives_hash_collisions(monkeypatch):
 
     # subsets are looked up by their member bytes, so only a pruned walk's
     # memo hashes: small batches build the relation, and the memo must
-    # settle the runs whose hashes collide member by member
+    # settle the runs whose hashes collide by their member bytes
     monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
     settled, pruned = [], []
-    intern = automata._Memo.intern
-    monkeypatch.setattr(automata._Memo, "intern", lambda *args: settled.append(1) or intern(*args))
+    settle = automata._Memo.settle
+    monkeypatch.setattr(automata._Memo, "settle", lambda *args: settled.append(1) or settle(*args))
     prune = automata._prune
     monkeypatch.setattr(automata, "_prune", lambda keys, bits, dominators: pruned.append(
         dominators is not None) or prune(keys, bits, dominators))
-    for n_tracks, width in [(1, 2), (1, 3), (2, 3)]:
+    for n_tracks, width in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         alphabet = TrackAlphabet(n_tracks)
         nfas = [random_nfa(rng, n_tracks, width) for _ in range(8)]
         for delta3, initial, accepting in nfas + list(edge_nfas(rng, n_tracks, width)):
@@ -846,6 +848,115 @@ def test_dominators_are_inclusions():
     assert reported > 300
 
 
+@functools.cache
+def tail_projection():
+    """The x5 factor tail's largest projection, a 2,175-state automaton,
+    and the track it erases."""
+    from pelldecide import logic
+
+    inputs = []
+    project = automata.project
+    automata.project = lambda a, t: inputs.append((a, t)) or project(a, t)
+    try:
+        logic.compile(logic.parse("?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]"),
+                      logic.Environment())
+    finally:
+        automata.project = project
+    return max(inputs, key=lambda i: i[0].n_states)
+
+
+def same_relation(got, want) -> bool:
+    """Both None, or the same (count, start, dom) arrays, types included."""
+    if got is None or want is None:
+        return got is want
+    return all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("batch_keys", [1, 40])
+def test_dominators_in_chunks_match_the_whole_array_relation(monkeypatch, batch_keys):
+    # chunks of one state or pair, or of a few, split every step; the
+    # relation, and each case that gives None, must be those of the earlier
+    # code, which took whole (pairs, symbols) arrays
+    monkeypatch.setattr(automata, "_BATCH_KEYS", batch_keys)
+    rng = np.random.default_rng(97)
+    nfas = []
+    for n_tracks, width in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        drawn = [random_nfa(rng, n_tracks, width) for _ in range(10)]
+        nfas += drawn + list(edge_nfas(rng, n_tracks, width))
+        # the same NFAs forking at their last state alone, which only the
+        # last chunk of states holds
+        for delta3, initial, accepting in drawn:
+            last = delta3.copy()
+            last[:-1] = delta3[:-1, :, :1]
+            nfas.append((last, initial, accepting))
+    for _ in range(40):
+        a = sinky_dfa(rng, int(rng.integers(1, 3)))
+        nfas.append((a.delta.reshape(a.n_states, -1, 3), None, a.accepting))
+    why, default = set(), automata.MAX_PAIRS
+    for delta3, _, accepting in nfas:
+        n, m, w = delta3.shape
+        sink = sinks_of(delta3, accepting)
+        forks = any(((delta3[:, :, c] != delta3[:, :, d]) & ~sink[delta3[:, :, c]]
+                     & ~sink[delta3[:, :, d]]).any() for c, d in itertools.combinations(range(w), 2))
+        monkeypatch.setattr(automata, "MAX_PAIRS", default)
+        full = R.ref_dominators(delta3, accepting, sink)
+        # the default budget, one cell short of the table, and budgets
+        # between the table and m times it, which may cut the closure
+        for budget in [default, n * n - 1, *range(n * n, m * n * n + 1, max(1, (m - 1) * n * n // 6))]:
+            monkeypatch.setattr(automata, "MAX_PAIRS", budget)
+            want = R.ref_dominators(delta3, accepting, sink)
+            assert same_relation(automata._dominators(delta3, accepting, sink), want)
+            if want is not None:
+                why.add("relation")
+            elif n * n > budget:
+                why.add("table past the budget")
+            elif not forks:
+                why.add("no fork pair")
+            elif full is not None:
+                why.add("closure past the budget")
+            else:
+                why.add("no strict inclusion")
+    assert why == {"relation", "table past the budget", "no fork pair", "closure past the budget",
+                   "no strict inclusion"}
+
+
+def test_the_tail_relation_in_chunks_matches_the_whole_array_relation(monkeypatch):
+    # the x5 factor tail's largest projection builds the relation on a
+    # 2,175-state NFA with 27 symbols; chunks of 500 pairs split each step
+    a, track = tail_projection()
+    asked = []
+    dominators = automata._dominators
+    monkeypatch.setattr(automata, "_dominators", lambda *args: asked.append(args) or dominators(*args))
+    automata.project(a, track)
+    monkeypatch.setattr(automata, "_dominators", dominators)
+    [(delta3, accepting, sink)] = asked
+    assert delta3.shape == (2175, 27, 3)
+    monkeypatch.setattr(automata, "_BATCH_KEYS", 27 * 500)
+    got = automata._dominators(delta3, accepting, sink)
+    assert same_relation(got, R.ref_dominators(delta3, accepting, sink))
+    assert len(got[2]) == 1984
+
+
+def test_the_tail_projection_stays_within_its_memory():
+    # the traced peak of the tail's largest projection was 16.0 MB while the
+    # relation took whole (pairs, symbols) arrays and a batch held up to
+    # 1 << 20 keys; it is 9.5 MB with both bounded by _BATCH_KEYS = 1 << 17,
+    # and 11.2 MB at 1 << 18
+    a, track = tail_projection()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        automata.project(a, track)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 11e6
+
+
 def test_relation_past_the_pair_budget_leaves_the_construction_unpruned(monkeypatch):
     monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
     alphabet = TrackAlphabet(2)
@@ -874,15 +985,7 @@ def test_a_memo_past_the_subset_budget_starts_again(monkeypatch):
     # (6,804 subsets and the dead row) and meets 26,476 distinct unpruned
     # runs; a budget between the two only clears the memo, which then holds
     # no more runs than the budget and one batch's
-    from pelldecide import logic
-
-    inputs = []
-    project = automata.project
-    monkeypatch.setattr(automata, "project", lambda a, t: inputs.append((a, t)) or project(a, t))
-    logic.compile(logic.parse("?msd_pell Aj (j + p < n) => X[i + j] = X[i + j + p]"),
-                  logic.Environment())
-    monkeypatch.setattr(automata, "project", project)
-    a, track = max(inputs, key=lambda i: i[0].n_states)
+    a, track = tail_projection()
     memos = []
 
     class Memo(automata._Memo):
