@@ -567,7 +567,7 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinization, projection, saturation
+# determinization, projection, cylindrification
 
 
 MAX_SUBSETS = 1_000_000
@@ -638,127 +638,73 @@ class _Subsets:
 class _Memo:
     """The unpruned successor runs seen so far, each with the id of its
     pruned set among the subsets in ``pruned``, under ``dominators``.  Only
-    a cache: ``_determinize`` starts a new one past MAX_SUBSETS runs.
+    a cache: ``_determinize`` starts a new one past MAX_SUBSETS runs, and it
+    never decides whether two runs are the same set.
 
-    The runs are stored as sorted member runs, back to back, and their
-    hashes in a sorted index, so a batch's runs are looked up together.  A
-    run hashes to the XOR of its members' Zobrist keys, mixed with its size.
-    Hashes only narrow the search: identity is always decided by comparing
-    members, and a run that is not the stored run its hash guesses is
-    settled by its member bytes (``settle``).
+    The runs are stored as sorted member runs, back to back from
+    ``offsets``, and their hashes in a sorted index with one stored run per
+    hash, so a batch's runs are looked up together.  A run hashes to the
+    XOR of its members' Zobrist keys, mixed with its size.  A hash only
+    guesses the stored run; the guess is confirmed member by member, and a
+    run that fails is a miss, which ``_expand`` prunes and looks up among
+    the subsets on its own.
     """
 
     def __init__(self, zobrist: np.ndarray, dominators: tuple):
         self.zobrist = zobrist
         self.dominators = dominators
-        self.members = np.empty(1 << 12, dtype=np.int32)
-        self.offsets = np.zeros(1 << 10, dtype=np.int64)
-        self.count = 0
         self.hashes = np.empty(0, dtype=np.uint64)
-        self.ids = np.empty(0, dtype=np.int64)
-        self.groups = {}
-        self.pruned = np.empty(1 << 10, dtype=np.int32)
+        self.ids = np.empty(0, dtype=np.int32)
+        self.members = np.empty(0, dtype=np.int32)
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.pruned = np.empty(0, dtype=np.int32)
 
-    def digest(self, members: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        mixed = np.bitwise_xor.reduceat(self.zobrist[members], starts)
-        return mixed ^ lengths.astype(np.uint64) * _GOLDEN
+    @property
+    def count(self) -> int:
+        return len(self.offsets) - 1
 
-    def add(self, members: np.ndarray, lengths: np.ndarray, hashes: np.ndarray) -> int:
-        """Store new runs whose members come back to back; returns the first
-        new id."""
-        used = int(self.offsets[self.count])
-        need = used + len(members)
-        if need > len(self.members):
-            self.members = np.resize(self.members, max(need, 2 * len(self.members)))
-        self.members[used:need] = members
-        first, self.count = self.count, self.count + len(lengths)
-        if self.count >= len(self.offsets):
-            self.offsets = np.resize(self.offsets, max(self.count + 1, 2 * len(self.offsets)))
-        self.offsets[first + 1 : self.count + 1] = used + np.cumsum(lengths)
-        # merge the new hashes into the sorted index
-        order = np.argsort(hashes)
-        at = np.searchsorted(self.hashes, hashes[order]) + np.arange(len(order))
-        old = np.ones(self.count, dtype=bool)
-        old[at] = False
-        merged_hashes = np.empty(self.count, dtype=np.uint64)
-        merged_hashes[at], merged_hashes[old] = hashes[order], self.hashes
-        merged_ids = np.empty(self.count, dtype=np.int64)
-        merged_ids[at], merged_ids[old] = first + order, self.ids
-        self.hashes, self.ids = merged_hashes, merged_ids
-        return first
-
-    def find(self, hashes: np.ndarray) -> np.ndarray:
-        """Id of the first stored run with each hash, or -1."""
-        if not self.count:
-            return np.full(len(hashes), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.hashes, hashes), self.count - 1)
-        return np.where(self.hashes[pos] == hashes, self.ids[pos], -1)
-
-    def settle(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-               hashes: np.ndarray, rows: np.ndarray) -> list[int]:
-        """Ids of the runs ``rows`` of ``intern_runs``, by their member
-        bytes; the runs not stored yet are stored.  The stored runs of a hash
-        go into a dict the first time one of its runs is settled, and from
-        then on every new run of that hash is stored here (the hash is in
-        the index, so ``intern_runs`` never finds it new), so no run is read
-        twice."""
-        groups, off = self.groups, self.offsets
-        new, ids = [], []
-        for i in rows.tolist():
-            h = hashes[i]
-            group = groups.get(h)
-            if group is None:
-                lo, hi = (np.searchsorted(self.hashes, h, side) for side in ("left", "right"))
-                group = groups[h] = {self.members[off[sid] : off[sid + 1]].tobytes(): sid
-                                     for sid in self.ids[lo:hi].tolist()}
-            run = tg[starts[i] : starts[i] + lengths[i]].tobytes()
-            sid = group.get(run)
-            if sid is None:
-                sid = group[run] = self.count + len(new)
-                new.append(i)
-            ids.append(sid)
-        if new:
-            chosen = np.zeros(len(starts), dtype=bool)
-            chosen[new] = True
-            self.add(tg.compress(chosen.repeat(lengths)), lengths[chosen], hashes[chosen])
-        return ids
-
-    def intern_runs(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Id of each run ``tg[start : start + length]``, sorted and
-        distinct; the runs not stored yet are stored."""
-        hashes = self.digest(tg, starts, lengths)
+    def intern_runs(self, tg: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+        """Memo id of each run ``tg[start : start + length]``, sorted and
+        distinct, or -1 for a miss; and the mask of the runs stored now.
+        Each hash not in the index yet stores one run with it, numbered in
+        batch order."""
+        hashes = np.bitwise_xor.reduceat(self.zobrist[tg], starts)
+        hashes ^= lengths.astype(np.uint64) * _GOLDEN
         # one guess per distinct hash: the stored run with that hash, else
-        # the first run with it, stored now
+        # one run with it, stored now
         order = np.argsort(hashes)
         first = np.ones(len(order), dtype=bool)
         np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=first[1:])
         reps = order[first]
-        guess = self.find(hashes[reps])
-        unseen = guess < 0
-        if unseen.any():
-            is_new = np.zeros(len(starts), dtype=bool)
-            is_new[reps[unseen]] = True
-            first_id = self.add(tg.compress(is_new.repeat(lengths)), lengths[is_new], hashes[is_new])
-            guess[unseen] = first_id + (np.cumsum(is_new) - 1)[reps[unseen]]
+        pos = np.searchsorted(self.hashes, hashes[reps])
+        known = pos < self.count
+        known[known] = self.hashes[pos[known]] == hashes[reps[known]]
+        guess = np.empty(len(reps), dtype=np.int32)
+        guess[known] = self.ids[pos[known]]
+        new = reps[~known]
+        stored = np.zeros(len(starts), dtype=bool)
+        stored[new] = True
+        if len(new):
+            guess[~known] = self.count + (np.cumsum(stored) - 1)[new]
+            self.members = np.concatenate([self.members, tg.compress(stored.repeat(lengths))])
+            self.offsets = np.concatenate([self.offsets,
+                                           self.offsets[-1] + lengths[stored].cumsum()])
+            # both parts are sorted, so a stable sort merges them in linear time
+            merged = np.concatenate([self.hashes, hashes[new]])
+            at = np.argsort(merged, kind="stable")
+            self.hashes = merged[at]
+            self.ids = np.concatenate([self.ids, guess[~known]])[at]
         ids = np.empty(len(starts), dtype=np.int32)
         ids[order] = guess[np.cumsum(first) - 1]
 
-        # confirm every guess member by member; settle the rest by bytes
+        # confirm every guess member by member
         off = self.offsets
         same = lengths == off[ids + 1] - off[ids]
         partner = self.members.take(np.arange(len(tg)) + (off[ids] - starts).repeat(lengths),
                                     mode="clip")
         same &= ~np.logical_or.reduceat(tg != partner, starts)
-        unsure = np.flatnonzero(~same)
-        if len(unsure):
-            ids[unsure] = self.settle(tg, starts, lengths, hashes, unsure)
-        return ids
-
-    def map(self, runs: np.ndarray, subsets: np.ndarray) -> None:
-        """Record that memo runs ``runs`` prune to subsets ``subsets``."""
-        if self.count > len(self.pruned):
-            self.pruned = np.resize(self.pruned, max(self.count, 2 * len(self.pruned)))
-        self.pruned[runs] = subsets
+        ids[~same] = -1
+        return ids, stored
 
 
 def _live_rows(delta3: np.ndarray, accepting: np.ndarray, bits: int) -> tuple:
@@ -926,8 +872,9 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
     """Transition rows of subsets a..b-1; successors not seen yet are stored,
     and a symbol that leads to no live state gets -1.  With a ``memo``, a
     successor drops each member that its dominators let another drop: each
-    unpruned run is looked up in the memo, and only the runs it has never
-    seen are pruned and looked up among the subsets."""
+    unpruned run is looked up in the memo, and only the runs it stores now
+    and its misses are pruned, in one call, and looked up among the
+    subsets."""
     flat, row_start, row_len = live
     out = np.full((b - a) * m, -1, dtype=np.int32)
     members, sizes = subsets.members(a, b)
@@ -955,20 +902,18 @@ def _expand(subsets: _Subsets, a: int, b: int, live: tuple, bits: int, m: int,
     if memo is None:
         out[cand] = subsets.intern_runs(tg, starts)
         return out.reshape(b - a, m)
-    before = memo.count
-    seen = memo.intern_runs(tg, starts, lengths)
-    if memo.count > before:
-        # one run of each new memo entry, pruned; no run prunes to nothing,
-        # so the pruned runs come in the same order
-        fresh = np.flatnonzero(seen >= before)
-        one = np.empty(memo.count - before, dtype=np.intp)
-        one[seen[fresh] - before] = fresh
-        chosen = np.zeros(len(starts), dtype=bool)
-        chosen[one] = True
-        pruned = _prune(keys.compress(chosen.repeat(lengths)), bits, memo.dominators)
-        _, tg, starts, _ = _runs(pruned, bits)
-        memo.map(seen[chosen], subsets.intern_runs(tg, starts))
-    out[cand] = memo.pruned[seen]
+    seen, stored = memo.intern_runs(tg, starts, lengths)
+    # prune the runs just stored and every miss together; no run prunes to
+    # nothing, so the pruned runs come in the same order
+    miss = seen < 0
+    chosen = stored | miss
+    pruned = _prune(keys.compress(chosen.repeat(lengths)), bits, memo.dominators)
+    _, tg, starts, _ = _runs(pruned, bits)
+    found = subsets.intern_runs(tg, starts)
+    memo.pruned = np.concatenate([memo.pruned, found[stored[chosen]]])
+    ids = memo.pruned[seen]
+    ids[miss] = found[miss[chosen]]
+    out[cand] = ids
     return out.reshape(b - a, m)
 
 
@@ -1016,11 +961,13 @@ def _determinize(delta3: np.ndarray, initial_set: np.ndarray, accepting: np.ndar
     runs unpruned, as x3's 6,179-state construction in ``theorems`` does.
 
     A pruned walk meets the same unpruned successor runs again and again,
-    so a ``_Memo`` maps each run it has seen to its pruned subset for the
-    rest of the walk, and only the runs it has not seen are pruned.  It
-    looks up a batch's runs together, through a hashed index, as it meets
-    many more runs than there are subsets.  It is a cache: past MAX_SUBSETS
-    runs it starts again empty.
+    so a ``_Memo`` maps each run it has stored to its pruned subset for the
+    rest of the walk, and only the runs it stores now are pruned.  It looks
+    up a batch's runs together, through a hashed index with one run a hash,
+    as it meets many more runs than there are subsets.  A run whose hash
+    another stored run holds is a miss: it is pruned again and looked up
+    among the subsets, which alone decide whether two runs are the same
+    set.  The memo is a cache: past MAX_SUBSETS runs it starts again empty.
     """
     n, m, w = delta3.shape
     bits = max(n - 1, 1).bit_length()

@@ -62,6 +62,24 @@ def theorem_reports():
     return theorems.run_all()
 
 
+@pytest.fixture
+def memo_misses(monkeypatch):
+    """From now on, the number of misses in each batch that a pruned
+    walk's memo looks up: runs whose hash another stored run holds."""
+    from pelldecide import automata
+
+    misses = []
+    intern = automata._Memo.intern_runs
+
+    def counting(memo, *args):
+        seen, stored = intern(memo, *args)
+        misses.append(int((seen < 0).sum()))
+        return seen, stored
+
+    monkeypatch.setattr(automata._Memo, "intern_runs", counting)
+    return misses
+
+
 @pytest.fixture(scope="session")
 def soundness_grids():
     """name -> (automaton grid, brute-force grid) over assignments 0..300.

@@ -729,7 +729,7 @@ def test_determinize_matches_frozenset_construction(monkeypatch, n_tracks, width
         assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
 
 
-def test_determinize_survives_hash_collisions(monkeypatch):
+def test_determinize_survives_hash_collisions(monkeypatch, memo_misses):
     from pelldecide import learner
 
     # equal keys give every subset of one size the same hash
@@ -746,12 +746,12 @@ def test_determinize_survives_hash_collisions(monkeypatch):
     assert [automata.project(adder, t) for t in range(3)] == want_proj
 
     # subsets are looked up by their member bytes, so only a pruned walk's
-    # memo hashes: small batches build the relation, and the memo must
-    # settle the runs whose hashes collide by their member bytes
+    # memo hashes: small batches build the relation, and a run whose hash
+    # is another stored run's misses, and is pruned and looked up among the
+    # subsets on its own
     monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
-    settled, pruned = [], []
-    settle = automata._Memo.settle
-    monkeypatch.setattr(automata._Memo, "settle", lambda *args: settled.append(1) or settle(*args))
+    memo_misses.clear()
+    pruned = []
     prune = automata._prune
     monkeypatch.setattr(automata, "_prune", lambda keys, bits, dominators: pruned.append(
         dominators is not None) or prune(keys, bits, dominators))
@@ -761,7 +761,7 @@ def test_determinize_survives_hash_collisions(monkeypatch):
         for delta3, initial, accepting in nfas + list(edge_nfas(rng, n_tracks, width)):
             got = automata._determinize(delta3, initial, accepting, alphabet)
             assert got == frozenset_determinize(delta3, initial, accepting, alphabet)
-    assert any(pruned) and settled
+    assert any(pruned) and sum(memo_misses)
 
 
 def raw_rows(monkeypatch) -> list[int]:
@@ -781,8 +781,6 @@ def test_memoized_pruning_builds_the_subsets_of_per_candidate_pruning(monkeypatc
     monkeypatch.setattr(automata, "_BATCH_KEYS", 40)
     if collide:  # every set of one size hashes alike
         monkeypatch.setattr(automata, "_zobrist_keys", lambda n: np.full(n, 77, dtype=np.uint64))
-    assert np.array_equal(automata._Memo(automata._zobrist_keys(3), None).find(
-        np.arange(2, dtype=np.uint64)), [-1, -1])
     rng = np.random.default_rng(89)
     cases = []
     for n_tracks, width in [(1, 2), (1, 3), (2, 2), (2, 3)]:
