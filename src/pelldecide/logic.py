@@ -410,24 +410,12 @@ def parse(text: str) -> Predicate:
 
 @dataclass(frozen=True)
 class Relation:
-    """An automaton together with the variable name carried by each track."""
+    """An automaton together with the variable name carried by each track.
+    An atom's tracks follow its arguments and ``_combine`` orders a
+    product's by name; ``compile`` orders the rest before it returns."""
 
     dfa: Dfa
     tracks: tuple[str, ...]
-
-    @staticmethod
-    def make(dfa: Dfa, names: tuple[str, ...]) -> "Relation":
-        if len(names) != dfa.alphabet.n_tracks:
-            raise CompileError(
-                f"{dfa.alphabet.n_tracks}-track automaton given {len(names)} names"
-            )
-        if len(set(names)) != len(names):
-            raise CompileError(f"duplicate track names {names}")
-        order = tuple(sorted(names))
-        if order == names:
-            return Relation(dfa, names)
-        placed = automata.cylindrify(dfa, [order.index(n) for n in names], len(names))
-        return Relation(placed, order)
 
     @property
     def is_true(self) -> bool:
@@ -506,7 +494,8 @@ def _spread(r: Relation, names: tuple[str, ...]) -> Dfa:
 
 
 def _combine(a: Relation, b: Relation, op: str = "&") -> Relation:
-    """Boolean combination over the union of the two track sets."""
+    """Boolean combination over the union of the two track sets, in name
+    order: the product renumbers its states canonically anyway."""
     names = tuple(sorted(set(a.tracks) | set(b.tracks)))
     prod = automata.product(_spread(a, names), _spread(b, names), _OP_NAMES[op])
     if op != "&":
@@ -840,12 +829,12 @@ class _Context:
         for n in names:
             if n in seen:
                 u = self.fresh()
-                self.constraints.append(Relation.make(_comparison("="), (n, u)))
+                self.constraints.append(Relation(_comparison("="), (n, u)))
                 final.append(u)
             else:
                 seen.add(n)
                 final.append(n)
-        self.constraints.append(Relation.make(dfa, tuple(final)))
+        self.constraints.append(Relation(dfa, tuple(final)))
 
     def term(self, t: Term) -> str:
         """Flatten a term to a variable, emitting defining constraints."""
@@ -951,14 +940,19 @@ class _Compiler:
 
 
 def compile(p: Union[str, Predicate], env: Optional[Environment] = None) -> Relation:
-    """Compile a predicate to a relation over its sorted free variables; an
-    AST nested past Python's recursion limit raises CompileError."""
+    """Compile a predicate to its minimal automaton, in canonical numbering,
+    over its free variables in name order: tracks that no product ordered
+    are ordered here.  The one exception is a bare $name(...) with its
+    arguments in order, which gives the automaton as it was bound.  An AST
+    nested past Python's recursion limit raises CompileError."""
     if isinstance(p, str):
         p = parse(p)
     try:
-        return _Compiler(env if env is not None else Environment()).compile(p)
+        r = _Compiler(env if env is not None else Environment()).compile(p)
     except RecursionError:
         raise CompileError("the predicate nests too deeply") from None
+    names = tuple(sorted(r.tracks))
+    return r if r.tracks == names else Relation(automata.minimize(_spread(r, names)), names)
 
 
 def eval_closed(p: Union[str, Predicate], env: Optional[Environment] = None) -> bool:

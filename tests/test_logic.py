@@ -567,6 +567,21 @@ def test_tracks_are_sorted():
     assert logic.compile("?msd_pell x + y = z").tracks == ("x", "y", "z")
 
 
+@pytest.mark.parametrize("swapped, ordered", [
+    ("?msd_pell y > x", "?msd_pell x < y"),
+    ("X[j] = X[i]", "X[i] = X[j]"),
+    ("$lt(y, x)", "x > y"),
+], ids=["comparison", "sequence-pair", "call"])
+def test_swapped_arguments_compile_to_one_machine(swapped, ordered):
+    # an atom's tracks follow its arguments, and compile puts them in name
+    # order and minimizes, so one relation gives one machine however its
+    # arguments are written
+    env = logic.define(logic.Environment(), "lt", "x < y")
+    a, b = logic.compile(swapped, env), logic.compile(ordered, env)
+    assert a.tracks == b.tracks
+    assert automata.to_text(a.dfa) == automata.to_text(b.dfa)
+
+
 def test_relation_accepts_requires_every_track():
     rel = logic.compile("?msd_pell x + y = z")
     assert logic.relation_accepts(rel, {"x": 29, "y": 12, "z": 41})

@@ -107,6 +107,27 @@ def test_reports_match_pinned_digests_under_hash_collisions(monkeypatch, memo_mi
     assert sum(memo_misses) > 1000
 
 
+def test_reports_match_pinned_digests_through_the_references(monkeypatch):
+    # every optimized step of the compiler swapped for its reference: early
+    # quantification, the subset construction's expansion and inclusion
+    # relation, product and minimize (pell imports minimize by name).  The
+    # atom builders start empty, so their products and minimizations run
+    # through the references too.  _determinize ends in _quotient, not
+    # minimize, so each projection's own quotient is not swapped
+    for builder in (logic._comparison, logic._const_dfa, logic._slice,
+                    logic._pair_equal, pell._valid_tracks):
+        builder.cache_clear()
+    monkeypatch.setattr(logic._Compiler, "quantifier", R.ref_compile_quantifier)
+    monkeypatch.setattr(automata, "_expand", R.ref_expand)
+    monkeypatch.setattr(automata, "_dominators", R.ref_dominators)
+    monkeypatch.setattr(automata, "product", R.ref_product)
+    monkeypatch.setattr(automata, "minimize", R.ref_minimize)
+    monkeypatch.setattr(pell, "minimize", R.ref_minimize)
+    reports = theorems.run_all()
+    assert all(report.passed for report in reports.values())
+    assert_pinned(reports)
+
+
 def test_run_all_compiles_the_shared_tail_once(monkeypatch):
     tail = logic.parse("Aj (j + p < n) => X[i + j] = X[i + j + p]")
     compile_node = logic._Compiler.compile
